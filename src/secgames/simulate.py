@@ -5,15 +5,26 @@ a run is bit-reproducible and independent of batching.  Additive
 zero-mean stage noise can be recorded next to the clean payoffs; it
 never influences actions or transitions, mirroring the fact that the
 solvers work with the noise-free expected payoffs.
+
+Types and actions are drawn the way ``Generator.choice(m, p=row)`` draws
+them, one uniform per draw searched in the row's cumulative sums, so the
+samples equal those of ``choice`` with the same generator.  Each row is
+checked and turned into its search table once per (game, profile), not
+on every draw.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import MalformedInputError, MultiStageGame, StrategyProfile, _readonly
+
+# The tolerance Generator.choice allows on the sum of a float64 row.
+_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -26,8 +37,13 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "uniform"):
             raise MalformedInputError(f"unknown noise kind {self.kind!r}")
-        if self.kind != "none" and self.scale < 0:
-            raise MalformedInputError("noise scale must be non-negative")
+        if self.kind != "none":
+            # numpy draws uniform(-s, s) over the width 2s, which must be finite
+            width = 2.0 * self.scale if self.kind == "uniform" else self.scale
+            if not math.isfinite(width) or math.copysign(1.0, self.scale) < 0:
+                raise MalformedInputError(
+                    f"noise scale must be finite and non-negative (not -0), "
+                    f"got {self.scale!r}")
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":
@@ -36,18 +52,22 @@ class NoiseSpec:
             return cls()
         try:
             kind, scale = text.split(":", 1)
-            return cls(kind, float(scale))
+            scale = float(scale)
         except ValueError:
             raise MalformedInputError(
                 f"noise spec {text!r}; expected none, gaussian:<sd> or uniform:<half-width>"
             ) from None
+        return cls(kind, scale)
 
-    def draw(self, rng: np.random.Generator) -> float:
+    def draws(self, rng_seed: int, index: int, count: int) -> list[float]:
+        """The ``count`` noise values of trajectory ``index``, from its own
+        stream; zeros for no noise, drawn without building a generator."""
+        if self.kind == "none":
+            return [0.0] * count
+        rng = _trajectory_rng(rng_seed, index, 1)
         if self.kind == "gaussian":
-            return float(rng.normal(0.0, self.scale))
-        if self.kind == "uniform":
-            return float(rng.uniform(-self.scale, self.scale))
-        return 0.0
+            return rng.normal(0.0, self.scale, count).tolist()
+        return rng.uniform(-self.scale, self.scale, count).tolist()
 
 
 @dataclass(frozen=True)
@@ -83,6 +103,81 @@ def _trajectory_rng(seed: int, index: int, stream: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(index, stream)))
 
 
+def _cdf(p, m: int, what: str) -> list[float]:
+    """The search table ``Generator.choice(m, p=p)`` builds, after the
+    checks it applies to ``p``.
+
+    ``bisect_right(cdf, u)`` is ``searchsorted(u, side="right")`` on the
+    same values: the cumulative sums of non-negative entries never
+    decrease.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.shape != (m,):
+        raise MalformedInputError(f"{what} has shape {p.shape}, expected ({m},)")
+    total = p.sum()
+    if not np.isfinite(total) or np.any(p < 0) or abs(total - 1.0) > _SUM_ATOL:
+        raise MalformedInputError(
+            f"{what} is not a distribution: entries must be finite, "
+            f"non-negative and sum to 1 (sum {total!r})")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+class _Sampler:
+    """Play-outs of one profile: per-row search tables, each checked and
+    built the first time a trajectory reaches its row."""
+
+    def __init__(self, game: MultiStageGame, profile: StrategyProfile):
+        self.game = game
+        self.profile = profile
+        self.prior1 = _cdf(game.prior_about_1.weights, game.n1, "prior about player 1")
+        self.prior2 = _cdf(game.prior_about_2.weights, game.n2, "prior about player 2")
+        self.x0 = game.stages[0].state_index(game.initial_state)
+        self.n_draws = 2 + 2 * len(game.stages)
+        self._payoff1 = [st.payoff1.values.tolist() for st in game.stages]
+        self._payoff2 = [st.payoff2.values.tolist() for st in game.stages]
+        self._transition = [st.transition_table.tolist() for st in game.stages]
+        self._rows: dict[tuple[int, int, int, int], list[float]] = {}
+
+    def _row(self, player: int, k: int, block: int, t: int) -> list[float]:
+        key = (player, k, block, t)
+        cdf = self._rows.get(key)
+        if cdf is None:
+            st = self.game.stages[k]
+            cdf = self._rows[key] = _cdf(
+                self.profile.arrays(player)[k][block][t],
+                st.m1 if player == 1 else st.m2,
+                f"player {player} stage {k} row block {block} type {t}")
+        return cdf
+
+    def walk(self, rng_seed: int, index: int):
+        """Trajectory ``index``: its types, ``(state, a1, a2, payoff1,
+        payoff2)`` per stage and the terminal state index.
+
+        All uniforms come from one call on the trajectory's generator,
+        in the order ``choice`` consumed them: the two types, then both
+        actions of each stage.
+        """
+        u = _trajectory_rng(rng_seed, index, 0).random(self.n_draws).tolist()
+        t1 = bisect_right(self.prior1, u[0])
+        t2 = bisect_right(self.prior2, u[1])
+        classes = self.profile.classes
+        x = self.x0
+        node = ()
+        steps = []
+        for k in range(len(self.game.stages)):
+            block = x if classes is None else classes[node]
+            a1 = bisect_right(self._row(1, k, block, t1), u[2 + 2 * k])
+            a2 = bisect_right(self._row(2, k, block, t2), u[3 + 2 * k])
+            steps.append((x, a1, a2, self._payoff1[k][x][a1][a2][t1][t2],
+                          self._payoff2[k][x][a1][a2][t1][t2]))
+            if classes is not None:
+                node += ((a1, a2),)
+            x = self._transition[k][x][a1][a2]
+        return t1, t2, steps, x
+
+
 def sample_playout(game: MultiStageGame, profile: StrategyProfile,
                    rng_seed: int = 0, noise: NoiseSpec | str = "none",
                    trajectory_index: int = 0) -> Trajectory:
@@ -93,30 +188,14 @@ def sample_playout(game: MultiStageGame, profile: StrategyProfile,
     changes the sampled types, actions or states.
     """
     noise = NoiseSpec.parse(noise) if isinstance(noise, str) else noise
-    rng = _trajectory_rng(rng_seed, trajectory_index, 0)
-    noise_rng = _trajectory_rng(rng_seed, trajectory_index, 1)
-    p1 = np.asarray(game.prior_about_1.weights)
-    p2 = np.asarray(game.prior_about_2.weights)
-    t1 = int(rng.choice(game.n1, p=p1))
-    t2 = int(rng.choice(game.n2, p=p2))
-
-    x = game.stages[0].state_index(game.initial_state)
-    node = ()
-    steps = []
-    for k, st in enumerate(game.stages):
-        a1 = int(rng.choice(st.m1, p=profile.rows(1, node, x)[t1]))
-        a2 = int(rng.choice(st.m2, p=profile.rows(2, node, x)[t2]))
-        node = node + ((a1, a2),)
-        pay1 = float(st.payoff1.values[x, a1, a2, t1, t2])
-        pay2 = float(st.payoff2.values[x, a1, a2, t1, t2])
-        w1 = noise.draw(noise_rng)
-        w2 = noise.draw(noise_rng)
-        steps.append(TrajectoryStep(k, st.states[x], st.actions1[a1],
-                                    st.actions2[a2], pay1, pay2,
-                                    pay1 + w1, pay2 + w2))
-        x = int(st.transition_table[x, a1, a2])
-    terminal = game.stages[-1].next_states[x]
-    return Trajectory(game.types1[t1], game.types2[t2], tuple(steps), terminal)
+    t1, t2, walked, x = _Sampler(game, profile).walk(rng_seed, trajectory_index)
+    w = noise.draws(rng_seed, trajectory_index, 2 * len(walked))
+    steps = tuple(
+        TrajectoryStep(k, st.states[xk], st.actions1[a1], st.actions2[a2],
+                       pay1, pay2, pay1 + w[2 * k], pay2 + w[2 * k + 1])
+        for k, (st, (xk, a1, a2, pay1, pay2)) in enumerate(zip(game.stages, walked)))
+    return Trajectory(game.types1[t1], game.types2[t2], steps,
+                      game.stages[-1].next_states[x])
 
 
 @dataclass(frozen=True)
@@ -141,16 +220,20 @@ class MonteCarloReport:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-def _cell_stats(samples: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
-    means = np.zeros(len(samples))
-    errs = np.zeros(len(samples))
-    for i, cell in enumerate(samples):
-        if not cell:
+def _type_stats(types: np.ndarray, totals: list[float], n_types: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per own type, the mean of its trajectories' totals (in trajectory
+    order) and the standard error of that mean."""
+    totals = np.array(totals)
+    means = np.zeros(n_types)
+    errs = np.zeros(n_types)
+    for t in range(n_types):
+        arr = totals[types == t]
+        if not arr.size:
             continue
-        arr = np.asarray(cell)
-        means[i] = arr.mean()
+        means[t] = arr.mean()
         if arr.size > 1:
-            errs[i] = arr.std(ddof=1) / np.sqrt(arr.size)
+            errs[t] = arr.std(ddof=1) / np.sqrt(arr.size)
     return means, errs
 
 
@@ -161,23 +244,29 @@ def monte_carlo_value(game: MultiStageGame, profile: StrategyProfile, n: int,
     if n < 1:
         raise MalformedInputError("sample count must be at least 1")
     noise = NoiseSpec.parse(noise) if isinstance(noise, str) else noise
-    clean1 = [[] for _ in range(game.n1)]
-    clean2 = [[] for _ in range(game.n2)]
-    noisy1 = [[] for _ in range(game.n1)]
-    noisy2 = [[] for _ in range(game.n2)]
+    sampler = _Sampler(game, profile)
+    types1, types2 = [], []
+    clean1, clean2, noisy1, noisy2 = [], [], [], []
     for i in range(n):
-        traj = sample_playout(game, profile, rng_seed, noise, trajectory_index=i)
-        t1 = game.type_index(1, traj.type1)
-        t2 = game.type_index(2, traj.type2)
-        clean1[t1].append(traj.total1)
-        clean2[t2].append(traj.total2)
-        noisy1[t1].append(sum(s.noisy1 for s in traj.steps))
-        noisy2[t2].append(sum(s.noisy2 for s in traj.steps))
-    m1, e1 = _cell_stats(clean1)
-    m2, e2 = _cell_stats(clean2)
-    nm1, ne1 = _cell_stats(noisy1)
-    nm2, ne2 = _cell_stats(noisy2)
+        t1, t2, steps, _ = sampler.walk(rng_seed, i)
+        types1.append(t1)
+        types2.append(t2)
+        clean1.append(sum(s[3] for s in steps))
+        clean2.append(sum(s[4] for s in steps))
+        if noise.kind != "none":
+            w = noise.draws(rng_seed, i, 2 * len(steps))
+            noisy1.append(sum(s[3] + w[2 * k] for k, s in enumerate(steps)))
+            noisy2.append(sum(s[4] + w[2 * k + 1] for k, s in enumerate(steps)))
+    types1 = np.array(types1)
+    types2 = np.array(types2)
+    m1, e1 = _type_stats(types1, clean1, game.n1)
+    m2, e2 = _type_stats(types2, clean2, game.n2)
+    if noise.kind == "none":
+        # a total of p + 0.0 terms equals the total of the p terms
+        nm1, ne1, nm2, ne2 = m1, e1, m2, e2
+    else:
+        nm1, ne1 = _type_stats(types1, noisy1, game.n1)
+        nm2, ne2 = _type_stats(types2, noisy2, game.n2)
     return MonteCarloReport(
-        n,
-        np.array([len(c) for c in clean1]), np.array([len(c) for c in clean2]),
+        n, np.bincount(types1, minlength=game.n1), np.bincount(types2, minlength=game.n2),
         m1, m2, e1, e2, nm1, nm2, ne1, ne2)

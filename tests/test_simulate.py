@@ -1,10 +1,14 @@
 """Monte Carlo play-out: determinism, noise isolation, convergence."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from secgames.core import MalformedInputError, StrategyProfile
+from secgames.core import MalformedInputError, StrategyProfile, build_tree
 from secgames.multistage import cumulative_utility, forward_pass
-from secgames.simulate import (NoiseSpec, monte_carlo_value, sample_playout)
+from secgames.simulate import (NoiseSpec, Trajectory, TrajectoryStep,
+                               monte_carlo_value, sample_playout)
 from secgames.scenarios import build_apt_game, build_static_bayesian
 from secgames.static import to_multistage
 from tests.test_multistage import chain_game
@@ -21,6 +25,17 @@ class TestNoiseSpec:
             NoiseSpec.parse("gaussian")
         with pytest.raises(MalformedInputError):
             NoiseSpec.parse("cauchy:1.0")
+
+    @pytest.mark.parametrize("text", ["gaussian:nan", "uniform:nan", "gaussian:inf",
+                                      "uniform:inf", "gaussian:-0", "uniform:-0.0",
+                                      "gaussian:-1", "uniform:1e308"])
+    def test_bad_scales_rejected(self, text):
+        with pytest.raises(MalformedInputError):
+            NoiseSpec.parse(text)
+
+    def test_zero_scale_accepted(self):
+        assert NoiseSpec.parse("gaussian:0").scale == 0.0
+        assert NoiseSpec.parse("uniform:0.0").scale == 0.0
 
 
 class TestSamplePlayout:
@@ -115,3 +130,139 @@ class TestMonteCarloValue:
         rep = monte_carlo_value(g, prof, 500, rng_seed=2)
         assert rep.counts1.sum() == 500
         assert rep.counts2.sum() == 500
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the sampler against one Generator.choice call per draw
+# ---------------------------------------------------------------------------
+
+def _rng(seed, index, stream):
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(index, stream)))
+
+
+def reference_playout(game, profile, rng_seed, noise, index):
+    """The play-out as written before the search tables: ``rng.choice``
+    per draw, and a noise generator built and drawn once per value."""
+    noise = NoiseSpec.parse(noise)
+    rng = _rng(rng_seed, index, 0)
+    noise_rng = _rng(rng_seed, index, 1)
+
+    def draw():
+        if noise.kind == "gaussian":
+            return float(noise_rng.normal(0.0, noise.scale))
+        if noise.kind == "uniform":
+            return float(noise_rng.uniform(-noise.scale, noise.scale))
+        return 0.0
+
+    t1 = int(rng.choice(game.n1, p=np.asarray(game.prior_about_1.weights)))
+    t2 = int(rng.choice(game.n2, p=np.asarray(game.prior_about_2.weights)))
+    x = game.stages[0].state_index(game.initial_state)
+    node = ()
+    steps = []
+    for k, st in enumerate(game.stages):
+        a1 = int(rng.choice(st.m1, p=profile.rows(1, node, x)[t1]))
+        a2 = int(rng.choice(st.m2, p=profile.rows(2, node, x)[t2]))
+        node = node + ((a1, a2),)
+        pay1 = float(st.payoff1.values[x, a1, a2, t1, t2])
+        pay2 = float(st.payoff2.values[x, a1, a2, t1, t2])
+        w1, w2 = draw(), draw()
+        steps.append(TrajectoryStep(k, st.states[x], st.actions1[a1],
+                                    st.actions2[a2], pay1, pay2,
+                                    pay1 + w1, pay2 + w2))
+        x = int(st.transition_table[x, a1, a2])
+    return Trajectory(game.types1[t1], game.types2[t2], tuple(steps),
+                      game.stages[-1].next_states[x])
+
+
+def reference_monte_carlo(game, profile, n, rng_seed, noise):
+    """Per-type statistics from per-type lists of reference play-outs."""
+    cells = {key: [[] for _ in range(game.n1 if key[1] == 1 else game.n2)]
+             for key in (("clean", 1), ("clean", 2), ("noisy", 1), ("noisy", 2))}
+    for i in range(n):
+        traj = reference_playout(game, profile, rng_seed, noise, i)
+        t1 = game.types1.index(traj.type1)
+        t2 = game.types2.index(traj.type2)
+        cells["clean", 1][t1].append(traj.total1)
+        cells["clean", 2][t2].append(traj.total2)
+        cells["noisy", 1][t1].append(sum(s.noisy1 for s in traj.steps))
+        cells["noisy", 2][t2].append(sum(s.noisy2 for s in traj.steps))
+    out = {"counts1": np.array([len(c) for c in cells["clean", 1]]),
+           "counts2": np.array([len(c) for c in cells["clean", 2]])}
+    for kind, prefix in (("clean", ""), ("noisy", "noisy_")):
+        for player in (1, 2):
+            means = np.zeros(len(cells[kind, player]))
+            errs = np.zeros(len(cells[kind, player]))
+            for t, cell in enumerate(cells[kind, player]):
+                if cell:
+                    arr = np.asarray(cell)
+                    means[t] = arr.mean()
+                    if arr.size > 1:
+                        errs[t] = arr.std(ddof=1) / np.sqrt(arr.size)
+            out[f"{prefix}mean{player}"] = means
+            out[f"{prefix}stderr{player}"] = errs
+    return out
+
+
+def per_history_profile(game, seed=0):
+    """Every history its own row block, with random rows over the
+    feasible actions of its state."""
+    rng = np.random.default_rng(seed)
+    nodes = build_tree(game)
+    classes, sig1, sig2 = {}, [], []
+    for k, st in enumerate(game.stages):
+        at_k = [(node, x) for node, (kk, x) in nodes.items() if kk == k]
+        for out, feas in ((sig1, st.payoff1.feasible), (sig2, st.payoff2.feasible)):
+            rows = rng.random((len(at_k),) + feas.shape[1:]) * feas[[x for _, x in at_k]]
+            out.append(rows / rows.sum(axis=2, keepdims=True))
+        for block, (node, _) in enumerate(at_k):
+            classes[node] = block
+    return StrategyProfile(tuple(sig1), tuple(sig2), classes)
+
+
+PROFILES = {"uniform-markov": lambda g: StrategyProfile.uniform(g),
+            "per-history": per_history_profile}
+NOISES = ("none", "gaussian:1.0", "uniform:0.5")
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("profile_name", sorted(PROFILES))
+    def test_sample_playout_matches_choice_loop(self, profile_name, noise):
+        g = build_apt_game()
+        prof = PROFILES[profile_name](g)
+        assert not prof.violations(g)
+        for i in range(200):
+            assert sample_playout(g, prof, 13, noise, trajectory_index=i) == \
+                   reference_playout(g, prof, 13, noise, i)
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("profile_name", sorted(PROFILES))
+    def test_monte_carlo_value_matches_choice_loop(self, profile_name, noise):
+        g = build_apt_game()
+        prof = PROFILES[profile_name](g)
+        rep = monte_carlo_value(g, prof, 300, rng_seed=29, noise=noise)
+        ref = reference_monte_carlo(g, prof, 300, 29, noise)
+        for name, expected in ref.items():
+            got = getattr(rep, name)
+            if name.startswith("counts"):
+                np.testing.assert_array_equal(got, expected)
+            else:
+                assert got.tobytes() == expected.tobytes(), name
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("row", [[1.1, -0.1, 0.0], [0.3, 0.3, 0.3]])
+    def test_bad_row_raises_from_both(self, row):
+        g = build_apt_game()
+        uniform = StrategyProfile.uniform(g)
+        x0 = g.stages[0].state_index(g.initial_state)
+        stage0 = np.array(uniform.sigma1[0])
+        stage0[x0, :] = row                     # every type of the root row
+        prof = dataclasses.replace(uniform, sigma1=(stage0,) + uniform.sigma1[1:])
+        with pytest.raises(MalformedInputError):
+            sample_playout(g, prof, rng_seed=0)
+        with pytest.raises(MalformedInputError):
+            monte_carlo_value(g, prof, 10, rng_seed=0)
+        with pytest.raises(ValueError):         # as Generator.choice rejects it
+            reference_playout(g, prof, 0, "none", 0)

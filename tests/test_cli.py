@@ -170,6 +170,20 @@ def test_simulate_bad_n_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_simulate_bad_noise_scale_exits_2(capsys, tmp_path):
+    game = build_apt_game()
+    path = tmp_path / "markov.json"
+    dump_json(profile_to_dict(game, StrategyProfile.uniform(game)), str(path))
+    out_file = tmp_path / "sim.json"
+    for noise in ("gaussian:nan", "uniform:inf", "gaussian:-0"):
+        code, _, err = run(capsys, "simulate", "--scenario", "apt", "--profile",
+                           str(path), "-n", "5", "--noise", noise,
+                           "--out", str(out_file))
+        assert code == 2, noise
+        assert "noise scale" in err
+        assert not out_file.exists()
+
+
 def test_verify_flags_inconsistent_beliefs(capsys, tmp_path):
     # beliefs frozen at the prior do not match a type-revealing profile
     out_file = tmp_path / "pbne.json"

@@ -215,7 +215,9 @@ class MonteCarloReport:
     noisy_stderr2: np.ndarray
 
     def __post_init__(self):
-        for name in ("counts1", "counts2", "mean1", "mean2", "stderr1", "stderr2",
+        for name in ("counts1", "counts2"):
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype=int))
+        for name in ("mean1", "mean2", "stderr1", "stderr2",
                      "noisy_mean1", "noisy_mean2", "noisy_stderr1", "noisy_stderr2"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 

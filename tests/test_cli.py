@@ -239,8 +239,12 @@ def test_verify_and_simulate_accept_markov_profiles(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--scenario", "apt", "--profile", str(path))
     assert code == 0
     assert "no beliefs supplied" in out
+    sim_out = tmp_path / "sim.json"
     code2, out2, _ = run(capsys, "simulate", "--scenario", "apt",
-                         "--profile", str(path), "-n", "50")
+                         "--profile", str(path), "-n", "50", "--out", str(sim_out))
     assert code2 == 0
     assert "monte carlo over n=50" in out2
+    counts = json.loads(sim_out.read_text())["results"]["counts"]
+    assert all(isinstance(c, int) for side in counts.values() for c in side)
+    assert sum(counts["defender"]) == sum(counts["user"]) == 50
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -478,14 +479,17 @@ def _sized_subsets(items: tuple[int, ...]):
 
 
 def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, restarts: int = 16,
-                        seed: int = 0, warm=None, threads: int = 1
+                        seed: int = 0, warm=None, threads: int = 1, *,
+                        pool: ThreadPoolExecutor | None = None
                         ) -> BilinearStageSolution:
     """Multi-start solve of one stage program.
 
     Starts are evaluated in index order (warm start first when given,
     then uniform, then seeded random user strategies); the first start
     whose certified gap passes is returned, so results do not depend on
-    the thread count.
+    the thread count.  With ``threads > 1`` the starts run in batches of
+    ``threads`` on ``pool``, or on an executor opened for this call when
+    no pool is given.
     """
     b1 = np.asarray(getattr(b1, "weights", b1), dtype=float)
     b2 = np.asarray(getattr(b2, "weights", b2), dtype=float)
@@ -523,7 +527,8 @@ def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, restarts: int = 16,
             if sol.converged:
                 return sol
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with (nullcontext(pool) if pool is not None
+              else ThreadPoolExecutor(max_workers=threads)) as pool:
             for base in range(0, len(order), threads):
                 batch = list(pool.map(run, order[base:base + threads]))
                 results.extend(batch)
@@ -710,7 +715,7 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
 
 def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
               restarts: int, seed: int, warm_profile: StrategyProfile | None,
-              threads: int):
+              threads: int, pool: ThreadPoolExecutor | None = None):
     """Solve one stage program per belief class, from the horizon down.
 
     A class holds the stage-k histories that share a state, both
@@ -723,7 +728,8 @@ def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
     are the same for every own type (priors and updates ignore the
     holder's type), so the first row stands for all.
 
-    ``bel1``/``bel2`` are the node beliefs of each player.  Returns the
+    ``bel1``/``bel2`` are the node beliefs of each player; ``pool``, if
+    given, runs the starts of every program when ``threads > 1``.  Returns the
     class profile, each player's utility-to-go per history as its class
     program values it (one entry per own type) and the stage solutions
     keyed by (stage, class).
@@ -775,7 +781,7 @@ def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
             try:
                 sol = solve_stage_tensors(t1, t2, feas1, feas2, b1, b2,
                                           restarts=restarts, seed=stage_seed,
-                                          warm=warm, threads=threads)
+                                          warm=warm, threads=threads, pool=pool)
             except SolverError as err:
                 raise SolverError(
                     f"stage {k}, state {st.states[x]!r}: {err}") from err
@@ -987,26 +993,29 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
     profile: StrategyProfile | None = None
     trace: list[tuple[float, float]] = []
     counts: list[int] = []
-    for it in range(1, max_iter + 1):
-        new_profile, node_v1, node_v2, stage_solutions = _backward(
-            game, nodes, *bel, restarts, seed, profile, threads)
-        forward = _node_beliefs(game, nodes, new_profile)
-        res_p = (np.inf if profile is None
-                 else _profile_residual(game, new_profile, profile))
-        res_b = _belief_residual(forward[:2], bel)
-        trace.append((res_p, res_b))
-        counts.append(len(stage_solutions))
-        profile = new_profile
-        if res_b <= tol and (it == 1 or res_p <= tol):
-            beliefs = _with_aggregates(game, nodes, profile, *forward)
-            eps = verify_epsilon(game, profile, beliefs)
-            values = _state_values(game, nodes, profile, node_v1, node_v2)
-            worst_stage = max((max(s.gaps1.max(initial=0.0), s.gaps2.max(initial=0.0))
-                               for s in stage_solutions.values()), default=0.0)
-            return PbneSolution(profile, beliefs, values, eps, it,
-                                tuple(trace), worst_stage, tuple(counts))
-        bel = tuple({p: 0.5 * (v + new[p]) for p, v in old.items()}
-                    for old, new in zip(bel, forward[:2]))
+    # one executor for every stage program of the solve
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
+          else nullcontext()) as pool:
+        for it in range(1, max_iter + 1):
+            new_profile, node_v1, node_v2, stage_solutions = _backward(
+                game, nodes, *bel, restarts, seed, profile, threads, pool)
+            forward = _node_beliefs(game, nodes, new_profile)
+            res_p = (np.inf if profile is None
+                     else _profile_residual(game, new_profile, profile))
+            res_b = _belief_residual(forward[:2], bel)
+            trace.append((res_p, res_b))
+            counts.append(len(stage_solutions))
+            profile = new_profile
+            if res_b <= tol and (it == 1 or res_p <= tol):
+                beliefs = _with_aggregates(game, nodes, profile, *forward)
+                eps = verify_epsilon(game, profile, beliefs)
+                values = _state_values(game, nodes, profile, node_v1, node_v2)
+                worst_stage = max((max(s.gaps1.max(initial=0.0), s.gaps2.max(initial=0.0))
+                                   for s in stage_solutions.values()), default=0.0)
+                return PbneSolution(profile, beliefs, values, eps, it,
+                                    tuple(trace), worst_stage, tuple(counts))
+            bel = tuple({p: 0.5 * (v + new[p]) for p, v in old.items()}
+                        for old, new in zip(bel, forward[:2]))
     return NonConvergenceReport(max_iter, tuple(trace), profile,
                                 _with_aggregates(game, nodes, profile, *forward),
                                 trace[-1], tuple(counts))

@@ -274,6 +274,23 @@ class TestSolvePbne:
             assert len(res.residual_trace) == 2
             assert res.final_residuals == res.residual_trace[-1]
 
+    def test_one_executor_per_solve(self, monkeypatch):
+        opened = []
+
+        class CountingExecutor(multistage.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(multistage, "ThreadPoolExecutor", CountingExecutor)
+        g = build_apt_game()
+        res = solve_pbne(g, tol=1e-12, max_iter=3, restarts=2, seed=0, threads=2)
+        assert len(opened) == 1
+        one = solve_pbne(g, tol=1e-12, max_iter=3, restarts=2, seed=0, threads=1)
+        assert len(opened) == 1
+        assert (one.residual_trace, one.class_counts) == \
+               (res.residual_trace, res.class_counts)
+
 
 class TestCumulativeUtility:
     def test_zero_game(self):

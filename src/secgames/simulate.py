@@ -253,22 +253,17 @@ def monte_carlo_value(game: MultiStageGame, profile: StrategyProfile, n: int,
         t1, t2, steps, _ = sampler.walk(rng_seed, i)
         types1.append(t1)
         types2.append(t2)
+        w = noise.draws(rng_seed, i, 2 * len(steps))
         clean1.append(sum(s[3] for s in steps))
         clean2.append(sum(s[4] for s in steps))
-        if noise.kind != "none":
-            w = noise.draws(rng_seed, i, 2 * len(steps))
-            noisy1.append(sum(s[3] + w[2 * k] for k, s in enumerate(steps)))
-            noisy2.append(sum(s[4] + w[2 * k + 1] for k, s in enumerate(steps)))
+        noisy1.append(sum(s[3] + w[2 * k] for k, s in enumerate(steps)))
+        noisy2.append(sum(s[4] + w[2 * k + 1] for k, s in enumerate(steps)))
     types1 = np.array(types1)
     types2 = np.array(types2)
     m1, e1 = _type_stats(types1, clean1, game.n1)
     m2, e2 = _type_stats(types2, clean2, game.n2)
-    if noise.kind == "none":
-        # a total of p + 0.0 terms equals the total of the p terms
-        nm1, ne1, nm2, ne2 = m1, e1, m2, e2
-    else:
-        nm1, ne1 = _type_stats(types1, noisy1, game.n1)
-        nm2, ne2 = _type_stats(types2, noisy2, game.n2)
+    nm1, ne1 = _type_stats(types1, noisy1, game.n1)
+    nm2, ne2 = _type_stats(types2, noisy2, game.n2)
     return MonteCarloReport(
         n, np.bincount(types1, minlength=game.n1), np.bincount(types2, minlength=game.n2),
         m1, m2, e1, e2, nm1, nm2, ne1, ne2)

@@ -729,10 +729,10 @@ def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
     holder's type), so the first row stands for all.
 
     ``bel1``/``bel2`` are the node beliefs of each player; ``pool``, if
-    given, runs the starts of every program when ``threads > 1``.  Returns the
-    class profile, each player's utility-to-go per history as its class
-    program values it (one entry per own type) and the stage solutions
-    keyed by (stage, class).
+    given, runs the starts of every program when ``threads > 1``.
+    Returns the class profile, each player's utility-to-go per history
+    as its class program values it (one entry per own type) and the
+    stage solutions keyed by (stage, class).
     """
     K = game.horizon
     n1, n2 = game.n1, game.n2

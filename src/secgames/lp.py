@@ -24,6 +24,7 @@ or reflected away before the tableau is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,10 @@ class LinearProgram:
             raise MalformedInputError("constraint row count does not match rhs length")
         if self.lower.size != n or self.upper.size != n:
             raise MalformedInputError("bound vectors do not match variable count")
-        for block in (self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq):
-            if not np.all(np.isfinite(block)):
-                raise MalformedInputError("coefficients must be finite")
+        if not (np.isfinite(self.c).all() and np.isfinite(self.a_ub).all()
+                and np.isfinite(self.b_ub).all() and np.isfinite(self.a_eq).all()
+                and np.isfinite(self.b_eq).all()):
+            raise MalformedInputError("coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -107,18 +109,18 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
     pivots_left = None if exact else _PIVOT_CAP * (m + n_cols)
     while True:
         obj = tableau[-1, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if obj[j] < -tol:
-                entering = j
-                break
+        if not exact:   # Python floats compare and divide as float64 does, faster
+            obj = obj.tolist()
+        entering = next((j for j, v in enumerate(obj) if v < -tol), -1)
         if entering < 0:
             return "optimal"
-        col = tableau[:m, entering]
+        col, rhs = tableau[:m, entering], tableau[:m, -1]
+        if not exact:
+            col, rhs = col.tolist(), rhs.tolist()
         best, leaving = None, -1
         for r in range(m):
             if col[r] > tol:
-                ratio = tableau[r, -1] / col[r]
+                ratio = rhs[r] / col[r]
                 if exact:
                     better = (leaving < 0 or ratio < best
                               or (ratio == best and basis[r] < basis[leaving]))
@@ -147,19 +149,18 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     offset = np.zeros(n)
     extra_ub_rows: list[np.ndarray] = []
     extra_ub_rhs: list[float] = []
-    for j in range(n):
-        lo, hi = lower[j], upper[j]
-        if np.isfinite(lo):
+    for j, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
+        if math.isfinite(lo):
             offset[j] = lo
             col_map.append((j, 1.0))
-            if np.isfinite(hi):
+            if math.isfinite(hi):
                 if hi < lo - _FEAS_TOL:
                     return LpSolution("infeasible", None, None)
                 row = np.zeros(n)
                 row[j] = 1.0
                 extra_ub_rows.append(row)
                 extra_ub_rhs.append(hi)
-        elif np.isfinite(hi):
+        elif math.isfinite(hi):
             offset[j] = hi
             col_map.append((j, -1.0))
         else:
@@ -174,13 +175,13 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
 
     n_std = len(col_map)
 
-    def to_std(mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((mat.shape[0], n_std))
-        for idx, (j, sign) in enumerate(col_map):
-            out[:, idx] = sign * mat[:, j]
-        return out
+    cols = np.array([j for j, _ in col_map], dtype=int)
+    signs = np.array([sign for _, sign in col_map])
 
-    c_std = np.array([sign * c[j] for j, sign in col_map])
+    def to_std(mat: np.ndarray) -> np.ndarray:
+        return mat[:, cols] * signs
+
+    c_std = c[cols] * signs
     a_ub_std = to_std(a_ub)
     b_ub_std = b_ub - a_ub @ offset
     a_eq_std = to_std(problem.a_eq)
@@ -216,8 +217,7 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     if status != "optimal":
         return LpSolution(status, None, None)
     z = offset.copy()
-    for idx, (j, sign) in enumerate(col_map):
-        z[j] += sign * x_std[idx]
+    np.add.at(z, cols, signs * x_std[:n_std])   # in column order, as a loop adds
     return LpSolution("optimal", z, float(problem.c @ z))
 
 

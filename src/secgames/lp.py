@@ -36,6 +36,62 @@ _FEAS_TOL = 1e-8
 # A floating-point run gives up after this many pivots per tableau row
 # and column; a cycling run never ends, a sound one ends within a few.
 _PIVOT_CAP = 10
+# Margin of the conditional-dominance screen, per unit of 1 + max|C|.
+# In a support system the right-hand sides are 0 or 1, so an optimum the
+# floating-point run accepts breaks each row and each bound by at most
+# check_tol = _FEAS_TOL * (1 + 1).  Take such a point, with own actions
+# a (in the support) and b (feasible), n_y opponent-row variables and G
+# opponent rows.  Its rows give (C[b] - C[a]) . y <= 3 check_tol.  Its
+# bounds (y >= -check_tol) and row sums (within check_tol of 1) give
+# (C[b] - C[a]) . y >= L(b, a) - (4 n_y + 2 G) max|C| check_tol.  So no
+# point is accepted, and none exists in exact arithmetic, once
+# L(b, a) > (4 n_y + 2 G + 3) (1 + max|C|) 2 _FEAS_TOL.  The margin
+# below covers that for 4 n_y + 2 G + 3 up to _SCREEN_MAX_TERMS; larger
+# systems are not screened.
+_DOMINANCE_MARGIN = 1e4 * _FEAS_TOL
+_SCREEN_MAX_TERMS = int(_DOMINANCE_MARGIN / (2 * _FEAS_TOL))
+
+
+class DominanceScreen:
+    """Conditional-dominance screen of one agent's support systems.
+
+    ``coef[own_action, opp_agent, opp_action]`` is the agent's payoff,
+    linear in the opponent rows.  A support system fixes an own support
+    and, for each opponent row ``g``, a support ``S_g`` to which the row
+    is a distribution; it asks for rows under which every own-support
+    action earns the most among ``own_feasible``.  For a feasible ``b``
+    and a supported ``a``,
+
+        L(b, a) = sum over g of min over o in S_g of
+                  (coef[b, g, o] - coef[a, g, o])
+
+    bounds b's gain over a from below on all such rows (Porter, Nudelman
+    & Shoham 2008, conditional dominance).  The per-row minima are kept
+    for each (g, S_g), so a screen costs a few small sums.
+    """
+
+    def __init__(self, coef: np.ndarray, own_feasible):
+        self.coef = np.asarray(coef, dtype=float)
+        self.own_feasible = list(own_feasible)
+        self._threshold = _DOMINANCE_MARGIN * (1.0 + np.abs(self.coef).max())
+        self._minima: dict[tuple, np.ndarray] = {}
+
+    def _row_minima(self, g: int, support) -> np.ndarray:
+        key = (g, tuple(support))
+        minima = self._minima.get(key)
+        if minima is None:
+            block = self.coef[:, g, list(support)]
+            minima = (block[self.own_feasible][:, None] - block[None]).min(axis=2)
+            self._minima[key] = minima
+        return minima
+
+    def rejects(self, own_support, opp_supports) -> bool:
+        """True when some L(b, a) exceeds the margin: the system has no
+        solution, and no LP of it can report one.  False decides nothing."""
+        if 4 * sum(map(len, opp_supports)) + 2 * len(opp_supports) + 3 > _SCREEN_MAX_TERMS:
+            return False
+        bound = sum(self._row_minima(g, sup) for g, sup in enumerate(opp_supports))
+        return bool((bound[:, list(own_support)] > self._threshold).any())
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ import numpy as np
 from .core import (BeliefSystem, FiniteDistribution, MalformedInputError,
                    MultiStageGame, NodeKey, SolverError, StageGame,
                    StrategyProfile, build_tree, validate_game, _readonly)
-from .lp import LinearProgram, solve_lp
+from .lp import DominanceScreen, LinearProgram, solve_lp
 
 STAGE_GAP_TOL = 1e-6
 _OBJ_TOL = 1e-6
@@ -456,8 +456,13 @@ def _stage_support_enumeration(t1, t2, feas1, feas2, b1, b2,
     n_combos = int(np.prod([len(s) for s in subs1 + subs2]))
     if n_combos > combo_budget:
         return None
+    screens1 = [DominanceScreen(c, np.flatnonzero(f)) for c, f in zip(coef1, feas1)]
+    screens2 = [DominanceScreen(c, np.flatnonzero(f)) for c, f in zip(coef2, feas2)]
     for sup1 in itertools.product(*subs1):
         for sup2 in itertools.product(*subs2):
+            if (any(s.rejects(own, sup2) for s, own in zip(screens1, sup1))
+                    or any(s.rejects(own, sup1) for s, own in zip(screens2, sup2))):
+                continue
             sigma2 = _stage_side_lp(coef1, feas1, sup1, feas2, sup2)
             if sigma2 is None:
                 continue

@@ -8,6 +8,12 @@ belief is admissible, so candidate off-path beliefs are searched over a
 uniform simplex grid; everything reported is re-verified against the
 exact optimality and consistency conditions, which makes the output
 sound even though the grid search is not exhaustive.
+
+Mixed equilibria come from support enumeration with one feasibility LP
+per side.  The receiver-side LP (sender optimality per type) runs first
+and is skipped when the conditional-dominance screen of
+:class:`lp.DominanceScreen` proves it infeasible; the sender-side LP is
+not screened, because its posterior weights can be 0.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .core import (EnumerationBudgetError, FiniteDistribution,
                    MalformedInputError, _readonly)
-from .lp import LinearProgram, solve_lp
+from .lp import DominanceScreen, LinearProgram, solve_lp
 
 GAP_TOL = 1e-8
 _BAYES_TOL = 1e-9
@@ -437,16 +443,27 @@ def solve_mixed_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_
         feas = tuple(int(m) for m in np.flatnonzero(game.message_mask[t]))
         sender_subsets.append(_sized_subsets(feas))
     receiver_subsets = [_sized_subsets(tuple(range(m1))) for _ in range(m2)]
+    # Type t's payoff from message m reads only the reply row at m:
+    # coef[t, m, m, a] = payoffs2[a, m, t], zero off the diagonal.
+    coef = np.zeros((n, m2, m2, m1))
+    coef[:, np.arange(m2), np.arange(m2), :] = game.payoffs2.transpose(2, 1, 0)
+    screens = [DominanceScreen(coef[t], np.flatnonzero(game.message_mask[t]))
+               for t in range(n)]
 
     results: list[SignalingPBNE] = []
     seen: set[bytes] = set()
     for sender_sup in itertools.product(*sender_subsets):
         for receiver_sup in itertools.product(*receiver_subsets):
-            sender = _mixed_side_sender(game, receiver_sup, sender_sup)
-            if sender is None:
+            # Both sides must be solvable, so the screened receiver side
+            # goes first; the sender side's posterior weights can be 0
+            # and are not screened.
+            if any(s.rejects(own, receiver_sup) for s, own in zip(screens, sender_sup)):
                 continue
             receiver = _mixed_side_receiver(game, receiver_sup, sender_sup)
             if receiver is None:
+                continue
+            sender = _mixed_side_sender(game, receiver_sup, sender_sup)
+            if sender is None:
                 continue
             marginals = prior @ sender
             beliefs = np.zeros((m2, n))

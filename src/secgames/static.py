@@ -13,9 +13,13 @@ Three solvers live here:
 Support enumeration resolves each candidate support profile with a pair
 of linear feasibility programs (the two sides decouple once supports
 are fixed), so degenerate games with equilibrium continua yield vertex
-representatives instead of being skipped.  Every candidate is
-re-verified against the exact best-response inequalities before it is
-reported; anything returned has deviation gap <= 1e-8.
+representatives instead of being skipped.  Both LPs of a candidate are
+skipped when a conditional-dominance screen (:class:`lp.DominanceScreen`)
+finds, on either side, a support action that another feasible action
+beats against every opponent mix on the opponent supports; such an LP
+could not have reported a solution, so results do not change.  Every
+candidate is re-verified against the exact best-response inequalities
+before it is reported; anything returned has deviation gap <= 1e-8.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .core import (EnumerationBudgetError, FiniteDistribution,
                    MalformedInputError, _readonly)
-from .lp import LinearProgram, solve_lp
+from .lp import DominanceScreen, LinearProgram, solve_lp
 
 GAP_TOL = 1e-8
 _TIE_TOL = 1e-9
@@ -377,6 +381,8 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
     feas1 = [a.feasible for a in agents1]
     feas2 = [a.feasible for a in agents2]
     m1, m2 = game.payoffs1.shape[0], game.payoffs1.shape[1]
+    screens1 = [DominanceScreen(c, f) for c, f in zip(coeffs1, feas1)]
+    screens2 = [DominanceScreen(c, f) for c, f in zip(coeffs2, feas2)]
 
     def sized(subsets):
         return sorted(subsets, key=lambda s: (len(s), s))
@@ -387,6 +393,10 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
     seen: set[bytes] = set()
     for sup1 in itertools.product(*sized1):
         for sup2 in itertools.product(*sized2):
+            # Both sides' screens run before either LP.
+            if (any(s.rejects(own, sup2) for s, own in zip(screens1, sup1))
+                    or any(s.rejects(own, sup1) for s, own in zip(screens2, sup2))):
+                continue
             rows2 = _side_lp(coeffs1, list(sup1), feas1, list(sup2), m2)
             if rows2 is None:
                 continue

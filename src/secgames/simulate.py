@@ -242,7 +242,11 @@ def _type_stats(types: np.ndarray, totals: list[float], n_types: int
 def monte_carlo_value(game: MultiStageGame, profile: StrategyProfile, n: int,
                       rng_seed: int = 0, noise: NoiseSpec | str = "none"
                       ) -> MonteCarloReport:
-    """Sample means of cumulative payoffs, conditioned on own type."""
+    """Sample means of cumulative payoffs, conditioned on own type.
+
+    Raises :class:`MalformedInputError` when the noise is so large that
+    a noisy mean or standard error is not a finite float64.
+    """
     if n < 1:
         raise MalformedInputError("sample count must be at least 1")
     noise = NoiseSpec.parse(noise) if isinstance(noise, str) else noise
@@ -262,8 +266,12 @@ def monte_carlo_value(game: MultiStageGame, profile: StrategyProfile, n: int,
     types2 = np.array(types2)
     m1, e1 = _type_stats(types1, clean1, game.n1)
     m2, e2 = _type_stats(types2, clean2, game.n2)
-    nm1, ne1 = _type_stats(types1, noisy1, game.n1)
-    nm2, ne2 = _type_stats(types2, noisy2, game.n2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nm1, ne1 = _type_stats(types1, noisy1, game.n1)
+        nm2, ne2 = _type_stats(types2, noisy2, game.n2)
+    if not all(np.isfinite(a).all() for a in (nm1, nm2, ne1, ne2)):
+        raise MalformedInputError(
+            f"noisy payoff statistics overflow float64 at noise scale {noise.scale!r}")
     return MonteCarloReport(
         n, np.bincount(types1, minlength=game.n1), np.bincount(types2, minlength=game.n2),
         m1, m2, e1, e2, nm1, nm2, ne1, ne2)

@@ -184,6 +184,22 @@ def test_simulate_bad_noise_scale_exits_2(capsys, tmp_path):
         assert not out_file.exists()
 
 
+def test_simulate_overflowing_noise_exits_2(capsys, tmp_path):
+    # finite scales whose noisy totals (1e308) or their squares (1e300)
+    # overflow float64
+    game = build_apt_game()
+    path = tmp_path / "markov.json"
+    dump_json(profile_to_dict(game, StrategyProfile.uniform(game)), str(path))
+    out_file = tmp_path / "sim.json"
+    for noise in ("gaussian:1e308", "uniform:1e300"):
+        code, _, err = run(capsys, "simulate", "--scenario", "apt", "--profile",
+                           str(path), "-n", "20", "--noise", noise,
+                           "--out", str(out_file))
+        assert code == 2, noise
+        assert err.startswith("invalid input: noisy payoff statistics"), err
+        assert not out_file.exists()
+
+
 def test_verify_flags_inconsistent_beliefs(capsys, tmp_path):
     # beliefs frozen at the prior do not match a type-revealing profile
     out_file = tmp_path / "pbne.json"

@@ -393,7 +393,6 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
     seen: set[bytes] = set()
     for sup1 in itertools.product(*sized1):
         for sup2 in itertools.product(*sized2):
-            # Both sides' screens run before either LP.
             if (any(s.rejects(own, sup2) for s, own in zip(screens1, sup1))
                     or any(s.rejects(own, sup1) for s, own in zip(screens2, sup2))):
                 continue

@@ -145,8 +145,8 @@ def _fingerprint(found) -> list:
     return out
 
 
-@pytest.mark.parametrize("name,solve", _solvers(), ids=[n for n, _ in _solvers()])
-def test_screen_changes_no_equilibrium(monkeypatch, name, solve):
+@pytest.mark.parametrize("solve", [pytest.param(s, id=n) for n, s in _solvers()])
+def test_screen_changes_no_equilibrium(monkeypatch, solve):
     rejected = {}
     real = DominanceScreen.rejects
 

@@ -425,10 +425,7 @@ def cmd_simulate(args) -> int:
                   f"payoffs ({_fmt(s.payoff1)}, {_fmt(s.payoff2)}) "
                   f"noisy ({_fmt(s.noisy1)}, {_fmt(s.noisy2)})")
     report = simulate.monte_carlo_value(game, profile, args.n, args.seed, noise)
-    exact1 = [multistage.cumulative_utility(game, profile, beliefs, t, 0)[0]
-              for t in range(game.n1)]
-    exact2 = [multistage.cumulative_utility(game, profile, beliefs, 0, t)[1]
-              for t in range(game.n2)]
+    exact1, exact2 = (v.tolist() for v in multistage.root_values(game, profile, beliefs))
     print(f"monte carlo over n={args.n} draws (clean payoffs, exact = tree value):")
     for i, t in enumerate(game.types1):
         print(f"  defender[{t}]: count={report.counts1[i]} "

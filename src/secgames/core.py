@@ -45,6 +45,14 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; it must be a non-negative integer, which
+    ``SeedSequence`` turns into its entropy words."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise MalformedInputError("seed must be a non-negative integer")
+    return int(seed)
+
+
 def index_of(labels: Sequence[str], key) -> int:
     """Resolve ``key`` (label or index) against an ordered label tuple."""
     if isinstance(key, (int, np.integer)):

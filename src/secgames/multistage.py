@@ -45,7 +45,8 @@ import numpy as np
 
 from .core import (BeliefSystem, FiniteDistribution, MalformedInputError,
                    MultiStageGame, NodeKey, SolverError, StageGame,
-                   StrategyProfile, build_tree, validate_game, _readonly)
+                   StrategyProfile, build_tree, check_seed, validate_game,
+                   _readonly)
 from .lp import DominanceScreen, LinearProgram, solve_lp
 
 STAGE_GAP_TOL = 1e-6
@@ -492,9 +493,9 @@ def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, restarts: int = 16,
     Starts are evaluated in index order (warm start first when given,
     then uniform, then seeded random user strategies); the first start
     whose certified gap passes is returned, so results do not depend on
-    the thread count.  With ``threads > 1`` the starts run in batches of
-    ``threads`` on ``pool``, or on an executor opened for this call when
-    no pool is given.
+    the thread count.  With ``threads > 1`` the first start runs alone
+    and the others in batches of ``threads`` on ``pool``, or on an
+    executor opened for this call when no pool is given.
     """
     b1 = np.asarray(getattr(b1, "weights", b1), dtype=float)
     b2 = np.asarray(getattr(b2, "weights", b2), dtype=float)
@@ -525,21 +526,17 @@ def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, restarts: int = 16,
 
     results: list[BilinearStageSolution] = []
     order = list(enumerate(candidates))
-    if threads <= 1:
-        for item in order:
-            sol = run(item)
-            results.append(sol)
-            if sol.converged:
-                return sol
-    else:
-        with (nullcontext(pool) if pool is not None
-              else ThreadPoolExecutor(max_workers=threads)) as pool:
-            for base in range(0, len(order), threads):
-                batch = list(pool.map(run, order[base:base + threads]))
-                results.extend(batch)
-                for sol in batch:
-                    if sol.converged:
-                        return sol
+    # the first start usually certifies, so it runs alone
+    step = max(threads, 1)
+    batches = [order[:1]] + [order[i:i + step] for i in range(1, len(order), step)]
+    with (nullcontext(pool) if threads <= 1 or pool is not None
+          else ThreadPoolExecutor(max_workers=threads)) as pool:
+        for batch in batches:
+            sols = [run(batch[0])] if len(batch) == 1 else list(pool.map(run, batch))
+            results.extend(sols)
+            for sol in sols:
+                if sol.converged:
+                    return sol
     fallback = _stage_support_enumeration(t1, t2, feas1, feas2, b1, b2)
     if fallback is not None:
         return fallback
@@ -903,21 +900,29 @@ def _node_values(game: MultiStageGame, nodes, profile: StrategyProfile,
     return value
 
 
+def root_values(game: MultiStageGame, profile: StrategyProfile,
+                beliefs: BeliefSystem, from_stage: int = 0
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact expected sums of stage payoffs from ``from_stage`` on, per
+    own type: (defender values, user values).
+
+    Each side's expectation runs over the opponent's type under the
+    supplied beliefs and over both players' action draws, by full tree
+    traversal.
+    """
+    nodes = build_tree(game)
+    return tuple(_node_values(game, nodes, profile, beliefs, player, False, from_stage)[()]
+                 for player in (1, 2))
+
+
 def cumulative_utility(game: MultiStageGame, profile: StrategyProfile,
                        beliefs: BeliefSystem, type1, type2,
                        from_stage: int = 0) -> tuple[float, float]:
-    """Exact expected sums of stage payoffs from ``from_stage`` on.
-
-    Returns the pair (defender value at its given type, user value at
-    its given type); each side's expectation runs over the opponent's
-    type under the supplied beliefs and over both players' action
-    draws, by full tree traversal.
-    """
+    """The :func:`root_values` pair at the given types: (defender value
+    at ``type1``, user value at ``type2``)."""
     t1 = game.type_index(1, type1)
     t2 = game.type_index(2, type2)
-    nodes = build_tree(game)
-    u1 = _node_values(game, nodes, profile, beliefs, 1, False, from_stage)[()]
-    u2 = _node_values(game, nodes, profile, beliefs, 2, False, from_stage)[()]
+    u1, u2 = root_values(game, profile, beliefs, from_stage)
     return float(u1[t1]), float(u2[t2])
 
 
@@ -988,6 +993,7 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
     not an error.  State aggregates are computed for the returned beliefs
     only.
     """
+    seed = check_seed(seed)
     problems = validate_game(game)
     if problems:
         raise MalformedInputError("; ".join(problems))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from secgames.cli import main
 from secgames.core import StrategyProfile
 from secgames.gamejson import dump_json, game_to_dict, profile_to_dict
@@ -185,6 +187,35 @@ def test_simulate_bad_noise_scale_exits_2(capsys, tmp_path):
         assert code == 2, noise
         assert "noise scale" in err
         assert not out_file.exists()
+
+
+def _markov_profile(tmp_path):
+    game = build_apt_game()
+    path = tmp_path / "markov.json"
+    dump_json(profile_to_dict(game, StrategyProfile.uniform(game)), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_negative_seed_exits_2(capsys, tmp_path, command):
+    out_file = tmp_path / "out.json"
+    argv = (["solve", "pbne", "--scenario", "apt"] if command == "solve" else
+            ["simulate", "--scenario", "apt", "--profile", _markov_profile(tmp_path),
+             "-n", "5"])
+    code, _, err = run(capsys, *argv, "--seed", "-1", "--out", str(out_file))
+    assert code == 2
+    assert "seed must be a non-negative integer" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("n", ["1", "5"])
+def test_simulate_multi_word_seed(capsys, tmp_path, n):
+    out_file = tmp_path / "sim.json"
+    code, _, _ = run(capsys, "simulate", "--scenario", "apt", "--profile",
+                     _markov_profile(tmp_path), "-n", n, "--seed",
+                     "99999999999999999999999", "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["results"]["n"] == int(n)
 
 
 def test_verify_flags_inconsistent_beliefs(capsys, tmp_path):

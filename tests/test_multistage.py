@@ -2,18 +2,20 @@
 
 import dataclasses
 import itertools
+import threading
 
 import numpy as np
 import pytest
 
 from secgames import multistage
 
-from secgames.core import (FiniteDistribution, MultiStageGame, PayoffTensor,
-                           StageGame, StrategyProfile)
+from secgames.core import (FiniteDistribution, MalformedInputError, MultiStageGame,
+                           PayoffTensor, StageGame, StrategyProfile)
 from secgames.multistage import (ROW_ZERO_TOL, NonConvergenceReport,
                                  PbneSolution, backward_pass, belief_update, build_tree,
                                  cumulative_utility, forward_pass,
-                                 prior_beliefs, solve_pbne, solve_stage_tensors,
+                                 prior_beliefs, root_values, solve_pbne,
+                                 solve_stage_tensors,
                                  stage_bilinear_solve, stage_deviation_gaps,
                                  verify_epsilon)
 from secgames.scenarios import (build_apt_game, build_static_bayesian,
@@ -291,6 +293,39 @@ class TestSolvePbne:
         assert (one.residual_trace, one.class_counts) == \
                (res.residual_trace, res.class_counts)
 
+    def test_threads_run_few_extra_starts(self, monkeypatch):
+        # the first start certifies most programs, so it runs alone
+        starts = []
+        lock = threading.Lock()
+        original = multistage._alternate_from
+
+        def counting(*args, **kwargs):
+            with lock:
+                starts[-1] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(multistage, "_alternate_from", counting)
+        g = build_apt_game()
+        results = []
+        for threads in (1, 4):
+            starts.append(0)
+            results.append(solve_pbne(g, seed=5, restarts=4, threads=threads))
+        one, four = results
+        assert starts[1] <= 1.01 * starts[0], starts
+        assert (one.iterations, one.residual_trace, one.class_counts) == \
+               (four.iterations, four.residual_trace, four.class_counts)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        g = build_apt_game()
+        with pytest.raises(MalformedInputError, match="seed must be a non-negative integer"):
+            solve_pbne(g, max_iter=1, restarts=1, seed=seed)
+
+    def test_multi_word_seed_accepted(self):
+        g = build_apt_game()
+        res = solve_pbne(g, max_iter=1, restarts=1, seed=99999999999999999999999)
+        assert isinstance(res, (PbneSolution, NonConvergenceReport))
+
 
 class TestCumulativeUtility:
     def test_zero_game(self):
@@ -331,6 +366,18 @@ class TestCumulativeUtility:
         for t2 in range(g.n2):
             _, u2 = cumulative_utility(g, res.profile, res.beliefs, 0, t2)
             assert u2 == pytest.approx(res.values.v2[0][x0, t2], abs=1e-6)
+
+    def test_root_values_give_cumulative_utility(self):
+        g = build_apt_game()
+        prof = StrategyProfile.uniform(g)
+        bel = forward_pass(g, prof)
+        for from_stage in (0, 1):
+            u1, u2 = root_values(g, prof, bel, from_stage)
+            assert u1.shape == (g.n1,) and u2.shape == (g.n2,)
+            for t1 in range(g.n1):
+                for t2 in range(g.n2):
+                    assert cumulative_utility(g, prof, bel, t1, t2, from_stage) == \
+                           (float(u1[t1]), float(u2[t2]))
 
 
 def _enumerate_best_user_policy(game, profile):

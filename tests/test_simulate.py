@@ -7,6 +7,7 @@ import pytest
 
 from secgames.core import MalformedInputError, StrategyProfile, build_tree
 from secgames.multistage import cumulative_utility, forward_pass
+from secgames import simulate
 from secgames.simulate import (NoiseSpec, Trajectory, TrajectoryStep,
                                monte_carlo_value, sample_playout)
 from secgames.scenarios import build_apt_game, build_static_bayesian
@@ -246,6 +247,80 @@ class TestSamplerOracle:
         ref = reference_monte_carlo(g, prof, 300, 29, noise)
         for name, expected in ref.items():
             assert getattr(rep, name).tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_multi_word_seed_matches_choice_loop(self, noise):
+        g = build_apt_game()
+        prof = per_history_profile(g)
+        seed = 2**64 + 3
+        for i in range(50):
+            assert sample_playout(g, prof, seed, noise, trajectory_index=i) == \
+                   reference_playout(g, prof, seed, noise, i)
+        rep = monte_carlo_value(g, prof, 100, rng_seed=seed, noise=noise)
+        ref = reference_monte_carlo(g, prof, 100, seed, noise)
+        for name, expected in ref.items():
+            assert getattr(rep, name).tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("profile_name", sorted(PROFILES))
+    def test_blocks_do_not_change_results(self, monkeypatch, profile_name, noise):
+        g = build_apt_game()
+        prof = PROFILES[profile_name](g)
+        whole = monte_carlo_value(g, prof, 60, rng_seed=31, noise=noise)
+        monkeypatch.setattr(simulate, "_BLOCK", 7)    # eight full blocks and a part
+        split = monte_carlo_value(g, prof, 60, rng_seed=31, noise=noise)
+        ref = reference_monte_carlo(g, prof, 60, 31, noise)
+        for name, expected in ref.items():
+            assert getattr(whole, name).tobytes() == expected.tobytes(), name
+            assert getattr(split, name).tobytes() == expected.tobytes(), name
+
+    def test_more_than_one_block_matches_choice_loop(self):
+        g = build_apt_game()
+        prof = StrategyProfile.uniform(g)
+        n = simulate._BLOCK + 3
+        rep = monte_carlo_value(g, prof, n, rng_seed=37, noise="gaussian:1.0")
+        ref = reference_monte_carlo(g, prof, n, 37, "gaussian:1.0")
+        for name, expected in ref.items():
+            assert getattr(rep, name).tobytes() == expected.tobytes(), name
+
+
+SEEDS = (0, 1, 7, 2**31 - 1, 2**32, 2**64 + 3, 2**130 + 9)
+INDICES = tuple(range(50)) + (2**31, 2**32 - 1)
+
+
+class TestSeedKernel:
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_seed_sequence(self, seed, stream):
+        got = simulate._pcg64_seeds(seed, np.array(INDICES), stream)
+        assert len(got) == len(INDICES)
+        for i, (state, inc) in zip(INDICES, got):
+            expected = np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=(i, stream))).bit_generator.state
+            assert expected == {"bit_generator": "PCG64",
+                                "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}, (seed, i, stream)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2.0, None])
+    def test_bad_seed_rejected(self, seed):
+        g = build_apt_game()
+        prof = StrategyProfile.uniform(g)
+        with pytest.raises(MalformedInputError, match="seed must be a non-negative integer"):
+            sample_playout(g, prof, rng_seed=seed)
+        with pytest.raises(MalformedInputError, match="seed must be a non-negative integer"):
+            monte_carlo_value(g, prof, 5, rng_seed=seed)
+
+    @pytest.mark.parametrize("index", [-1, 2**32])
+    def test_trajectory_index_out_of_range(self, index):
+        g = build_apt_game()
+        with pytest.raises(MalformedInputError):
+            sample_playout(g, StrategyProfile.uniform(g), trajectory_index=index)
+
+    def test_last_index_matches_choice_loop(self):
+        g = build_apt_game()
+        prof = StrategyProfile.uniform(g)
+        assert sample_playout(g, prof, 3, "uniform:0.5", trajectory_index=2**32 - 1) == \
+               reference_playout(g, prof, 3, "uniform:0.5", 2**32 - 1)
 
 
 class TestMalformedRows:

@@ -274,8 +274,7 @@ def cmd_solve_pbne(args) -> int:
     t0 = time.perf_counter()
     game = _load_multistage(args)
     res = multistage.solve_pbne(game, tol=args.tol, max_iter=args.max_iter,
-                                restarts=args.restarts, seed=args.seed,
-                                threads=args.threads)
+                                seed=args.seed)
     elapsed = time.perf_counter() - t0
     trace = [[float(a) if np.isfinite(a) else None, float(b)]
              for a, b in res.residual_trace]
@@ -512,13 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     pbne.add_argument("--tol", type=float, default=1e-6,
                       help="sup-norm fixed-point tolerance")
     pbne.add_argument("--max-iter", type=int, default=100)
-    pbne.add_argument("--restarts", type=int, default=16,
-                      help="random starts per stage program")
-    pbne.add_argument("--seed", type=int, default=0)
-    pbne.add_argument("--threads", type=int, default=1,
-                      help="threads for the starts of one stage program "
-                           "(default 1; results are identical for any "
-                           "thread count)")
+    pbne.add_argument("--seed", type=int, default=0,
+                      help="recorded in the report; the solve is "
+                           "deterministic and does not depend on it")
     pbne.set_defaults(func=cmd_solve_pbne)
 
     ver = sub.add_parser("verify", help="re-verify a stored profile, never "

@@ -374,3 +374,137 @@ def _two_phase(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
                       or np.abs(body @ x_std - rhs).max(initial=0.0) > check_tol):
         return None
     return "optimal", x_std
+
+
+# ---------------------------------------------------------------------------
+# Linear complementarity (Lemke).
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LcpSolution:
+    status: str             # "solution" | "ray"
+    z: np.ndarray | None
+    pivots: int             # pivots of the run that returned, start pivots excluded
+    exact: bool             # True when the rational run returned
+
+
+def lemke(m, q, d, start, entering: int, free=()) -> LcpSolution:
+    """Lemke's complementary pivoting with a lexicographic ratio test.
+
+    Solves ``w = q + M z`` where, for every index ``i`` not in ``free``,
+    ``w_i >= 0``, ``z_i >= 0`` and ``w_i z_i = 0``; for ``i`` in ``free``
+    ``z_i`` is unrestricted and ``w_i = 0``.  The path runs through the
+    augmented system ``w = q + M z + d z0`` and ends when ``z0`` leaves
+    the basis (Lemke 1965).
+
+    Columns are numbered ``w_0 .. w_{n-1}, z_0 .. z_{n-1}, z0``.
+    ``start`` lists the n columns of a feasible basis that holds ``z0``
+    and every free ``z_i`` and, of every other complementary pair but
+    one, exactly one column; ``entering`` is a column of that missing
+    pair.  Free ``z_i`` never leave the basis.  Ratio ties are broken
+    lexicographically on the columns of ``start`` in the order given,
+    which perturbs ``q`` by ``B0 (eps, eps^2, ...)`` and cannot cycle.
+
+    As in :func:`solve_lp`, a floating-point run's answer is checked on
+    the original data (signs and complementarity within a tolerance, and
+    ``w_i = 0`` for free ``i``); an answer that fails, a ray, or a run
+    that reaches the pivot cap is repeated in exact rational arithmetic.
+    A ray of the exact run is returned as status "ray".
+    """
+    m = np.asarray(m, dtype=float)
+    q = np.asarray(q, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = q.size
+    if m.shape != (n, n) or d.shape != (n,) or len(start) != n:
+        raise MalformedInputError("LCP data do not match its size")
+    if not (np.isfinite(m).all() and np.isfinite(q).all() and np.isfinite(d).all()):
+        raise MalformedInputError("coefficients must be finite")
+    # w - M z - d z0 = q
+    tableau = np.hstack([np.eye(n), -m, -d[:, None], q[:, None]])
+    free = frozenset(int(i) for i in free)
+    out = _lemke_run(tableau, list(start), entering, free, exact=False)
+    if out is not None:
+        z, pivots = out
+        check_tol = _FEAS_TOL * (1.0 + np.abs(q).max(initial=0.0)
+                                 + np.abs(m).max(initial=0.0))
+        w = q + m @ z
+        bound = np.array([i not in free for i in range(n)])
+        if (np.abs(w[~bound]).max(initial=0.0) <= check_tol
+                and min(w[bound].min(initial=0.0), z[bound].min(initial=0.0)) >= -check_tol
+                and np.minimum(w[bound], z[bound]).max(initial=0.0) <= check_tol):
+            return LcpSolution("solution", z, pivots, False)
+    from fractions import Fraction      # see _two_phase
+    out = _lemke_run(np.vectorize(Fraction, otypes=[object])(tableau),
+                     list(start), entering, free, exact=True)
+    if out is None:
+        return LcpSolution("ray", None, 0, True)
+    return LcpSolution("solution", out[0], out[1], True)
+
+
+def _lemke_run(tableau: np.ndarray, start: list[int], entering: int,
+               free: frozenset, exact: bool):
+    """Pivot ``start`` in, then trace; (z, pivots) or None.
+
+    None is a ray, or in floating point also a stalled run or a start
+    basis that round-off left infeasible; the caller decides.
+    """
+    n = tableau.shape[0]
+    z0 = 2 * n
+    tol = 0 if exact else _PIVOT_TOL
+    fixed = {n + i for i in free}           # basic columns that never leave
+    basis = list(range(n))                  # the identity: every w basic
+    keep = set(start)
+    open_rows = [r for r in range(n) if r not in keep]
+    for col in start:
+        if col < n:
+            continue                        # w_col stays basic in its own row
+        column = tableau[open_rows, col].tolist()
+        if exact:
+            k = next((i for i, v in enumerate(column) if v != 0), -1)
+        else:
+            k = int(np.argmax(np.abs(column))) if column else -1
+        if k < 0 or abs(column[k]) <= tol:
+            raise MalformedInputError("LCP start basis is singular")
+        _pivot(tableau, basis, open_rows.pop(k), col)
+    if not exact:
+        # round-off below the check tolerance is zeroed; more is a start
+        # that is not feasible in floating point
+        check = _FEAS_TOL * (1.0 + np.abs(tableau[:, -1]).max())
+        for r in range(n):
+            if basis[r] not in fixed and tableau[r, -1] < 0.0:
+                if tableau[r, -1] < -check:
+                    return None
+                tableau[r, -1] = 0.0
+    lex_cols = [-1] + list(start)           # right-hand side first
+    pivots = 0
+    cap = None if exact else _PIVOT_CAP * 2 * n
+    col = entering
+    while True:
+        column = tableau[:, col].tolist()
+        rows = [r for r in range(n) if basis[r] not in fixed and column[r] > tol]
+        if not rows:
+            return None
+        for key in lex_cols:
+            values = tableau[rows, key].tolist()
+            ratios = [v / column[r] for v, r in zip(values, rows)]
+            best = min(ratios)
+            limit = best if exact else best + _PIVOT_TOL * (1.0 + abs(best))
+            rows = [r for r, v in zip(rows, ratios) if v <= limit]
+            if key == -1 and any(basis[r] == z0 for r in rows):
+                rows = [r for r in rows if basis[r] == z0]    # z0 leaves on a tie
+            if len(rows) == 1:
+                break
+        row = rows[0]
+        if pivots == cap:
+            return None
+        leaving = basis[row]
+        _pivot(tableau, basis, row, col)
+        pivots += 1
+        if leaving == z0:
+            break
+        col = leaving + n if leaving < n else leaving - n   # its complement
+    z = np.zeros(n)
+    for r, b in enumerate(basis):
+        if n <= b < 2 * n:
+            z[b - n] = float(tableau[r, -1])
+    return z, pivots

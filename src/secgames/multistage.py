@@ -10,9 +10,10 @@ The solver alternates two passes until a joint fixed point:
   rational for its own belief (Fudenberg & Tirole 1991).  A strategy
   pair solves the stage if and only if the program's optimum is zero
   (the scalar functions s and w absorb each side's best-response
-  value), so the program is attacked by alternating linear ascent from
-  several starts and every candidate is certified by exact deviation
-  gaps.
+  value).  Each program is solved by one Lemke run on its
+  sequence-form LCP, traced from the previous sweep's rows (Koller,
+  Megiddo & von Stengel 1996; von Stengel, van den Elzen & Talman
+  2002), and the result is certified by exact deviation gaps.
 * forward: for a fixed strategy profile, walk the action tree from the
   root and update both players' type beliefs by Bayes' rule at every
   observed action.  The programs read these node beliefs;
@@ -21,8 +22,8 @@ The solver alternates two passes until a joint fixed point:
 
 Between sweeps the node beliefs move halfway towards the new forward
 pass.  A converged result's beliefs are the forward pass of its
-profile, its values are those its class programs computed, and its
-ε-certificate is computed over the full history tree.
+profile, its values are its profile's utility-to-go under those
+beliefs, and its ε-certificate is computed over the full history tree.
 
 Non-convergence of the loop is a first-class result (reported as
 evidence that no equilibrium of this form exists), never an exception.
@@ -30,15 +31,14 @@ evidence that no equilibrium of this form exists), never an exception.
 A notational caution: the per-stage program weighs the incentive
 constraints of player i's types by the *opponent's* belief about
 player i.  Types the opponent has ruled out contribute nothing to the
-program, so after each stage solve such zero-weight types are handed
-an exact best response; their incentives are then certified too.
+program's objective, so after each stage solve such zero-weight types
+are handed an exact pure best response; their incentives are then
+certified too.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +47,12 @@ from .core import (BeliefSystem, FiniteDistribution, MalformedInputError,
                    MultiStageGame, NodeKey, SolverError, StageGame,
                    StrategyProfile, build_tree, check_seed, validate_game,
                    _readonly)
-from .lp import DominanceScreen, LinearProgram, solve_lp
+# ``solve_lp`` is no longer called here; it stays importable by this name
+# for tools that wrap ``multistage.solve_lp`` to count LP calls.
+from .lp import lemke, solve_lp  # noqa: F401
 
 STAGE_GAP_TOL = 1e-6
 _OBJ_TOL = 1e-6
-_EXACT_TOL = 1e-8
 _ZERO_BELIEF = 1e-12
 # Stage-row entries below this are round-off and are zeroed.
 ROW_ZERO_TOL = 1e-9
@@ -66,12 +67,12 @@ class ValueFunction:
     Strategies may differ between histories that end in one state, and
     so may their utility-to-go.  ``v1[k][x, t]`` is then the defender's
     expected utility-to-go given own type ``t`` and that play reaches
-    state ``x`` at stage ``k``, as the stage programs of the histories'
-    belief classes compute it: the histories of that state averaged,
+    state ``x`` at stage ``k``: the histories of that state averaged,
     each weighted by its chance of being reached given type ``t``.  A
     state that type never reaches averages its histories with equal
     weights, and a state no history ends in gets 0.  At the root, where
-    there is one history, it is that history's value.
+    there is one history, it is that history's value: the profile's
+    utility-to-go under the node beliefs that come with the values.
     """
 
     v1: tuple[np.ndarray, ...]
@@ -94,8 +95,8 @@ class BilinearStageSolution:
     gaps1: np.ndarray
     gaps2: np.ndarray
     converged: bool
-    start_index: int
-    alternations: int
+    start_index: int        # -1 warm profile, 0 Lemke, -2 Lemke's exact re-run
+    alternations: int       # Lemke pivots
 
 
 @dataclass(frozen=True)
@@ -166,129 +167,6 @@ def _stage_tensors(stage: StageGame, x: int, cont1, cont2):
     return t1, t2, stage.payoff1.feasible[x], stage.payoff2.feasible[x]
 
 
-def _lp_for_side1(t1, t2, feas1, feas2, b1, b2, sigma2):
-    """LP in (sigma1, s, w) with the user's strategy held fixed."""
-    m1, m2, n1, n2 = t1.shape
-    var = [(t, a) for t in range(n1) for a in range(m1) if feas1[t, a]]
-    col = {v: i for i, v in enumerate(var)}
-    n_sig = len(var)
-    n_vars = n_sig + n1 + n2        # sigma1, s, w
-
-    total = t1 + t2
-    # objective coefficient of sigma1(t1, a1)
-    obj_sig = np.einsum("abst,t,tb->sa", total, b2, sigma2)
-    c = np.zeros(n_vars)
-    for (t, a), i in col.items():
-        c[i] = b1[t] * obj_sig[t, a]
-    c[n_sig:n_sig + n1] = b1
-    c[n_sig + n1:] = b2
-
-    a_ub, b_ub = [], []
-    # user best-response bound: for each (t2, feasible a2)
-    coef_a = np.einsum("abst,s->sabt", t2, b1)     # (t1, a1, a2, t2) scaled by b1
-    for t in range(n2):
-        for a2 in range(m2):
-            if not feas2[t, a2]:
-                continue
-            row = np.zeros(n_vars)
-            for (tt, aa), i in col.items():
-                row[i] = coef_a[tt, aa, a2, t]
-            row[n_sig + n1 + t] = 1.0
-            a_ub.append(row)
-            b_ub.append(0.0)
-    # defender best-response bound: s(t1) <= -(value of each pure a1)
-    pinned = np.einsum("abst,t,tb->sa", t1, b2, sigma2)
-    for t in range(n1):
-        for a1 in range(m1):
-            if not feas1[t, a1]:
-                continue
-            row = np.zeros(n_vars)
-            row[n_sig + t] = 1.0
-            a_ub.append(row)
-            b_ub.append(-pinned[t, a1])
-
-    a_eq, b_eq = [], []
-    for t in range(n1):
-        row = np.zeros(n_vars)
-        for a in range(m1):
-            if feas1[t, a]:
-                row[col[(t, a)]] = 1.0
-        a_eq.append(row)
-        b_eq.append(1.0)
-
-    lower = np.concatenate([np.zeros(n_sig), np.full(n1 + n2, -np.inf)])
-    sol = solve_lp(LinearProgram.build(c, a_ub, b_ub, a_eq, b_eq, lower=lower))
-    if sol.status != "optimal":
-        raise SolverError(f"stage LP (defender side) returned {sol.status}")
-    sigma1 = np.zeros((n1, m1))
-    for (t, a), i in col.items():
-        sigma1[t, a] = max(0.0, sol.z[i])
-    sigma1 /= sigma1.sum(axis=1, keepdims=True)
-    s = sol.z[n_sig:n_sig + n1].copy()
-    w = sol.z[n_sig + n1:].copy()
-    return sigma1, s, w, float(sol.value)
-
-
-def _lp_for_side2(t1, t2, feas1, feas2, b1, b2, sigma1):
-    """LP in (sigma2, s, w) with the defender's strategy held fixed."""
-    m1, m2, n1, n2 = t1.shape
-    var = [(t, a) for t in range(n2) for a in range(m2) if feas2[t, a]]
-    col = {v: i for i, v in enumerate(var)}
-    n_sig = len(var)
-    n_vars = n_sig + n1 + n2
-
-    total = t1 + t2
-    obj_sig = np.einsum("abst,s,sa->tb", total, b1, sigma1)
-    c = np.zeros(n_vars)
-    for (t, a), i in col.items():
-        c[i] = b2[t] * obj_sig[t, a]
-    c[n_sig:n_sig + n1] = b1
-    c[n_sig + n1:] = b2
-
-    a_ub, b_ub = [], []
-    coef_b = np.einsum("abst,t->tbas", t1, b2)      # (t2, a2, a1, t1) scaled by b2
-    for t in range(n1):
-        for a1 in range(m1):
-            if not feas1[t, a1]:
-                continue
-            row = np.zeros(n_vars)
-            for (tt, aa), i in col.items():
-                row[i] = coef_b[tt, aa, a1, t]
-            row[n_sig + t] = 1.0
-            a_ub.append(row)
-            b_ub.append(0.0)
-    pinned = np.einsum("abst,s,sa->tb", t2, b1, sigma1)
-    for t in range(n2):
-        for a2 in range(m2):
-            if not feas2[t, a2]:
-                continue
-            row = np.zeros(n_vars)
-            row[n_sig + n1 + t] = 1.0
-            a_ub.append(row)
-            b_ub.append(-pinned[t, a2])
-
-    a_eq, b_eq = [], []
-    for t in range(n2):
-        row = np.zeros(n_vars)
-        for a in range(m2):
-            if feas2[t, a]:
-                row[col[(t, a)]] = 1.0
-        a_eq.append(row)
-        b_eq.append(1.0)
-
-    lower = np.concatenate([np.zeros(n_sig), np.full(n1 + n2, -np.inf)])
-    sol = solve_lp(LinearProgram.build(c, a_ub, b_ub, a_eq, b_eq, lower=lower))
-    if sol.status != "optimal":
-        raise SolverError(f"stage LP (user side) returned {sol.status}")
-    sigma2 = np.zeros((n2, m2))
-    for (t, a), i in col.items():
-        sigma2[t, a] = max(0.0, sol.z[i])
-    sigma2 /= sigma2.sum(axis=1, keepdims=True)
-    s = sol.z[n_sig:n_sig + n1].copy()
-    w = sol.z[n_sig + n1:].copy()
-    return sigma2, s, w, float(sol.value)
-
-
 def stage_deviation_gaps(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2):
     """Exact per-type best-response gaps at a stage profile."""
     pure1 = np.einsum("abst,t,tb->sa", t1, b2, sigma2)      # (t1, a1)
@@ -335,218 +213,103 @@ def _evaluate_candidate(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2,
                                  converged, start_index, alternations)
 
 
-def _best_response_rows(pure, feas) -> np.ndarray:
-    """Per-type pure best response (lowest index on ties)."""
-    rows = np.zeros_like(pure)
-    masked = np.where(feas, pure, -np.inf)
-    rows[np.arange(pure.shape[0]), masked.argmax(axis=1)] = 1.0
-    return rows
-
-
-def _alternate_from(t1, t2, feas1, feas2, b1, b2, sigma2_start, start_index,
-                    max_alternations=200, max_escapes=3):
-    """Alternating linear ascent from one user-side strategy.
-
-    The objective is non-decreasing within each ascent segment; a
-    stalled segment below zero is restarted from an exact best-response
-    step, which may leave the stationary basin.
-    """
-    sigma2 = sigma2_start
-    prev_obj = -np.inf
-    sigma1 = None
-    escapes = 0
-    it = 0
-    while it < max_alternations:
-        it += 1
-        sigma1, s, w, obj1 = _lp_for_side1(t1, t2, feas1, feas2, b1, b2, sigma2)
-        sigma2, s, w, obj2 = _lp_for_side2(t1, t2, feas1, feas2, b1, b2, sigma1)
-        if obj2 < prev_obj - 1e-7:
-            raise SolverError("alternating ascent lost monotonicity")
-        if obj2 >= -1e-10:
-            break
-        if abs(obj2 - prev_obj) <= 1e-12:
-            if escapes >= max_escapes:
-                break
-            escapes += 1
-            pure2 = np.einsum("abst,s,sa->tb", t2, b1, sigma1)
-            sigma2 = _best_response_rows(pure2, feas2)
-            prev_obj = -np.inf        # new segment, fresh monotonicity baseline
-            continue
-        prev_obj = obj2
-    return _evaluate_candidate(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2,
-                               start_index, it)
-
-
 def _uniform_rows(feas) -> np.ndarray:
     rows = feas.astype(float)
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def _random_rows(feas, rng) -> np.ndarray:
-    # Dirichlet(0.3) spreads starts toward the simplex boundary
-    raw = rng.gamma(0.3, size=feas.shape) * feas
-    totals = raw.sum(axis=1, keepdims=True)
-    totals[totals == 0.0] = 1.0
-    rows = raw / totals
-    # guard against an all-zero gamma draw on a feasible row
-    empty = rows.sum(axis=1) == 0.0
-    if empty.any():
-        rows[empty] = _uniform_rows(feas)[empty]
-    return rows
+def _stage_lcp(t1, t2, feas1, feas2, b1, b2, start1, start2):
+    """The stage program as an LCP over feasible (type, action) pairs.
 
+    Unknowns ``z = (x, y, u, v)``: ``x[(s, a)]`` for the defender's
+    feasible pairs, ``y[(t, b)]`` for the user's, and free per-type
+    values ``u``, ``v``.  With ``A[(s, a), (t, b)] = b2[t] t1[a, b, s, t]``,
+    ``B[(s, a), (t, b)] = b1[s] t2[a, b, s, t]`` and per-type sums ``E``,
+    ``F``, the augmented system is
 
-def _stage_side_lp(coef, own_feas, own_supports, opp_feas, opp_supports):
-    """Feasibility LP for one side's stage best-response conditions.
+        E'u - A (y + z0 ybar) >= 0   complementary to  x >= 0
+        F'v - B'(x + z0 xbar) >= 0   complementary to  y >= 0
+        E x + z0 = 1,   F y + z0 = 1.
 
-    ``coef[own_type, own_action, opp_type, opp_action]`` already carries
-    the belief weight over the opponent's types.  Unknowns: opponent
-    strategy rows (restricted to the enumerated supports) plus one free
-    value per own type.  Returns opponent rows or None.
+    At ``z0 = 1`` (``x = y = 0``) every type best-responds to the start
+    profile ``(xbar, ybar)``; at ``z0 = 0`` ``(x, y)`` is an equilibrium
+    of the stage, zero-weight types included, since no type's own
+    conditions carry its own weight (the tracing procedure of von
+    Stengel, van den Elzen & Talman 2002).  The start basis holds each
+    type's best response to the start profile, ``z0``, ``u``, ``v`` and
+    every other slack; the defender's type 0 leaves its pair out.
+    Returns the :func:`lemke` arguments and the feasible pairs' flat
+    indices.
     """
-    n_own, m_own, n_opp, m_opp = coef.shape
-    var = {}
-    for t in range(n_opp):
-        for a in opp_supports[t]:
-            var[(t, a)] = len(var)
-    n_y = len(var)
-    n_vars = n_y + n_own
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for t in range(n_opp):
-        row = np.zeros(n_vars)
-        for a in opp_supports[t]:
-            row[var[(t, a)]] = 1.0
-        a_eq.append(row)
-        b_eq.append(1.0)
-    for t in range(n_own):
-        for a in range(m_own):
-            if not own_feas[t, a]:
-                continue
-            row = np.zeros(n_vars)
-            for (tt, aa), i in var.items():
-                row[i] = coef[t, a, tt, aa]
-            row[n_y + t] = -1.0
-            if a in own_supports[t]:
-                a_eq.append(row)
-                b_eq.append(0.0)
-            else:
-                a_ub.append(row)
-                b_ub.append(0.0)
-    lower = np.concatenate([np.zeros(n_y), np.full(n_own, -np.inf)])
-    sol = solve_lp(LinearProgram.build(np.zeros(n_vars), a_ub or None,
-                                       b_ub or None, a_eq, b_eq, lower=lower))
-    if sol.status != "optimal":
-        return None
-    rows = np.zeros((n_opp, m_opp))
-    for (t, a), i in var.items():
-        rows[t, a] = max(0.0, sol.z[i])
-    totals = rows.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0.0):
-        return None
-    return rows / totals
+    n1, m1 = feas1.shape
+    n2, m2 = feas2.shape
+    idx1 = np.flatnonzero(feas1.ravel())
+    idx2 = np.flatnonzero(feas2.ravel())
+    type1, type2 = idx1 // m1, idx2 // m2
+    a = np.einsum("abst,t->satb", t1, b2).reshape(n1 * m1, n2 * m2)[np.ix_(idx1, idx2)]
+    b = np.einsum("abst,s->satb", t2, b1).reshape(n1 * m1, n2 * m2)[np.ix_(idx1, idx2)]
+    e = (type1 == np.arange(n1)[:, None]).astype(float)
+    f = (type2 == np.arange(n2)[:, None]).astype(float)
+    k1, k2 = idx1.size, idx2.size
+    n = k1 + k2 + n1 + n2
+    ix, iy, iu, iv = (slice(0, k1), slice(k1, k1 + k2),
+                      slice(k1 + k2, k1 + k2 + n1), slice(k1 + k2 + n1, n))
+    m = np.zeros((n, n))
+    m[ix, iy], m[ix, iu] = -a, e.T
+    m[iy, ix], m[iy, iv] = -b.T, f.T
+    m[iu, ix], m[iv, iy] = e, f
+    q = np.concatenate([np.zeros(k1 + k2), -np.ones(n1 + n2)])
+    pay1 = a @ np.asarray(start2).ravel()[idx2]
+    pay2 = b.T @ np.asarray(start1).ravel()[idx1]
+    d = np.concatenate([-pay1, -pay2, np.ones(n1 + n2)])
+    best1 = [int(np.argmax(np.where(type1 == s, pay1, -np.inf))) for s in range(n1)]
+    best2 = [k1 + int(np.argmax(np.where(type2 == t, pay2, -np.inf))) for t in range(n2)]
+    # descending: z0, the multipliers, the basic strategy columns, the
+    # slacks; the order sets the lexicographic tie-breaking
+    start = sorted([i for i in range(k1 + k2) if i not in best1 + best2]
+                   + [n + i for i in best1[1:] + best2]
+                   + [n + i for i in range(k1 + k2, n)] + [2 * n], reverse=True)
+    return (m, q, d, start, n + best1[0], range(k1 + k2, n)), idx1, idx2
 
 
-def _stage_support_enumeration(t1, t2, feas1, feas2, b1, b2,
-                               combo_budget: int = 50_000):
-    """Complete search over per-type supports; the certified fallback
-    when alternating ascent misses the program's zero optimum."""
-    m1, m2, n1, n2 = t1.shape
-    coef1 = np.einsum("abst,t->satb", t1, b2)    # defender side, belief over user
-    coef2 = np.einsum("abst,s->tbsa", t2, b1)
-    subs1 = [_sized_subsets(tuple(np.flatnonzero(feas1[t]))) for t in range(n1)]
-    subs2 = [_sized_subsets(tuple(np.flatnonzero(feas2[t]))) for t in range(n2)]
-    n_combos = int(np.prod([len(s) for s in subs1 + subs2]))
-    if n_combos > combo_budget:
-        return None
-    screens1 = [DominanceScreen(c, np.flatnonzero(f)) for c, f in zip(coef1, feas1)]
-    screens2 = [DominanceScreen(c, np.flatnonzero(f)) for c, f in zip(coef2, feas2)]
-    for sup1 in itertools.product(*subs1):
-        for sup2 in itertools.product(*subs2):
-            if (any(s.rejects(own, sup2) for s, own in zip(screens1, sup1))
-                    or any(s.rejects(own, sup1) for s, own in zip(screens2, sup2))):
-                continue
-            sigma2 = _stage_side_lp(coef1, feas1, sup1, feas2, sup2)
-            if sigma2 is None:
-                continue
-            sigma1 = _stage_side_lp(coef2, feas2, sup2, feas1, sup1)
-            if sigma1 is None:
-                continue
-            cand = _evaluate_candidate(t1, t2, feas1, feas2, b1, b2,
-                                       sigma1, sigma2, -2, 0)
-            if cand.converged:
-                return cand
-    return None
-
-
-def _sized_subsets(items: tuple[int, ...]):
-    out = []
-    for r in range(1, len(items) + 1):
-        out.extend(itertools.combinations(items, r))
-    return sorted(out, key=lambda s: (len(s), s))
-
-
-def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, restarts: int = 16,
-                        seed: int = 0, warm=None, threads: int = 1, *,
-                        pool: ThreadPoolExecutor | None = None
+def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, warm=None
                         ) -> BilinearStageSolution:
-    """Multi-start solve of one stage program.
+    """Solve one stage program by one Lemke run.
 
-    Starts are evaluated in index order (warm start first when given,
-    then uniform, then seeded random user strategies); the first start
-    whose certified gap passes is returned, so results do not depend on
-    the thread count.  With ``threads > 1`` the first start runs alone
-    and the others in batches of ``threads`` on ``pool``, or on an
-    executor opened for this call when no pool is given.
+    A warm profile that already certifies is returned as it is
+    (``start_index`` -1).  Otherwise the program's LCP (see
+    :func:`_stage_lcp`) is traced from the warm profile, or from uniform
+    rows without one, and the result is certified by exact deviation
+    gaps.  ``alternations`` counts the pivots; ``start_index`` is 0, or
+    -2 when the floating-point run failed its check and the exact run
+    answered.
     """
     b1 = np.asarray(getattr(b1, "weights", b1), dtype=float)
     b2 = np.asarray(getattr(b2, "weights", b2), dtype=float)
-
-    candidates: list = []
     if warm is not None:
-        w_sigma1, w_sigma2 = warm
-        direct = _evaluate_candidate(t1, t2, feas1, feas2, b1, b2,
-                                     np.asarray(w_sigma1), np.asarray(w_sigma2), -1, 0)
+        start1, start2 = (np.asarray(r) for r in warm)
+        direct = _evaluate_candidate(t1, t2, feas1, feas2, b1, b2, start1, start2, -1, 0)
         if direct.converged:
             return direct
-        candidates.append(("warm", np.asarray(w_sigma2)))
-    candidates.append(("uniform", _uniform_rows(feas2)))
-    n2, m2 = feas2.shape
-    pure_combos = list(itertools.islice(
-        itertools.product(*(np.flatnonzero(feas2[t]) for t in range(n2))), 32))
-    for combo in pure_combos:
-        rows = np.zeros((n2, m2))
-        rows[np.arange(n2), list(combo)] = 1.0
-        candidates.append((f"pure{combo}", rows))
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        candidates.append((f"random{r}", _random_rows(feas2, rng)))
-
-    def run(idx_start):
-        idx, (_, sigma2_start) = idx_start
-        return _alternate_from(t1, t2, feas1, feas2, b1, b2, sigma2_start, idx)
-
-    results: list[BilinearStageSolution] = []
-    order = list(enumerate(candidates))
-    # the first start usually certifies, so it runs alone
-    step = max(threads, 1)
-    batches = [order[:1]] + [order[i:i + step] for i in range(1, len(order), step)]
-    with (nullcontext(pool) if threads <= 1 or pool is not None
-          else ThreadPoolExecutor(max_workers=threads)) as pool:
-        for batch in batches:
-            sols = [run(batch[0])] if len(batch) == 1 else list(pool.map(run, batch))
-            results.extend(sols)
-            for sol in sols:
-                if sol.converged:
-                    return sol
-    fallback = _stage_support_enumeration(t1, t2, feas1, feas2, b1, b2)
-    if fallback is not None:
-        return fallback
-    return min(results, key=lambda r: (max(r.gaps1.max(initial=0.0),
-                                           r.gaps2.max(initial=0.0)), r.start_index))
+    else:
+        start1, start2 = _uniform_rows(feas1), _uniform_rows(feas2)
+    args, idx1, idx2 = _stage_lcp(t1, t2, feas1, feas2, b1, b2, start1, start2)
+    sol = lemke(*args)
+    if sol.status != "solution":
+        raise SolverError("stage LCP ended on a ray")
+    sigma = []
+    for feas, idx, z in ((feas1, idx1, sol.z[:idx1.size]),
+                         (feas2, idx2, sol.z[idx1.size:idx1.size + idx2.size])):
+        rows = np.zeros(feas.size)
+        rows[idx] = np.maximum(z, 0.0)
+        rows = rows.reshape(feas.shape)
+        sigma.append(rows / rows.sum(axis=1, keepdims=True))
+    return _evaluate_candidate(t1, t2, feas1, feas2, b1, b2, *sigma,
+                               -2 if sol.exact else 0, sol.pivots)
 
 
 def stage_bilinear_solve(stage: StageGame, x, b_about_1, b_about_2,
-                         v1_next=None, v2_next=None, restarts: int = 16,
-                         seed: int = 0, warm=None, threads: int = 1
+                         v1_next=None, v2_next=None, warm=None
                          ) -> BilinearStageSolution:
     """Solve the per-stage program at one state given beliefs and
     per-next-state continuation values (zero when omitted)."""
@@ -558,8 +321,7 @@ def stage_bilinear_solve(stage: StageGame, x, b_about_1, b_about_2,
     t1, t2, feas1, feas2 = _stage_tensors(stage, xi, v1[nxt], v2[nxt])
     try:
         return solve_stage_tensors(t1, t2, feas1, feas2, b_about_1, b_about_2,
-                                   restarts=restarts, seed=seed, warm=warm,
-                                   threads=threads)
+                                   warm=warm)
     except SolverError as err:
         raise SolverError(f"stage {stage.index}, state {stage.states[xi]!r}: {err}") from err
 
@@ -706,7 +468,7 @@ def forward_pass(game: MultiStageGame, profile: StrategyProfile) -> BeliefSystem
 def _clean_rows(rows: np.ndarray) -> np.ndarray:
     """Zero round-off mass below ``ROW_ZERO_TOL`` and renormalise.
 
-    Stage LPs leave entries such as 1e-16 on actions their solution does
+    Stage solutions can leave entries such as 1e-16 on actions they do
     not play; kept, they would put those actions on path and give the
     histories behind them a certain posterior instead of the flagged
     prior.
@@ -716,8 +478,7 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
-              restarts: int, seed: int, warm_profile: StrategyProfile | None,
-              threads: int, pool: ThreadPoolExecutor | None = None):
+              warm_profile: StrategyProfile | None):
     """Solve one stage program per belief class, from the horizon down.
 
     A class holds the stage-k histories that share a state, both
@@ -730,11 +491,10 @@ def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
     are the same for every own type (priors and updates ignore the
     holder's type), so the first row stands for all.
 
-    ``bel1``/``bel2`` are the node beliefs of each player; ``pool``, if
-    given, runs the starts of every program when ``threads > 1``.
-    Returns the class profile, each player's utility-to-go per history
-    as its class program values it (one entry per own type) and the
-    stage solutions keyed by (stage, class).
+    ``bel1``/``bel2`` are the node beliefs of each player; each program
+    is traced from the rows ``warm_profile`` gives its first history.
+    Returns the class profile and the stage solutions keyed by
+    (stage, class).
     """
     K = game.horizon
     n1, n2 = game.n1, game.n2
@@ -778,12 +538,8 @@ def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
             warm = None
             if warm_profile is not None:
                 warm = (warm_profile.rows(1, path, x), warm_profile.rows(2, path, x))
-            stage_seed = int(np.random.SeedSequence(
-                entropy=seed, spawn_key=(k, x)).generate_state(1)[0])
             try:
-                sol = solve_stage_tensors(t1, t2, feas1, feas2, b1, b2,
-                                          restarts=restarts, seed=stage_seed,
-                                          warm=warm, threads=threads, pool=pool)
+                sol = solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, warm=warm)
             except SolverError as err:
                 raise SolverError(
                     f"stage {k}, state {st.states[x]!r}: {err}") from err
@@ -793,30 +549,23 @@ def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
             sig2[k][c] = s2
             cv1[k][c] = np.einsum("abst,sa,tb,t->s", t1, s1, s2, b2)
             cv2[k][c] = np.einsum("abst,sa,tb,s->t", t2, s1, s2, b1)
-    profile = StrategyProfile(tuple(sig1), tuple(sig2), classes)
-    node_v1 = {p: cv1[len(p)][c] for p, c in classes.items()}
-    node_v2 = {p: cv2[len(p)][c] for p, c in classes.items()}
-    return profile, node_v1, node_v2, stage_solutions
+    return StrategyProfile(tuple(sig1), tuple(sig2), classes), stage_solutions
 
 
 def backward_pass(game: MultiStageGame, beliefs: BeliefSystem,
-                  restarts: int = 16, seed: int = 0,
-                  warm_profile: StrategyProfile | None = None,
-                  threads: int = 1
+                  warm_profile: StrategyProfile | None = None
                   ) -> tuple[StrategyProfile, ValueFunction, dict]:
     """Solve the belief-class stage programs of ``beliefs`` (see
     :func:`_backward`).
 
-    Returns the class profile, its values per (stage, state) (see
-    :class:`ValueFunction`) and the stage solutions keyed by
-    (stage, class).
+    Returns the class profile, its values under ``beliefs`` per (stage,
+    state) (see :class:`ValueFunction`) and the stage solutions keyed
+    by (stage, class).
     """
     nodes = build_tree(game)
-    profile, node_v1, node_v2, stage_solutions = _backward(
-        game, nodes, beliefs.belief_p1, beliefs.belief_p2, restarts, seed,
-        warm_profile, threads)
-    values = _state_values(game, nodes, profile, node_v1, node_v2)
-    return profile, values, stage_solutions
+    profile, stage_solutions = _backward(
+        game, nodes, beliefs.belief_p1, beliefs.belief_p2, warm_profile)
+    return profile, _state_values(game, nodes, profile, beliefs), stage_solutions
 
 
 def _by_state(nodes) -> dict[tuple[int, int], list[NodeKey]]:
@@ -828,8 +577,9 @@ def _by_state(nodes) -> dict[tuple[int, int], list[NodeKey]]:
 
 
 def _state_values(game: MultiStageGame, nodes, profile: StrategyProfile,
-                  node_v1: dict, node_v2: dict) -> ValueFunction:
-    """Average per-history values into per-(stage, state) values.
+                  beliefs: BeliefSystem) -> ValueFunction:
+    """Average per-history values under ``beliefs`` into per-(stage,
+    state) values.
 
     Each history of a state is weighted, per own type, by the chance
     that play reaches it given that type; a state no history reaches
@@ -839,6 +589,8 @@ def _state_values(game: MultiStageGame, nodes, profile: StrategyProfile,
     p1w = np.asarray(game.prior_about_1.weights)
     p2w = np.asarray(game.prior_about_2.weights)
     reach = _reach(game, nodes, profile)
+    node_v1, node_v2 = (_node_values(game, nodes, profile, beliefs, player, False)
+                        for player in (1, 2))
     out1 = [np.zeros((st.n_states, game.n1)) for st in game.stages]
     out2 = [np.zeros((st.n_states, game.n2)) for st in game.stages]
     for (k, x), paths in _by_state(nodes).items():
@@ -973,7 +725,7 @@ def _belief_residual(a: tuple[dict, dict], b: tuple[dict, dict]) -> float:
 
 
 def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
-               restarts: int = 16, seed: int = 0, threads: int = 1):
+               seed: int = 0):
     """Forward-backward iteration to a consistent profile/belief pair.
 
     Each sweep solves the class programs against the current node
@@ -986,14 +738,25 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
     separating every sweep.  The class count of every sweep is kept, so
     such flips stay visible.
 
+    The first sweep traces every class program from uniform rows, and
+    each later sweep from the previous profile, so the iteration is
+    deterministic: ``seed`` is checked (a non-negative integer) but no
+    longer changes the result.  ``max_iter`` must be an integer >= 1 and
+    ``tol`` a finite number >= 0.
+
     Returns a :class:`PbneSolution` whose beliefs are the forward pass of
-    its profile and whose values are the last sweep's class-program
-    values, or a :class:`NonConvergenceReport` carrying the residual
+    its profile and whose values are the profile's utility-to-go under
+    those beliefs, or a :class:`NonConvergenceReport` carrying the residual
     trace, which is evidence that no equilibrium of this form was found,
     not an error.  State aggregates are computed for the returned beliefs
     only.
     """
-    seed = check_seed(seed)
+    check_seed(seed)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) \
+            or max_iter < 1:
+        raise MalformedInputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise MalformedInputError(f"tol must be a finite number >= 0, got {tol!r}")
     problems = validate_game(game)
     if problems:
         raise MalformedInputError("; ".join(problems))
@@ -1004,29 +767,27 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
     profile: StrategyProfile | None = None
     trace: list[tuple[float, float]] = []
     counts: list[int] = []
-    # one executor for every stage program of the solve
-    with (ThreadPoolExecutor(max_workers=threads) if threads > 1
-          else nullcontext()) as pool:
-        for it in range(1, max_iter + 1):
-            new_profile, node_v1, node_v2, stage_solutions = _backward(
-                game, nodes, *bel, restarts, seed, profile, threads, pool)
-            forward = _node_beliefs(game, nodes, new_profile)
-            res_p = (np.inf if profile is None
-                     else _profile_residual(game, new_profile, profile))
-            res_b = _belief_residual(forward[:2], bel)
-            trace.append((res_p, res_b))
-            counts.append(len(stage_solutions))
-            profile = new_profile
-            if res_b <= tol and (it == 1 or res_p <= tol):
-                beliefs = _with_aggregates(game, nodes, profile, *forward)
-                eps = verify_epsilon(game, profile, beliefs)
-                values = _state_values(game, nodes, profile, node_v1, node_v2)
-                worst_stage = max((max(s.gaps1.max(initial=0.0), s.gaps2.max(initial=0.0))
-                                   for s in stage_solutions.values()), default=0.0)
-                return PbneSolution(profile, beliefs, values, eps, it,
-                                    tuple(trace), worst_stage, tuple(counts))
-            bel = tuple({p: 0.5 * (v + new[p]) for p, v in old.items()}
-                        for old, new in zip(bel, forward[:2]))
+    for it in range(1, max_iter + 1):
+        new_profile, stage_solutions = _backward(game, nodes, *bel, profile)
+        forward = _node_beliefs(game, nodes, new_profile)
+        res_p = (np.inf if profile is None
+                 else _profile_residual(game, new_profile, profile))
+        res_b = _belief_residual(forward[:2], bel)
+        trace.append((res_p, res_b))
+        counts.append(len(stage_solutions))
+        profile = new_profile
+        if res_b <= tol and (it == 1 or res_p <= tol):
+            beliefs = _with_aggregates(game, nodes, profile, *forward)
+            eps = verify_epsilon(game, profile, beliefs)
+            # under the returned beliefs, not the averaged ones the class
+            # programs were solved against (they differ by up to tol)
+            values = _state_values(game, nodes, profile, beliefs)
+            worst_stage = max((max(s.gaps1.max(initial=0.0), s.gaps2.max(initial=0.0))
+                               for s in stage_solutions.values()), default=0.0)
+            return PbneSolution(profile, beliefs, values, eps, it,
+                                tuple(trace), worst_stage, tuple(counts))
+        bel = tuple({p: 0.5 * (v + new[p]) for p, v in old.items()}
+                    for old, new in zip(bel, forward[:2]))
     return NonConvergenceReport(max_iter, tuple(trace), profile,
                                 _with_aggregates(game, nodes, profile, *forward),
                                 trace[-1], tuple(counts))

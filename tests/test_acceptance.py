@@ -100,8 +100,7 @@ def test_criterion_4_oracle_equivalence_50_games():
         g1, g2 = stage_deviation_gaps(j1, j2, feas1, feas2, pr1, pr2,
                                       eqs[0].sigma1, eqs[0].sigma2)
         worst = max(worst, g1.max(), g2.max())
-        sol = solve_stage_tensors(j1, j2, feas1, feas2, pr1, pr2,
-                                  restarts=16, seed=trial)
+        sol = solve_stage_tensors(j1, j2, feas1, feas2, pr1, pr2)
         assert sol.converged, f"trial {trial}: bilinear search failed"
         gap, _ = bayes_gap(g, sol.sigma1, sol.sigma2)
         worst = max(worst, gap)
@@ -135,7 +134,7 @@ def test_criterion_5_bilinear_sign_property():
             worst_feasible = max(worst_feasible, obj)
         feas1 = np.ones((2, m1), bool)
         feas2 = np.ones((2, m2), bool)
-        sol = solve_stage_tensors(j1, j2, feas1, feas2, b1, b2, seed=trial)
+        sol = solve_stage_tensors(j1, j2, feas1, feas2, b1, b2)
         assert sol.converged, f"trial {trial}: no certified stage equilibrium"
         worst_eq = max(worst_eq, abs(sol.objective))
     ok = worst_feasible <= 1e-7 and worst_eq <= 1e-6
@@ -156,8 +155,7 @@ def test_criterion_6_apt_end_to_end():
     tolerance allows.  The bound is asserted as stated.
     """
     t0 = time.perf_counter()
-    res = solve_pbne(build_apt_game(), tol=1e-6, max_iter=100,
-                     restarts=16, seed=0)
+    res = solve_pbne(build_apt_game(), tol=1e-6, max_iter=100, seed=0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"runtime {elapsed:.0f}s exceeds 5 minutes"
     if isinstance(res, PbneSolution):

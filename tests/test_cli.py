@@ -81,8 +81,7 @@ def test_unknown_scenario_exits_2(capsys):
 def test_pbne_report_and_verify_round_trip(capsys, tmp_path):
     out_file = tmp_path / "pbne.json"
     code, out, _ = run(capsys, "solve", "pbne", "--scenario", "apt",
-                       "--seed", "0", "--restarts", "6", "--threads", "1",
-                       "--out", str(out_file))
+                       "--seed", "0", "--out", str(out_file))
     report = json.loads(out_file.read_text())
     if code == 0:
         assert report["results"]["converged"] is True
@@ -105,39 +104,37 @@ def test_pbne_report_and_verify_round_trip(capsys, tmp_path):
 def test_pbne_nonconvergence_exits_3(capsys, tmp_path):
     # an impossible tolerance forces the non-convergence path
     code, out, _ = run(capsys, "solve", "pbne", "--scenario", "apt",
-                       "--seed", "0", "--max-iter", "1", "--tol", "1e-300",
-                       "--restarts", "2", "--threads", "1")
+                       "--seed", "0", "--max-iter", "1", "--tol", "1e-300")
     assert code == 3
     assert "did not converge" in out
     assert "sweep 1" in out
+
+
+@pytest.mark.parametrize("option", [("--max-iter", "0"), ("--max-iter", "-3"),
+                                    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf")])
+def test_pbne_bad_iteration_parameters_exit_2(capsys, tmp_path, option):
+    out_file = tmp_path / "pbne.json"
+    code, out, err = run(capsys, "solve", "pbne", "--scenario", "apt", *option,
+                         "--out", str(out_file))
+    assert code == 2
+    assert "invalid input" in err and option[0].lstrip("-").replace("-", "_") in err
+    assert "converged" not in out
+    assert not out_file.exists()
 
 
 def test_reports_are_byte_identical_for_same_seed(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
         code, _, _ = run(capsys, "solve", "pbne", "--scenario", "apt",
-                         "--seed", "3", "--restarts", "4", "--threads", "1",
-                         "--out", str(path))
+                         "--seed", "3", "--out", str(path))
         assert code in (0, 3)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_thread_count_does_not_change_results(capsys, tmp_path):
-    a, b = tmp_path / "t1.json", tmp_path / "t4.json"
-    run(capsys, "solve", "pbne", "--scenario", "apt", "--seed", "5",
-        "--restarts", "4", "--threads", "1", "--out", str(a))
-    run(capsys, "solve", "pbne", "--scenario", "apt", "--seed", "5",
-        "--restarts", "4", "--threads", "4", "--out", str(b))
-    ra = json.loads(a.read_text())
-    rb = json.loads(b.read_text())
-    assert ra["results"]["profile"] == rb["results"]["profile"]
-    assert ra["results"]["beliefs"] == rb["results"]["beliefs"]
 
 
 def test_simulate_single_trajectory_deterministic(capsys, tmp_path):
     out_file = tmp_path / "pbne.json"
     run(capsys, "solve", "pbne", "--scenario", "apt", "--seed", "0",
-        "--restarts", "4", "--threads", "1", "--out", str(out_file))
+        "--out", str(out_file))
     code, out1, _ = run(capsys, "simulate", "--scenario", "apt",
                         "--profile", str(out_file), "-n", "1", "--seed", "11")
     code2, out2, _ = run(capsys, "simulate", "--scenario", "apt",
@@ -150,7 +147,7 @@ def test_simulate_single_trajectory_deterministic(capsys, tmp_path):
 def test_simulate_noise_isolation(capsys, tmp_path):
     out_file = tmp_path / "pbne.json"
     run(capsys, "solve", "pbne", "--scenario", "apt", "--seed", "0",
-        "--restarts", "4", "--threads", "1", "--out", str(out_file))
+        "--out", str(out_file))
     _, clean, _ = run(capsys, "simulate", "--scenario", "apt",
                       "--profile", str(out_file), "-n", "1", "--seed", "4",
                       "--noise", "none")
@@ -166,7 +163,7 @@ def test_simulate_noise_isolation(capsys, tmp_path):
 def test_simulate_bad_n_exits_2(capsys, tmp_path):
     out_file = tmp_path / "pbne.json"
     run(capsys, "solve", "pbne", "--scenario", "apt", "--seed", "0",
-        "--restarts", "4", "--threads", "1", "--out", str(out_file))
+        "--out", str(out_file))
     code, _, err = run(capsys, "simulate", "--scenario", "apt",
                        "--profile", str(out_file), "-n", "0")
     assert code == 2
@@ -222,7 +219,7 @@ def test_verify_flags_inconsistent_beliefs(capsys, tmp_path):
     # beliefs frozen at the prior do not match a type-revealing profile
     out_file = tmp_path / "pbne.json"
     run(capsys, "solve", "pbne", "--scenario", "apt", "--seed", "0",
-        "--restarts", "4", "--threads", "1", "--out", str(out_file))
+        "--out", str(out_file))
     report = json.loads(out_file.read_text())
     beliefs = report["results"]["beliefs"]
     for node in beliefs["defender"]:

@@ -86,7 +86,7 @@ class TestProfileRoundTrip:
             profile_from_dict(apt, raw)
 
     def test_per_history_profile(self, apt, tmp_path):
-        prof, _, _ = backward_pass(apt, prior_beliefs(apt), seed=0)
+        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
         raw = profile_to_dict(apt, prof)
         assert raw["version"] == 2
         path = tmp_path / "profile.json"
@@ -104,14 +104,14 @@ class TestProfileRoundTrip:
         np.testing.assert_array_equal(got.eps2, ref.eps2)
 
     def test_per_history_profile_missing_history_raises(self, apt):
-        prof, _, _ = backward_pass(apt, prior_beliefs(apt), seed=0)
+        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
         raw = profile_to_dict(apt, prof)
         del raw["user"]["none,employee"]
         with pytest.raises(MalformedInputError):
             profile_from_dict(apt, raw)
 
     def test_unknown_profile_version_raises(self, apt):
-        prof, _, _ = backward_pass(apt, prior_beliefs(apt), seed=0)
+        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
         raw = dict(profile_to_dict(apt, prof), version=3)
         with pytest.raises(MalformedInputError):
             profile_from_dict(apt, raw)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import threading
 
 import numpy as np
 import pytest
@@ -67,7 +66,7 @@ class TestStageBilinear:
         j1 = bim.j1[:, :, None, None]
         j2 = bim.j2[:, :, None, None]
         feas = np.ones((1, 2), bool)
-        sol = solve_stage_tensors(j1, j2, feas, feas, [1.0], [1.0], seed=0)
+        sol = solve_stage_tensors(j1, j2, feas, feas, [1.0], [1.0])
         assert sol.converged
         assert abs(sol.objective) <= 1e-6
         np.testing.assert_allclose(sol.sigma1[0], [0, 1], atol=1e-9)
@@ -76,7 +75,7 @@ class TestStageBilinear:
     def test_zero_game(self):
         z = np.zeros((2, 2, 1, 1))
         feas = np.ones((1, 2), bool)
-        sol = solve_stage_tensors(z, z, feas, feas, [1.0], [1.0], seed=0)
+        sol = solve_stage_tensors(z, z, feas, feas, [1.0], [1.0])
         assert sol.converged
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(sol.s, 0.0, atol=1e-12)
@@ -88,7 +87,7 @@ class TestStageBilinear:
         p = type(p)(**{**p.__dict__, "r1": 1.0, "r2": 4.0, "r3": 3.0, "r4": 6.0})
         from secgames.scenarios import escalation_stage_game
         st = escalation_stage_game(p)
-        sol = stage_bilinear_solve(st, "employee", [0.5, 0.5], [0.5, 0.5], seed=1)
+        sol = stage_bilinear_solve(st, "employee", [0.5, 0.5], [0.5, 0.5])
         assert sol.converged
         g = StaticBayesianGame(
             ("low", "high"), ("adversarial", "legitimate"),
@@ -105,7 +104,7 @@ class TestStageBilinear:
         feas1 = np.ones((2, 3), bool)
         feas2 = np.ones((2, 3), bool)
         feas2[1, 2] = False
-        sol = solve_stage_tensors(j1, j2, feas1, feas2, [0.5, 0.5], [0.5, 0.5], seed=2)
+        sol = solve_stage_tensors(j1, j2, feas1, feas2, [0.5, 0.5], [0.5, 0.5])
         assert sol.sigma2[1, 2] == 0.0
 
     def test_zero_belief_type_still_best_responds(self):
@@ -113,7 +112,7 @@ class TestStageBilinear:
         j1 = rng.normal(size=(2, 2, 2, 2))
         j2 = rng.normal(size=(2, 2, 2, 2))
         feas = np.ones((2, 2), bool)
-        sol = solve_stage_tensors(j1, j2, feas, feas, [1.0, 0.0], [0.5, 0.5], seed=3)
+        sol = solve_stage_tensors(j1, j2, feas, feas, [1.0, 0.0], [0.5, 0.5])
         gaps1, gaps2 = stage_deviation_gaps(j1, j2, feas, feas,
                                             np.array([1.0, 0.0]),
                                             np.array([0.5, 0.5]),
@@ -142,7 +141,7 @@ class TestSignProperty:
                 total = np.einsum("abst,s,t,sa,tb->", j1 + j2, b1, b2, s1, s2)
                 obj = float(total + b2 @ w + b1 @ s)
                 assert obj <= 1e-7
-            sol = solve_stage_tensors(j1, j2, feas1, feas2, b1, b2, seed=trial)
+            sol = solve_stage_tensors(j1, j2, feas1, feas2, b1, b2)
             assert sol.converged, f"trial {trial}"
             assert abs(sol.objective) <= 1e-6
 
@@ -202,23 +201,23 @@ class TestBackwardPass:
     def test_k0_equals_single_stage_solve(self):
         g = to_multistage(build_static_bayesian(2.0, 1.0, 3.0))
         bel = prior_beliefs(g)
-        profile, values, sols = backward_pass(g, bel, seed=4)
+        profile, values, sols = backward_pass(g, bel)
         direct = stage_bilinear_solve(g.stages[0], 0,
-                                      g.prior_about_1, g.prior_about_2, seed=4)
+                                      g.prior_about_1, g.prior_about_2)
         np.testing.assert_allclose(profile.sigma1[0][0], direct.sigma1, atol=1e-9)
         np.testing.assert_allclose(profile.sigma2[0][0], direct.sigma2, atol=1e-9)
 
     def test_value_propagates_through_forced_chain(self):
         g = chain_game([(0.0, 0.0), (0.0, 0.0), (5.0, -2.0)])
         bel = prior_beliefs(g)
-        profile, values, _ = backward_pass(g, bel, seed=0)
+        profile, values, _ = backward_pass(g, bel)
         assert values.v1[0][0, 0] == pytest.approx(5.0, abs=1e-9)
         assert values.v2[0][0, 0] == pytest.approx(-2.0, abs=1e-9)
         assert values.v1[2][0, 0] == pytest.approx(5.0, abs=1e-9)
 
     def test_apt_values_finite(self):
         g = build_apt_game()
-        profile, values, _ = backward_pass(g, prior_beliefs(g), seed=0)
+        profile, values, _ = backward_pass(g, prior_beliefs(g))
         x0 = g.stages[0].state_index(g.initial_state)
         assert np.isfinite(values.v1[0][x0]).all()
         assert np.isfinite(values.v2[0][x0]).all()
@@ -261,7 +260,7 @@ class TestSolvePbne:
 
     def test_apt_outcome_is_wellformed(self):
         g = build_apt_game()
-        res = solve_pbne(g, tol=1e-6, max_iter=40, restarts=8, seed=0)
+        res = solve_pbne(g, tol=1e-6, max_iter=40, seed=0)
         assert isinstance(res, (PbneSolution, NonConvergenceReport))
         if isinstance(res, PbneSolution):
             assert res.stage_gap <= 1e-6
@@ -271,59 +270,33 @@ class TestSolvePbne:
 
     def test_non_convergence_is_reported_not_raised(self):
         g = build_apt_game()
-        res = solve_pbne(g, tol=1e-12, max_iter=2, restarts=2, seed=0)
+        res = solve_pbne(g, tol=1e-12, max_iter=2, seed=0)
         if isinstance(res, NonConvergenceReport):
             assert len(res.residual_trace) == 2
             assert res.final_residuals == res.residual_trace[-1]
 
-    def test_one_executor_per_solve(self, monkeypatch):
-        opened = []
-
-        class CountingExecutor(multistage.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(multistage, "ThreadPoolExecutor", CountingExecutor)
-        g = build_apt_game()
-        res = solve_pbne(g, tol=1e-12, max_iter=3, restarts=2, seed=0, threads=2)
-        assert len(opened) == 1
-        one = solve_pbne(g, tol=1e-12, max_iter=3, restarts=2, seed=0, threads=1)
-        assert len(opened) == 1
-        assert (one.residual_trace, one.class_counts) == \
-               (res.residual_trace, res.class_counts)
-
-    def test_threads_run_few_extra_starts(self, monkeypatch):
-        # the first start certifies most programs, so it runs alone
-        starts = []
-        lock = threading.Lock()
-        original = multistage._alternate_from
-
-        def counting(*args, **kwargs):
-            with lock:
-                starts[-1] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(multistage, "_alternate_from", counting)
-        g = build_apt_game()
-        results = []
-        for threads in (1, 4):
-            starts.append(0)
-            results.append(solve_pbne(g, seed=5, restarts=4, threads=threads))
-        one, four = results
-        assert starts[1] <= 1.01 * starts[0], starts
-        assert (one.iterations, one.residual_trace, one.class_counts) == \
-               (four.iterations, four.residual_trace, four.class_counts)
+    def test_apt_grid_certifies(self):
+        # 5 x 3 priors x both entry states; the multistart search certified
+        # 16 of these 30 and stopped the other 14 at max_iter
+        for pa in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for ph in (0.2, 0.5, 0.8):
+                for state in ("external", "internal"):
+                    p = dataclasses.replace(default_apt_parameters(), prior_adversarial=pa,
+                                            prior_high_awareness=ph)
+                    res = solve_pbne(build_apt_game(p, initial_state=state), seed=0)
+                    assert isinstance(res, PbneSolution), (pa, ph, state)
+                    assert max(res.epsilon.eps1.max(), res.epsilon.eps2.max()) <= 1e-4
+                    assert res.epsilon.belief_violation <= 1e-9
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, None])
     def test_bad_seed_rejected(self, seed):
         g = build_apt_game()
         with pytest.raises(MalformedInputError, match="seed must be a non-negative integer"):
-            solve_pbne(g, max_iter=1, restarts=1, seed=seed)
+            solve_pbne(g, max_iter=1, seed=seed)
 
     def test_multi_word_seed_accepted(self):
         g = build_apt_game()
-        res = solve_pbne(g, max_iter=1, restarts=1, seed=99999999999999999999999)
+        res = solve_pbne(g, max_iter=1, seed=99999999999999999999999)
         assert isinstance(res, (PbneSolution, NonConvergenceReport))
 
 
@@ -518,7 +491,7 @@ class TestHistoryClasses:
         # play; assembled rows drop it, so the histories behind that
         # action keep the flagged prior instead of a certain posterior
         g = build_apt_game()
-        clean_profile, _, _ = backward_pass(g, prior_beliefs(g), seed=0)
+        clean_profile, _, _ = backward_pass(g, prior_beliefs(g))
         clean = forward_pass(g, clean_profile)
         real = multistage.solve_stage_tensors
 
@@ -529,7 +502,7 @@ class TestHistoryClasses:
                 sigma2=np.where((sol.sigma2 == 0.0) & feas2, 1.94e-16, sol.sigma2))
 
         monkeypatch.setattr(multistage, "solve_stage_tensors", with_round_off)
-        profile, _, _ = backward_pass(g, prior_beliefs(g), seed=0)
+        profile, _, _ = backward_pass(g, prior_beliefs(g))
         for arr in profile.sigma1 + profile.sigma2:
             assert not np.any((arr > 0.0) & (arr < ROW_ZERO_TOL))
         bel = forward_pass(g, profile)
@@ -544,7 +517,7 @@ class TestHistoryClasses:
         # stage-0 history only; its state shares nothing with the others
         node = ((0, 0),)
         bel.belief_p1[node] = np.tile([1.0, 0.0], (g.n1, 1))
-        profile, _, sols = backward_pass(g, bel, seed=0)
+        profile, _, sols = backward_pass(g, bel)
         x = build_tree(g)[node][1]
         peers = [p for p, (k, xx) in build_tree(g).items()
                  if k == 1 and xx == x and p != node]
@@ -617,7 +590,7 @@ class TestVectorizedPassesMatchLoops:
         else:
             bel = prior_beliefs(g)
             bel.belief_p1[((0, 0),)] = np.tile([0.9, 0.1], (g.n1, 1))
-            prof, _, _ = backward_pass(g, bel, seed=0)
+            prof, _, _ = backward_pass(g, bel)
         return g, prof
 
     def test_tree_values(self, case):

@@ -166,23 +166,6 @@ def test_screen_changes_no_equilibrium(monkeypatch, solve):
         assert solve_lp(_system_lp(coef, feas, own, opp)).status == "infeasible"
 
 
-def test_stage_fallback_unchanged_by_screen(monkeypatch):
-    rng = np.random.default_rng(5)
-    for shape in ((2, 2, 2, 2), (3, 2, 2, 2)):
-        t1, t2 = rng.normal(size=shape), rng.normal(size=shape)
-        feas1 = np.ones((shape[2], shape[0]), dtype=bool)
-        feas2 = np.ones((shape[3], shape[1]), dtype=bool)
-        b1, b2 = rng.dirichlet([1.0] * shape[2]), rng.dirichlet([1.0] * shape[3])
-        args = (t1, t2, feas1, feas2, b1, b2)
-        with monkeypatch.context() as m:
-            m.setattr(DominanceScreen, "rejects", lambda self, own, opp: False)
-            plain = multistage._stage_support_enumeration(*args)
-        screened = multistage._stage_support_enumeration(*args)
-        assert plain is not None and screened is not None
-        assert screened.sigma1.tobytes() == plain.sigma1.tobytes()
-        assert screened.sigma2.tobytes() == plain.sigma2.tobytes()
-
-
 def test_screen_cuts_lp_calls_on_a_5x5_game(monkeypatch):
     rng = np.random.default_rng(2024)
     game = static.BimatrixGame(rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))

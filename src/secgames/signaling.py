@@ -10,8 +10,9 @@ exact optimality and consistency conditions, which makes the output
 sound even though the grid search is not exhaustive.
 
 Mixed equilibria come from support enumeration with one feasibility LP
-per side.  The receiver-side LP (sender optimality per type) runs first
-and is skipped when the conditional-dominance screen of
+per side, both built by :func:`static.support_lp`, the one builder of
+support-system LPs.  The receiver-side LP (sender optimality per type)
+runs first and is skipped when the conditional-dominance screen of
 :class:`lp.DominanceScreen` proves it infeasible; the sender-side LP is
 not screened, because its posterior weights can be 0.
 """
@@ -25,7 +26,10 @@ import numpy as np
 
 from .core import (EnumerationBudgetError, FiniteDistribution,
                    MalformedInputError, _readonly)
-from .lp import DominanceScreen, LinearProgram, solve_lp
+# ``solve_lp`` is no longer called here; it stays importable by this name
+# for tools that wrap ``signaling.solve_lp`` to count LP calls.
+from .lp import DominanceScreen, solve_lp  # noqa: F401
+from .static import sized_subsets, support_lp, support_of
 
 GAP_TOL = 1e-8
 _BAYES_TOL = 1e-9
@@ -251,23 +255,21 @@ def solve_pure_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_G
         raise EnumerationBudgetError(
             f"{m2}^{n} pure sender strategies exceed the enumeration budget")
     grid = simplex_grid(n, off_path_grid)
-    prior = np.asarray(game.prior.weights)
 
     results: list[SignalingPBNE] = []
     feasible_msgs = [tuple(int(m) for m in np.flatnonzero(game.message_mask[t]))
                      for t in range(n)]
     for sender_map in itertools.product(*feasible_msgs):
-        on_path = sorted(set(sender_map))
-        off_path = [m for m in range(m2) if m not in on_path]
+        sender = np.zeros((n, m2))
+        sender[np.arange(n), sender_map] = 1.0
+        # A message sent only by zero-prior types is off path too.
+        posts = [posterior_from_sender(game.prior, sender, m) for m in range(m2)]
+        off_path = [m for m in range(m2) if posts[m] is None]
         beliefs = np.zeros((m2, n))
         choice_sets: list[list[tuple[int, np.ndarray, list[np.ndarray]]]] = []
         dead = False
-        for m in range(m2):
-            if m in on_path:
-                sender_mat = np.zeros((n, m2))
-                for t, mm in enumerate(sender_map):
-                    sender_mat[t, mm] = 1.0
-                post = posterior_from_sender(game.prior, sender_mat, m)
+        for m, post in enumerate(posts):
+            if post is not None:
                 beliefs[m] = post.weights
                 choice_sets.append([(a, np.asarray(post.weights), [])
                                     for a in sorted(receiver_best_response(game, post, m))])
@@ -293,7 +295,7 @@ def solve_pure_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_G
             for m, (a, bel, sup_list) in enumerate(combo):
                 receiver[m, a] = 1.0
                 stored[m] = bel
-                if m not in on_path:
+                if m in off_path:
                     supporting[m] = [s.tolist() for s in sup_list]
             value = _sender_values(game, receiver)
             ok = True
@@ -304,9 +306,6 @@ def solve_pure_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_G
                     break
             if not ok:
                 continue
-            sender = np.zeros((n, m2))
-            for t, mm in enumerate(sender_map):
-                sender[t, mm] = 1.0
             gap, bayes_err, _ = verify_pbne(game, receiver, sender, stored)
             if gap > GAP_TOL or bayes_err > _BAYES_TOL:
                 continue
@@ -324,102 +323,27 @@ def _onehot(n: int, i: int) -> np.ndarray:
     return v
 
 
-def _mixed_side_sender(game: SignalingGame, receiver_supports, sender_supports
-                       ) -> np.ndarray | None:
-    """LP for the sender strategy given both support profiles.
+def _support_coefficients(game: SignalingGame) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' support systems in the format of :func:`support_lp`,
+    one ``[own_action, opp_agent, opp_action]`` tensor per own agent.
 
-    Receiver optimality at potentially-on-path messages is written with
-    unnormalized posterior weights prior(t) * sender(t, m), which keeps
-    the conditions linear in the sender variables.
+    Receiver side (own agents: types; unknowns: replies): type t's
+    payoff from message m reads only the reply row at m,
+    ``coef[t, m, m, a] = payoffs2[a, m, t]``.  Sender side (own agents:
+    messages; unknowns: sender rows): the receiver's payoff from action
+    a at m, in unnormalized posterior weights prior(t) * sender(t, m)
+    so that the conditions stay linear,
+    ``coef1[m, a, t, m] = prior[t] * payoffs1[a, m, t]``.  Both tensors
+    are zero off the diagonal.
     """
-    n, m2 = game.n_types, game.n_messages
-    prior = np.asarray(game.prior.weights)
-    var = {}
-    for t in range(n):
-        for m in sender_supports[t]:
-            var[(t, m)] = len(var)
-    n_y = len(var)
-    potential = sorted({m for t in range(n) for m in sender_supports[t]})
-    w_index = {m: n_y + i for i, m in enumerate(potential)}
-    n_vars = n_y + len(potential)
-
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for t in range(n):
-        row = np.zeros(n_vars)
-        for m in sender_supports[t]:
-            row[var[(t, m)]] = 1.0
-        a_eq.append(row)
-        b_eq.append(1.0)
-    for m in potential:
-        sup = receiver_supports[m]
-        for a in range(game.n_actions):
-            row = np.zeros(n_vars)
-            for t in range(n):
-                if (t, m) in var:
-                    row[var[(t, m)]] = prior[t] * game.payoffs1[a, m, t]
-            row[w_index[m]] = -1.0
-            if a in sup:
-                a_eq.append(row)
-                b_eq.append(0.0)
-            else:
-                a_ub.append(row)
-                b_ub.append(0.0)
-    lower = np.concatenate([np.zeros(n_y), np.full(len(potential), -np.inf)])
-    sol = solve_lp(LinearProgram.build(np.zeros(n_vars), a_ub or None, b_ub or None,
-                                       a_eq, b_eq, lower=lower))
-    if sol.status != "optimal":
-        return None
-    sender = np.zeros((n, m2))
-    for (t, m), col in var.items():
-        sender[t, m] = max(0.0, sol.z[col])
-    totals = sender.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0):
-        return None
-    return sender / totals
-
-
-def _mixed_side_receiver(game: SignalingGame, receiver_supports, sender_supports
-                         ) -> np.ndarray | None:
-    """LP for the receiver strategy: sender optimality per type."""
-    m2, m1, n = game.n_messages, game.n_actions, game.n_types
-    var = {}
-    for m in range(m2):
-        for a in receiver_supports[m]:
-            var[(m, a)] = len(var)
-    n_x = len(var)
-    n_vars = n_x + n
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for m in range(m2):
-        row = np.zeros(n_vars)
-        for a in receiver_supports[m]:
-            row[var[(m, a)]] = 1.0
-        a_eq.append(row)
-        b_eq.append(1.0)
-    for t in range(n):
-        feas = np.flatnonzero(game.message_mask[t])
-        for m in feas:
-            row = np.zeros(n_vars)
-            for a in receiver_supports[m]:
-                row[var[(m, a)]] = game.payoffs2[a, m, t]
-            row[n_x + t] = -1.0
-            if m in sender_supports[t]:
-                a_eq.append(row)
-                b_eq.append(0.0)
-            else:
-                a_ub.append(row)
-                b_ub.append(0.0)
-    lower = np.concatenate([np.zeros(n_x), np.full(n, -np.inf)])
-    sol = solve_lp(LinearProgram.build(np.zeros(n_vars), a_ub or None, b_ub or None,
-                                       a_eq, b_eq, lower=lower))
-    if sol.status != "optimal":
-        return None
-    receiver = np.zeros((m2, m1))
-    for (m, a), col in var.items():
-        receiver[m, a] = max(0.0, sol.z[col])
-    totals = receiver.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0):
-        return None
-    return receiver / totals
+    n, m1, m2 = game.n_types, game.n_actions, game.n_messages
+    diag = np.arange(m2)
+    coef = np.zeros((n, m2, m2, m1))
+    coef[:, diag, diag, :] = game.payoffs2.transpose(2, 1, 0)
+    coef1 = np.zeros((m2, m1, n, m2))
+    coef1[diag, :, :, diag] = (np.asarray(game.prior.weights) * game.payoffs1
+                               ).transpose(1, 0, 2)
+    return coef, coef1
 
 
 def solve_mixed_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_GRID
@@ -438,31 +362,27 @@ def solve_mixed_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_
     grid = simplex_grid(n, off_path_grid)
     prior = np.asarray(game.prior.weights)
 
-    sender_subsets = []
-    for t in range(n):
-        feas = tuple(int(m) for m in np.flatnonzero(game.message_mask[t]))
-        sender_subsets.append(_sized_subsets(feas))
-    receiver_subsets = [_sized_subsets(tuple(range(m1))) for _ in range(m2)]
-    # Type t's payoff from message m reads only the reply row at m:
-    # coef[t, m, m, a] = payoffs2[a, m, t], zero off the diagonal.
-    coef = np.zeros((n, m2, m2, m1))
-    coef[:, np.arange(m2), np.arange(m2), :] = game.payoffs2.transpose(2, 1, 0)
-    screens = [DominanceScreen(coef[t], np.flatnonzero(game.message_mask[t]))
-               for t in range(n)]
+    feasible = [np.flatnonzero(game.message_mask[t]).tolist() for t in range(n)]
+    sender_subsets = [sized_subsets(f) for f in feasible]
+    receiver_subsets = [sized_subsets(range(m1))] * m2
+    coef, coef1 = _support_coefficients(game)
+    screens = [DominanceScreen(coef[t], feasible[t]) for t in range(n)]
 
     results: list[SignalingPBNE] = []
     seen: set[bytes] = set()
     for sender_sup in itertools.product(*sender_subsets):
+        potential = sorted({m for sup in sender_sup for m in sup})
         for receiver_sup in itertools.product(*receiver_subsets):
             # Both sides must be solvable, so the screened receiver side
             # goes first; the sender side's posterior weights can be 0
             # and are not screened.
             if any(s.rejects(own, receiver_sup) for s, own in zip(screens, sender_sup)):
                 continue
-            receiver = _mixed_side_receiver(game, receiver_sup, sender_sup)
+            receiver = support_lp(coef, sender_sup, feasible, receiver_sup, m1)
             if receiver is None:
                 continue
-            sender = _mixed_side_sender(game, receiver_sup, sender_sup)
+            sender = support_lp(coef1[potential], [receiver_sup[m] for m in potential],
+                                [range(m1)] * len(potential), sender_sup, m2)
             if sender is None:
                 continue
             marginals = prior @ sender
@@ -493,19 +413,8 @@ def solve_mixed_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_
             results.append(SignalingPBNE(
                 receiver, sender, beliefs, tuple(off_path),
                 classify(sender), gap, supporting))
-    results.sort(key=lambda r: (_support_of(r.sender), _support_of(r.receiver)))
+    results.sort(key=lambda r: (support_of(r.sender), support_of(r.receiver)))
     return results
-
-
-def _sized_subsets(items: tuple[int, ...]) -> list[tuple[int, ...]]:
-    subs = []
-    for r in range(1, len(items) + 1):
-        subs.extend(itertools.combinations(items, r))
-    return sorted(subs, key=lambda s: (len(s), s))
-
-
-def _support_of(mat: np.ndarray) -> tuple:
-    return tuple(tuple(int(i) for i in np.flatnonzero(row > 1e-9)) for row in mat)
 
 
 def as_signaling_game(game) -> SignalingGame:

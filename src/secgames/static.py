@@ -13,13 +13,15 @@ Three solvers live here:
 Support enumeration resolves each candidate support profile with a pair
 of linear feasibility programs (the two sides decouple once supports
 are fixed), so degenerate games with equilibrium continua yield vertex
-representatives instead of being skipped.  Both LPs of a candidate are
-skipped when a conditional-dominance screen (:class:`lp.DominanceScreen`)
-finds, on either side, a support action that another feasible action
-beats against every opponent mix on the opponent supports; such an LP
-could not have reported a solution, so results do not change.  Every
-candidate is re-verified against the exact best-response inequalities
-before it is reported; anything returned has deviation gap <= 1e-8.
+representatives instead of being skipped.  :func:`support_lp` builds
+and solves every such program, the signaling solver's included.  Both
+LPs of a candidate are skipped when a conditional-dominance screen
+(:class:`lp.DominanceScreen`) finds, on either side, a support action
+that another feasible action beats against every opponent mix on the
+opponent supports; such an LP could not have reported a solution, so
+results do not change.  Every candidate is re-verified against the
+exact best-response inequalities before it is reported; anything
+returned has deviation gap <= 1e-8.
 """
 
 from __future__ import annotations
@@ -241,73 +243,55 @@ def _agent_payoff_coeffs(game: StaticBayesianGame, agent: _Agent,
     return coef
 
 
-def _nonempty_subsets(items: tuple[int, ...]) -> list[tuple[int, ...]]:
-    subs = []
-    for r in range(1, len(items) + 1):
-        subs.extend(itertools.combinations(items, r))
-    return sorted(subs)
+def sized_subsets(items) -> list[tuple[int, ...]]:
+    """Nonempty subsets of ``items``, smallest first, then lexicographic."""
+    return sorted((s for r in range(1, len(items) + 1)
+                   for s in itertools.combinations(items, r)),
+                  key=lambda s: (len(s), s))
 
 
-def _side_lp(coeffs: list[np.ndarray], own_supports: list[tuple[int, ...]],
-             own_feasible: list[tuple[int, ...]],
-             opp_supports: list[tuple[int, ...]],
-             opp_action_count: int) -> list[np.ndarray] | None:
-    """Feasibility LP for one side's best-response conditions.
+def support_lp(coeffs, own_supports, own_feasible, opp_supports,
+               opp_action_count: int) -> np.ndarray | None:
+    """Feasibility LP of one side's support system.
 
-    Unknowns are the opponent agents' strategies (restricted to their
-    enumerated supports) plus one free value variable per own agent.
-    Own-support actions must tie at the value; remaining feasible
-    actions must not beat it.  Returns per-opponent-agent strategy rows
-    or None when infeasible.
+    ``coeffs[i][own_action, opp_agent, opp_action]`` is own agent i's
+    payoff, linear in the opponent rows (the format of
+    :class:`lp.DominanceScreen`).  Unknowns are the opponent agents'
+    strategies, restricted to ``opp_supports``, plus one free value
+    variable per own agent.  Own-support actions must tie at the value;
+    the other ``own_feasible`` actions must not beat it.  Returns the
+    opponent rows as one ``(opp_agents, opp_action_count)`` array, or
+    None when the system is infeasible.
     """
-    var_index: dict[tuple[int, int], int] = {}
-    for gi, sup in enumerate(opp_supports):
-        for a in sup:
-            var_index[(gi, a)] = len(var_index)
-    n_y = len(var_index)
+    var = [(g, a) for g, sup in enumerate(opp_supports) for a in sup]
     n_v = len(own_supports)
-    n_vars = n_y + n_v
-
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for gi, sup in enumerate(opp_supports):
-        row = np.zeros(n_vars)
-        for a in sup:
-            row[var_index[(gi, a)]] = 1.0
-        a_eq.append(row)
-        b_eq.append(1.0)
-    for own_i, (sup, feas, coef) in enumerate(zip(own_supports, own_feasible, coeffs)):
-        for a in feas:
-            row = np.zeros(n_vars)
-            for (gi, oa), col in var_index.items():
-                row[col] = coef[a, gi, oa]
-            row[n_y + own_i] = -1.0
-            if a in sup:
-                a_eq.append(row)
-                b_eq.append(0.0)
-            else:
-                a_ub.append(row)
-                b_ub.append(0.0)
-
-    lower = np.concatenate([np.zeros(n_y), np.full(n_v, -np.inf)])
+    a_eq = [[float(vg == g) for vg, _ in var] + [0.0] * n_v
+            for g in range(len(opp_supports))]
+    a_ub = []
+    for i, (sup, feas, coef) in enumerate(zip(own_supports, own_feasible, coeffs)):
+        value = [0.0] * n_v
+        value[i] = -1.0
+        for b in feas:
+            (a_eq if b in sup else a_ub).append([coef[b, g, a] for g, a in var] + value)
+    b_eq = [1.0] * len(opp_supports) + [0.0] * (len(a_eq) - len(opp_supports))
+    # ``solve_lp`` is looked up in this module, where tools that count
+    # LP calls wrap it.
     sol = solve_lp(LinearProgram.build(
-        c=np.zeros(n_vars), a_ub=a_ub or None, b_ub=b_ub or None,
-        a_eq=a_eq, b_eq=b_eq, lower=lower))
+        c=np.zeros(len(var) + n_v), a_ub=a_ub or None, b_ub=[0.0] * len(a_ub) or None,
+        a_eq=a_eq, b_eq=b_eq, lower=[0.0] * len(var) + [-np.inf] * n_v))
     if sol.status != "optimal":
         return None
-    out = []
-    for gi, sup in enumerate(opp_supports):
-        row = np.zeros(opp_action_count)
-        for a in sup:
-            row[a] = max(0.0, sol.z[var_index[(gi, a)]])
-        total = row.sum()
-        if total <= 0.0:
-            return None
-        out.append(row / total)
-    return out
+    out = np.zeros((len(opp_supports), opp_action_count))
+    for (g, a), z in zip(var, sol.z):
+        out[g, a] = max(0.0, z)
+    totals = out.sum(axis=1, keepdims=True)
+    if (totals <= 0.0).any():
+        return None
+    return out / totals
 
 
 def _profile_from_agents(game: StaticBayesianGame, agents: list[_Agent],
-                         rows: list[np.ndarray], player: int) -> np.ndarray:
+                         rows: np.ndarray, player: int) -> np.ndarray:
     n = len(game.types1 if player == 1 else game.types2)
     m = game.payoffs1.shape[0] if player == 1 else game.payoffs1.shape[1]
     sigma = np.zeros((n, m))
@@ -355,9 +339,9 @@ def equilibrium_values(game: StaticBayesianGame, sigma1: np.ndarray,
     return v1, v2, float(p1 @ v1), float(p2 @ v2)
 
 
-def _support_key(sigma1: np.ndarray, sigma2: np.ndarray) -> tuple:
-    return (tuple(tuple(int(a) for a in np.flatnonzero(r > 1e-9)) for r in sigma1),
-            tuple(tuple(int(a) for a in np.flatnonzero(r > 1e-9)) for r in sigma2))
+def support_of(strategy: np.ndarray) -> tuple:
+    """Per-row supports (entries above 1e-9) of a strategy matrix."""
+    return tuple(tuple(int(a) for a in np.flatnonzero(row > 1e-9)) for row in strategy)
 
 
 def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
@@ -369,9 +353,9 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
     the search short, in which case search order is kept).
     """
     agents1, agents2 = _make_agents(game)
-    subsets1 = [_nonempty_subsets(a.feasible) for a in agents1]
-    subsets2 = [_nonempty_subsets(a.feasible) for a in agents2]
-    n_combos = int(np.prod([len(s) for s in subsets1 + subsets2]))
+    sized1 = [sized_subsets(a.feasible) for a in agents1]
+    sized2 = [sized_subsets(a.feasible) for a in agents2]
+    n_combos = int(np.prod([len(s) for s in sized1 + sized2]))
     if n_combos > budget:
         raise EnumerationBudgetError(
             f"{n_combos} support profiles exceed the enumeration budget {budget}")
@@ -383,12 +367,6 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
     m1, m2 = game.payoffs1.shape[0], game.payoffs1.shape[1]
     screens1 = [DominanceScreen(c, f) for c, f in zip(coeffs1, feas1)]
     screens2 = [DominanceScreen(c, f) for c, f in zip(coeffs2, feas2)]
-
-    def sized(subsets):
-        return sorted(subsets, key=lambda s: (len(s), s))
-
-    sized1 = [sized(s) for s in subsets1]
-    sized2 = [sized(s) for s in subsets2]
     results: list[EquilibriumResult] = []
     seen: set[bytes] = set()
     for sup1 in itertools.product(*sized1):
@@ -396,10 +374,10 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
             if (any(s.rejects(own, sup2) for s, own in zip(screens1, sup1))
                     or any(s.rejects(own, sup1) for s, own in zip(screens2, sup2))):
                 continue
-            rows2 = _side_lp(coeffs1, list(sup1), feas1, list(sup2), m2)
+            rows2 = support_lp(coeffs1, sup1, feas1, sup2, m2)
             if rows2 is None:
                 continue
-            rows1 = _side_lp(coeffs2, list(sup2), feas2, list(sup1), m1)
+            rows1 = support_lp(coeffs2, sup2, feas2, sup1, m1)
             if rows1 is None:
                 continue
             sigma1 = _profile_from_agents(game, agents1, rows1, 1)
@@ -413,7 +391,8 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
             seen.add(key)
             v1, v2, e1, e2 = equilibrium_values(game, sigma1, sigma2)
             results.append(EquilibriumResult(
-                sigma1, sigma2, v1, v2, e1, e2, gap, _support_key(sigma1, sigma2)))
+                sigma1, sigma2, v1, v2, e1, e2, gap,
+                (support_of(sigma1), support_of(sigma2))))
             if max_results is not None and len(results) >= max_results:
                 return results
     results.sort(key=lambda r: r.support)

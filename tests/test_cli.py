@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from secgames import signaling, static
 from secgames.cli import main
 from secgames.core import StrategyProfile
-from secgames.gamejson import dump_json, game_to_dict, profile_to_dict
-from secgames.scenarios import build_apt_game
+from secgames.gamejson import dump_json, game_to_dict, load_game, profile_to_dict
+from secgames.scenarios import build_apt_game, build_static_bayesian
 
 
 def run(capsys, *argv):
@@ -59,6 +61,36 @@ def test_solve_signaling(capsys, tmp_path):
     assert report["results"]["mixed"]
     for row in report["results"]["pure"]:
         assert row["gap"] <= 1e-8
+
+
+def test_solve_signaling_zero_prior_type(capsys, tmp_path):
+    # the legitimate user has prior 0, so a message only it sends is off path
+    raw = game_to_dict(static.to_multistage(build_static_bayesian()))
+    raw["priors"]["about_user"] = [1.0, 0.0]
+    path = tmp_path / "zero.json"
+    dump_json(raw, str(path))
+    g = signaling.as_signaling_game(static.from_multistage(load_game(str(path))))
+    found = {}
+    for method in ("both", "pure"):
+        out_file = tmp_path / f"{method}.json"
+        code, _, err = run(capsys, "solve", "signaling", "--game", str(path),
+                           "--method", method, "--out", str(out_file))
+        assert code == 0, err
+        found.update(json.loads(out_file.read_text())["results"])
+    assert found["pure"]
+    strategies = {}
+    for method, rows in found.items():
+        strategies[method] = []
+        for row in rows:
+            sender = np.array([row["sender"][t] for t in g.types])
+            receiver = np.array([row["receiver"][m] for m in g.messages])
+            beliefs = np.array([row["beliefs"][m] for m in g.messages])
+            gap, bayes_err, notes = signaling.verify_pbne(g, receiver, sender, beliefs)
+            assert gap <= 1e-8 and bayes_err <= 1e-9 and not notes
+            strategies[method].append((sender, receiver))
+    for s, r in strategies["pure"]:
+        assert any(np.allclose(s, ms, atol=1e-9) and np.allclose(r, mr, atol=1e-9)
+                   for ms, mr in strategies["mixed"])
 
 
 def test_invalid_game_json_exits_2(capsys, tmp_path):

@@ -223,3 +223,165 @@ class TestLift:
         from secgames.scenarios import build_exercise_qb
         with pytest.raises(MalformedInputError):
             as_signaling_game(build_exercise_qb("p1-informed"))
+
+
+class TestZeroPriorType:
+    """A message sent only by zero-prior types has no Bayes posterior:
+    it is off path, as verify_pbne and the mixed solver treat it."""
+
+    @staticmethod
+    def _own_message_game():
+        # t0 (prior 1) prefers m0 and t1 (prior 0) prefers m1 whatever
+        # the reply, so "each type sends its own message" is a PBNE in
+        # which m1 is sent, but only by a zero-prior type
+        p1 = np.zeros((2, 2, 2))
+        p1[0, :, 0] = p1[1, :, 1] = 1.0
+        p2 = np.zeros((2, 2, 2))
+        p2[:, 0, 0] = p2[:, 1, 1] = 1.0
+        return SignalingGame(("t0", "t1"), FiniteDistribution([1.0, 0.0]),
+                             ("m0", "m1"), ("x", "y"), p1, p2,
+                             np.ones((2, 2), bool))
+
+    @pytest.mark.parametrize("which", ["own-message", "escalation"])
+    def test_pure_and_mixed_verified(self, which):
+        g = (self._own_message_game() if which == "own-message"
+             else escalation_signaling(prior=1.0))   # legitimate type: prior 0
+        pure = solve_pure_pbne(g)
+        mixed = solve_mixed_pbne(g)
+        assert pure
+        for r in pure + mixed:
+            gap, bayes_err, notes = verify_pbne(g, r.receiver, r.sender, r.beliefs)
+            assert gap <= 1e-8 and bayes_err <= 1e-9 and not notes
+        for p in pure:
+            assert any(np.allclose(m.sender, p.sender, atol=1e-9)
+                       and np.allclose(m.receiver, p.receiver, atol=1e-9)
+                       for m in mixed), p
+        if which == "own-message":
+            assert any(r.sender[1, 1] == 1.0 and r.off_path == (1,) for r in pure)
+
+
+def _random_signaling(seed, n, m2, m1, zero_prior=False) -> SignalingGame:
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 4, size=n).astype(float)
+    if zero_prior:
+        weights[0] = 0.0
+    mask = np.ones((n, m2), bool)
+    mask[-1, rng.integers(m2)] = False    # one type loses a message
+    return SignalingGame(tuple(f"t{i}" for i in range(n)),
+                         FiniteDistribution(weights / weights.sum()),
+                         tuple(f"m{i}" for i in range(m2)),
+                         tuple(f"a{i}" for i in range(m1)),
+                         rng.integers(-3, 4, size=(m1, m2, n)).astype(float),
+                         rng.integers(-3, 4, size=(m1, m2, n)).astype(float), mask)
+
+
+def _highs_feasible(n_y, n_v, a_eq, b_eq, a_ub) -> bool:
+    optimize = pytest.importorskip("scipy.optimize")
+    res = optimize.linprog(np.zeros(n_y + n_v), A_ub=np.reshape(a_ub, (-1, n_y + n_v)),
+                           b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=b_eq,
+                           bounds=[(0, None)] * n_y + [(None, None)] * n_v,
+                           method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def _receiver_side_oracle(g, sender_sup, receiver_sup) -> bool:
+    """Replies on their supports under which each type's support ties at
+    the best feasible message payoff."""
+    var = {(m, a): i for i, (m, a) in enumerate(
+        (m, a) for m in range(g.n_messages) for a in receiver_sup[m])}
+    n_y = len(var)
+    a_eq = [[float(vm == m) for vm, _ in var] + [0.0] * g.n_types
+            for m in range(g.n_messages)]
+    b_eq = [1.0] * g.n_messages
+    a_ub = []
+    for t in range(g.n_types):
+        for m in np.flatnonzero(g.message_mask[t]):
+            row = np.zeros(n_y + g.n_types)
+            for a in receiver_sup[m]:
+                row[var[(m, a)]] = g.payoffs2[a, m, t]
+            row[n_y + t] = -1.0
+            if m in sender_sup[t]:
+                a_eq.append(row)
+                b_eq.append(0.0)
+            else:
+                a_ub.append(row)
+    return _highs_feasible(n_y, g.n_types, a_eq, b_eq, a_ub)
+
+
+def _sender_side_oracle(g, sender_sup, receiver_sup) -> bool:
+    """Sender rows on their supports under which, in prior-weighted
+    (unnormalized) posteriors, each reply support ties at the best
+    action at every message some type may send."""
+    prior = np.asarray(g.prior.weights)
+    var = {(t, m): i for i, (t, m) in enumerate(
+        (t, m) for t in range(g.n_types) for m in sender_sup[t])}
+    potential = sorted({m for sup in sender_sup for m in sup})
+    n_y, n_v = len(var), len(potential)
+    a_eq = [[float(vt == t) for vt, _ in var] + [0.0] * n_v for t in range(g.n_types)]
+    b_eq = [1.0] * g.n_types
+    a_ub = []
+    for i, m in enumerate(potential):
+        for a in range(g.n_actions):
+            row = np.zeros(n_y + n_v)
+            for t in range(g.n_types):
+                if (t, m) in var:
+                    row[var[(t, m)]] = prior[t] * g.payoffs1[a, m, t]
+            row[n_y + i] = -1.0
+            if a in receiver_sup[m]:
+                a_eq.append(row)
+                b_eq.append(0.0)
+            else:
+                a_ub.append(row)
+    return _highs_feasible(n_y, n_v, a_eq, b_eq, a_ub)
+
+
+def _check_rows(rows, supports, count):
+    assert rows.shape == (len(supports), count)
+    assert (rows >= 0).all()
+    np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-8)
+    for row, sup in zip(rows, supports):
+        assert not np.delete(row, list(sup)).any()
+
+
+def _check_ties(values, support, feasible):
+    top = values[list(support)].max()
+    assert values[list(support)].min() >= top - 1e-8
+    assert values[list(feasible)].max() <= top + 1e-8
+
+
+@pytest.mark.parametrize("seed,shape,zero_prior", [
+    (0, (2, 2, 2), False), (1, (2, 2, 3), False), (2, (3, 2, 2), True)])
+def test_support_lp_matches_highs_on_both_sides(seed, shape, zero_prior):
+    from secgames.signaling import _support_coefficients
+    from secgames.static import sized_subsets, support_lp
+    g = _random_signaling(seed, *shape, zero_prior=zero_prior)
+    n, m2, m1 = shape
+    prior = np.asarray(g.prior.weights)
+    coef, coef1 = _support_coefficients(g)
+    feasible = [np.flatnonzero(g.message_mask[t]) for t in range(n)]
+    sender_subsets = [sized_subsets(f.tolist()) for f in feasible]
+    verdicts = set()
+    for sender_sup in itertools.product(*sender_subsets):
+        potential = sorted({m for sup in sender_sup for m in sup})
+        for receiver_sup in itertools.product(*[sized_subsets(range(m1))] * m2):
+            receiver = support_lp(coef, sender_sup, feasible, receiver_sup, m1)
+            assert (receiver is not None) == _receiver_side_oracle(
+                g, sender_sup, receiver_sup)
+            if receiver is not None:
+                _check_rows(receiver, receiver_sup, m1)
+                values = np.einsum("amt,ma->tm", g.payoffs2, receiver)
+                for t in range(n):
+                    _check_ties(values[t], sender_sup[t], feasible[t])
+            sender = support_lp(coef1[potential], [receiver_sup[m] for m in potential],
+                                [range(m1)] * len(potential), sender_sup, m2)
+            assert (sender is not None) == _sender_side_oracle(
+                g, sender_sup, receiver_sup)
+            if sender is not None:
+                _check_rows(sender, sender_sup, m2)
+                weighted = np.einsum("amt,t,tm->ma", g.payoffs1, prior, sender)
+                for m in potential:
+                    _check_ties(weighted[m], receiver_sup[m], range(m1))
+            verdicts.add(("receiver", receiver is None))
+            verdicts.add(("sender", sender is None))
+    assert len(verdicts) == 4    # both sides are feasible and infeasible somewhere

@@ -48,13 +48,19 @@ def _dist_str(labels, weights) -> str:
 def _parse_params(text: str | None) -> dict:
     if not text:
         return {}
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                params = json.load(fh)
+        else:
+            params = json.loads(text)
+    except OSError as err:
+        raise CliError(f"cannot read --params file: {err}")
+    except ValueError as err:      # JSONDecodeError, or a file that is not UTF-8
         raise CliError(f"--params is not valid JSON: {err}")
+    if not isinstance(params, dict):
+        raise CliError(f"--params must be a JSON object, got {type(params).__name__}")
+    return params
 
 
 def _load_multistage(args) -> MultiStageGame:
@@ -177,10 +183,13 @@ def _static_game_for(args):
     info = getattr(args, "info", None)
     if args.scenario == "exercise-qb":
         return scenarios.build_exercise_qb(info or "uninformed")
-    if args.scenario == "static-bayesian":
-        return scenarios.build_static_bayesian(**params)
-    if args.scenario == "static-baseline":
-        return static.as_bayesian(scenarios.build_static_baseline(**params))
+    try:
+        if args.scenario == "static-bayesian":
+            return scenarios.build_static_bayesian(**params)
+        if args.scenario == "static-baseline":
+            return static.as_bayesian(scenarios.build_static_baseline(**params))
+    except TypeError as err:
+        raise CliError(f"scenario {args.scenario!r}: {err}")
     game = _load_multistage(args)
     return static.from_multistage(game)
 

@@ -66,32 +66,52 @@ class DominanceScreen:
                   (coef[b, g, o] - coef[a, g, o])
 
     bounds b's gain over a from below on all such rows (Porter, Nudelman
-    & Shoham 2008, conditional dominance).  The per-row minima are kept
-    for each (g, S_g), so a screen costs a few small sums.
+    & Shoham 2008, conditional dominance).
     """
 
     def __init__(self, coef: np.ndarray, own_feasible):
         self.coef = np.asarray(coef, dtype=float)
         self.own_feasible = list(own_feasible)
         self._threshold = _DOMINANCE_MARGIN * (1.0 + np.abs(self.coef).max())
-        self._minima: dict[tuple, np.ndarray] = {}
 
-    def _row_minima(self, g: int, support) -> np.ndarray:
-        key = (g, tuple(support))
-        minima = self._minima.get(key)
-        if minima is None:
-            block = self.coef[:, g, list(support)]
-            minima = (block[self.own_feasible][:, None] - block[None]).min(axis=2)
-            self._minima[key] = minima
-        return minima
+    def table(self, own_supports, opp_choices) -> np.ndarray:
+        """Verdicts on a whole grid of support systems, as one bool array.
 
-    def rejects(self, own_support, opp_supports) -> bool:
-        """True when some L(b, a) exceeds the margin: the system has no
-        solution, and no LP of it can report one.  False decides nothing."""
-        if 4 * sum(map(len, opp_supports)) + 2 * len(opp_supports) + 3 > _SCREEN_MAX_TERMS:
-            return False
-        bound = sum(self._row_minima(g, sup) for g, sup in enumerate(opp_supports))
-        return bool((bound[:, list(own_support)] > self._threshold).any())
+        Entry ``[i, k]`` is the system of own support ``own_supports[i]``
+        (a subset of ``own_feasible``) against the k-th opponent profile
+        of ``itertools.product(*opp_choices)``, where ``opp_choices[g]``
+        lists the supports ``S_g`` of opponent row g.  It is True when
+        some L(b, a) exceeds the margin: the system has no solution, and
+        no LP of it can report one.  False decides nothing, and a profile
+        whose system has more than ``_SCREEN_MAX_TERMS`` terms is never
+        rejected.  The bounds are summed over g = 0, 1, ... in that order
+        for every profile, so each verdict is the one a single-system
+        ``sum`` over g gives, bit for bit.
+
+        The float temporary holds ``n_profiles * F**2`` doubles for the F
+        own-feasible actions.  When the own supports are all nonempty
+        subsets of ``own_feasible`` and ``(2**F - 1) * n_profiles`` is
+        within the 10**6 profiles of ``static.solve_bne``'s default
+        budget, that is at most about 11 MB (at F = 2).
+        """
+        feasible = self.own_feasible
+        n_own = len(feasible)
+        bound = np.zeros((n_own, n_own))
+        n_y = np.zeros((), dtype=int)
+        for g, choices in enumerate(opp_choices):
+            block = self.coef[feasible, g, :]
+            gains = block[:, None, :] - block[None, :, :]   # [b, a, o]
+            minima = np.stack([gains[:, :, list(sup)].min(axis=2) for sup in choices])
+            bound = bound[..., None, :, :] + minima
+            n_y = n_y[..., None] + np.array([len(sup) for sup in choices])
+        screened = 4 * n_y.ravel() + 2 * len(opp_choices) + 3 <= _SCREEN_MAX_TERMS
+        beaten = (bound.reshape(-1, n_own, n_own) > self._threshold).any(axis=1)
+        beaten &= screened[:, None]                         # [profile, a]
+        column = {a: i for i, a in enumerate(feasible)}
+        members = np.zeros((len(own_supports), n_own), dtype=bool)
+        for i, sup in enumerate(own_supports):
+            members[i, [column[a] for a in sup]] = True
+        return members @ beaten.T       # boolean: some supported a is beaten
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ Mixed equilibria come from support enumeration with one feasibility LP
 per side, both built by :func:`static.support_lp`, the one builder of
 support-system LPs.  The receiver-side LP (sender optimality per type)
 runs first and is skipped when the conditional-dominance screen of
-:class:`lp.DominanceScreen` proves it infeasible; the sender-side LP is
-not screened, because its posterior weights can be 0.
+:class:`lp.DominanceScreen` proves it infeasible.  The screen runs once
+before the enumeration, as one table per sender type over all of the
+receiver's support profiles (:func:`static.screen_grid`).  The
+sender-side LP is not screened, because its posterior weights can be 0.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (EnumerationBudgetError, FiniteDistribution,
 # ``solve_lp`` is no longer called here; it stays importable by this name
 # for tools that wrap ``signaling.solve_lp`` to count LP calls.
 from .lp import DominanceScreen, solve_lp  # noqa: F401
-from .static import sized_subsets, support_lp, support_of
+from .static import screen_grid, sized_subsets, support_lp, support_of
 
 GAP_TOL = 1e-8
 _BAYES_TOL = 1e-9
@@ -368,15 +370,17 @@ def solve_mixed_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_
     coef, coef1 = _support_coefficients(game)
     screens = [DominanceScreen(coef[t], feasible[t]) for t in range(n)]
 
+    rejected = screen_grid(screens, sender_subsets, receiver_subsets)
+
     results: list[SignalingPBNE] = []
     seen: set[bytes] = set()
-    for sender_sup in itertools.product(*sender_subsets):
+    for sender_sup, row in zip(itertools.product(*sender_subsets), rejected):
         potential = sorted({m for sup in sender_sup for m in sup})
-        for receiver_sup in itertools.product(*receiver_subsets):
+        for receiver_sup, skip in zip(itertools.product(*receiver_subsets), row.tolist()):
             # Both sides must be solvable, so the screened receiver side
             # goes first; the sender side's posterior weights can be 0
             # and are not screened.
-            if any(s.rejects(own, receiver_sup) for s, own in zip(screens, sender_sup)):
+            if skip:
                 continue
             receiver = support_lp(coef, sender_sup, feasible, receiver_sup, m1)
             if receiver is None:

@@ -19,14 +19,17 @@ LPs of a candidate are skipped when a conditional-dominance screen
 (:class:`lp.DominanceScreen`) finds, on either side, a support action
 that another feasible action beats against every opponent mix on the
 opponent supports; such an LP could not have reported a solution, so
-results do not change.  Every candidate is re-verified against the
-exact best-response inequalities before it is reported; anything
-returned has deviation gap <= 1e-8.
+results do not change.  The screen runs before the enumeration, as one
+table per agent over all of its support systems; :func:`screen_grid`
+ORs the tables into one grid of rejected profiles.  Every candidate is
+re-verified against the exact best-response inequalities before it is
+reported; anything returned has deviation gap <= 1e-8.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +253,19 @@ def sized_subsets(items) -> list[tuple[int, ...]]:
                   key=lambda s: (len(s), s))
 
 
+def screen_grid(screens, own_choices, opp_choices) -> np.ndarray:
+    """``rejected[own_profile, opp_profile]`` over the support profiles
+    of both sides, each in ``itertools.product`` order of its choices:
+    True where some own agent's :meth:`lp.DominanceScreen.table` proves
+    that agent's support system infeasible."""
+    own_index = np.indices([len(c) for c in own_choices]).reshape(len(own_choices), -1)
+    rejected = np.zeros((own_index.shape[1], math.prod(len(c) for c in opp_choices)),
+                        dtype=bool)
+    for screen, choices, index in zip(screens, own_choices, own_index):
+        rejected |= screen.table(choices, opp_choices)[index]
+    return rejected
+
+
 def support_lp(coeffs, own_supports, own_feasible, opp_supports,
                opp_action_count: int) -> np.ndarray | None:
     """Feasibility LP of one side's support system.
@@ -352,6 +368,8 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
     returned in lexicographic support order (unless ``max_results`` cut
     the search short, in which case search order is kept).
     """
+    if max_results is not None and max_results < 1:
+        raise MalformedInputError(f"max_results must be at least 1, got {max_results}")
     agents1, agents2 = _make_agents(game)
     sized1 = [sized_subsets(a.feasible) for a in agents1]
     sized2 = [sized_subsets(a.feasible) for a in agents2]
@@ -367,12 +385,13 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
     m1, m2 = game.payoffs1.shape[0], game.payoffs1.shape[1]
     screens1 = [DominanceScreen(c, f) for c, f in zip(coeffs1, feas1)]
     screens2 = [DominanceScreen(c, f) for c, f in zip(coeffs2, feas2)]
+    rejected = (screen_grid(screens1, sized1, sized2)
+                | screen_grid(screens2, sized2, sized1).T)
     results: list[EquilibriumResult] = []
     seen: set[bytes] = set()
-    for sup1 in itertools.product(*sized1):
-        for sup2 in itertools.product(*sized2):
-            if (any(s.rejects(own, sup2) for s, own in zip(screens1, sup1))
-                    or any(s.rejects(own, sup1) for s, own in zip(screens2, sup2))):
+    for sup1, row in zip(itertools.product(*sized1), rejected):
+        for sup2, skip in zip(itertools.product(*sized2), row.tolist()):
+            if skip:
                 continue
             rows2 = support_lp(coeffs1, sup1, feas1, sup2, m2)
             if rows2 is None:

@@ -279,6 +279,37 @@ def test_params_override(capsys, tmp_path):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("command", [("solve", "ne", "--scenario", "static-baseline"),
+                                     ("solve", "bne", "--scenario", "static-bayesian"),
+                                     ("solve", "pbne", "--scenario", "apt",
+                                      "--max-iter", "1")], ids=["ne", "bne", "pbne"])
+@pytest.mark.parametrize("params", ["@missing.json", "@.", "@bad.json", "@list.json",
+                                    "5", "[1]", '"r0"', "{bad", '{"no_such_key": 1}'],
+                         ids=["missing", "directory", "bad-file", "list-file", "number",
+                              "list", "string", "bad", "unknown-key"])
+def test_bad_params_exit_2(capsys, tmp_path, command, params):
+    (tmp_path / "bad.json").write_text("{bad", encoding="utf-8")
+    (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
+    if params.startswith("@"):      # a file in tmp_path; "@." is the directory
+        params = "@" + str(tmp_path / params[1:])
+    out_file = tmp_path / "r.json"
+    code, _, err = run(capsys, *command, "--params", params, "--out", str(out_file))
+    assert code == 2
+    assert "params" in err or "scenario" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("max_results", ["0", "-1"])
+def test_solve_bne_max_results_below_one_exits_2(capsys, tmp_path, max_results):
+    out_file = tmp_path / "r.json"
+    code, _, err = run(capsys, "solve", "bne", "--scenario", "static-bayesian",
+                       "--max-results", max_results, "--out", str(out_file))
+    assert code == 2
+    assert "invalid input" in err and "max_results" in err
+    assert not out_file.exists()
+
+
 def test_verify_reproduces_solve_epsilon_exactly(capsys, tmp_path):
     out_file = tmp_path / "pbne.json"
     code, out, _ = run(capsys, "solve", "pbne", "--scenario", "apt", "--seed", "0",

@@ -5,6 +5,9 @@ screen switched off, and every system the screen rejects is one that
 ``solve_lp`` also finds infeasible.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -37,9 +40,62 @@ def _system_lp(coef, own_feasible, own_support, opp_supports) -> LinearProgram:
                                lower=[0.0] * len(var) + [-np.inf])
 
 
+def _verdict(coef, feas, own_support, opp_supports) -> bool:
+    """The screen's verdict on one system, from its definition: Python
+    sums over g of the per-row minima of coef[b] - coef[a]."""
+    if 4 * sum(map(len, opp_supports)) + 2 * len(opp_supports) + 3 > lp._SCREEN_MAX_TERMS:
+        return False
+    threshold = lp._DOMINANCE_MARGIN * (1.0 + np.abs(coef).max())
+    return any(sum(min(coef[b, g, o] - coef[a, g, o] for o in sup)
+                   for g, sup in enumerate(opp_supports)) > threshold
+               for a in own_support for b in feas)
+
+
+def _rejects(coef, feas, own_support, opp_supports) -> bool:
+    return bool(DominanceScreen(coef, feas).table([own_support],
+                                                  [[s] for s in opp_supports])[0, 0])
+
+
 # ---------------------------------------------------------------------------
-# margin
+# table = definition
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_opp", [1, 2, 3])
+def test_table_equals_the_definition(seed, n_opp):
+    rng = np.random.default_rng([seed, n_opp])
+    n_own, n_acts = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    shape = (n_own, n_opp, n_acts)
+    # integer payoffs make ties (L = 0, not rejected); normal ones do not
+    coef = (rng.integers(-2, 3, size=shape).astype(float) if seed % 2
+            else rng.normal(size=shape))
+    feas = sorted(rng.choice(n_own, size=int(rng.integers(1, n_own + 1)), replace=False).tolist())
+    own_supports = static.sized_subsets(feas)
+    opp_choices = [static.sized_subsets(range(n_acts))[:int(rng.integers(1, 6))]
+                   for _ in range(n_opp)]
+    table = DominanceScreen(coef, feas).table(own_supports, opp_choices)
+    combos = list(itertools.product(*opp_choices))
+    assert table.shape == (len(own_supports), len(combos))
+    assert table.tolist() == [[_verdict(coef, feas, own, combo) for combo in combos]
+                              for own in own_supports]
+
+
+def test_screen_grid_ors_every_agent_in_product_order():
+    rng = np.random.default_rng(8)
+    coefs = [rng.integers(-2, 3, size=(3, 2, 3)).astype(float) for _ in range(2)]
+    feas = [[0, 1, 2], [0, 2]]
+    own_choices = [static.sized_subsets(f) for f in feas]
+    opp_choices = [static.sized_subsets(range(3))] * 2
+    grid = static.screen_grid([DominanceScreen(c, f) for c, f in zip(coefs, feas)],
+                              own_choices, opp_choices)
+    expected = np.array([[[_verdict(c, f, own, opp) for c, f, own in zip(coefs, feas, owns)]
+                          for opp in itertools.product(*opp_choices)]
+                         for owns in itertools.product(*own_choices)])
+    assert grid.tolist() == expected.any(axis=2).tolist()
+    # each agent rejects some profile that the other does not
+    assert (expected[..., 0] & ~expected[..., 1]).any()
+    assert (expected[..., 1] & ~expected[..., 0]).any()
+
 
 def _near_tie(delta):
     # own action 1 beats action 0 by exactly delta against either opponent
@@ -51,10 +107,12 @@ def _near_tie(delta):
 def test_dominance_inside_margin_is_left_to_the_lp():
     threshold = lp._DOMINANCE_MARGIN * (1.0 + 10.0)
     coef, feas, own, opp = _near_tie(0.9 * threshold)
-    assert not DominanceScreen(coef, feas).rejects(own, opp)
+    assert not _rejects(coef, feas, own, opp)
+    assert not _verdict(coef, feas, own, opp)
     assert solve_lp(_system_lp(coef, feas, own, opp)).status == "infeasible"
     coef, feas, own, opp = _near_tie(1.1 * threshold)
-    assert DominanceScreen(coef, feas).rejects(own, opp)
+    assert _rejects(coef, feas, own, opp)
+    assert _verdict(coef, feas, own, opp)
 
 
 def test_clear_dominance_is_rejected_and_infeasible():
@@ -62,19 +120,22 @@ def test_clear_dominance_is_rejected_and_infeasible():
     coef = rng.normal(size=(3, 2, 3))
     coef[2] = coef[0] + 0.5         # action 2 beats action 0 everywhere
     feas, own, opp = [0, 1, 2], (0, 1), [(0, 2), (1,)]
-    assert DominanceScreen(coef, feas).rejects(own, opp)
+    assert _rejects(coef, feas, own, opp)
     assert solve_lp(_system_lp(coef, feas, own, opp)).status == "infeasible"
     # the action that dominates is itself never rejected
-    assert not DominanceScreen(coef, feas).rejects((2,), opp)
+    assert not _rejects(coef, feas, (2,), opp)
 
 
 def test_systems_beyond_the_derived_margin_are_not_screened():
-    n_y = lp._SCREEN_MAX_TERMS // 4
-    coef = np.zeros((2, 1, n_y))
+    n_y = (lp._SCREEN_MAX_TERMS - 5) // 4   # the largest screened row support
+    coef = np.zeros((2, 1, n_y + 1))
     coef[1] = 1.0
-    screen = DominanceScreen(coef, [0, 1])
-    assert not screen.rejects((0,), [tuple(range(n_y))])
-    assert screen.rejects((0,), [tuple(range(10))])
+    # one table, one profile on each side of the cap of 4 n_y + 2 G + 3 terms
+    choices = [[tuple(range(n_y)), tuple(range(n_y + 1)), tuple(range(10))]]
+    table = DominanceScreen(coef, [0, 1]).table([(0,), (1,), (0, 1)], choices)
+    assert table.tolist() == [[True, False, True], [False, False, False],
+                              [True, False, True]]
+    assert [_verdict(coef, [0, 1], (0,), [c]) for c in choices[0]] == [True, False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +206,26 @@ def _fingerprint(found) -> list:
     return out
 
 
+def _screen_off(self, own_supports, opp_choices):
+    return np.zeros((len(own_supports), math.prod(map(len, opp_choices))), dtype=bool)
+
+
 @pytest.mark.parametrize("solve", [pytest.param(s, id=n) for n, s in _solvers()])
 def test_screen_changes_no_equilibrium(monkeypatch, solve):
     rejected = {}
-    real = DominanceScreen.rejects
+    real = DominanceScreen.table
 
-    def recording(self, own_support, opp_supports):
-        out = real(self, own_support, opp_supports)
-        if out:
-            key = (self.coef.tobytes(), tuple(own_support), tuple(map(tuple, opp_supports)))
-            rejected[key] = (self.coef, self.own_feasible, own_support, opp_supports)
+    def recording(self, own_supports, opp_choices):
+        out = real(self, own_supports, opp_choices)
+        combos = list(itertools.product(*opp_choices))
+        for i, k in zip(*np.nonzero(out)):
+            own, opp = tuple(own_supports[i]), tuple(map(tuple, combos[k]))
+            rejected[(self.coef.tobytes(), own, opp)] = (self.coef, self.own_feasible, own, opp)
         return out
 
-    monkeypatch.setattr(DominanceScreen, "rejects", recording)
+    monkeypatch.setattr(DominanceScreen, "table", recording)
     screened = _fingerprint(solve())
-    monkeypatch.setattr(DominanceScreen, "rejects", lambda self, own, opp: False)
+    monkeypatch.setattr(DominanceScreen, "table", _screen_off)
     assert screened == _fingerprint(solve())
     assert screened
     for coef, feas, own, opp in rejected.values():
@@ -179,6 +245,6 @@ def test_screen_cuts_lp_calls_on_a_5x5_game(monkeypatch):
     static.mixed_ne(game)
     screened = len(calls)
     calls.clear()
-    monkeypatch.setattr(DominanceScreen, "rejects", lambda self, own, opp: False)
+    monkeypatch.setattr(DominanceScreen, "table", _screen_off)
     static.mixed_ne(game)
     assert 0 < screened <= len(calls) / 3

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from secgames.core import EnumerationBudgetError, FiniteDistribution
+from secgames.core import (EnumerationBudgetError, FiniteDistribution,
+                           MalformedInputError)
 from secgames.static import (BimatrixGame, StaticBayesianGame,
                              bayes_gap, best_response_set, equilibrium_values,
                              from_multistage, mixed_ne, prior_averaged_bimatrix,
@@ -138,6 +139,11 @@ class TestSolveBne:
             eqs = solve_bne(g, max_results=1)
             assert eqs, f"trial {trial} found no equilibrium"
             assert eqs[0].gap <= 1e-8
+
+    @pytest.mark.parametrize("max_results", [0, -1])
+    def test_max_results_below_one_is_malformed(self, max_results):
+        with pytest.raises(MalformedInputError, match="max_results"):
+            solve_bne(build_static_bayesian(), max_results=max_results)
 
     def test_informed_agents_cover_zero_prior_types(self):
         # a zero-prior informed type must still best-respond

@@ -8,7 +8,8 @@ decimals, and ``--out`` writes the full-precision JSON report, which is
 the artifact of record.
 
 Exit codes: 0 success, 2 invalid input (the validation findings are
-printed), 3 equilibrium-search non-convergence (``solve pbne`` only).
+printed; also a game too large for an enumeration's budget), 3
+equilibrium-search non-convergence (``solve pbne`` only).
 Reports omit wall-clock timings unless ``--timings`` is given, so a
 (command, seed) pair reproduces its report byte for byte.
 """
@@ -181,9 +182,9 @@ def _static_game_for(args):
     """Resolve the one-shot game for ne/bne/signaling commands."""
     params = _parse_params(getattr(args, "params", None))
     info = getattr(args, "info", None)
-    if args.scenario == "exercise-qb":
-        return scenarios.build_exercise_qb(info or "uninformed")
     try:
+        if args.scenario == "exercise-qb":
+            return scenarios.build_exercise_qb(info or "uninformed", **params)
         if args.scenario == "static-bayesian":
             return scenarios.build_static_bayesian(**params)
         if args.scenario == "static-baseline":
@@ -213,10 +214,14 @@ def cmd_solve_ne(args) -> int:
 def cmd_solve_bne(args) -> int:
     t0 = time.perf_counter()
     if args.scenario == "exercise-qb" and args.info == "complete":
+        try:
+            matrices = scenarios.exercise_qb_matrices(**_parse_params(args.params))
+        except TypeError as err:
+            raise CliError(f"scenario {args.scenario!r}: {err}")
         results = {}
-        for theta, bim in scenarios.exercise_qb_matrices().items():
+        for theta, bim in matrices.items():
             pure = static.pure_ne(bim)
-            mixed = static.mixed_ne(bim)
+            mixed = static.mixed_ne(bim, max_results=args.max_results)
             print(f"[{theta}] pure equilibria: {pure}")
             _print_equilibria(static.as_bayesian(bim), mixed, f"[{theta}] mixed")
             results[theta] = {
@@ -226,10 +231,7 @@ def cmd_solve_bne(args) -> int:
         _emit(args, _make_report(args, results, elapsed=time.perf_counter() - t0))
         return EXIT_OK
     g = _static_game_for(args)
-    try:
-        eqs = static.solve_bne(g, max_results=args.max_results)
-    except EnumerationBudgetError as err:
-        raise CliError(str(err))
+    eqs = static.solve_bne(g, max_results=args.max_results)
     _print_equilibria(g, eqs, "Bayesian equilibria")
     results = {"equilibria": _equilibria_payload(g, eqs)}
     _emit(args, _make_report(args, results, elapsed=time.perf_counter() - t0))
@@ -242,9 +244,9 @@ def cmd_solve_signaling(args) -> int:
     payload: dict = {}
     for method in (("pure", "mixed") if args.method == "both" else (args.method,)):
         if method == "pure":
-            found = signaling.solve_pure_pbne(g, off_path_grid=args.offpath_grid)
+            found = signaling.solve_pure_pbne(g)
         else:
-            found = signaling.solve_mixed_pbne(g, off_path_grid=args.offpath_grid)
+            found = signaling.solve_mixed_pbne(g)
         print(f"{method}: {len(found)} equilibrium(s)")
         rows = []
         for r in found:
@@ -260,8 +262,6 @@ def cmd_solve_signaling(args) -> int:
                 "receiver": {m: r.receiver[mi].tolist() for mi, m in enumerate(g.messages)},
                 "beliefs": {m: r.beliefs[mi].tolist() for mi, m in enumerate(g.messages)},
                 "off_path": [g.messages[m] for m in r.off_path],
-                "supporting_off_path_beliefs": {
-                    g.messages[m]: bs for m, bs in r.supporting_beliefs.items()},
                 "classification": r.classification,
                 "gap": r.gap,
             })
@@ -509,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     sig = solve_sub.add_parser("signaling",
                                help="perfect Bayesian equilibria, sender moves first")
     _add_game_source(sig)
-    sig.add_argument("--offpath-grid", type=int, default=signaling.DEFAULT_OFF_PATH_GRID,
-                     help="simplex grid resolution for off-path beliefs")
     sig.add_argument("--method", choices=("pure", "mixed", "both"), default="both")
     sig.set_defaults(func=cmd_solve_signaling, seed=None)
 
@@ -555,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as err:
         print(str(err), file=sys.stderr)
         return err.code
-    except MalformedInputError as err:
+    except (MalformedInputError, EnumerationBudgetError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -4,15 +4,19 @@ The sender (player 2, the user) learns a private type, then emits a
 message; the receiver (player 1, the defender) observes the message,
 updates her belief by Bayes' rule wherever the message has positive
 marginal probability, and best-responds.  Off the equilibrium path any
-belief is admissible, so candidate off-path beliefs are searched over a
-uniform simplex grid; everything reported is re-verified against the
-exact optimality and consistency conditions, which makes the output
-sound even though the grid search is not exhaustive.
+belief is admissible.  The beliefs under which every action of a reply
+support S is a best reply at message m form a polytope, {mu in the
+simplex : mu . (U[a] - U[b]) >= 0 for a in S and every b, with ties
+inside S}; :func:`_off_path_belief` decides whether it is empty with one
+support-system LP and stores the prior when the prior lies in it, else
+the LP's point.  Everything reported is re-verified against the exact
+optimality and consistency conditions.
 
 Mixed equilibria come from support enumeration with one feasibility LP
-per side, both built by :func:`static.support_lp`, the one builder of
-support-system LPs.  The receiver-side LP (sender optimality per type)
-runs first and is skipped when the conditional-dominance screen of
+per side.  These LPs and the off-path ones are all built by
+:func:`static.support_lp`, the one builder of support-system LPs.  The
+receiver-side LP (sender optimality per type) runs first and is
+skipped when the conditional-dominance screen of
 :class:`lp.DominanceScreen` proves it infeasible.  The screen runs once
 before the enumeration, as one table per sender type over all of the
 receiver's support profiles (:func:`static.screen_grid`).  The
@@ -22,7 +26,7 @@ sender-side LP is not screened, because its posterior weights can be 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +40,6 @@ from .static import screen_grid, sized_subsets, support_lp, support_of
 GAP_TOL = 1e-8
 _BAYES_TOL = 1e-9
 _TIE_TOL = 1e-9
-DEFAULT_OFF_PATH_GRID = 11
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,9 @@ class SignalingPBNE:
 
     ``receiver[m]`` is a distribution over actions at message ``m``;
     ``sender[t]`` a distribution over messages for type ``t``;
-    ``beliefs[m]`` the stored belief at ``m`` (Bayes posterior on path,
-    the canonical supporting belief off path).  ``supporting_beliefs``
-    keeps every grid belief found to sustain each off-path response.
+    ``beliefs[m]`` the stored belief at ``m``: the Bayes posterior on
+    path; off path the prior when it sustains the reply, else a point of
+    the exact region of beliefs that do (see :func:`_off_path_belief`).
     """
 
     receiver: np.ndarray
@@ -103,7 +106,6 @@ class SignalingPBNE:
     off_path: tuple[int, ...]
     classification: str
     gap: float
-    supporting_beliefs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "receiver", _readonly(self.receiver))
@@ -166,22 +168,6 @@ def classify(sender) -> str:
     return "semi-separating"
 
 
-def simplex_grid(n: int, resolution: int) -> list[np.ndarray]:
-    """Uniform grid on the (n-1)-simplex with `resolution` levels per axis."""
-    if resolution < 2:
-        raise MalformedInputError("grid resolution must be at least 2")
-    steps = resolution - 1
-    out = []
-    for combo in itertools.combinations_with_replacement(range(n), steps):
-        w = np.zeros(n)
-        for idx in combo:
-            w[idx] += 1.0 / steps
-        out.append(w)
-    # dedupe and order deterministically
-    uniq = sorted({tuple(np.round(w, 12)) for w in out})
-    return [np.array(u) for u in uniq]
-
-
 def _sender_values(game: SignalingGame, receiver: np.ndarray) -> np.ndarray:
     """Sender payoff table value[t, m] under a (message -> action mix) reply."""
     return np.einsum("amt,ma->tm", game.payoffs2, receiver)
@@ -219,44 +205,38 @@ def verify_pbne(game: SignalingGame, receiver: np.ndarray, sender: np.ndarray,
     return max(0.0, gap), bayes_err, notes
 
 
-def _off_path_support(game: SignalingGame, message: int, response: np.ndarray,
-                      grid: list[np.ndarray]) -> list[np.ndarray]:
-    """Grid beliefs under which every action in `response`'s support is optimal."""
-    sup = np.flatnonzero(response > 1e-12)
-    out = []
-    for belief in grid:
-        payoffs = game.payoffs1[:, message, :] @ belief
-        top = payoffs.max()
-        if np.all(payoffs[sup] >= top - _TIE_TOL):
-            out.append(belief)
-    return out
+def _off_path_belief(game: SignalingGame, message: int, support
+                     ) -> np.ndarray | None:
+    """A belief at ``message`` under which every action in ``support``
+    is a best reply: the prior when it is one, else the point that
+    :func:`support_lp` finds in the region of such beliefs (one own
+    agent, the receiver at ``message``, against one opponent row, the
+    type distribution), or None when that region is empty."""
+    if set(support) <= receiver_best_response(game, game.prior, message):
+        return np.array(game.prior.weights)
+    n = game.n_types
+    rows = support_lp([game.payoffs1[:, message, None, :]], [support],
+                      [range(game.n_actions)], [range(n)], n)
+    return None if rows is None else rows[0]
 
 
-def _canonical_off_belief(game: SignalingGame, message: int, response: np.ndarray,
-                          supporting: list[np.ndarray]) -> np.ndarray:
-    """Prefer the prior as the stored off-path belief when it works."""
-    prior = np.asarray(game.prior.weights)
-    payoffs = game.payoffs1[:, message, :] @ prior
-    sup = np.flatnonzero(response > 1e-12)
-    if np.all(payoffs[sup] >= payoffs.max() - _TIE_TOL):
-        return prior.copy()
-    return supporting[0]
-
-
-def solve_pure_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_GRID
-                    ) -> list[SignalingPBNE]:
+def solve_pure_pbne(game: SignalingGame) -> list[SignalingPBNE]:
     """Enumerate all pure-strategy equilibria.
 
     Every feasible type-to-message map is tried; receiver replies are
-    enumerated over best-response ties on path and over grid-belief
-    best responses off path, and kept when no sender type gains by
-    deviating to any feasible message.
+    enumerated over best-response ties on path and, off path, over every
+    action that some belief makes a best reply, and kept when no sender
+    type gains by deviating to any feasible message.
     """
     n, m2 = game.n_types, game.n_messages
     if m2 ** n > 10_000:
         raise EnumerationBudgetError(
             f"{m2}^{n} pure sender strategies exceed the enumeration budget")
-    grid = simplex_grid(n, off_path_grid)
+    # (action, belief) pairs per message for when it is off path; they do
+    # not depend on the sender map.  The prior always sustains some action.
+    off_choices = [[(a, belief) for a in range(game.n_actions)
+                    for belief in [_off_path_belief(game, m, (a,))] if belief is not None]
+                   for m in range(m2)]
 
     results: list[SignalingPBNE] = []
     feasible_msgs = [tuple(int(m) for m in np.flatnonzero(game.message_mask[t]))
@@ -266,39 +246,16 @@ def solve_pure_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_G
         sender[np.arange(n), sender_map] = 1.0
         # A message sent only by zero-prior types is off path too.
         posts = [posterior_from_sender(game.prior, sender, m) for m in range(m2)]
-        off_path = [m for m in range(m2) if posts[m] is None]
-        beliefs = np.zeros((m2, n))
-        choice_sets: list[list[tuple[int, np.ndarray, list[np.ndarray]]]] = []
-        dead = False
-        for m, post in enumerate(posts):
-            if post is not None:
-                beliefs[m] = post.weights
-                choice_sets.append([(a, np.asarray(post.weights), [])
-                                    for a in sorted(receiver_best_response(game, post, m))])
-            else:
-                by_action: dict[int, list[np.ndarray]] = {}
-                for belief in grid:
-                    for a in receiver_best_response(game, belief, m):
-                        by_action.setdefault(a, []).append(belief)
-                if not by_action:
-                    dead = True
-                    break
-                choice_sets.append([
-                    (a, _canonical_off_belief(game, m, _onehot(game.n_actions, a),
-                                              by_action[a]), by_action[a])
-                    for a in sorted(by_action)])
-        if dead:
-            continue
+        off_path = tuple(m for m in range(m2) if posts[m] is None)
+        choice_sets = [
+            off_choices[m] if post is None else
+            [(a, post.weights) for a in sorted(receiver_best_response(game, post, m))]
+            for m, post in enumerate(posts)]
 
         for combo in itertools.product(*choice_sets):
             receiver = np.zeros((m2, game.n_actions))
-            stored = beliefs.copy()
-            supporting: dict[int, list] = {}
-            for m, (a, bel, sup_list) in enumerate(combo):
-                receiver[m, a] = 1.0
-                stored[m] = bel
-                if m in off_path:
-                    supporting[m] = [s.tolist() for s in sup_list]
+            receiver[np.arange(m2), [a for a, _ in combo]] = 1.0
+            stored = np.array([belief for _, belief in combo])
             value = _sender_values(game, receiver)
             ok = True
             for t, mm in enumerate(sender_map):
@@ -312,17 +269,10 @@ def solve_pure_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_G
             if gap > GAP_TOL or bayes_err > _BAYES_TOL:
                 continue
             results.append(SignalingPBNE(
-                receiver, sender, stored, tuple(off_path),
-                classify(list(sender_map)), gap, supporting))
+                receiver, sender, stored, off_path, classify(list(sender_map)), gap))
     results.sort(key=lambda r: (tuple(np.argmax(r.sender, axis=1)),
                                 tuple(np.argmax(r.receiver, axis=1))))
     return results
-
-
-def _onehot(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
 
 
 def _support_coefficients(game: SignalingGame) -> tuple[np.ndarray, np.ndarray]:
@@ -348,20 +298,18 @@ def _support_coefficients(game: SignalingGame) -> tuple[np.ndarray, np.ndarray]:
     return coef, coef1
 
 
-def solve_mixed_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_GRID
-                     ) -> list[SignalingPBNE]:
+def solve_mixed_pbne(game: SignalingGame) -> list[SignalingPBNE]:
     """Mixed equilibria by agent-form support enumeration.
 
     Agents are sender types and receiver information sets (messages);
     candidate supports are resolved by two decoupled feasibility LPs and
     every solution is re-verified, with off-path responses required to
-    be optimal under some grid belief.
+    be optimal under some belief.
     """
     n, m1, m2 = game.n_types, game.n_actions, game.n_messages
     if n > 3 or m1 > 3 or m2 > 3:
         raise EnumerationBudgetError(
             "mixed-equilibrium enumeration is limited to 3 types/messages/actions")
-    grid = simplex_grid(n, off_path_grid)
     prior = np.asarray(game.prior.weights)
 
     feasible = [np.flatnonzero(game.message_mask[t]).tolist() for t in range(n)]
@@ -374,6 +322,7 @@ def solve_mixed_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_
 
     results: list[SignalingPBNE] = []
     seen: set[bytes] = set()
+    off_beliefs: dict[tuple, np.ndarray | None] = {}   # per (message, reply support)
     for sender_sup, row in zip(itertools.product(*sender_subsets), rejected):
         potential = sorted({m for sup in sender_sup for m in sup})
         for receiver_sup, skip in zip(itertools.product(*receiver_subsets), row.tolist()):
@@ -392,19 +341,19 @@ def solve_mixed_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_
             marginals = prior @ sender
             beliefs = np.zeros((m2, n))
             off_path = []
-            supporting: dict[int, list] = {}
             ok = True
             for m in range(m2):
                 if marginals[m] > 1e-12:
                     beliefs[m] = prior * sender[:, m] / marginals[m]
-                else:
-                    off_path.append(m)
-                    found = _off_path_support(game, m, receiver[m], grid)
-                    if not found:
-                        ok = False
-                        break
-                    beliefs[m] = _canonical_off_belief(game, m, receiver[m], found)
-                    supporting[m] = [b.tolist() for b in found]
+                    continue
+                off_path.append(m)
+                key = (m, tuple(np.flatnonzero(receiver[m] > 1e-12).tolist()))
+                if key not in off_beliefs:
+                    off_beliefs[key] = _off_path_belief(game, *key)
+                if off_beliefs[key] is None:
+                    ok = False
+                    break
+                beliefs[m] = off_beliefs[key]
             if not ok:
                 continue
             gap, bayes_err, notes = verify_pbne(game, receiver, sender, beliefs)
@@ -415,8 +364,7 @@ def solve_mixed_pbne(game: SignalingGame, off_path_grid: int = DEFAULT_OFF_PATH_
                 continue
             seen.add(key)
             results.append(SignalingPBNE(
-                receiver, sender, beliefs, tuple(off_path),
-                classify(sender), gap, supporting))
+                receiver, sender, beliefs, tuple(off_path), classify(sender), gap))
     results.sort(key=lambda r: (support_of(r.sender), support_of(r.receiver)))
     return results
 

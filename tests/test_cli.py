@@ -7,7 +7,7 @@ import pytest
 
 from secgames import signaling, static
 from secgames.cli import main
-from secgames.core import StrategyProfile
+from secgames.core import FiniteDistribution, StrategyProfile
 from secgames.gamejson import dump_json, game_to_dict, load_game, profile_to_dict
 from secgames.scenarios import build_apt_game, build_static_bayesian
 
@@ -53,8 +53,7 @@ def test_solve_bne_complete_variant(capsys):
 def test_solve_signaling(capsys, tmp_path):
     out_file = tmp_path / "sig.json"
     code, out, _ = run(capsys, "solve", "signaling", "--scenario",
-                       "static-bayesian", "--offpath-grid", "11",
-                       "--out", str(out_file))
+                       "static-bayesian", "--out", str(out_file))
     assert code == 0
     report = json.loads(out_file.read_text())
     assert report["results"]["pure"]
@@ -341,4 +340,54 @@ def test_verify_and_simulate_accept_markov_profiles(capsys, tmp_path):
     counts = json.loads(sim_out.read_text())["results"]["counts"]
     assert all(isinstance(c, int) for side in counts.values() for c in side)
     assert sum(counts["defender"]) == sum(counts["user"]) == 50
+
+
+
+def test_offpath_grid_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "signaling", "--scenario", "static-bayesian",
+              "--offpath-grid", "11"])
+    assert exc.value.code == 2
+    assert "--offpath-grid" in capsys.readouterr().err
+
+
+def _too_large_game(kind) -> static.StaticBayesianGame:
+    # 9x9 actions exceed mixed_ne's budget; 4 user types exceed the
+    # mixed signaling enumeration's
+    rng = np.random.default_rng(0)
+    m1, m2, n2 = (9, 9, 1) if kind == "ne" else (2, 2, 4)
+    return static.StaticBayesianGame(
+        ("d",), tuple(f"u{i}" for i in range(n2)), FiniteDistribution([1.0]),
+        FiniteDistribution(np.full(n2, 1 / n2)), rng.normal(size=(m1, m2, 1, n2)),
+        rng.normal(size=(m1, m2, 1, n2)), *static.StaticBayesianGame.full_masks(m1, m2, 1, n2))
+
+
+@pytest.mark.parametrize("command", [("ne",), ("signaling", "--method", "mixed")],
+                         ids=["ne-9x9", "signaling-4-types"])
+def test_enumeration_budget_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "game.json"
+    dump_json(game_to_dict(static.to_multistage(_too_large_game(command[0]))), str(path))
+    out_file = tmp_path / "r.json"
+    code, _, err = run(capsys, "solve", *command, "--game", str(path),
+                       "--out", str(out_file))
+    assert code == 2
+    assert "invalid input" in err and "enumeration" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("ne", "--params", '{"no_such": 1}'),
+    ("bne", "--params", '{"no_such": 1}'),
+    ("bne", "--info", "complete", "--params", '{"no_such": 1}'),
+    ("bne", "--info", "complete", "--max-results", "0")],
+    ids=["ne-params", "bne-params", "bne-complete-params", "bne-complete-max-results"])
+def test_exercise_qb_rejects_unused_options(capsys, tmp_path, argv):
+    out_file = tmp_path / "r.json"
+    code, _, err = run(capsys, "solve", argv[0], "--scenario", "exercise-qb", *argv[1:],
+                       "--out", str(out_file))
+    assert code == 2
+    assert "no_such" in err or "max_results" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
 

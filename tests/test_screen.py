@@ -201,7 +201,7 @@ def _fingerprint(found) -> list:
             rest = (r.ex_ante1, r.ex_ante2, r.gap, r.support)
         else:
             arrays = (r.receiver, r.sender, r.beliefs)
-            rest = (r.off_path, r.classification, r.gap, repr(r.supporting_beliefs))
+            rest = (r.off_path, r.classification, r.gap)
         out.append(tuple(a.tobytes() for a in arrays) + rest)
     return out
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from secgames.core import FiniteDistribution, MalformedInputError
-from secgames.signaling import (SignalingGame, as_signaling_game, classify,
-                                posterior_from_sender, receiver_best_response,
-                                simplex_grid, solve_mixed_pbne, solve_pure_pbne,
-                                verify_pbne)
+from secgames.signaling import (_TIE_TOL, SignalingGame, _off_path_belief,
+                                as_signaling_game, classify, posterior_from_sender,
+                                receiver_best_response, solve_mixed_pbne,
+                                solve_pure_pbne, verify_pbne)
 from secgames.scenarios import build_static_bayesian
 
 
@@ -78,19 +78,6 @@ class TestClassify:
             assert label == expected
 
 
-class TestSimplexGrid:
-    def test_resolution_and_validity(self):
-        pts = simplex_grid(2, 11)
-        assert len(pts) == 11
-        for p in pts:
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(p >= 0)
-
-    def test_three_types(self):
-        pts = simplex_grid(3, 5)
-        assert len(pts) == 15    # compositions of 4 into 3 parts
-
-
 class TestPurePbne:
     def test_escalation_equilibria_verified(self):
         g = escalation_signaling()
@@ -132,8 +119,29 @@ class TestPurePbne:
         g = escalation_signaling()
         for r in solve_pure_pbne(g):
             for m in r.off_path:
-                assert m in r.supporting_beliefs
-                assert r.supporting_beliefs[m]
+                reply = int(np.argmax(r.receiver[m]))
+                assert reply in receiver_best_response(g, r.beliefs[m], m)
+
+    def test_belief_band_missed_by_a_coarse_grid(self):
+        # a2 is a best reply at m1 only when P(t0) is in [0.31, 0.39],
+        # a band with no point of an 11-point grid; the sender gets 1 at
+        # m0, and at m1 gets 2 under a0 or a1 and 0 under a2
+        p1 = np.zeros((3, 2, 2))
+        p1[0, 1], p1[1, 1] = [6.1, -3.9], [-6.9, 3.1]
+        p2 = np.zeros((3, 2, 2))
+        p2[:, 0, :] = 1.0
+        p2[:2, 1, :] = 2.0
+        g = SignalingGame(("t0", "t1"), FiniteDistribution([0.5, 0.5]),
+                          ("m0", "m1"), ("a0", "a1", "a2"), p1, p2,
+                          np.ones((2, 2), bool))
+        found = solve_pure_pbne(g)
+        assert {(tuple(np.argmax(r.sender, axis=1)), int(np.argmax(r.receiver[1])))
+                for r in found} == {((0, 0), 2), ((1, 1), 0)}
+        for r in found:
+            if r.off_path == (1,):
+                assert 0.31 - 1e-9 <= r.beliefs[1, 0] <= 0.39 + 1e-9
+            gap, bayes_err, notes = verify_pbne(g, r.receiver, r.sender, r.beliefs)
+            assert gap <= 1e-8 and bayes_err <= 1e-9 and not notes
 
     def test_separating_posteriors_degenerate(self):
         # each type has a dominant own message; receiver learns the type
@@ -385,3 +393,45 @@ def test_support_lp_matches_highs_on_both_sides(seed, shape, zero_prior):
             verdicts.add(("receiver", receiver is None))
             verdicts.add(("sender", sender is None))
     assert len(verdicts) == 4    # both sides are feasible and infeasible somewhere
+
+
+def _region_oracle(g, m, support) -> bool:
+    """HiGHS verdict on the beliefs under which every action in `support`
+    is a best reply at message m."""
+    optimize = pytest.importorskip("scipy.optimize")
+    u = g.payoffs1[:, m, :]
+    a_ub = [u[b] - u[a] for a in support for b in range(g.n_actions)]
+    a_eq = [np.ones(g.n_types)] + [u[a] - u[support[0]] for a in support[1:]]
+    res = optimize.linprog(np.zeros(g.n_types), A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
+                           A_eq=a_eq, b_eq=[1.0] + [0.0] * (len(a_eq) - 1),
+                           bounds=[(0, None)] * g.n_types, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_off_path_belief_matches_highs(seed):
+    from secgames.static import sized_subsets
+    n = 2 + seed % 2
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n) + 0.1
+    weights[rng.integers(n)] = 0.0          # one zero-prior type
+    shape = (3, 2, n)
+    if seed % 4 < 2:
+        p1 = rng.integers(-3, 4, size=shape).astype(float)
+    else:
+        p1 = rng.normal(size=shape)
+    g = SignalingGame(tuple(f"t{i}" for i in range(n)),
+                      FiniteDistribution(weights / weights.sum()),
+                      ("m0", "m1"), ("a0", "a1", "a2"), p1, np.zeros(shape),
+                      np.ones((n, 2), bool))
+    for m in range(2):
+        for support in sized_subsets(range(3)):
+            belief = _off_path_belief(g, m, support)
+            assert (belief is not None) == _region_oracle(g, m, support), (m, support)
+            if belief is None:
+                continue
+            assert belief.shape == (n,) and (belief >= 0).all()
+            assert belief.sum() == pytest.approx(1.0, abs=1e-12)
+            values = g.payoffs1[:, m, :] @ belief
+            assert values[list(support)].min() >= values.max() - _TIE_TOL

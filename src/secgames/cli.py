@@ -213,6 +213,8 @@ def cmd_solve_ne(args) -> int:
 
 def cmd_solve_bne(args) -> int:
     t0 = time.perf_counter()
+    if args.info is not None and args.scenario != "exercise-qb":
+        raise CliError("--info applies only to --scenario exercise-qb")
     if args.scenario == "exercise-qb" and args.info == "complete":
         try:
             matrices = scenarios.exercise_qb_matrices(**_parse_params(args.params))
@@ -241,12 +243,13 @@ def cmd_solve_bne(args) -> int:
 def cmd_solve_signaling(args) -> int:
     t0 = time.perf_counter()
     g = signaling.as_signaling_game(_static_game_for(args))
+    # every method is solved before anything prints, so a method that
+    # refuses the game leaves no partial output
+    solved = {method: (signaling.solve_pure_pbne(g) if method == "pure"
+                       else signaling.solve_mixed_pbne(g))
+              for method in (("pure", "mixed") if args.method == "both" else (args.method,))}
     payload: dict = {}
-    for method in (("pure", "mixed") if args.method == "both" else (args.method,)):
-        if method == "pure":
-            found = signaling.solve_pure_pbne(g)
-        else:
-            found = signaling.solve_mixed_pbne(g)
+    for method, found in solved.items():
         print(f"{method}: {len(found)} equilibrium(s)")
         rows = []
         for r in found:
@@ -358,11 +361,18 @@ def cmd_solve_pbne(args) -> int:
 # verify / simulate
 # ---------------------------------------------------------------------------
 
+def _json_object(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise CliError(f"{path!r} must hold a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def _load_profile_and_beliefs(game: MultiStageGame, profile_path: str,
                               beliefs_path: str | None):
-    with open(profile_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if "results" in raw:      # a full solve report
+    raw = _json_object(profile_path)
+    if isinstance(raw.get("results"), dict):      # a full solve report
         prof_raw = raw["results"].get("profile")
         bel_raw = raw["results"].get("beliefs")
     else:
@@ -375,9 +385,8 @@ def _load_profile_and_beliefs(game: MultiStageGame, profile_path: str,
     if bad:
         raise CliError("invalid profile:\n  " + "\n  ".join(bad))
     if beliefs_path:
-        with open(beliefs_path, "r", encoding="utf-8") as fh:
-            bel_raw = json.load(fh)
-        if "results" in bel_raw:
+        bel_raw = _json_object(beliefs_path)
+        if isinstance(bel_raw.get("results"), dict):
             bel_raw = bel_raw["results"].get("beliefs")
     if bel_raw is not None:
         beliefs = gamejson.beliefs_from_dict(game, bel_raw)
@@ -500,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     bne = solve_sub.add_parser("bne", help="Bayesian equilibria of a one-shot game")
     _add_game_source(bne)
     bne.add_argument("--info", choices=scenarios.QB_INFO_VARIANTS,
-                     default="uninformed",
-                     help="information structure for scenario exercise-qb")
+                     help="information structure for scenario exercise-qb "
+                          "(default: uninformed)")
     bne.add_argument("--max-results", type=int, default=None,
                      help="stop after this many equilibria")
     bne.set_defaults(func=cmd_solve_bne, seed=None)

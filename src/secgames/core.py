@@ -447,7 +447,7 @@ class StrategyProfile:
                     out.append(f"player {player} stage {k} shape {arr.shape} "
                                f"!= {(n_blocks, n_own, m)}")
                     continue
-                if np.any(arr < -PROB_TOL) or np.any(
+                if not np.isfinite(arr).all() or np.any(arr < -PROB_TOL) or np.any(
                         np.abs(arr.sum(axis=2) - 1.0) > 1e-8):
                     out.append(f"player {player} stage {k} has an invalid distribution")
                 feas = (st.payoff1 if player == 1 else st.payoff2).feasible
@@ -511,14 +511,6 @@ class BeliefSystem:
     agg_about_2: tuple[np.ndarray, ...]
     agg_off_path: tuple[np.ndarray, ...]
     aggregation_discrepancy: float
-
-    def belief(self, player: int, node: NodeKey, own_type: int) -> FiniteDistribution:
-        table = self.belief_p1 if player == 1 else self.belief_p2
-        return FiniteDistribution(table[node][own_type])
-
-    def aggregate(self, about_player: int, k: int, x: int) -> FiniteDistribution:
-        table = self.agg_about_1 if about_player == 1 else self.agg_about_2
-        return FiniteDistribution(table[k][x])
 
     def nodes(self) -> list[NodeKey]:
         return sorted(self.belief_p1.keys(), key=lambda p: (len(p), p))

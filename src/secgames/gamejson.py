@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import (BeliefSystem, FiniteDistribution, MalformedInputError,
+from .core import (PROB_TOL, BeliefSystem, FiniteDistribution, MalformedInputError,
                    MultiStageGame, NodeKey, PayoffTensor, StageGame,
                    StrategyProfile, build_tree)
 
@@ -163,7 +163,10 @@ def profile_to_dict(game: MultiStageGame, profile: StrategyProfile) -> dict:
 
 
 def _row(raw_row, m: int, where: str) -> np.ndarray:
-    row = np.asarray(raw_row, dtype=float)
+    try:
+        row = np.asarray(raw_row, dtype=float)
+    except (TypeError, ValueError):
+        raise MalformedInputError(f"profile row for {where} is not numeric") from None
     if row.shape != (m,):
         raise MalformedInputError(f"profile row for {where} has shape {row.shape}, "
                                   f"expected ({m},)")
@@ -210,13 +213,14 @@ def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
                     f"profile missing {side} entry for stage {k}") from None
             arr = np.zeros((st.n_states, len(types), m))
             for x, state in enumerate(st.states):
-                per_state = stage_map.get(state)
-                if per_state is None:
+                try:
+                    raw_rows = [stage_map[state][t] for t in types]
+                except (KeyError, TypeError):
                     raise MalformedInputError(
-                        f"profile missing state {state!r} at stage {k}")
-                for ti, t in enumerate(types):
-                    arr[x, ti] = _row(per_state[t], m,
-                                      f"{side}/{t} at stage {k} state {state!r}")
+                        f"profile missing {side} rows for state {state!r} at stage {k}"
+                    ) from None
+                for ti, (t, raw_row) in enumerate(zip(types, raw_rows)):
+                    arr[x, ti] = _row(raw_row, m, f"{side}/{t} at stage {k} state {state!r}")
             out.append(arr)
     return StrategyProfile(tuple(sig1), tuple(sig2))
 
@@ -233,10 +237,13 @@ def _node_key_parse(game: MultiStageGame, text: str) -> NodeKey:
     if not text:
         return ()
     node = []
-    for k, part in enumerate(text.split(";")):
-        a1_label, a2_label = part.split(",")
-        st = game.stages[k]
-        node.append((st.actions1.index(a1_label), st.actions2.index(a2_label)))
+    try:
+        for k, part in enumerate(text.split(";")):
+            a1_label, a2_label = part.split(",")
+            st = game.stages[k]
+            node.append((st.actions1.index(a1_label), st.actions2.index(a2_label)))
+    except (IndexError, ValueError):
+        raise MalformedInputError(f"unknown history {text!r}") from None
     return tuple(node)
 
 
@@ -262,31 +269,51 @@ def beliefs_to_dict(game: MultiStageGame, beliefs: BeliefSystem) -> dict:
     }
 
 
+def _side_beliefs(game: MultiStageGame, tree, raw: dict, side: str, types,
+                  n_opp: int) -> tuple[dict, dict]:
+    """One side's node beliefs and off-path flags.  The beliefs are checked
+    once, as one stacked array: every history of ``tree`` exactly once,
+    and each row a distribution over the ``n_opp`` opponent types."""
+    per_history = raw[side]
+    off_path = set(raw.get("off_path", {}).get(side, []))
+    nodes = [_node_key_parse(game, key) for key in per_history]
+    if len(nodes) != len(tree) or set(nodes) != tree.keys():
+        raise MalformedInputError(f"{side} beliefs do not cover exactly the game's histories")
+    try:
+        rows = np.array([[per_type[t] for t in types] for per_type in per_history.values()],
+                        dtype=float)
+    except ValueError:      # a ragged or non-numeric row
+        rows = None
+    if rows is None or rows.shape != (len(nodes), len(types), n_opp):
+        raise MalformedInputError(f"{side} belief rows must be {n_opp} numbers each")
+    if not (np.isfinite(rows).all() and rows.min() >= -PROB_TOL
+            and np.abs(rows.sum(axis=2) - 1.0).max() <= PROB_TOL):
+        raise MalformedInputError(f"{side} belief rows must be distributions "
+                                  "over the opponent's types")
+    return (dict(zip(nodes, rows)),
+            {node: key in off_path for node, key in zip(nodes, per_history)})
+
+
 def beliefs_from_dict(game: MultiStageGame, raw: dict) -> BeliefSystem:
-    bel1, bel2, off1, off2 = {}, {}, {}, {}
-    off_d = set(raw.get("off_path", {}).get("defender", []))
-    off_u = set(raw.get("off_path", {}).get("user", []))
-    for key_str, per_type in raw["defender"].items():
-        node = _node_key_parse(game, key_str)
-        bel1[node] = np.stack([np.asarray(per_type[t], dtype=float)
-                               for t in game.types1])
-        off1[node] = key_str in off_d
-    for key_str, per_type in raw["user"].items():
-        node = _node_key_parse(game, key_str)
-        bel2[node] = np.stack([np.asarray(per_type[t], dtype=float)
-                               for t in game.types2])
-        off2[node] = key_str in off_u
-    agg = raw.get("aggregates", {})
-    agg1 = tuple(np.asarray(a, dtype=float) for a in agg.get(
-        "about_defender", [np.tile(game.prior_about_1.weights, (st.n_states, 1))
+    tree = build_tree(game)
+    try:
+        bel1, off1 = _side_beliefs(game, tree, raw, "defender", game.types1, game.n2)
+        bel2, off2 = _side_beliefs(game, tree, raw, "user", game.types2, game.n1)
+        agg = raw.get("aggregates", {})
+        agg1 = tuple(np.asarray(a, dtype=float) for a in agg.get(
+            "about_defender", [np.tile(game.prior_about_1.weights, (st.n_states, 1))
+                               for st in game.stages]))
+        agg2 = tuple(np.asarray(a, dtype=float) for a in agg.get(
+            "about_user", [np.tile(game.prior_about_2.weights, (st.n_states, 1))
                            for st in game.stages]))
-    agg2 = tuple(np.asarray(a, dtype=float) for a in agg.get(
-        "about_user", [np.tile(game.prior_about_2.weights, (st.n_states, 1))
-                       for st in game.stages]))
-    agg_off = tuple(np.asarray(a, dtype=bool) for a in agg.get(
-        "off_path", [np.zeros(st.n_states, dtype=bool) for st in game.stages]))
-    return BeliefSystem(bel1, bel2, off1, off2, agg1, agg2, agg_off,
-                        float(raw.get("aggregation_discrepancy", 0.0)))
+        agg_off = tuple(np.asarray(a, dtype=bool) for a in agg.get(
+            "off_path", [np.zeros(st.n_states, dtype=bool) for st in game.stages]))
+        discrepancy = float(raw.get("aggregation_discrepancy", 0.0))
+    except MalformedInputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise MalformedInputError(f"malformed beliefs: {err!r}") from None
+    return BeliefSystem(bel1, bel2, off1, off2, agg1, agg2, agg_off, discrepancy)
 
 
 def dump_json(payload: dict, path: str) -> None:

@@ -11,20 +11,19 @@ verdict is exact and which cannot cycle.  So is a floating-point run
 that reaches its pivot cap: its lowest-row ratio ties are not Bland's
 rule and can cycle on degenerate tableaus.
 
-Problems are stated as
+Problems are stated in standard form,
 
     maximize    c . z
     subject to  A_ub . z <= b_ub
                 A_eq . z == b_eq
-                lower <= z <= upper   (entries may be -inf / +inf)
+                z >= 0
 
-Free variables are split into positive parts; finite bounds are shifted
-or reflected away before the tableau is built.
+and a free variable is written by the caller as the difference of two
+columns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,21 +120,16 @@ class LinearProgram:
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
     @classmethod
-    def build(cls, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-              lower=None, upper=None) -> "LinearProgram":
+    def build(cls, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> "LinearProgram":
         c = np.atleast_1d(np.asarray(c, dtype=float))
         n = c.size
         a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
         b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
         a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
         b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
-        lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-        upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-        return cls(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
+        return cls(c, a_ub, b_ub, a_eq, b_eq)
 
     def check(self) -> None:
         n = self.c.size
@@ -143,8 +137,6 @@ class LinearProgram:
             raise MalformedInputError("constraint column count does not match variable count")
         if self.a_ub.shape[0] != self.b_ub.size or self.a_eq.shape[0] != self.b_eq.size:
             raise MalformedInputError("constraint row count does not match rhs length")
-        if self.lower.size != n or self.upper.size != n:
-            raise MalformedInputError("bound vectors do not match variable count")
         if not (np.isfinite(self.c).all() and np.isfinite(self.a_ub).all()
                 and np.isfinite(self.b_ub).all() and np.isfinite(self.a_eq).all()
                 and np.isfinite(self.b_eq).all()):
@@ -216,65 +208,19 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
 def solve_lp(problem: LinearProgram) -> LpSolution:
     """Solve a dense LP; infeasible/unbounded are statuses, never exceptions."""
     problem.check()
-    c, lower, upper = problem.c, problem.lower, problem.upper
-    n = c.size
-
-    # Rewrite every variable as one or two non-negative columns.
-    # columns[j] -> list of (original index, sign); offset restores shifts.
-    col_map: list[tuple[int, float]] = []
-    offset = np.zeros(n)
-    extra_ub_rows: list[np.ndarray] = []
-    extra_ub_rhs: list[float] = []
-    for j, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
-        if math.isfinite(lo):
-            offset[j] = lo
-            col_map.append((j, 1.0))
-            if math.isfinite(hi):
-                if hi < lo - _FEAS_TOL:
-                    return LpSolution("infeasible", None, None)
-                row = np.zeros(n)
-                row[j] = 1.0
-                extra_ub_rows.append(row)
-                extra_ub_rhs.append(hi)
-        elif math.isfinite(hi):
-            offset[j] = hi
-            col_map.append((j, -1.0))
-        else:
-            col_map.append((j, 1.0))
-            col_map.append((j, -1.0))
-
-    a_ub = problem.a_ub
-    b_ub = problem.b_ub
-    if extra_ub_rows:
-        a_ub = np.vstack([a_ub, np.array(extra_ub_rows)])
-        b_ub = np.concatenate([b_ub, np.array(extra_ub_rhs)])
-
-    n_std = len(col_map)
-
-    cols = np.array([j for j, _ in col_map], dtype=int)
-    signs = np.array([sign for _, sign in col_map])
-
-    def to_std(mat: np.ndarray) -> np.ndarray:
-        return mat[:, cols] * signs
-
-    c_std = c[cols] * signs
-    a_ub_std = to_std(a_ub)
-    b_ub_std = b_ub - a_ub @ offset
-    a_eq_std = to_std(problem.a_eq)
-    b_eq_std = problem.b_eq - problem.a_eq @ offset
-
-    n_ub = a_ub_std.shape[0]
-    n_eq = a_eq_std.shape[0]
+    n = problem.c.size
+    n_ub = problem.a_ub.shape[0]
+    n_eq = problem.a_eq.shape[0]
     m = n_ub + n_eq
 
     # Equalities first, then inequalities with slack columns appended.
-    body = np.zeros((m, n_std + n_ub))
+    body = np.zeros((m, n + n_ub))
     rhs = np.zeros(m)
-    body[:n_eq, :n_std] = a_eq_std
-    rhs[:n_eq] = b_eq_std
-    body[n_eq:, :n_std] = a_ub_std
-    body[n_eq:, n_std + np.arange(n_ub)] = np.eye(n_ub)
-    rhs[n_eq:] = b_ub_std
+    body[:n_eq, :n] = problem.a_eq
+    rhs[:n_eq] = problem.b_eq
+    body[n_eq:, :n] = problem.a_ub
+    body[n_eq:, n + np.arange(n_ub)] = np.eye(n_ub)
+    rhs[n_eq:] = problem.b_ub
 
     neg = rhs < 0
     body[neg] *= -1.0
@@ -285,15 +231,14 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     ready = np.full(m, -1, dtype=int)
     for r in range(n_eq, m):
         if not neg[r]:
-            ready[r] = n_std + (r - n_eq)
+            ready[r] = n + (r - n_eq)
     # A floating-point run whose verdict fails its check against the
     # original rows is repeated in exact rational arithmetic.
-    status, x_std = (_two_phase(body, rhs, ready, c_std, exact=False)
-                     or _two_phase(body, rhs, ready, c_std, exact=True))
+    status, x_std = (_two_phase(body, rhs, ready, problem.c, exact=False)
+                     or _two_phase(body, rhs, ready, problem.c, exact=True))
     if status != "optimal":
         return LpSolution(status, None, None)
-    z = offset.copy()
-    np.add.at(z, cols, signs * x_std[:n_std])   # in column order, as a loop adds
+    z = x_std[:n]
     return LpSolution("optimal", z, float(problem.c @ z))
 
 

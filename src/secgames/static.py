@@ -273,28 +273,29 @@ def support_lp(coeffs, own_supports, own_feasible, opp_supports,
     ``coeffs[i][own_action, opp_agent, opp_action]`` is own agent i's
     payoff, linear in the opponent rows (the format of
     :class:`lp.DominanceScreen`).  Unknowns are the opponent agents'
-    strategies, restricted to ``opp_supports``, plus one free value
-    variable per own agent.  Own-support actions must tie at the value;
-    the other ``own_feasible`` actions must not beat it.  Returns the
-    opponent rows as one ``(opp_agents, opp_action_count)`` array, or
-    None when the system is infeasible.
+    strategies, restricted to ``opp_supports``, plus one free value per
+    own agent, written as two columns v+ - v- after the opponent rows
+    (:func:`lp.solve_lp` takes z >= 0 only).  Own-support actions must
+    tie at the value; the other ``own_feasible`` actions must not beat
+    it.  Returns the opponent rows as one ``(opp_agents,
+    opp_action_count)`` array, or None when the system is infeasible.
     """
     var = [(g, a) for g, sup in enumerate(opp_supports) for a in sup]
     n_v = len(own_supports)
-    a_eq = [[float(vg == g) for vg, _ in var] + [0.0] * n_v
+    a_eq = [[float(vg == g) for vg, _ in var] + [0.0] * (2 * n_v)
             for g in range(len(opp_supports))]
     a_ub = []
     for i, (sup, feas, coef) in enumerate(zip(own_supports, own_feasible, coeffs)):
-        value = [0.0] * n_v
-        value[i] = -1.0
+        value = [0.0] * (2 * n_v)
+        value[2 * i:2 * i + 2] = -1.0, 1.0
         for b in feas:
             (a_eq if b in sup else a_ub).append([coef[b, g, a] for g, a in var] + value)
     b_eq = [1.0] * len(opp_supports) + [0.0] * (len(a_eq) - len(opp_supports))
     # ``solve_lp`` is looked up in this module, where tools that count
     # LP calls wrap it.
     sol = solve_lp(LinearProgram.build(
-        c=np.zeros(len(var) + n_v), a_ub=a_ub or None, b_ub=[0.0] * len(a_ub) or None,
-        a_eq=a_eq, b_eq=b_eq, lower=[0.0] * len(var) + [-np.inf] * n_v))
+        c=np.zeros(len(var) + 2 * n_v), a_ub=a_ub or None, b_ub=[0.0] * len(a_ub) or None,
+        a_eq=a_eq, b_eq=b_eq))
     if sol.status != "optimal":
         return None
     out = np.zeros((len(opp_supports), opp_action_count))

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from secgames import signaling, static
+from secgames import multistage, signaling, static
 from secgames.cli import main
 from secgames.core import FiniteDistribution, StrategyProfile
-from secgames.gamejson import dump_json, game_to_dict, load_game, profile_to_dict
+from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, load_game,
+                               profile_to_dict)
 from secgames.scenarios import build_apt_game, build_static_bayesian
 
 
@@ -362,15 +363,17 @@ def _too_large_game(kind) -> static.StaticBayesianGame:
         rng.normal(size=(m1, m2, 1, n2)), *static.StaticBayesianGame.full_masks(m1, m2, 1, n2))
 
 
-@pytest.mark.parametrize("command", [("ne",), ("signaling", "--method", "mixed")],
-                         ids=["ne-9x9", "signaling-4-types"])
+@pytest.mark.parametrize("command", [("ne",), ("signaling", "--method", "mixed"),
+                                     ("signaling", "--method", "both")],
+                         ids=["ne-9x9", "signaling-4-types", "signaling-both-4-types"])
 def test_enumeration_budget_exits_2(capsys, tmp_path, command):
     path = tmp_path / "game.json"
     dump_json(game_to_dict(static.to_multistage(_too_large_game(command[0]))), str(path))
     out_file = tmp_path / "r.json"
-    code, _, err = run(capsys, "solve", *command, "--game", str(path),
-                       "--out", str(out_file))
+    code, out, err = run(capsys, "solve", *command, "--game", str(path),
+                         "--out", str(out_file))
     assert code == 2
+    assert out == ""    # nothing is printed before every method has solved
     assert "invalid input" in err and "enumeration" in err
     assert "Traceback" not in err
     assert not out_file.exists()
@@ -391,3 +394,75 @@ def test_exercise_qb_rejects_unused_options(capsys, tmp_path, argv):
     assert "Traceback" not in err
     assert not out_file.exists()
 
+
+
+def _set_first_belief_row(row):
+    def mutate(profile, beliefs):
+        per_type = next(iter(beliefs["defender"].values()))
+        per_type[next(iter(per_type))] = row
+        return profile, beliefs
+    return mutate
+
+
+def _rename_first_history(profile, beliefs):
+    first = next(iter(beliefs["defender"]))
+    beliefs["defender"]["nope,nope"] = beliefs["defender"].pop(first)
+    return profile, beliefs
+
+
+def _drop_user_history(profile, beliefs):
+    beliefs["user"].pop(next(reversed(beliefs["user"])))
+    return profile, beliefs
+
+
+def _set_first_profile_row(row):
+    def mutate(profile, beliefs):
+        per_state = next(iter(profile["defender"][0].values()))
+        per_state[next(iter(per_state))] = row
+        return profile, beliefs
+    return mutate
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("mutate", [
+    _set_first_belief_row([0.5, 0.25, 0.25]), _rename_first_history, _drop_user_history,
+    _set_first_belief_row("x"), _set_first_belief_row([-3, 7]),
+    _set_first_belief_row([0.3, 0.3]), _set_first_belief_row([float("nan"), 1]),
+    _set_first_profile_row("x"), _set_first_profile_row([float("nan"), 0.5, 0.5]),
+    lambda profile, beliefs: ({"defender": [[1.0]], "user": [[1.0]]}, beliefs),
+    lambda profile, beliefs: ([profile], beliefs),
+    lambda profile, beliefs: (profile, [beliefs])],
+    ids=["belief-length", "unknown-history", "missing-user-history", "belief-not-numeric",
+         "belief-negative", "belief-sum", "belief-nan", "profile-not-numeric",
+         "profile-nan", "profile-stage-array", "profile-array", "beliefs-array"])
+def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
+    game = build_apt_game()
+    profile = StrategyProfile.uniform(game)
+    raw = (profile_to_dict(game, profile),
+           beliefs_to_dict(game, multistage.forward_pass(game, profile)))
+    profile_file, beliefs_file = tmp_path / "profile.json", tmp_path / "beliefs.json"
+    for payload, path in zip(mutate(*raw), (profile_file, beliefs_file)):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    out_file = tmp_path / "r.json"
+    code, _, err = run(capsys, command, "--scenario", "apt", "--profile", str(profile_file),
+                       "--beliefs", str(beliefs_file), *(["-n", "5"] if command == "simulate"
+                                                         else []), "--out", str(out_file))
+    assert code == 2
+    assert err and "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("source", [("--scenario", "static-bayesian"),
+                                    ("--scenario", "static-baseline"), ("--game",)],
+                         ids=["static-bayesian", "static-baseline", "game"])
+def test_solve_bne_info_outside_exercise_qb_exits_2(capsys, tmp_path, source):
+    if source == ("--game",):
+        path = tmp_path / "game.json"
+        dump_json(game_to_dict(static.to_multistage(build_static_bayesian())), str(path))
+        source = ("--game", str(path))
+    out_file = tmp_path / "r.json"
+    code, _, err = run(capsys, "solve", "bne", *source, "--info", "complete",
+                       "--out", str(out_file))
+    assert code == 2
+    assert "--info" in err and "exercise-qb" in err
+    assert not out_file.exists()

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from secgames import lp
 from secgames.core import MalformedInputError
 from secgames.lp import LinearProgram, solve_lp
 
@@ -39,19 +40,12 @@ def test_unbounded():
 
 def test_equality_and_free_variable():
     # maximize -|s| style: maximize -s with s free, s == 2.5
-    p = LinearProgram.build(c=[-1.0], a_eq=[[1.0]], b_eq=[2.5],
-                            lower=[-np.inf])
+    # s = z[0] - z[1]
+    p = LinearProgram.build(c=[-1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[2.5])
     sol = solve_lp(p)
     assert sol.status == "optimal"
-    assert sol.z[0] == pytest.approx(2.5, abs=1e-9)
-
-
-def test_upper_bounds_and_negative_lower():
-    # maximize x + y, -1 <= x <= 2, 0 <= y <= 0.5
-    p = LinearProgram.build(c=[1.0, 1.0], lower=[-1.0, 0.0], upper=[2.0, 0.5])
-    sol = solve_lp(p)
-    assert sol.status == "optimal"
-    assert sol.value == pytest.approx(2.5, abs=1e-9)
+    assert sol.z[0] - sol.z[1] == pytest.approx(2.5, abs=1e-9)
+    assert sol.value == pytest.approx(-2.5, abs=1e-9)
 
 
 def test_dimension_mismatch_raises():
@@ -157,65 +151,71 @@ def test_random_lps_with_equalities():
 # elements until phase 1 claimed a positive artificial sum: both came
 # back "infeasible".  The third, with coefficients down to 5e-12, came
 # back "optimal" at a point that broke its equality rows by 1.
+# The last four of the eight variables are free; each is written as a
+# (+, -) column pair.
 _STAGE_LPS = [
     dict(
         c=[2.222218831112405, 2.222218831112405, 2.458554261846667e-06,
-           2.458554261846667e-06, 0.999999237, 7.63e-07, 0.5, 0.5],
+           2.458554261846667e-06, 0.999999237, -0.999999237, 7.63e-07, -7.63e-07, 0.5,
+           -0.5, 0.5, -0.5],
         a_ub=[[0.44444071422480963, 0.44444071422480963, 3.391085236933333e-07,
-               3.391085236933333e-07, 0.0, 0.0, 1.0, 0.0],
+               3.391085236933333e-07, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
               [4.44443766222481, -2.5555569967751905, 3.391108523693334e-06,
-               -4.238891476306667e-06, 0.0, 0.0, 1.0, 0.0],
-              [1.999998474, 1.999998474, 1.526e-06, 1.526e-06, 0.0, 0.0, 0.0, 1.0],
-              [3.999996948, 0.0, 3.052e-06, 0.0, 0.0, 0.0, 0.0, 1.0],
-              [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]],
-        b_ub=[0.0, 0.0, 0.0, 0.0, -0.9999999999999999, -0.9999999999999999,
-              -2.0, -2.0]),
+               -4.238891476306667e-06, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
+              [1.999998474, 1.999998474, 1.526e-06, 1.526e-06, 0.0, 0.0, 0.0, 0.0, 0.0,
+               0.0, 1.0, -1.0],
+              [3.999996948, 0.0, 3.052e-06, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+               -1.0],
+              [0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0]],
+        b_ub=[0.0, 0.0, 0.0, 0.0, -0.9999999999999999, -0.9999999999999999, -2.0, -2.0]),
     dict(
         c=[0.2526889319751285, 1.925716692833145, 1.0483873799447183,
-           2.3565259980655915, 0.099999952, 0.900000048, 0.758064508, 0.241935492],
+           2.3565259980655915, 0.099999952, -0.099999952, 0.900000048, -0.900000048,
+           0.758064508, -0.758064508, 0.241935492, -0.241935492],
         a_ub=[[0.252688891010745, -0.5619401204257019, 0.0806453943225884,
-               1.2722703524257017, 1.0, 0.0, 0.0, 0.0],
+               1.2722703524257017, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
               [0.2526889514032462, 3.383008395120483, 0.08064541359679175,
-               -0.12999388178714916, 1.0, 0.0, 0.0, 0.0],
+               -0.12999388178714916, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
               [0.25268889101074504, -0.5619401204257019, 0.08064539432258842,
-               1.2722703524257017, 0.0, 1.0, 0.0, 0.0],
+               1.2722703524257017, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
               [0.25268902905075524, 5.6572019191204825, 0.08064543837791277,
-               -0.1299938817871491, 0.0, 1.0, 0.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]],
-        b_ub=[0.0, 0.0, 0.0, 0.0, 1.880001083652572e-08, 1.880001088139238e-08,
-              -4.0, -6.799999984959992]),
+               -0.1299938817871491, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0]],
+        b_ub=[0.0, 0.0, 0.0, 0.0, 1.880001083652572e-08, 1.880001088139238e-08, -4.0,
+              -6.799999984959992]),
     dict(
         c=[3.051995342750617e-06, 3.0519953426914076e-06, 3.0520046573520007e-06,
-           3.0520046573520007e-06, 0.034877107, 0.965122893, 0.999998474, 1.526e-06],
+           3.0520046573520007e-06, 0.034877107, -0.034877107, 0.965122893, -0.965122893,
+           0.999998474, -0.999998474, 1.526e-06, -1.526e-06],
         a_ub=[[3.051995342648e-06, -3.999990844004657, 4.6573520000000005e-12,
-               3.052004657352e-06, 1.0, 0.0, 0.0, 0.0],
+               3.052004657352e-06, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
               [3.051995342648e-06, 2.9999984739953423, 4.6573520000000005e-12,
-               -3.051995342648e-06, 1.0, 0.0, 0.0, 0.0],
+               -3.051995342648e-06, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
               [3.0519953426556594e-06, -3.999990844004657, 4.6573520000116885e-12,
-               3.052004657352e-06, 0.0, 1.0, 0.0, 0.0],
+               3.052004657352e-06, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
               [3.051995342741042e-06, 5.999993895995343, 4.657352000141982e-12,
-               -3.051995342648e-06, 0.0, 1.0, 0.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]],
-        b_ub=[0.0, 0.0, 0.0, 0.0, -5.551115123125783e-17, 0.8953686790000004,
-              -2.0, -2.0]),
+               -3.051995342648e-06, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0],
+              [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0]],
+        b_ub=[0.0, 0.0, 0.0, 0.0, -5.551115123125783e-17, 0.8953686790000004, -2.0,
+              -2.0]),
 ]
 
 
 def _stage_lp(case):
     return LinearProgram.build(
         case["c"], case["a_ub"], case["b_ub"],
-        a_eq=[[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-              [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]],
-        b_eq=[1.0, 1.0], lower=[0.0] * 4 + [-np.inf] * 4)
+        a_eq=[[1.0, 1.0, 0.0, 0.0] + [0.0] * 8,
+              [0.0, 0.0, 1.0, 1.0] + [0.0] * 8],
+        b_eq=[1.0, 1.0])
 
 
 @pytest.mark.parametrize("case", range(len(_STAGE_LPS)))
@@ -234,8 +234,7 @@ def test_stage_lp_matches_highs(case):
     optimize = pytest.importorskip("scipy.optimize")
     p = _stage_lp(_STAGE_LPS[case])
     ref = optimize.linprog(-p.c, A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq,
-                           b_eq=p.b_eq, bounds=[(0, None)] * 4 + [(None, None)] * 4,
-                           method="highs")
+                           b_eq=p.b_eq, method="highs")
     assert ref.status == 0
     assert solve_lp(p).value == pytest.approx(-ref.fun, abs=1e-9)
 
@@ -243,20 +242,20 @@ def test_stage_lp_matches_highs(case):
 # A support-enumeration LP of a random 3x3, 2x2-type `solve bne` game.
 # The floating-point run cycles on it: its ratio ties go to the lowest
 # row, which is not Bland's rule.  It used to spin forever; the pivot
-# cap now hands it to the exact run.
+# cap now hands it to the exact run.  Columns: three opponent-row
+# variables, then the two agents' values as (+, -) pairs.
 _CYCLING_LP = dict(
-    c=[0.0, 0.0, 0.0, 0.0, 0.0],
-    a_ub=[[-0.234061415232, -0.052492899943, -0.035039876832, -1.0, 0.0],
-          [-0.263314804166, -0.7800387730009999, -0.700171498152, -1.0, 0.0],
-          [-0.584242773252, -0.069420090315, 0.08588037105000002, 0.0, -1.0],
-          [0.136695766833, -0.041437655689, 0.182309719104, 0.0, -1.0]],
+    c=[0.0] * 7,
+    a_ub=[[-0.234061415232, -0.052492899943, -0.035039876832, -1.0, 1.0, 0.0, 0.0],
+          [-0.263314804166, -0.7800387730009999, -0.700171498152, -1.0, 1.0, 0.0, 0.0],
+          [-0.584242773252, -0.069420090315, 0.08588037105000002, 0.0, 0.0, -1.0, 1.0],
+          [0.136695766833, -0.041437655689, 0.182309719104, 0.0, 0.0, -1.0, 1.0]],
     b_ub=[0.0, 0.0, 0.0, 0.0],
-    a_eq=[[1.0, 1.0, 0.0, 0.0, 0.0],
-          [0.0, 0.0, 1.0, 0.0, 0.0],
-          [-0.098781107296, 0.390531584517, -0.448759353717, -1.0, 0.0],
-          [-0.802783023475, -0.299963226162, -0.66281824917, 0.0, -1.0]],
-    b_eq=[1.0, 1.0, 0.0, 0.0],
-    lower=[0.0, 0.0, 0.0, -np.inf, -np.inf])
+    a_eq=[[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+          [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+          [-0.098781107296, 0.390531584517, -0.448759353717, -1.0, 1.0, 0.0, 0.0],
+          [-0.802783023475, -0.299963226162, -0.66281824917, 0.0, 0.0, -1.0, 1.0]],
+    b_eq=[1.0, 1.0, 0.0, 0.0])
 
 
 def test_cycling_lp_ends_with_a_verdict():
@@ -274,6 +273,21 @@ def test_cycling_lp_matches_highs():
     optimize = pytest.importorskip("scipy.optimize")
     p = LinearProgram.build(**_CYCLING_LP)
     ref = optimize.linprog(-p.c, A_ub=p.a_ub, b_ub=p.b_ub, A_eq=p.a_eq, b_eq=p.b_eq,
-                           bounds=[(0, None)] * 3 + [(None, None)] * 2, method="highs")
+                           method="highs")
     assert ref.status == 2      # infeasible
     assert solve_lp(p).status == "infeasible"
+
+
+def test_cycling_lp_reaches_the_exact_run(monkeypatch):
+    # the floating-point run stalls at its pivot cap, so the verdict is
+    # the exact run's
+    calls = []
+    two_phase = lp._two_phase
+
+    def spy(*args, exact):
+        calls.append(exact)
+        return two_phase(*args, exact=exact)
+
+    monkeypatch.setattr(lp, "_two_phase", spy)
+    assert solve_lp(LinearProgram.build(**_CYCLING_LP)).status == "infeasible"
+    assert calls == [False, True]

@@ -8,8 +8,7 @@ from .lp import LinearProgram, LpSolution, solve_lp
 from .multistage import (BilinearStageSolution, EpsilonReport,
                          NonConvergenceReport, PbneSolution, ValueFunction,
                          backward_pass, belief_update, cumulative_utility,
-                         forward_pass, root_values, solve_pbne,
-                         stage_bilinear_solve, verify_epsilon)
+                         forward_pass, root_values, solve_pbne, verify_epsilon)
 from .signaling import (SignalingGame, SignalingPBNE, as_signaling_game,
                         classify, posterior_from_sender,
                         receiver_best_response, solve_mixed_pbne,

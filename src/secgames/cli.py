@@ -61,6 +61,9 @@ def _parse_params(text: str | None) -> dict:
         raise CliError(f"--params is not valid JSON: {err}")
     if not isinstance(params, dict):
         raise CliError(f"--params must be a JSON object, got {type(params).__name__}")
+    for key, value in params.items():    # json reads NaN, Infinity and 1e400
+        if isinstance(value, float) and not np.isfinite(value):
+            raise CliError(f"--params {key!r} must be a finite number, got {value}")
     return params
 
 
@@ -334,10 +337,10 @@ def cmd_solve_pbne(args) -> int:
         where = f"k={k} [{gamejson.history_label(game, node)}] x={st.states[x]}"
         for i, t in enumerate(game.types1):
             print(f"  {where} defender[{t}]: "
-                  f"{_dist_str(st.actions1, res.profile.rows(1, node, x)[i])}")
+                  f"{_dist_str(st.actions1, res.profile.rows(1, node)[i])}")
         for i, t in enumerate(game.types2):
             print(f"  {where} user[{t}]: "
-                  f"{_dist_str(st.actions2, res.profile.rows(2, node, x)[i])}")
+                  f"{_dist_str(st.actions2, res.profile.rows(2, node)[i])}")
     results = {
         "converged": True,
         "iterations": res.iterations,

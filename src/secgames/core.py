@@ -388,51 +388,50 @@ class StrategyProfile:
     is a distribution over stage-k defender actions (masked actions carry
     zero mass); ``sigma2`` likewise for the user.  ``classes`` maps every
     action history to the block its stage plays there, so histories that
-    end in one state may play differently.  Without ``classes`` the
-    profile is Markov: block ``x`` is state ``x`` and every history of a
-    state shares its rows.  Readers go through :meth:`rows`.
+    end in one state may play differently; a Markov profile is the case
+    where block ``x`` is state ``x`` and every history of a state maps
+    to it.  Readers go through :meth:`rows`.
     """
 
     sigma1: tuple[np.ndarray, ...]
     sigma2: tuple[np.ndarray, ...]
-    classes: dict | None = None
+    classes: dict
 
     def __post_init__(self):
         object.__setattr__(self, "sigma1", tuple(_readonly(a) for a in self.sigma1))
         object.__setattr__(self, "sigma2", tuple(_readonly(a) for a in self.sigma2))
-        if self.classes is not None:
-            object.__setattr__(self, "classes", dict(self.classes))
+        object.__setattr__(self, "classes", dict(self.classes))
 
-    def rows(self, player: int, node: "NodeKey", x: int) -> np.ndarray:
+    def rows(self, player: int, node: "NodeKey") -> np.ndarray:
         """Per-own-type rows, shape ``(n_types, m)``, played at history
-        ``node``, which ends in state ``x`` of stage ``len(node)``."""
-        block = x if self.classes is None else self.classes[node]
-        return (self.sigma1 if player == 1 else self.sigma2)[len(node)][block]
+        ``node``."""
+        return (self.sigma1 if player == 1 else self.sigma2)[len(node)][self.classes[node]]
 
     @classmethod
     def uniform(cls, game: MultiStageGame) -> "StrategyProfile":
-        """Uniform over feasible actions at every decision point."""
+        """Uniform over feasible actions at every decision point, as a
+        Markov profile."""
         s1, s2 = [], []
         for st in game.stages:
-            for out, tensor, m in ((s1, st.payoff1, st.m1), (s2, st.payoff2, st.m2)):
+            for out, tensor in ((s1, st.payoff1), (s2, st.payoff2)):
                 feas = tensor.feasible.astype(float)
                 out.append(feas / feas.sum(axis=2, keepdims=True))
-        return cls(tuple(s1), tuple(s2))
+        return cls(tuple(s1), tuple(s2),
+                   {node: x for node, (_, x) in build_tree(game).items()})
 
     def arrays(self, player: int) -> tuple[np.ndarray, ...]:
         return self.sigma1 if player == 1 else self.sigma2
 
     def violations(self, game: MultiStageGame) -> list[str]:
+        nodes = build_tree(game)
+        if self.classes.keys() != nodes.keys():
+            return ["profile rows do not cover exactly the game's histories"]
+        # (block, state) pairs per stage: a block is checked at every
+        # state its histories reach
+        placed: list[set] = [set() for _ in game.stages]
+        for node, (k, x) in nodes.items():
+            placed[k].add((self.classes[node], x))
         out = []
-        if self.classes is not None:
-            nodes = build_tree(game)
-            if self.classes.keys() != nodes.keys():
-                return ["profile rows do not cover exactly the game's histories"]
-            # (block, state) pairs per stage: a block is checked at every
-            # state its histories reach
-            placed: list[set] = [set() for _ in game.stages]
-            for node, (k, x) in nodes.items():
-                placed[k].add((self.classes[node], x))
         for player, rows in ((1, self.sigma1), (2, self.sigma2)):
             n_own = game.n1 if player == 1 else game.n2
             if len(rows) != len(game.stages):
@@ -442,7 +441,7 @@ class StrategyProfile:
             for k, st in enumerate(game.stages):
                 m = st.m1 if player == 1 else st.m2
                 arr = rows[k]
-                n_blocks = st.n_states if self.classes is None else arr.shape[0]
+                n_blocks = arr.shape[0]
                 if arr.shape != (n_blocks, n_own, m):
                     out.append(f"player {player} stage {k} shape {arr.shape} "
                                f"!= {(n_blocks, n_own, m)}")
@@ -450,14 +449,11 @@ class StrategyProfile:
                 if not np.isfinite(arr).all() or np.any(arr < -PROB_TOL) or np.any(
                         np.abs(arr.sum(axis=2) - 1.0) > 1e-8):
                     out.append(f"player {player} stage {k} has an invalid distribution")
-                feas = (st.payoff1 if player == 1 else st.payoff2).feasible
-                if self.classes is None:
-                    masked = arr[~feas]
-                elif any(not 0 <= c < n_blocks for c, _ in placed[k]):
+                if any(not 0 <= c < n_blocks for c, _ in placed[k]):
                     out.append(f"player {player} stage {k} names a missing row block")
                     continue
-                else:
-                    masked = np.concatenate([arr[c][~feas[x]] for c, x in sorted(placed[k])])
+                feas = (st.payoff1 if player == 1 else st.payoff2).feasible
+                masked = np.concatenate([arr[c][~feas[x]] for c, x in sorted(placed[k])])
                 if np.any(masked > PROB_TOL):
                     out.append(f"player {player} stage {k} puts mass on a masked action")
         return out

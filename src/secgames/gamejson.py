@@ -9,8 +9,10 @@ permissive about normalization problems (they surface later through
 validate_game); structural impossibilities raise.
 
 Profiles have two forms: a versioned per-history one, which
-``solve pbne`` writes, and the Markov form with one row per stage,
-state and type; :func:`profile_from_dict` reads both.
+:func:`profile_to_dict` writes, and the Markov form with one row per
+stage, state and type.  :func:`profile_from_dict` reads both, the
+Markov form as a per-history profile whose histories share their
+state's rows.
 """
 
 from __future__ import annotations
@@ -137,28 +139,13 @@ PROFILE_VERSION = 2
 
 
 def profile_to_dict(game: MultiStageGame, profile: StrategyProfile) -> dict:
-    """Markov profiles as ``side -> stage -> state -> type -> row``; a
-    profile with per-history rows as ``{"version": 2, side -> history ->
-    type -> row}``, histories keyed as in the belief format."""
-    if profile.classes is not None:
-        out: dict[str, Any] = {"version": PROFILE_VERSION}
-        for player, side, types in ((1, "defender", game.types1),
-                                    (2, "user", game.types2)):
-            out[side] = {
-                history_label(game, node): {
-                    t: row.tolist()
-                    for t, row in zip(types, profile.rows(player, node, x))}
-                for node, (_, x) in build_tree(game).items()}
-        return out
-    out = {"defender": [], "user": []}
-    for k, st in enumerate(game.stages):
-        for side, types, arrs in (("defender", game.types1, profile.sigma1),
-                                  ("user", game.types2, profile.sigma2)):
-            stage_map = {}
-            for x, state in enumerate(st.states):
-                stage_map[state] = {t: arrs[k][x, ti].tolist()
-                                    for ti, t in enumerate(types)}
-            out[side].append(stage_map)
+    """``{"version": 2, side -> history -> type -> row}``, histories
+    keyed as in the belief format."""
+    out: dict[str, Any] = {"version": PROFILE_VERSION}
+    for player, side, types in ((1, "defender", game.types1), (2, "user", game.types2)):
+        out[side] = {history_label(game, node): {
+            t: row.tolist() for t, row in zip(types, profile.rows(player, node))}
+            for node in build_tree(game)}
     return out
 
 
@@ -204,8 +191,9 @@ def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
         return _profile_by_history(game, raw)
     sig1, sig2 = [], []
     for k, st in enumerate(game.stages):
-        for side, types, m, out in (("defender", game.types1, st.m1, sig1),
-                                    ("user", game.types2, st.m2, sig2)):
+        for side, types, m, tensor, out in (
+                ("defender", game.types1, st.m1, st.payoff1, sig1),
+                ("user", game.types2, st.m2, st.payoff2, sig2)):
             try:
                 stage_map = raw[side][k]
             except (KeyError, IndexError, TypeError):
@@ -220,9 +208,16 @@ def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
                         f"profile missing {side} rows for state {state!r} at stage {k}"
                     ) from None
                 for ti, (t, raw_row) in enumerate(zip(types, raw_rows)):
-                    arr[x, ti] = _row(raw_row, m, f"{side}/{t} at stage {k} state {state!r}")
+                    where = f"{side}/{t} at stage {k} state {state!r}"
+                    arr[x, ti] = _row(raw_row, m, where)
+                    # checked here for every state: the profile's own
+                    # check sees only the states some history reaches
+                    if np.any(arr[x, ti][~tensor.feasible[x, ti]] > PROB_TOL):
+                        raise MalformedInputError(
+                            f"profile row for {where} puts mass on a masked action")
             out.append(arr)
-    return StrategyProfile(tuple(sig1), tuple(sig2))
+    return StrategyProfile(tuple(sig1), tuple(sig2),
+                           {node: x for node, (_, x) in build_tree(game).items()})
 
 
 def history_label(game: MultiStageGame, node: NodeKey) -> str:

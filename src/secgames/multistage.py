@@ -308,24 +308,6 @@ def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, warm=None
                                -2 if sol.exact else 0, sol.pivots)
 
 
-def stage_bilinear_solve(stage: StageGame, x, b_about_1, b_about_2,
-                         v1_next=None, v2_next=None, warm=None
-                         ) -> BilinearStageSolution:
-    """Solve the per-stage program at one state given beliefs and
-    per-next-state continuation values (zero when omitted)."""
-    xi = stage.state_index(x)
-    nxt = stage.transition_table[xi]
-    n1, n2 = stage.payoff1.values.shape[3:]
-    v1 = np.zeros((len(stage.next_states), n1)) if v1_next is None else np.asarray(v1_next)
-    v2 = np.zeros((len(stage.next_states), n2)) if v2_next is None else np.asarray(v2_next)
-    t1, t2, feas1, feas2 = _stage_tensors(stage, xi, v1[nxt], v2[nxt])
-    try:
-        return solve_stage_tensors(t1, t2, feas1, feas2, b_about_1, b_about_2,
-                                   warm=warm)
-    except SolverError as err:
-        raise SolverError(f"stage {stage.index}, state {stage.states[xi]!r}: {err}") from err
-
-
 # ---------------------------------------------------------------------------
 # History tree, forward pass, backward pass.
 # ---------------------------------------------------------------------------
@@ -374,12 +356,12 @@ def _bayes(bel: np.ndarray, opp_rows: np.ndarray):
 def _reach(game: MultiStageGame, nodes, profile: StrategyProfile) -> dict:
     """Probability of every history per type pair, ``(n1, n2)``."""
     reach = {(): np.ones((game.n1, game.n2))}
-    for path, (k, x) in nodes.items():
+    for path, (k, _) in nodes.items():
         if k == game.horizon:
             continue
         st = game.stages[k]
-        r1 = profile.rows(1, path, x)
-        r2 = profile.rows(2, path, x)
+        r1 = profile.rows(1, path)
+        r2 = profile.rows(2, path)
         for child in _children(path, st):
             a1, a2 = child[-1]
             reach[child] = reach[path] * np.outer(r1[:, a1], r2[:, a2])
@@ -400,12 +382,12 @@ def _node_beliefs(game: MultiStageGame, nodes, profile: StrategyProfile):
     bel2 = {(): np.tile(p1w, (n2, 1))}
     off1 = {(): False}
     off2 = {(): False}
-    for path, (k, x) in nodes.items():
+    for path, (k, _) in nodes.items():
         if k == game.horizon:
             continue
         st = game.stages[k]
-        post1, seen2 = _bayes(bel1[path], profile.rows(2, path, x))
-        post2, seen1 = _bayes(bel2[path], profile.rows(1, path, x))
+        post1, seen2 = _bayes(bel1[path], profile.rows(2, path))
+        post2, seen1 = _bayes(bel2[path], profile.rows(1, path))
         for child in _children(path, st):
             a1, a2 = child[-1]
             bel1[child] = post1[a2]
@@ -537,7 +519,7 @@ def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
             t1, t2, feas1, feas2 = _stage_tensors(st, x, cont1, cont2)
             warm = None
             if warm_profile is not None:
-                warm = (warm_profile.rows(1, path, x), warm_profile.rows(2, path, x))
+                warm = (warm_profile.rows(1, path), warm_profile.rows(2, path))
             try:
                 sol = solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, warm=warm)
             except SolverError as err:
@@ -625,8 +607,8 @@ def _node_values(game: MultiStageGame, nodes, profile: StrategyProfile,
     for path in reversed(list(nodes)):
         k, x = nodes[path]
         st = game.stages[k]
-        r1 = profile.rows(1, path, x)
-        r2 = profile.rows(2, path, x)
+        r1 = profile.rows(1, path)
+        r2 = profile.rows(2, path)
         if k < game.horizon:
             cont = np.array([value[c] for c in _children(path, st)]).reshape(
                 st.m1, st.m2, n_own)
@@ -711,10 +693,10 @@ def _profile_residual(game: MultiStageGame, a: StrategyProfile,
                       b: StrategyProfile) -> float:
     """Largest change of any history's rows between two profiles."""
     res = 0.0
-    for path, (_, x) in build_tree(game).items():
+    for path in build_tree(game):
         for player in (1, 2):
-            res = max(res, float(np.abs(a.rows(player, path, x)
-                                        - b.rows(player, path, x)).max()))
+            res = max(res, float(np.abs(a.rows(player, path)
+                                        - b.rows(player, path)).max()))
     return res
 
 

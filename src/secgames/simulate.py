@@ -241,7 +241,7 @@ class _Sampler:
         # history node ids: path per id, id per path, row block per id
         self._paths: list = [()]
         self._ids: dict = {(): 0}
-        self._blocks = [] if profile.classes is None else [profile.classes[()]]
+        self._blocks = [profile.classes[()]]
         self._bits = np.random.PCG64()
         self._gen = np.random.Generator(self._bits)
         self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
@@ -318,13 +318,13 @@ class _Sampler:
         x = np.full(n, self.x0)
         nodes = np.zeros(n, dtype=int)
         for k, st in enumerate(stages):
-            blocks = x if self.profile.classes is None else np.array(self._blocks)[nodes]
+            blocks = np.array(self._blocks)[nodes]
             a1 = self._actions(1, k, blocks, t1, u[:, 2 + 2 * k])
             a2 = self._actions(2, k, blocks, t2, u[:, 3 + 2 * k])
             states[:, k], a1s[:, k], a2s[:, k] = x, a1, a2
             pay1[:, k] = st.payoff1.values[x, a1, a2, t1, t2]
             pay2[:, k] = st.payoff2.values[x, a1, a2, t1, t2]
-            if self.profile.classes is not None and k + 1 < n_stages:
+            if k + 1 < n_stages:
                 nodes = self._children(nodes, a1, a2, st.m1, st.m2)
             x = st.transition_table[x, a1, a2]
         states[:, n_stages] = x

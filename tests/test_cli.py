@@ -7,10 +7,11 @@ import pytest
 
 from secgames import multistage, signaling, static
 from secgames.cli import main
-from secgames.core import FiniteDistribution, StrategyProfile
-from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, load_game,
-                               profile_to_dict)
+from secgames.core import FiniteDistribution, StrategyProfile, build_tree
+from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, history_label,
+                               load_game)
 from secgames.scenarios import build_apt_game, build_static_bayesian
+from tests.test_gamejson import markov_profile_dict
 
 
 def run(capsys, *argv):
@@ -204,7 +205,7 @@ def test_simulate_bad_n_exits_2(capsys, tmp_path):
 def test_simulate_bad_noise_scale_exits_2(capsys, tmp_path):
     game = build_apt_game()
     path = tmp_path / "markov.json"
-    dump_json(profile_to_dict(game, StrategyProfile.uniform(game)), str(path))
+    dump_json(markov_profile_dict(game, StrategyProfile.uniform(game)), str(path))
     out_file = tmp_path / "sim.json"
     # the last two are finite, but the noisy totals or their squares
     # overflow float64
@@ -221,7 +222,7 @@ def test_simulate_bad_noise_scale_exits_2(capsys, tmp_path):
 def _markov_profile(tmp_path):
     game = build_apt_game()
     path = tmp_path / "markov.json"
-    dump_json(profile_to_dict(game, StrategyProfile.uniform(game)), str(path))
+    dump_json(markov_profile_dict(game, StrategyProfile.uniform(game)), str(path))
     return str(path)
 
 
@@ -284,9 +285,11 @@ def test_params_override(capsys, tmp_path):
                                      ("solve", "pbne", "--scenario", "apt",
                                       "--max-iter", "1")], ids=["ne", "bne", "pbne"])
 @pytest.mark.parametrize("params", ["@missing.json", "@.", "@bad.json", "@list.json",
-                                    "5", "[1]", '"r0"', "{bad", '{"no_such_key": 1}'],
+                                    "5", "[1]", '"r0"', "{bad", '{"no_such_key": 1}',
+                                    '{"r1": 1e400}', '{"r1": NaN}', '{"r1": -Infinity}'],
                          ids=["missing", "directory", "bad-file", "list-file", "number",
-                              "list", "string", "bad", "unknown-key"])
+                              "list", "string", "bad", "unknown-key", "overflow", "nan",
+                              "infinity"])
 def test_bad_params_exit_2(capsys, tmp_path, command, params):
     (tmp_path / "bad.json").write_text("{bad", encoding="utf-8")
     (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
@@ -298,6 +301,8 @@ def test_bad_params_exit_2(capsys, tmp_path, command, params):
     assert "params" in err or "scenario" in err
     assert "Traceback" not in err
     assert not out_file.exists()
+    if params.startswith('{"'):       # the message names the offending key
+        assert repr(next(iter(json.loads(params)))) in err
 
 
 @pytest.mark.parametrize("max_results", ["0", "-1"])
@@ -329,7 +334,7 @@ def test_verify_reproduces_solve_epsilon_exactly(capsys, tmp_path):
 def test_verify_and_simulate_accept_markov_profiles(capsys, tmp_path):
     game = build_apt_game()
     path = tmp_path / "markov.json"
-    dump_json(profile_to_dict(game, StrategyProfile.uniform(game)), str(path))
+    dump_json(markov_profile_dict(game, StrategyProfile.uniform(game)), str(path))
     code, out, _ = run(capsys, "verify", "--scenario", "apt", "--profile", str(path))
     assert code == 0
     assert "no beliefs supplied" in out
@@ -342,6 +347,62 @@ def test_verify_and_simulate_accept_markov_profiles(capsys, tmp_path):
     assert all(isinstance(c, int) for side in counts.values() for c in side)
     assert sum(counts["defender"]) == sum(counts["user"]) == 50
 
+
+
+def _per_history_expansion(game, markov: dict) -> dict:
+    """The versioned per-history form of a Markov profile file: every
+    history carries a copy of its state's rows."""
+    out = {"version": 2}
+    for side in ("defender", "user"):
+        out[side] = {history_label(game, node): markov[side][k][game.stages[k].states[x]]
+                     for node, (k, x) in build_tree(game).items()}
+    return out
+
+
+@pytest.mark.parametrize("noise", ["none", "gaussian:1.0", "uniform:0.5"])
+@pytest.mark.parametrize("initial_state", ["external", "internal"])
+def test_markov_file_matches_its_per_history_expansion(capsys, tmp_path, initial_state,
+                                                       noise):
+    game = build_apt_game(initial_state=initial_state)
+    uniform = StrategyProfile.uniform(game)
+    rng = np.random.default_rng(5)
+    mixed = [[rng.random(a.shape) * (a > 0) for a in arrs]
+             for arrs in (uniform.sigma1, uniform.sigma2)]
+    profile = StrategyProfile(*(tuple(r / r.sum(axis=2, keepdims=True) for r in rows)
+                                for rows in mixed), uniform.classes)
+    markov = markov_profile_dict(game, profile)
+    # one file path for both forms, so the reports' command lines agree
+    path, out_file = tmp_path / "profile.json", tmp_path / "r.json"
+    params = json.dumps({"initial_state": initial_state})
+    runs = []
+    for payload in (markov, _per_history_expansion(game, markov)):
+        dump_json(payload, str(path))
+        for argv in (("verify",), ("simulate", "-n", "500", "--noise", noise)):
+            code, out, err = run(capsys, *argv, "--scenario", "apt", "--params", params,
+                                 "--profile", str(path), "--out", str(out_file))
+            runs.append((code, out, err, out_file.read_bytes()))
+            out_file.unlink()
+    assert [r[0] for r in runs] == [0] * 4
+    assert runs[:2] == runs[2:]
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_markov_mass_on_masked_action_at_unreached_state_exits_2(capsys, tmp_path,
+                                                                command):
+    # no history of the internal game reaches state "external", yet its
+    # rows are input and are checked like any other
+    game = build_apt_game(initial_state="internal")
+    raw = markov_profile_dict(game, StrategyProfile.uniform(game))
+    raw["user"][0]["external"]["legitimate"] = [0.2, 0.3, 0.5]
+    path, out_file = tmp_path / "markov.json", tmp_path / "r.json"
+    dump_json(raw, str(path))
+    code, _, err = run(capsys, command, "--scenario", "apt", "--params",
+                       '{"initial_state": "internal"}', "--profile", str(path),
+                       *(["-n", "5"] if command == "simulate" else []),
+                       "--out", str(out_file))
+    assert code == 2
+    assert "masked action" in err and "Traceback" not in err
+    assert not out_file.exists()
 
 
 def test_offpath_grid_flag_is_gone(capsys):
@@ -438,7 +499,7 @@ def _set_first_profile_row(row):
 def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
     game = build_apt_game()
     profile = StrategyProfile.uniform(game)
-    raw = (profile_to_dict(game, profile),
+    raw = (markov_profile_dict(game, profile),
            beliefs_to_dict(game, multistage.forward_pass(game, profile)))
     profile_file, beliefs_file = tmp_path / "profile.json", tmp_path / "beliefs.json"
     for payload, path in zip(mutate(*raw), (profile_file, beliefs_file)):

@@ -212,7 +212,7 @@ class TestStrategyProfile:
         prof = StrategyProfile.uniform(g)
         bad0 = prof.sigma2[0].copy()
         bad0[:, 1] = [0.2, 0.3, 0.5]
-        bad = StrategyProfile(prof.sigma1, (bad0,) + prof.sigma2[1:])
+        bad = StrategyProfile(prof.sigma1, (bad0,) + prof.sigma2[1:], prof.classes)
         assert any("masked" in v for v in bad.violations(g))
 
     def test_unnormalized_row_flagged(self):
@@ -220,7 +220,7 @@ class TestStrategyProfile:
         prof = StrategyProfile.uniform(g)
         bad0 = prof.sigma1[0].copy()
         bad0[0, 0] = [0.9, 0.0, 0.0]
-        bad = StrategyProfile((bad0,) + prof.sigma1[1:], prof.sigma2)
+        bad = StrategyProfile((bad0,) + prof.sigma1[1:], prof.sigma2, prof.classes)
         assert any("invalid distribution" in v for v in bad.violations(g))
 
     def test_per_history_profile_must_cover_every_history(self):

@@ -20,6 +20,17 @@ def apt():
     return build_apt_game()
 
 
+def markov_profile_dict(game, profile) -> dict:
+    """The documented Markov file form, ``side -> stage -> state -> type
+    -> row``, of a profile whose row block ``x`` is state ``x`` (as
+    :meth:`StrategyProfile.uniform` builds it)."""
+    return {side: [{state: {t: arrs[k][x, ti].tolist() for ti, t in enumerate(types)}
+                    for x, state in enumerate(st.states)}
+                   for k, st in enumerate(game.stages)]
+            for side, types, arrs in (("defender", game.types1, profile.sigma1),
+                                      ("user", game.types2, profile.sigma2))}
+
+
 class TestGameRoundTrip:
     def test_apt_round_trip(self, apt):
         raw = game_to_dict(apt)
@@ -74,13 +85,23 @@ class TestGameRoundTrip:
 class TestProfileRoundTrip:
     def test_uniform_profile(self, apt):
         prof = StrategyProfile.uniform(apt)
-        back = profile_from_dict(apt, profile_to_dict(apt, prof))
+        raw = profile_to_dict(apt, prof)
+        assert raw["version"] == 2
+        back = profile_from_dict(apt, raw)
+        for node in build_tree(apt):
+            for player in (1, 2):
+                np.testing.assert_array_equal(back.rows(player, node), prof.rows(player, node))
+
+    def test_markov_form_reads_as_shared_rows(self, apt):
+        prof = StrategyProfile.uniform(apt)
+        back = profile_from_dict(apt, markov_profile_dict(apt, prof))
+        assert back.classes == {node: x for node, (_, x) in build_tree(apt).items()}
         for a, b in zip(prof.sigma1 + prof.sigma2, back.sigma1 + back.sigma2):
-            np.testing.assert_allclose(a, b, atol=0)
+            np.testing.assert_array_equal(a, b)
 
     def test_missing_state_raises(self, apt):
         prof = StrategyProfile.uniform(apt)
-        raw = profile_to_dict(apt, prof)
+        raw = markov_profile_dict(apt, prof)
         del raw["defender"][0]["external"]
         with pytest.raises(MalformedInputError):
             profile_from_dict(apt, raw)
@@ -93,10 +114,10 @@ class TestProfileRoundTrip:
         dump_json(raw, str(path))
         back = profile_from_dict(apt, json.loads(path.read_text()))
         assert back.violations(apt) == []
-        for node, (_, x) in build_tree(apt).items():
+        for node in build_tree(apt):
             for player in (1, 2):
-                np.testing.assert_array_equal(back.rows(player, node, x),
-                                              prof.rows(player, node, x))
+                np.testing.assert_array_equal(back.rows(player, node),
+                                              prof.rows(player, node))
         bel = forward_pass(apt, prof)
         ref = verify_epsilon(apt, prof, bel)
         got = verify_epsilon(apt, back, beliefs_from_dict(apt, beliefs_to_dict(apt, bel)))

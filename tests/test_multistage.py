@@ -14,8 +14,8 @@ from secgames.multistage import (ROW_ZERO_TOL, NonConvergenceReport,
                                  PbneSolution, backward_pass, belief_update, build_tree,
                                  cumulative_utility, forward_pass,
                                  prior_beliefs, root_values, solve_pbne,
-                                 solve_stage_tensors,
-                                 stage_bilinear_solve, stage_deviation_gaps,
+                                 _stage_tensors, solve_stage_tensors,
+                                 stage_deviation_gaps,
                                  verify_epsilon)
 from secgames.scenarios import (build_apt_game, build_static_bayesian,
                                 default_apt_parameters, exercise_qb_matrices)
@@ -87,7 +87,9 @@ class TestStageBilinear:
         p = type(p)(**{**p.__dict__, "r1": 1.0, "r2": 4.0, "r3": 3.0, "r4": 6.0})
         from secgames.scenarios import escalation_stage_game
         st = escalation_stage_game(p)
-        sol = stage_bilinear_solve(st, "employee", [0.5, 0.5], [0.5, 0.5])
+        zero = np.zeros((st.m1, st.m2, 2))
+        t1, t2, feas1, feas2 = _stage_tensors(st, st.state_index("employee"), zero, zero)
+        sol = solve_stage_tensors(t1, t2, feas1, feas2, [0.5, 0.5], [0.5, 0.5])
         assert sol.converged
         g = StaticBayesianGame(
             ("low", "high"), ("adversarial", "legitimate"),
@@ -153,7 +155,7 @@ class TestForwardPass:
         # overwrite the user rows so both types share one feasible mix
         sig2 = [a.copy() for a in prof.sigma2]
         sig2[0][:, :, :] = np.array([0.5, 0.5, 0.0])
-        prof2 = StrategyProfile(prof.sigma1, tuple(sig2))
+        prof2 = StrategyProfile(prof.sigma1, tuple(sig2), prof.classes)
         # defender rows are type-dependent only through masks (none here)
         bel = forward_pass(g, prof2)
         for k in range(2):
@@ -167,7 +169,7 @@ class TestForwardPass:
         sig2 = [a.copy() for a in prof.sigma2]
         sig2[0][:, 0, :] = [0.0, 1.0, 0.0]   # adversarial mails the executive
         sig2[0][:, 1, :] = [1.0, 0.0, 0.0]   # legitimate mails the employee
-        prof2 = StrategyProfile(prof.sigma1, tuple(sig2))
+        prof2 = StrategyProfile(prof.sigma1, tuple(sig2), prof.classes)
         bel = forward_pass(g, prof2)
         for node, arr in bel.belief_p1.items():
             if len(node) != 1:
@@ -184,7 +186,7 @@ class TestForwardPass:
         sig2 = [a.copy() for a in prof.sigma2]
         sig2[0][:, 0, :] = [1.0, 0.0, 0.0]
         sig2[0][:, 1, :] = [0.5, 0.5, 0.0]
-        prof2 = StrategyProfile(prof.sigma1, tuple(sig2))
+        prof2 = StrategyProfile(prof.sigma1, tuple(sig2), prof.classes)
         bel = forward_pass(g, prof2)
         node = ((0, 0),)
         post, _ = belief_update([0.5, 0.5], sig2[0][0], 0)
@@ -202,8 +204,10 @@ class TestBackwardPass:
         g = to_multistage(build_static_bayesian(2.0, 1.0, 3.0))
         bel = prior_beliefs(g)
         profile, values, sols = backward_pass(g, bel)
-        direct = stage_bilinear_solve(g.stages[0], 0,
-                                      g.prior_about_1, g.prior_about_2)
+        st = g.stages[0]
+        zero1, zero2 = np.zeros((st.m1, st.m2, g.n1)), np.zeros((st.m1, st.m2, g.n2))
+        direct = solve_stage_tensors(*_stage_tensors(st, 0, zero1, zero2),
+                                     g.prior_about_1, g.prior_about_2)
         np.testing.assert_allclose(profile.sigma1[0][0], direct.sigma1, atol=1e-9)
         np.testing.assert_allclose(profile.sigma2[0][0], direct.sigma2, atol=1e-9)
 
@@ -428,7 +432,7 @@ class TestVerifyEpsilon:
                            FiniteDistribution([1.0]), FiniteDistribution([1.0]), "x")
         sig1 = (np.full((1, 1, 2), 0.5),)
         sig2 = (np.array([[[1.0, 0.0]]]),)    # plays the dominated action
-        prof = StrategyProfile(sig1, sig2)
+        prof = StrategyProfile(sig1, sig2, {(): 0})
         rep = verify_epsilon(g, prof, forward_pass(g, prof))
         assert rep.eps2[0] == pytest.approx(2.5, abs=1e-12)
         assert rep.eps1[0] == 0.0
@@ -447,7 +451,7 @@ class TestVerifyEpsilon:
         g = MultiStageGame(0, (st,), ("*",), ("*",),
                            FiniteDistribution([1.0]), FiniteDistribution([1.0]), "x")
         prof = StrategyProfile((np.array([[[0.0, 1.0]]]),),
-                               (np.array([[[0.0, 1.0]]]),))
+                               (np.array([[[0.0, 1.0]]]),), {(): 0})
         rep = verify_epsilon(g, prof, forward_pass(g, prof))
         assert rep.eps1.max() <= 1e-9 and rep.eps2.max() <= 1e-9
 
@@ -457,7 +461,7 @@ class TestVerifyEpsilon:
         bel = forward_pass(g, prof)
         sig2 = [a.copy() for a in prof.sigma2]
         sig2[0][:, 0, :] = [0.0, 1.0, 0.0]
-        prof2 = StrategyProfile(prof.sigma1, tuple(sig2))
+        prof2 = StrategyProfile(prof.sigma1, tuple(sig2), prof.classes)
         rep = verify_epsilon(g, prof2, bel)   # beliefs computed for prof, not prof2
         assert not rep.consistent
 
@@ -529,8 +533,8 @@ class TestHistoryClasses:
         g = build_apt_game()
         prof = StrategyProfile.uniform(g)
         for path, (k, x) in build_tree(g).items():
-            np.testing.assert_array_equal(prof.rows(1, path, x), prof.sigma1[k][x])
-            np.testing.assert_array_equal(prof.rows(2, path, x), prof.sigma2[k][x])
+            np.testing.assert_array_equal(prof.rows(1, path), prof.sigma1[k][x])
+            np.testing.assert_array_equal(prof.rows(2, path), prof.sigma2[k][x])
 
     def test_apt_converges_with_certified_epsilon_and_class_counts(self):
         g = build_apt_game()
@@ -554,8 +558,8 @@ def _tree_value_loop(game, profile, beliefs, player, own_type, best_response,
     for path in sorted(nodes, key=len, reverse=True):
         k, x = nodes[path]
         st = game.stages[k]
-        s1 = profile.rows(1, path, x)
-        s2 = profile.rows(2, path, x)
+        s1 = profile.rows(1, path)
+        s2 = profile.rows(2, path)
         counted = k >= from_stage
         own_m, opp_m = (st.m1, st.m2) if player == 1 else (st.m2, st.m1)
         q = np.zeros(own_m)
@@ -614,7 +618,7 @@ class TestVectorizedPassesMatchLoops:
     def test_forward_beliefs(self, case):
         g, prof = case
         bel = forward_pass(g, prof)
-        for path, (k, x) in build_tree(g).items():
+        for path, (k, _) in build_tree(g).items():
             if k == g.horizon:
                 continue
             for a1 in range(g.stages[k].m1):
@@ -622,14 +626,14 @@ class TestVectorizedPassesMatchLoops:
                     child = path + ((a1, a2),)
                     for t in range(g.n1):
                         post, on = belief_update(bel.belief_p1[path][t],
-                                                 prof.rows(2, path, x), a2)
+                                                 prof.rows(2, path), a2)
                         np.testing.assert_allclose(bel.belief_p1[child][t],
                                                    post.weights, atol=1e-15)
                         if not on:
                             assert bel.off_path_p1[child]
                     for t in range(g.n2):
                         post, on = belief_update(bel.belief_p2[path][t],
-                                                 prof.rows(1, path, x), a1)
+                                                 prof.rows(1, path), a1)
                         np.testing.assert_allclose(bel.belief_p2[child][t],
                                                    post.weights, atol=1e-15)
                         if not on:

@@ -163,8 +163,8 @@ def reference_playout(game, profile, rng_seed, noise, index):
     node = ()
     steps = []
     for k, st in enumerate(game.stages):
-        a1 = int(rng.choice(st.m1, p=profile.rows(1, node, x)[t1]))
-        a2 = int(rng.choice(st.m2, p=profile.rows(2, node, x)[t2]))
+        a1 = int(rng.choice(st.m1, p=profile.rows(1, node)[t1]))
+        a2 = int(rng.choice(st.m2, p=profile.rows(2, node)[t2]))
         node = node + ((a1, a2),)
         pay1 = float(st.payoff1.values[x, a1, a2, t1, t2])
         pay2 = float(st.payoff2.values[x, a1, a2, t1, t2])

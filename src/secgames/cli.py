@@ -17,6 +17,8 @@ Reports omit wall-clock timings unless ``--timings`` is given, so a
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -46,7 +48,46 @@ def _dist_str(labels, weights) -> str:
     return "  ".join(f"{l}={_fmt(w)}" for l, w in zip(labels, weights))
 
 
-def _parse_params(text: str | None) -> dict:
+def _param_defaults(scenario: str | None) -> dict:
+    """The default of each ``--params`` key that a scenario's builder reads."""
+    if scenario == "apt":
+        start = inspect.signature(scenarios.build_apt_game).parameters["initial_state"]
+        return {**{f.name: f.default for f in dataclasses.fields(scenarios.AptParameters)},
+                "initial_state": start.default}
+    builder = {"static-bayesian": scenarios.build_static_bayesian,
+               "static-baseline": scenarios.build_static_baseline}.get(scenario)
+    return {} if builder is None else {
+        name: p.default for name, p in inspect.signature(builder).parameters.items()}
+
+
+def _finite_number(value) -> bool:
+    """An int or a float, not a bool, within the float range (this also
+    rejects NaN and an integer too large to convert)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _check_param(key: str, value, default) -> None:
+    """A ``--params`` value must have the type of the builder's default."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, (int, float)):
+        ok, kind = _finite_number(value), "a finite number"
+    elif isinstance(default, tuple):
+        ok = (isinstance(value, list) and len(value) == len(default)
+              and all(map(_finite_number, value)))
+        kind = f"a list of {len(default)} finite numbers"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise CliError(f"--params {key!r} must be {kind}, got {value!r}")
+
+
+def _parse_params(args) -> dict:
+    """The ``--params`` object, each value checked against the type of the
+    scenario builder's default; keys the builder does not take are left
+    for it to reject."""
+    text = getattr(args, "params", None)
     if not text:
         return {}
     try:
@@ -61,18 +102,21 @@ def _parse_params(text: str | None) -> dict:
         raise CliError(f"--params is not valid JSON: {err}")
     if not isinstance(params, dict):
         raise CliError(f"--params must be a JSON object, got {type(params).__name__}")
+    defaults = _param_defaults(args.scenario)
     for key, value in params.items():    # json reads NaN, Infinity and 1e400
-        if isinstance(value, float) and not np.isfinite(value):
-            raise CliError(f"--params {key!r} must be a finite number, got {value}")
+        if key in defaults:
+            _check_param(key, value, defaults[key])
     return params
 
 
 def _load_multistage(args) -> MultiStageGame:
-    params = _parse_params(getattr(args, "params", None))
+    params = _parse_params(args)
     if args.game:
         try:
             game = gamejson.load_game(args.game)
-        except (OSError, json.JSONDecodeError, MalformedInputError) as err:
+        # ValueError: invalid JSON, a file that is not UTF-8, or a
+        # MalformedInputError
+        except (OSError, ValueError) as err:
             raise CliError(f"cannot load game {args.game!r}: {err}")
     elif args.scenario:
         game = _build_scenario_multistage(args.scenario, params)
@@ -183,7 +227,7 @@ def _print_equilibria(game_static, results, label: str) -> None:
 
 def _static_game_for(args):
     """Resolve the one-shot game for ne/bne/signaling commands."""
-    params = _parse_params(getattr(args, "params", None))
+    params = _parse_params(args)
     info = getattr(args, "info", None)
     try:
         if args.scenario == "exercise-qb":
@@ -220,7 +264,7 @@ def cmd_solve_bne(args) -> int:
         raise CliError("--info applies only to --scenario exercise-qb")
     if args.scenario == "exercise-qb" and args.info == "complete":
         try:
-            matrices = scenarios.exercise_qb_matrices(**_parse_params(args.params))
+            matrices = scenarios.exercise_qb_matrices(**_parse_params(args))
         except TypeError as err:
             raise CliError(f"scenario {args.scenario!r}: {err}")
         results = {}

@@ -58,70 +58,99 @@ def game_to_dict(game: MultiStageGame) -> dict[str, Any]:
     }
 
 
+def _field(raw, key: str, where: str):
+    if not isinstance(raw, dict):
+        raise MalformedInputError(f"{where} must be a JSON object")
+    if key not in raw:
+        raise MalformedInputError(f"{where}: missing field {key!r}")
+    return raw[key]
+
+
+def _labels(raw, key: str, where: str) -> list[str]:
+    value = _field(raw, key, where)
+    if not isinstance(value, list):
+        raise MalformedInputError(f"{where}: {key!r} must be a list of labels")
+    return [str(s) for s in value]
+
+
+def _array(raw, key: str, where: str, dtype=float) -> np.ndarray:
+    value = _field(raw, key, where)
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise MalformedInputError(f"{where}: {key!r} must be a numeric array") from None
+
+
 def _stage_from_dict(k: int, raw: dict, next_states: list[str] | None,
                      n1: int, n2: int) -> StageGame:
-    states = [str(s) for s in raw["states"]]
-    actions1 = [str(a) for a in raw["actions1"]]
-    actions2 = [str(a) for a in raw["actions2"]]
-    p1 = np.asarray(raw["payoffs1"], dtype=float)
-    p2 = np.asarray(raw["payoffs2"], dtype=float)
+    where = f"stage {k}"
+    states = _labels(raw, "states", where)
+    actions1 = _labels(raw, "actions1", where)
+    actions2 = _labels(raw, "actions2", where)
+    p1, p2 = _array(raw, "payoffs1", where), _array(raw, "payoffs2", where)
     S, m1, m2 = len(states), len(actions1), len(actions2)
     expected = (S, m1, m2, n1, n2)
     if p1.shape != expected or p2.shape != expected:
         raise MalformedInputError(
             f"stage {k}: payoff shape {p1.shape}/{p2.shape} != {expected}")
     mask = raw.get("mask") or {}
-    f1 = np.asarray(mask.get("player1", np.ones((S, n1, m1))), dtype=bool)
-    f2 = np.asarray(mask.get("player2", np.ones((S, n2, m2))), dtype=bool)
+    if not isinstance(mask, dict):
+        raise MalformedInputError(f"{where}: 'mask' must be a JSON object")
+    f1, f2 = (_array(mask, key, f"{where} mask", bool) if key in mask else np.ones((S, n, m))
+              for key, n, m in (("player1", n1, m1), ("player2", n2, m2)))
+    if f1.ndim != 3 or f2.ndim != 3:
+        raise MalformedInputError(f"{where}: 'mask' must be [state][type][action] arrays")
 
-    trans_labels = raw["transition"]
+    transition = _field(raw, "transition", where)
+    try:
+        cells = np.array(transition, dtype=object)
+    except ValueError:      # ragged
+        cells = None
+    if cells is None or cells.shape != (S, m1, m2):
+        raise MalformedInputError(f"{where}: 'transition' must be [state][a1][a2] "
+                                  f"lists of labels, {S}x{m1}x{m2}")
+    labels = [str(label) for label in cells.ravel()]
     if next_states is None:
-        declared = raw.get("next_states")
-        if declared is not None:
-            next_states = [str(s) for s in declared]
-        else:
-            seen: list[str] = []
-            for row in trans_labels:
-                for col in row:
-                    for label in col:
-                        if str(label) not in seen:
-                            seen.append(str(label))
-            next_states = seen
+        next_states = (_labels(raw, "next_states", where) if raw.get("next_states") is not None
+                       else list(dict.fromkeys(labels)))
     index = {s: i for i, s in enumerate(next_states)}
-    table = np.zeros((S, m1, m2), dtype=int)
-    for x in range(S):
-        for a1 in range(m1):
-            for a2 in range(m2):
-                label = str(trans_labels[x][a1][a2])
-                if label not in index:
-                    # keep the label visible as a dangling target
-                    index[label] = len(next_states)
-                    next_states = next_states + [label]
-                table[x, a1, a2] = index[label]
+    for label in labels:
+        if label not in index:
+            # keep the label visible as a dangling target
+            index[label] = len(next_states)
+            next_states = next_states + [label]
+    table = np.array([index[label] for label in labels], dtype=int).reshape(S, m1, m2)
     return StageGame(k, tuple(states), tuple(actions1), tuple(actions2),
                      PayoffTensor(p1, f1), PayoffTensor(p2, f2),
                      table, tuple(next_states))
 
 
 def game_from_dict(raw: dict[str, Any]) -> MultiStageGame:
-    try:
-        types1 = tuple(str(t) for t in raw["types"]["defender"])
-        types2 = tuple(str(t) for t in raw["types"]["user"])
-        priors = raw["priors"]
-        horizon = int(raw["horizon"])
-        stages_raw = raw["stages"]
-        initial_state = str(raw["initial_state"])
-    except (KeyError, TypeError) as err:
-        raise MalformedInputError(f"game description missing field: {err}") from None
+    """Read a game description; a missing field or one of the wrong kind
+    raises :class:`MalformedInputError` naming the stage and field."""
+    where = "game description"
+    types, priors = _field(raw, "types", where), _field(raw, "priors", where)
+    types1 = tuple(_labels(types, "defender", "types"))
+    types2 = tuple(_labels(types, "user", "types"))
+    prior1 = _array(priors, "about_defender", "priors")
+    prior2 = _array(priors, "about_user", "priors")
+    horizon = _field(raw, "horizon", where)
+    if not isinstance(horizon, int) or isinstance(horizon, bool):
+        raise MalformedInputError(f"{where}: 'horizon' must be an integer, got {horizon!r}")
+    stages_raw = _field(raw, "stages", where)
+    if not isinstance(stages_raw, list):
+        raise MalformedInputError(f"{where}: 'stages' must be a list")
+    initial_state = str(_field(raw, "initial_state", where))
     stages = []
     n1, n2 = len(types1), len(types2)
     for k, st_raw in enumerate(stages_raw):
-        nxt = [str(s) for s in stages_raw[k + 1]["states"]] if k + 1 < len(stages_raw) else None
+        nxt = (_labels(stages_raw[k + 1], "states", f"stage {k + 1}")
+               if k + 1 < len(stages_raw) else None)
         stages.append(_stage_from_dict(k, st_raw, nxt, n1, n2))
     return MultiStageGame(
         horizon=horizon, stages=tuple(stages), types1=types1, types2=types2,
-        prior_about_1=FiniteDistribution.unchecked(priors["about_defender"]),
-        prior_about_2=FiniteDistribution.unchecked(priors["about_user"]),
+        prior_about_1=FiniteDistribution.unchecked(prior1),
+        prior_about_2=FiniteDistribution.unchecked(prior2),
         initial_state=initial_state)
 
 

@@ -1,25 +1,20 @@
-"""Dense linear-program solver (two-phase tableau simplex).
+"""Dense feasibility solver (phase 1 of the tableau simplex method).
 
-Problem sizes in this package stay below a few dozen variables, so a
-robust dense tableau beats anything clever.  The floating-point run's
-verdicts are checked against the original data instead of trusted from
-a tableau that pivoting has filled with round-off: "infeasible" needs a
-Farkas certificate on the original rows, and an optimum must satisfy
-them.  A run whose verdict fails its check, or that ends "unbounded",
-is repeated in exact rational arithmetic with Bland's rule, whose
-verdict is exact and which cannot cycle.  So is a floating-point run
-that reaches its pivot cap: its lowest-row ratio ties are not Bland's
-rule and can cycle on degenerate tableaus.
+:func:`solve_lp` finds a point of a system in standard form,
 
-Problems are stated in standard form,
+    A_ub . z <= b_ub,    A_eq . z == b_eq,    z >= 0,
 
-    maximize    c . z
-    subject to  A_ub . z <= b_ub
-                A_eq . z == b_eq
-                z >= 0
-
-and a free variable is written by the caller as the difference of two
-columns.
+or proves that none exists; a free variable is written by the caller
+as the difference of two columns.  Problem sizes in this package stay
+below a few dozen variables, so a robust dense tableau beats anything
+clever.  The floating-point run's verdicts are checked against the
+original data instead of trusted from a tableau that pivoting has
+filled with round-off: "infeasible" needs a Farkas certificate on the
+original rows, and a point must satisfy them.  A run whose verdict
+fails its check is repeated in exact rational arithmetic with Bland's
+rule, whose verdict is exact and which cannot cycle.  So is a
+floating-point run that reaches its pivot cap: its lowest-row ratio
+ties are not Bland's rule and can cycle on degenerate tableaus.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ _FEAS_TOL = 1e-8
 # and column; a cycling run never ends, a sound one ends within a few.
 _PIVOT_CAP = 10
 # Margin of the conditional-dominance screen, per unit of 1 + max|C|.
-# In a support system the right-hand sides are 0 or 1, so an optimum the
+# In a support system the right-hand sides are 0 or 1, so a point the
 # floating-point run accepts breaks each row and each bound by at most
 # check_tol = _FEAS_TOL * (1 + 1).  Take such a point, with own actions
 # a (in the support) and b (feasible), n_y opponent-row variables and G
@@ -115,39 +110,37 @@ class DominanceScreen:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    c: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
 
     @classmethod
-    def build(cls, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> "LinearProgram":
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        n = c.size
+    def build(cls, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> "LinearProgram":
+        rows = a_eq if a_eq is not None else a_ub   # gives the column count
+        if rows is None:
+            raise MalformedInputError("a system needs at least one constraint row")
+        n = np.atleast_2d(np.asarray(rows, dtype=float)).shape[1]
         a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
         b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
         a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
         b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
-        return cls(c, a_ub, b_ub, a_eq, b_eq)
+        return cls(a_ub, b_ub, a_eq, b_eq)
 
     def check(self) -> None:
-        n = self.c.size
-        if self.a_ub.shape[1] != n or self.a_eq.shape[1] != n:
-            raise MalformedInputError("constraint column count does not match variable count")
+        if self.a_ub.shape[1] != self.a_eq.shape[1]:
+            raise MalformedInputError("constraint column counts differ")
         if self.a_ub.shape[0] != self.b_ub.size or self.a_eq.shape[0] != self.b_eq.size:
             raise MalformedInputError("constraint row count does not match rhs length")
-        if not (np.isfinite(self.c).all() and np.isfinite(self.a_ub).all()
-                and np.isfinite(self.b_ub).all() and np.isfinite(self.a_eq).all()
-                and np.isfinite(self.b_eq).all()):
+        if not (np.isfinite(self.a_ub).all() and np.isfinite(self.b_ub).all()
+                and np.isfinite(self.a_eq).all() and np.isfinite(self.b_eq).all()):
             raise MalformedInputError("coefficients must be finite")
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" (a point was found) | "infeasible"
     z: np.ndarray | None
-    value: float | None
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -160,17 +153,17 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
              exact: bool = False) -> str:
-    """Maximize the objective in the last tableau row.
+    """Drive the artificial sum in the last tableau row towards zero.
 
-    Reduced costs are kept in the last row as (c_B B^-1 A - c); a column
-    with a negative entry improves the objective, and the lowest-index
+    Reduced costs are kept in the last row; a column among the first
+    ``n_cols`` with a negative entry lowers the sum, and the lowest-index
     one enters.  In floating point, entries within ``_PIVOT_TOL`` of zero
     count as zero and ratio ties go to the lowest row.  In exact
     arithmetic nothing is rounded and ties go to the lowest basic index:
-    that is Bland's rule, which cannot cycle.  Returns "optimal",
-    "unbounded" or, in floating point only, "stalled" once
-    ``_PIVOT_CAP`` times the tableau's rows plus columns pivots have
-    not reached a verdict.
+    that is Bland's rule, which cannot cycle.  Returns "done" when no
+    column enters or, as only round-off can cause, none leaves; in
+    floating point also "stalled" once ``_PIVOT_CAP`` times the
+    tableau's rows plus columns pivots have not reached a verdict.
     """
     tol = 0 if exact else _PIVOT_TOL
     m = tableau.shape[0] - 1
@@ -181,7 +174,7 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
             obj = obj.tolist()
         entering = next((j for j, v in enumerate(obj) if v < -tol), -1)
         if entering < 0:
-            return "optimal"
+            return "done"
         col, rhs = tableau[:m, entering], tableau[:m, -1]
         if not exact:
             col, rhs = col.tolist(), rhs.tolist()
@@ -197,7 +190,7 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
                 if better:
                     best, leaving = ratio, r
         if leaving < 0:
-            return "unbounded"
+            return "done"
         if pivots_left is not None:
             if pivots_left == 0:
                 return "stalled"
@@ -206,9 +199,10 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
 
 
 def solve_lp(problem: LinearProgram) -> LpSolution:
-    """Solve a dense LP; infeasible/unbounded are statuses, never exceptions."""
+    """A point of the system, or "infeasible"; never an exception for
+    a well-formed system."""
     problem.check()
-    n = problem.c.size
+    n = problem.a_eq.shape[1]
     n_ub = problem.a_ub.shape[0]
     n_eq = problem.a_eq.shape[0]
     m = n_ub + n_eq
@@ -234,36 +228,32 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
             ready[r] = n + (r - n_eq)
     # A floating-point run whose verdict fails its check against the
     # original rows is repeated in exact rational arithmetic.
-    status, x_std = (_two_phase(body, rhs, ready, problem.c, exact=False)
-                     or _two_phase(body, rhs, ready, problem.c, exact=True))
-    if status != "optimal":
-        return LpSolution(status, None, None)
-    z = x_std[:n]
-    return LpSolution("optimal", z, float(problem.c @ z))
+    status, x = (_phase_one(body, rhs, ready, exact=False)
+                 or _phase_one(body, rhs, ready, exact=True))
+    return LpSolution(status, None if x is None else x[:n])
 
 
-def _two_phase(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
-               c_std: np.ndarray, exact: bool):
-    """Two-phase simplex on ``body . x == rhs, x >= 0`` (rhs >= 0).
+def _phase_one(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray, exact: bool):
+    """Phase 1 of the simplex method on ``body . x == rhs, x >= 0``
+    (rhs >= 0).
 
     ``ready[r]`` is a column that can start basic in row ``r``, or -1.
-    Returns (status, x).  With ``exact`` the float data are converted to
-    fractions (exactly) and the verdict is exact.  Otherwise None is
-    returned whenever a verdict does not hold up on the original rows:
-    "infeasible" needs a Farkas certificate, an optimum must satisfy the
-    rows, and "unbounded" and a stalled run are left to the exact run.
+    Returns ("optimal", x) or ("infeasible", None).  With ``exact`` the
+    float data are converted to fractions (exactly) and the verdict is
+    exact.  Otherwise None is returned whenever a verdict does not hold
+    up on the original rows: "infeasible" needs a Farkas certificate, a
+    point must satisfy the rows, and a stalled run is left to the exact
+    run.
     """
     m, n_work = body.shape
-    n_std = c_std.size
     if exact:
         # imported here: the exact run is rare, and ``fractions`` (with
         # ``decimal``) adds about 4 ms to every start of the program
         from fractions import Fraction
         rational = np.vectorize(Fraction, otypes=[object])
-        body, rhs, c_std = rational(body), rational(rhs), rational(c_std)
-        pivot_tol = feas_tol = check_tol = 0
+        body, rhs = rational(body), rational(rhs)
+        check_tol = 0
     else:
-        pivot_tol, feas_tol = _PIVOT_TOL, _FEAS_TOL
         check_tol = _FEAS_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
     basis = ready.copy()
     needs_artificial = [r for r in range(m) if ready[r] < 0]
@@ -276,23 +266,21 @@ def _two_phase(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
         basis[r] = n_work + idx
 
     if n_art:
-        # Objective row: minimize sum of artificials == maximize -(sum).
-        tableau[-1, :] = 0
+        # Last row: the reduced costs of the sum of artificials.
         for r in needs_artificial:
             tableau[-1, : n_work + n_art] -= tableau[r, : n_work + n_art]
             tableau[-1, -1] -= tableau[r, -1]
         tableau[-1, n_work:n_work + n_art] = 0
         # Artificials are excluded from entering candidates (columns >=
-        # n_work).  The phase-1 objective is bounded by 0, so the run's
-        # status says nothing; the artificial sum decides.
+        # n_work).  The artificial sum, not how the run stopped, decides.
         start_cols = basis.copy()
         if _simplex(tableau, basis, n_work, exact) == "stalled":
             return None
-        if tableau[-1, -1] < -feas_tol:
+        if tableau[-1, -1] < (0 if exact else -_FEAS_TOL):
             if exact:
                 return "infeasible", None
             # A Farkas certificate on the original rows: y . body <= 0 and
-            # y . rhs > 0.  The final objective row is -y . [body | rhs];
+            # y . rhs > 0.  The run leaves -y . [body | rhs] in the last row;
             # y is read off the columns that started basic (unit columns
             # of zero phase-1 cost).
             y = -tableau[-1, start_cols]
@@ -303,42 +291,16 @@ def _two_phase(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
             return None
         if tableau[-1, -1] > check_tol or tableau[:m, -1].min() < -check_tol:
             return None     # round-off broke the basis
-        # Pivot any zero-level artificial out of the basis, or drop its row.
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= n_work:
-                pivot_col = -1
-                for j in range(n_work):
-                    if abs(tableau[r, j]) > pivot_tol:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tableau, basis, r, pivot_col)
-                else:
-                    keep[r] = False
-        if not np.all(keep):
-            tableau = tableau[np.concatenate([np.flatnonzero(keep), [m]])]
-            basis = basis[keep]
-            m = basis.size
-            body, rhs = body[keep], rhs[keep]
 
-    # Phase 2: restore the real objective.
-    tableau = np.hstack([tableau[:, :n_work], tableau[:, -1:]])
-    tableau[-1, :] = 0
-    tableau[-1, :n_std] = -c_std
-    for r in range(m):
-        if tableau[-1, basis[r]] != 0:
-            tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
-    status = _simplex(tableau, basis, n_work, exact)
-    if status != "optimal":
-        return (status, None) if exact else None
-
-    x_std = np.zeros(n_work)
-    x_std[basis] = tableau[:m, -1].astype(float)
-    if not exact and (x_std.min(initial=0.0) < -check_tol
-                      or np.abs(body @ x_std - rhs).max(initial=0.0) > check_tol):
+    # The point sits in the basis; artificials left basic at level zero
+    # are skipped.
+    x = np.zeros(n_work)
+    real = basis < n_work
+    x[basis[real]] = tableau[:m, -1][real].astype(float)
+    if not exact and (x.min(initial=0.0) < -check_tol
+                      or np.abs(body @ x - rhs).max(initial=0.0) > check_tol):
         return None
-    return "optimal", x_std
+    return "optimal", x
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +332,8 @@ def lemke(m, q, d, start, entering: int, free=()) -> LcpSolution:
     lexicographically on the columns of ``start`` in the order given,
     which perturbs ``q`` by ``B0 (eps, eps^2, ...)`` and cannot cycle.
 
-    As in :func:`solve_lp`, a floating-point run's answer is checked on
-    the original data (signs and complementarity within a tolerance, and
+    As :func:`solve_lp` does with its point, a floating-point run's
+    answer is checked on the original data (signs and complementarity within a tolerance, and
     ``w_i = 0`` for free ``i``); an answer that fails, a ray, or a run
     that reaches the pivot cap is repeated in exact rational arithmetic.
     A ray of the exact run is returned as status "ray".
@@ -398,7 +360,7 @@ def lemke(m, q, d, start, entering: int, free=()) -> LcpSolution:
                 and min(w[bound].min(initial=0.0), z[bound].min(initial=0.0)) >= -check_tol
                 and np.minimum(w[bound], z[bound]).max(initial=0.0) <= check_tol):
             return LcpSolution("solution", z, pivots, False)
-    from fractions import Fraction      # see _two_phase
+    from fractions import Fraction      # see _phase_one
     out = _lemke_run(np.vectorize(Fraction, otypes=[object])(tableau),
                      list(start), entering, free, exact=True)
     if out is None:

@@ -268,17 +268,18 @@ def screen_grid(screens, own_choices, opp_choices) -> np.ndarray:
 
 def support_lp(coeffs, own_supports, own_feasible, opp_supports,
                opp_action_count: int) -> np.ndarray | None:
-    """Feasibility LP of one side's support system.
+    """A point of one side's support system, from :func:`lp.solve_lp`.
 
     ``coeffs[i][own_action, opp_agent, opp_action]`` is own agent i's
     payoff, linear in the opponent rows (the format of
     :class:`lp.DominanceScreen`).  Unknowns are the opponent agents'
     strategies, restricted to ``opp_supports``, plus one free value per
     own agent, written as two columns v+ - v- after the opponent rows
-    (:func:`lp.solve_lp` takes z >= 0 only).  Own-support actions must
-    tie at the value; the other ``own_feasible`` actions must not beat
-    it.  Returns the opponent rows as one ``(opp_agents,
-    opp_action_count)`` array, or None when the system is infeasible.
+    (the points :func:`lp.solve_lp` finds have z >= 0).  Own-support
+    actions must tie at the value; the other ``own_feasible`` actions
+    must not beat it.  Returns the point's opponent rows as one
+    ``(opp_agents, opp_action_count)`` array, or None when the system is
+    infeasible.
     """
     var = [(g, a) for g, sup in enumerate(opp_supports) for a in sup]
     n_v = len(own_supports)
@@ -293,9 +294,7 @@ def support_lp(coeffs, own_supports, own_feasible, opp_supports,
     b_eq = [1.0] * len(opp_supports) + [0.0] * (len(a_eq) - len(opp_supports))
     # ``solve_lp`` is looked up in this module, where tools that count
     # LP calls wrap it.
-    sol = solve_lp(LinearProgram.build(
-        c=np.zeros(len(var) + 2 * n_v), a_ub=a_ub or None, b_ub=[0.0] * len(a_ub) or None,
-        a_eq=a_eq, b_eq=b_eq))
+    sol = solve_lp(LinearProgram.build(a_ub or None, [0.0] * len(a_ub) or None, a_eq, b_eq))
     if sol.status != "optimal":
         return None
     out = np.zeros((len(opp_supports), opp_action_count))

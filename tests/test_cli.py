@@ -105,6 +105,47 @@ def test_invalid_game_json_exits_2(capsys, tmp_path):
     assert "not normalized" in err
 
 
+_DELETE = object()      # a field to delete, not to set
+
+
+@pytest.mark.parametrize("command", ["pbne", "ne"])
+@pytest.mark.parametrize("path, value, named", [
+    (("priors", "about_defender"), _DELETE, "about_defender"), (("priors",), None, "priors"),
+    (("priors", "about_user"), "x", "about_user"), (("types",), [], "types"),
+    (("horizon",), "x", "horizon"), (("horizon",), 1.5, "horizon"),
+    (("stages",), None, "stages"), (("stages", 1), 5, "stage 1"),
+    (("stages", 1, "states"), None, "stage 1"),
+    (("stages", 1, "actions1"), _DELETE, "actions1"),
+    (("stages", 1, "payoffs1"), _DELETE, "payoffs1"),
+    (("stages", 0, "payoffs2"), {}, "payoffs2"),
+    (("stages", 1, "transition"), _DELETE, "transition"),
+    (("stages", 0, "transition"), [], "transition"),
+    (("stages", 0, "transition"), "x", "transition"),
+    (("stages", 0, "mask"), "x", "mask"), (("stages", 0, "mask"), [1], "mask"),
+    (("stages", 2, "next_states"), True, "next_states")],
+    ids=["no-prior", "null-priors", "text-prior", "list-types", "text-horizon",
+         "float-horizon", "null-stages", "number-stage", "null-states", "no-actions1",
+         "no-payoffs1", "object-payoffs2", "no-transition", "empty-transition",
+         "text-transition", "text-mask", "list-mask", "bool-next-states"])
+def test_malformed_game_file_exits_2(capsys, tmp_path, command, path, value, named):
+    raw = game_to_dict(build_apt_game())
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    game_file, out_file = tmp_path / "game.json", tmp_path / "r.json"
+    game_file.write_text(json.dumps(raw), encoding="utf-8")
+    code, _, err = run(capsys, "solve", command, "--game", str(game_file),
+                       "--out", str(out_file))
+    assert code == 2
+    assert "cannot load game" in err and named in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
 def test_unknown_scenario_exits_2(capsys):
     code, _, err = run(capsys, "solve", "bne", "--scenario", "nope")
     assert code == 2
@@ -286,10 +327,14 @@ def test_params_override(capsys, tmp_path):
                                       "--max-iter", "1")], ids=["ne", "bne", "pbne"])
 @pytest.mark.parametrize("params", ["@missing.json", "@.", "@bad.json", "@list.json",
                                     "5", "[1]", '"r0"', "{bad", '{"no_such_key": 1}',
-                                    '{"r1": 1e400}', '{"r1": NaN}', '{"r1": -Infinity}'],
+                                    '{"r1": 1e400}', '{"r1": NaN}', '{"r1": -Infinity}',
+                                    '{"literal_avatar_cost": "no"}', '{"r1": true}',
+                                    '{"r4_k_by_state": [NaN, 4, 8, 12]}', '{"r1": null}',
+                                    '{"r1": 1%s}' % ("0" * 400)],
                          ids=["missing", "directory", "bad-file", "list-file", "number",
                               "list", "string", "bad", "unknown-key", "overflow", "nan",
-                              "infinity"])
+                              "infinity", "text-for-bool", "bool-for-number", "nan-in-tuple",
+                              "null", "integer-overflow"])
 def test_bad_params_exit_2(capsys, tmp_path, command, params):
     (tmp_path / "bad.json").write_text("{bad", encoding="utf-8")
     (tmp_path / "list.json").write_text("[1]", encoding="utf-8")

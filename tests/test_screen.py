@@ -23,20 +23,19 @@ def _system_lp(coef, own_feasible, own_support, opp_supports) -> LinearProgram:
     on their supports summing to 1, own support tied at the value v,
     other feasible actions not above it."""
     var = [(g, o) for g, sup in enumerate(opp_supports) for o in sup]
-    n = len(var) + 2        # v = v+ - v-, two non-negative columns
     a_eq, b_eq, a_ub, b_ub = [], [], [], []
     for g in range(len(opp_supports)):
         a_eq.append([float(vg == g) for vg, _ in var] + [0.0, 0.0])
         b_eq.append(1.0)
     for b in own_feasible:
-        row = [coef[b, g, o] for g, o in var] + [-1.0, 1.0]
+        row = [coef[b, g, o] for g, o in var] + [-1.0, 1.0]     # v = v+ - v-
         if b in own_support:
             a_eq.append(row)
             b_eq.append(0.0)
         else:
             a_ub.append(row)
             b_ub.append(0.0)
-    return LinearProgram.build(np.zeros(n), a_ub or None, b_ub or None, a_eq, b_eq)
+    return LinearProgram.build(a_ub or None, b_ub or None, a_eq, b_eq)
 
 
 def _verdict(coef, feas, own_support, opp_supports) -> bool:

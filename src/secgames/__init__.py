@@ -2,8 +2,7 @@
 
 from .core import (BeliefSystem, EnumerationBudgetError, FiniteDistribution,
                    MalformedInputError, MultiStageGame, PayoffTensor,
-                   PlayerTypeSpace, SolverError, StageGame, StrategyProfile,
-                   expected_stage_payoff, transition, validate_game)
+                   SolverError, StageGame, StrategyProfile, validate_game)
 from .lp import LinearProgram, LpSolution, solve_lp
 from .multistage import (BilinearStageSolution, EpsilonReport,
                          NonConvergenceReport, PbneSolution, ValueFunction,
@@ -16,8 +15,7 @@ from .signaling import (SignalingGame, SignalingPBNE, as_signaling_game,
 from .simulate import (MonteCarloReport, NoiseSpec, Trajectory,
                        monte_carlo_value, sample_playout)
 from .static import (BimatrixGame, EquilibriumResult, StaticBayesianGame,
-                     best_response_set, bayes_gap, mixed_ne, pure_ne,
-                     solve_bne)
+                     bayes_gap, mixed_ne, pure_ne, solve_bne)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

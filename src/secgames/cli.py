@@ -110,6 +110,8 @@ def _parse_params(args) -> dict:
 
 
 def _load_multistage(args) -> MultiStageGame:
+    if args.game and args.params is not None:
+        raise CliError("--params applies only to --scenario, not to --game")
     params = _parse_params(args)
     if args.game:
         try:

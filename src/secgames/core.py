@@ -82,7 +82,7 @@ class FiniteDistribution:
         object.__setattr__(self, "weights", arr)
         problems = self.violations()
         if problems:
-            raise MalformedInputError("; ".join(problems))
+            raise MalformedInputError("distribution " + "; ".join(problems))
 
     @classmethod
     def unchecked(cls, weights) -> "FiniteDistribution":
@@ -90,74 +90,24 @@ class FiniteDistribution:
         object.__setattr__(obj, "weights", _readonly(weights))
         return obj
 
-    @classmethod
-    def uniform(cls, n: int) -> "FiniteDistribution":
-        return cls(np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, n: int, index: int) -> "FiniteDistribution":
-        w = np.zeros(n)
-        w[index] = 1.0
-        return cls(w)
-
-    @classmethod
-    def normalized(cls, weights) -> "FiniteDistribution":
-        """Rescale non-negative weights to sum to one (Bayes posteriors)."""
-        arr = np.asarray(weights, dtype=float)
-        total = arr.sum()
-        if total <= 0.0:
-            raise MalformedInputError("cannot normalize weights with non-positive total")
-        return cls(arr / total)
-
     def violations(self) -> list[str]:
+        """Findings against a probability vector, in the wording that
+        :func:`validate_game` prefixes with the distribution's name."""
         w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1:
+            return [f"is not a vector (shape {w.shape})"]
         out = []
-        if w.ndim != 1 or w.size == 0:
-            out.append("weights must be a non-empty vector")
-            return out
-        if not np.all(np.isfinite(w)):
-            out.append("weights contain non-finite entries")
-            return out
-        if np.any(w < 0.0):
-            out.append(f"negative weight {w.min():.3g}")
+        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+            out.append("has negative or non-finite weights")
         if abs(w.sum() - 1.0) > PROB_TOL:
-            out.append(f"weights sum to {w.sum():.12g}, not 1")
+            out.append(f"not normalized (sum {w.sum():.12g})")
         return out
-
-    def support(self, tol: float = 1e-12) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.weights > tol))
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(len(self.weights), p=self.weights))
 
     def __len__(self) -> int:
         return len(self.weights)
 
     def __getitem__(self, i: int) -> float:
         return float(self.weights[i])
-
-
-@dataclass(frozen=True)
-class PlayerTypeSpace:
-    """Ordered private-type labels for one player (1=defender, 2=user)."""
-
-    player: int
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.player not in (1, 2):
-            raise MalformedInputError("player must be 1 or 2")
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
-            raise MalformedInputError("type space must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise MalformedInputError("type labels must be unique")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def index(self, key) -> int:
-        return index_of(self.labels, key)
 
 
 @dataclass(frozen=True)
@@ -186,8 +136,8 @@ class PayoffTensor:
 class StageGame:
     """One stage: action sets, type-dependent payoffs, deterministic moves.
 
-    ``transition[x, a1, a2]`` is an index into ``next_states``; the
-    next-stage game declares those labels as its own state space.
+    ``transition[x, a1, a2]`` is an index into ``next_states``; below
+    the last stage those are the next stage's ``states``, in order.
     """
 
     index: int
@@ -255,19 +205,6 @@ class MultiStageGame:
         return index_of(self.types1 if player == 1 else self.types2, key)
 
 
-def _check_distribution(weights, size: int, what: str) -> list[str]:
-    out = []
-    w = np.asarray(getattr(weights, "weights", weights), dtype=float)
-    if w.ndim != 1 or w.size != size:
-        out.append(f"{what} dimension mismatch: got {w.shape}, expected ({size},)")
-        return out
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        out.append(f"{what} has negative or non-finite weights")
-    if abs(w.sum() - 1.0) > PROB_TOL:
-        out.append(f"{what} not normalized (sum {w.sum():.12g})")
-    return out
-
-
 def validate_game(game: MultiStageGame) -> list[str]:
     """Collect every structural violation; an empty list means well-formed.
 
@@ -281,8 +218,13 @@ def validate_game(game: MultiStageGame) -> list[str]:
         v.append("user type labels empty or duplicated")
     if game.horizon != len(game.stages) - 1:
         v.append(f"horizon {game.horizon} != number of stages {len(game.stages)} - 1")
-    v += _check_distribution(game.prior_about_1, n1, "prior about defender")
-    v += _check_distribution(game.prior_about_2, n2, "prior about user")
+    for prior, size, what in ((game.prior_about_1, n1, "prior about defender"),
+                              (game.prior_about_2, n2, "prior about user")):
+        w = prior.weights
+        if w.ndim != 1 or w.size != size:
+            v.append(f"{what} dimension mismatch: got {w.shape}, expected ({size},)")
+        else:
+            v += [f"{what} {problem}" for problem in prior.violations()]
 
     for k, st in enumerate(game.stages):
         tag = f"stage {k}"
@@ -313,71 +255,19 @@ def validate_game(game: MultiStageGame) -> list[str]:
                                              or st.transition_table.max() >= n_next):
                 v.append(f"{tag}: transition index outside declared next-state space")
         if k + 1 < len(game.stages):
-            missing = [s for s in st.next_states if s not in game.stages[k + 1].states]
+            # build_tree reads a transition index as a stage k+1 state
+            following = game.stages[k + 1].states
+            missing = [s for s in st.next_states if s not in following]
             for label in missing:
                 v.append(f"{tag}: dangling transition target {label!r} "
                          f"not a state of stage {k + 1}")
+            if not missing and st.next_states != following:
+                v.append(f"{tag}: next_states {list(st.next_states)} differ from "
+                         f"stage {k + 1} states {list(following)}")
 
     if game.stages and game.initial_state not in game.stages[0].states:
         v.append(f"initial state {game.initial_state!r} not in stage 0 state space")
     return v
-
-
-def _per_type_matrix(sigma, n_types: int, n_actions: int, what: str) -> np.ndarray:
-    """Coerce per-type strategies to an (n_types, n_actions) row-stochastic array."""
-    if isinstance(sigma, FiniteDistribution):
-        arr = np.tile(np.asarray(sigma.weights), (n_types, 1))
-    elif isinstance(sigma, (list, tuple)) and sigma and isinstance(sigma[0], FiniteDistribution):
-        arr = np.stack([np.asarray(d.weights) for d in sigma])
-    else:
-        arr = np.asarray(sigma, dtype=float)
-        if arr.ndim == 1:
-            arr = np.tile(arr, (n_types, 1))
-    if arr.shape != (n_types, n_actions):
-        raise MalformedInputError(
-            f"{what} shape {arr.shape} incompatible with ({n_types}, {n_actions})")
-    return arr
-
-
-def expected_stage_payoff(stage: StageGame, x, sigma1, sigma2,
-                          belief_about_1, belief_about_2,
-                          player: int, own_type=None,
-                          n_types: tuple[int, int] | None = None) -> float:
-    """Expected one-stage payoff for ``player`` at state ``x``.
-
-    The opponent's type is averaged under the evaluating player's
-    belief; the player's own type is fixed when ``own_type`` is given,
-    otherwise averaged under the opposing belief about that player.
-    """
-    if player not in (1, 2):
-        raise MalformedInputError("player must be 1 or 2")
-    b1 = np.asarray(getattr(belief_about_1, "weights", belief_about_1), dtype=float)
-    b2 = np.asarray(getattr(belief_about_2, "weights", belief_about_2), dtype=float)
-    n1, n2 = (len(b1), len(b2)) if n_types is None else n_types
-    xi = stage.state_index(x)
-    s1 = _per_type_matrix(sigma1, n1, stage.m1, "sigma1")
-    s2 = _per_type_matrix(sigma2, n2, stage.m2, "sigma2")
-    values = (stage.payoff1 if player == 1 else stage.payoff2).values
-    if values.shape[3] != n1 or values.shape[4] != n2 or len(b1) != n1 or len(b2) != n2:
-        raise MalformedInputError("belief/type dimensions do not match payoff tensor")
-    w1, w2 = b1, b2
-    if own_type is not None:
-        if player == 1:
-            w1 = np.zeros(n1)
-            w1[int(own_type)] = 1.0
-        else:
-            w2 = np.zeros(n2)
-            w2[int(own_type)] = 1.0
-    # payoff[x] has axes (a1, a2, t1, t2)
-    return float(np.einsum("abst,sa,tb,s,t->", values[xi], s1, s2, w1, w2))
-
-
-def transition(stage: StageGame, x, a1, a2) -> str:
-    """Deterministic next-state label for one action pair."""
-    xi = stage.state_index(x)
-    i1 = index_of(stage.actions1, a1)
-    i2 = index_of(stage.actions2, a2)
-    return stage.next_states[int(stage.transition_table[xi, i1, i2])]
 
 
 @dataclass(frozen=True)

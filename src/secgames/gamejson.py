@@ -110,9 +110,13 @@ def _stage_from_dict(k: int, raw: dict, next_states: list[str] | None,
         raise MalformedInputError(f"{where}: 'transition' must be [state][a1][a2] "
                                   f"lists of labels, {S}x{m1}x{m2}")
     labels = [str(label) for label in cells.ravel()]
+    declared = (_labels(raw, "next_states", where) if raw.get("next_states") is not None
+                else None)
     if next_states is None:
-        next_states = (_labels(raw, "next_states", where) if raw.get("next_states") is not None
-                       else list(dict.fromkeys(labels)))
+        next_states = declared if declared is not None else list(dict.fromkeys(labels))
+    elif declared is not None and declared != next_states:
+        raise MalformedInputError(f"{where}: 'next_states' {declared} differs from "
+                                  f"stage {k + 1} 'states' {next_states}")
     index = {s: i for i, s in enumerate(next_states)}
     for label in labels:
         if label not in index:

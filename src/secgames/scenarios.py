@@ -348,12 +348,6 @@ def build_apt_game(p: AptParameters | None = None,
         initial_state=initial_state)
 
 
-def escalation_stage_game(p: AptParameters | None = None) -> StageGame:
-    """The privilege-escalation stage alone (used as a two-sided
-    one-shot example)."""
-    return _escalation_stage(p or default_apt_parameters())
-
-
 SCENARIOS = {
     "static-baseline": "complete-information escalation game (ne)",
     "static-bayesian": "escalation game with a private user type (bne, signaling)",

@@ -144,28 +144,6 @@ class EquilibriumResult:
         object.__setattr__(self, "values2", _readonly(self.values2))
 
 
-def best_response_set(j: np.ndarray, opponent, player: int) -> set[int]:
-    """Pure actions of ``player`` maximizing expected payoff against a mix.
-
-    ``j`` is the player's own (m1, m2) payoff matrix; ties within 1e-9
-    of the maximum are all reported.
-    """
-    j = np.asarray(j, dtype=float)
-    q = np.asarray(getattr(opponent, "weights", opponent), dtype=float)
-    if player == 1:
-        if q.size != j.shape[1]:
-            raise MalformedInputError("opponent distribution does not match columns")
-        payoffs = j @ q
-    elif player == 2:
-        if q.size != j.shape[0]:
-            raise MalformedInputError("opponent distribution does not match rows")
-        payoffs = q @ j
-    else:
-        raise MalformedInputError("player must be 1 or 2")
-    top = payoffs.max()
-    return {int(i) for i in np.flatnonzero(payoffs >= top - _TIE_TOL)}
-
-
 def pure_ne(game: BimatrixGame) -> list[tuple[str, str]]:
     """All pure-action pairs from which no unilateral deviation gains."""
     j1, j2 = game.j1, game.j2
@@ -452,9 +430,17 @@ def prior_averaged_bimatrix(game: StaticBayesianGame) -> BimatrixGame:
 
 
 def to_multistage(game: StaticBayesianGame, state: str = "x0"):
-    """Embed a one-shot Bayesian game as a single-stage game."""
+    """Embed a one-shot Bayesian game as a single-stage game.
+
+    Players of a multi-stage game observe their own types, so a player
+    with more than one type must be informed."""
     from .core import MultiStageGame, PayoffTensor, StageGame
     m1, m2, n1, n2 = game.payoffs1.shape
+    for player, informed, n in ((1, game.informed1, n1), (2, game.informed2, n2)):
+        if n > 1 and not informed:
+            raise MalformedInputError(
+                f"player {player} has {n} types but is uninformed; "
+                "players of a multi-stage game observe their own types")
     tr = np.zeros((1, m1, m2), dtype=int)
     stage = StageGame(
         0, (state,), game.actions1, game.actions2,

@@ -9,8 +9,8 @@ from secgames import multistage, signaling, static
 from secgames.cli import main
 from secgames.core import FiniteDistribution, StrategyProfile, build_tree
 from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, history_label,
-                               load_game)
-from secgames.scenarios import build_apt_game, build_static_bayesian
+                               load_game, profile_to_dict)
+from secgames.scenarios import build_apt_game, build_exercise_qb, build_static_bayesian
 from tests.test_gamejson import markov_profile_dict
 
 
@@ -122,11 +122,14 @@ _DELETE = object()      # a field to delete, not to set
     (("stages", 0, "transition"), [], "transition"),
     (("stages", 0, "transition"), "x", "transition"),
     (("stages", 0, "mask"), "x", "mask"), (("stages", 0, "mask"), [1], "mask"),
-    (("stages", 2, "next_states"), True, "next_states")],
+    (("stages", 2, "next_states"), True, "next_states"),
+    (("stages", 0, "next_states"), ["nowhere"], "stage 0: 'next_states'"),
+    (("stages", 0, "next_states"), ["ceo", "employee", "honeypot"], "stage 0: 'next_states'")],
     ids=["no-prior", "null-priors", "text-prior", "list-types", "text-horizon",
          "float-horizon", "null-stages", "number-stage", "null-states", "no-actions1",
          "no-payoffs1", "object-payoffs2", "no-transition", "empty-transition",
-         "text-transition", "text-mask", "list-mask", "bool-next-states"])
+         "text-transition", "text-mask", "list-mask", "bool-next-states",
+         "unknown-next-states", "reordered-next-states"])
 def test_malformed_game_file_exits_2(capsys, tmp_path, command, path, value, named):
     raw = game_to_dict(build_apt_game())
     target = raw
@@ -572,3 +575,41 @@ def test_solve_bne_info_outside_exercise_qb_exits_2(capsys, tmp_path, source):
     assert code == 2
     assert "--info" in err and "exercise-qb" in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command, game, params", [
+    ("ne", lambda: static.to_multistage(build_static_bayesian()),
+     '{"r1": "x", "anything": null}'),
+    ("pbne", build_apt_game, '{"r1": 2.0}')], ids=["ne", "pbne"])
+def test_params_with_game_file_exits_2(capsys, tmp_path, command, game, params):
+    path, out_file = tmp_path / "game.json", tmp_path / "r.json"
+    dump_json(game_to_dict(game()), str(path))
+    code, _, err = run(capsys, "solve", command, "--game", str(path), "--params", params,
+                       "--out", str(out_file))
+    assert code == 2
+    assert "--params" in err and "--game" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", [("solve", "pbne"), ("verify",), ("simulate", "-n", "10")],
+                         ids=["pbne", "verify", "simulate"])
+def test_uninformed_exercise_qb_has_no_multistage_form(capsys, tmp_path, command):
+    # both players of the default exercise are uninformed; a multi-stage
+    # game would let player 1 see its type and solve p1-informed instead
+    informed = static.to_multistage(build_exercise_qb("p1-informed"))
+    profile = tmp_path / "profile.json"
+    dump_json(profile_to_dict(informed, StrategyProfile.uniform(informed)), str(profile))
+    extra = () if command[0] == "solve" else ("--profile", str(profile))
+    code, _, err = run(capsys, *command, "--scenario", "exercise-qb", *extra)
+    assert code == 2
+    assert "uninformed" in err and "Traceback" not in err
+
+
+def test_p1_informed_exercise_qb_solves_as_pbne(capsys, tmp_path):
+    out_file = tmp_path / "r.json"
+    code, _, _ = run(capsys, "solve", "pbne", "--scenario", "exercise-qb",
+                     "--params", '{"info": "p1-informed"}', "--out", str(out_file))
+    assert code == 0
+    results = json.loads(out_file.read_text())["results"]
+    assert results["values"] == {"defender": [[[10.0, 14.0]]], "user": [[[14.0]]]}
+    assert results["epsilon"]["defender"] == {"theta1": 0.0, "theta2": 0.0}

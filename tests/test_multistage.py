@@ -19,7 +19,8 @@ from secgames.multistage import (ROW_ZERO_TOL, NonConvergenceReport,
                                  verify_epsilon)
 from secgames.scenarios import (build_apt_game, build_static_bayesian,
                                 default_apt_parameters, exercise_qb_matrices)
-from secgames.static import StaticBayesianGame, bayes_gap, to_multistage
+from secgames.static import (StaticBayesianGame, bayes_gap, equilibrium_values,
+                             to_multistage)
 
 
 def chain_game(payoffs_per_stage, n_stages=None):
@@ -85,8 +86,7 @@ class TestStageBilinear:
         # two-sided one-shot: restrict reward 3 (low) / 6 (high), r1=1, r2=4
         p = default_apt_parameters()
         p = type(p)(**{**p.__dict__, "r1": 1.0, "r2": 4.0, "r3": 3.0, "r4": 6.0})
-        from secgames.scenarios import escalation_stage_game
-        st = escalation_stage_game(p)
+        st = build_apt_game(p).stages[1]
         zero = np.zeros((st.m1, st.m2, 2))
         t1, t2, feas1, feas2 = _stage_tensors(st, st.state_index("employee"), zero, zero)
         sol = solve_stage_tensors(t1, t2, feas1, feas2, [0.5, 0.5], [0.5, 0.5])
@@ -311,18 +311,14 @@ class TestCumulativeUtility:
         assert cumulative_utility(g, prof, prior_beliefs(g), 0, 0) == (0.0, 0.0)
 
     def test_k0_equals_stage_payoff(self):
-        from secgames.core import expected_stage_payoff
         static_g = build_static_bayesian(2.0, 1.0, 3.0)
         g = to_multistage(static_g)
         prof = StrategyProfile.uniform(g)
         bel = forward_pass(g, prof)
         u1, u2 = cumulative_utility(g, prof, bel, 0, 0)
-        v1 = expected_stage_payoff(g.stages[0], 0, prof.sigma1[0][0], prof.sigma2[0][0],
-                                   g.prior_about_1, g.prior_about_2, 1, own_type=0)
-        v2 = expected_stage_payoff(g.stages[0], 0, prof.sigma1[0][0], prof.sigma2[0][0],
-                                   g.prior_about_1, g.prior_about_2, 2, own_type=0)
-        assert u1 == pytest.approx(v1, abs=1e-12)
-        assert u2 == pytest.approx(v2, abs=1e-12)
+        v1, v2, _, _ = equilibrium_values(static_g, prof.sigma1[0][0], prof.sigma2[0][0])
+        assert u1 == pytest.approx(v1[0], abs=1e-12)
+        assert u2 == pytest.approx(v2[0], abs=1e-12)
 
     def test_forced_chain_sums_and_suffix(self):
         g = chain_game([(1.0, -1.0), (2.0, -2.0), (4.0, -4.0)])

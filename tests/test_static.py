@@ -1,4 +1,4 @@
-"""One-shot solvers: best responses, pure/mixed equilibria, Bayesian equilibria."""
+"""One-shot solvers: pure/mixed equilibria, Bayesian equilibria."""
 
 import numpy as np
 import pytest
@@ -6,30 +6,11 @@ import pytest
 from secgames.core import (EnumerationBudgetError, FiniteDistribution,
                            MalformedInputError)
 from secgames.static import (BimatrixGame, StaticBayesianGame,
-                             bayes_gap, best_response_set, equilibrium_values,
+                             bayes_gap, equilibrium_values,
                              from_multistage, mixed_ne, prior_averaged_bimatrix,
                              pure_ne, solve_bne, to_multistage)
 from secgames.scenarios import (build_exercise_qb, build_static_baseline,
                                 build_static_bayesian, exercise_qb_matrices)
-
-
-class TestBestResponseSet:
-    def test_against_escalate(self):
-        j1 = np.array([[0.0, -1.0], [0.0, 1.0]])
-        assert best_response_set(j1, [0.0, 1.0], player=1) == {1}
-
-    def test_tie_against_idle(self):
-        j1 = np.array([[0.0, -1.0], [0.0, 1.0]])
-        assert best_response_set(j1, [1.0, 0.0], player=1) == {0, 1}
-
-    def test_zero_matrix_all_actions(self):
-        assert best_response_set(np.zeros((3, 2)), [0.5, 0.5], player=1) == {0, 1, 2}
-        assert best_response_set(np.zeros((3, 2)), [0.2, 0.3, 0.5], player=2) == {0, 1}
-
-    def test_column_player(self):
-        j2 = np.array([[0.0, 1.0], [0.0, -1.0]])
-        assert best_response_set(j2, [1.0, 0.0], player=2) == {1}
-        assert best_response_set(j2, [0.0, 1.0], player=2) == {0}
 
 
 class TestPureNe:
@@ -162,6 +143,12 @@ class TestSolveBne:
         np.testing.assert_allclose(back.payoffs1, g.payoffs1)
         np.testing.assert_allclose(back.payoffs2, g.payoffs2)
         np.testing.assert_allclose(back.prior_about_2.weights, g.prior_about_2.weights)
+
+    def test_uninformed_multi_type_player_has_no_multistage_embedding(self):
+        with pytest.raises(MalformedInputError, match="player 1 has 2 types but is uninformed"):
+            to_multistage(build_exercise_qb("uninformed"))
+        # the one-type user may stay uninformed
+        assert to_multistage(build_exercise_qb("p1-informed")).n1 == 2
 
     def test_values_match_manual_expectation(self):
         g = build_exercise_qb("uninformed")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import sys
@@ -537,7 +538,10 @@ def _add_game_source(p: argparse.ArgumentParser) -> None:
                         "(breaks byte-for-byte reproducibility)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: building it costs
+    milliseconds, parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="secgames",
         description="Equilibrium solvers for finite Bayesian security games")

@@ -14,13 +14,18 @@ optimality and consistency conditions.
 
 Mixed equilibria come from support enumeration with one feasibility LP
 per side.  These LPs and the off-path ones are all built by
-:func:`static.support_lp`, the one builder of support-system LPs.  The
-receiver-side LP (sender optimality per type) runs first and is
-skipped when the conditional-dominance screen of
-:class:`lp.DominanceScreen` proves it infeasible.  The screen runs once
-before the enumeration, as one table per sender type over all of the
+:func:`static.support_lp`, the one builder of support-system LPs.  A
+candidate is skipped without an LP when the conditional-dominance
+screen of :class:`lp.DominanceScreen` proves its receiver-side LP
+(sender optimality per type) infeasible.  The screen runs once before
+the enumeration, as one table per sender type over all of the
 receiver's support profiles (:func:`static.screen_grid`).  The
-sender-side LP is not screened, because its posterior weights can be 0.
+sender-side LP (receiver optimality in posterior weights) runs next.
+It is not screened, because its posterior weights can be 0, but it
+reads only the reply supports at the messages some type may send, so
+it is solved once per (sender support profile, on-path reply supports)
+pair.  The receiver-side LP runs last, only where the sender side is
+feasible.
 """
 
 from __future__ import annotations
@@ -302,9 +307,10 @@ def solve_mixed_pbne(game: SignalingGame) -> list[SignalingPBNE]:
     """Mixed equilibria by agent-form support enumeration.
 
     Agents are sender types and receiver information sets (messages);
-    candidate supports are resolved by two decoupled feasibility LPs and
-    every solution is re-verified, with off-path responses required to
-    be optimal under some belief.
+    candidate supports are resolved by two decoupled feasibility LPs,
+    the sender side (memoised per on-path reply supports) before the
+    receiver side, and every solution is re-verified, with off-path
+    responses required to be optimal under some belief.
     """
     n, m1, m2 = game.n_types, game.n_actions, game.n_messages
     if n > 3 or m1 > 3 or m2 > 3:
@@ -325,18 +331,24 @@ def solve_mixed_pbne(game: SignalingGame) -> list[SignalingPBNE]:
     off_beliefs: dict[tuple, np.ndarray | None] = {}   # per (message, reply support)
     for sender_sup, row in zip(itertools.product(*sender_subsets), rejected):
         potential = sorted({m for sup in sender_sup for m in sup})
+        # The sender side reads the reply supports only at messages in
+        # ``potential``, so reply profiles that differ off path share it.
+        senders: dict[tuple, np.ndarray | None] = {}
         for receiver_sup, skip in zip(itertools.product(*receiver_subsets), row.tolist()):
-            # Both sides must be solvable, so the screened receiver side
-            # goes first; the sender side's posterior weights can be 0
-            # and are not screened.
+            # Both sides must be solvable.  The screen costs no LP; then
+            # the memoised sender side, which is infeasible more often
+            # than the screened receiver side.
             if skip:
+                continue
+            on_path = tuple(receiver_sup[m] for m in potential)
+            if on_path not in senders:
+                senders[on_path] = support_lp(coef1[potential], on_path,
+                                              [range(m1)] * len(potential), sender_sup, m2)
+            sender = senders[on_path]
+            if sender is None:
                 continue
             receiver = support_lp(coef, sender_sup, feasible, receiver_sup, m1)
             if receiver is None:
-                continue
-            sender = support_lp(coef1[potential], [receiver_sup[m] for m in potential],
-                                [range(m1)] * len(potential), sender_sup, m2)
-            if sender is None:
                 continue
             marginals = prior @ sender
             beliefs = np.zeros((m2, n))

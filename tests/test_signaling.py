@@ -435,3 +435,109 @@ def test_off_path_belief_matches_highs(seed):
             assert belief.sum() == pytest.approx(1.0, abs=1e-12)
             values = g.payoffs1[:, m, :] @ belief
             assert values[list(support)].min() >= values.max() - _TIE_TOL
+
+
+def _receiver_first_mixed_pbne(game):
+    """Reference enumeration: the mixed solver with the receiver-side LP
+    first and no memo of the sender side, otherwise unchanged."""
+    from secgames.lp import DominanceScreen
+    from secgames.signaling import (_BAYES_TOL, GAP_TOL, SignalingPBNE,
+                                    _support_coefficients)
+    from secgames.static import screen_grid, sized_subsets, support_lp, support_of
+    n, m1, m2 = game.n_types, game.n_actions, game.n_messages
+    prior = np.asarray(game.prior.weights)
+    feasible = [np.flatnonzero(game.message_mask[t]).tolist() for t in range(n)]
+    sender_subsets = [sized_subsets(f) for f in feasible]
+    receiver_subsets = [sized_subsets(range(m1))] * m2
+    coef, coef1 = _support_coefficients(game)
+    screens = [DominanceScreen(coef[t], feasible[t]) for t in range(n)]
+    rejected = screen_grid(screens, sender_subsets, receiver_subsets)
+    results, seen, off_beliefs = [], set(), {}
+    for sender_sup, row in zip(itertools.product(*sender_subsets), rejected):
+        potential = sorted({m for sup in sender_sup for m in sup})
+        for receiver_sup, skip in zip(itertools.product(*receiver_subsets), row.tolist()):
+            if skip:
+                continue
+            receiver = support_lp(coef, sender_sup, feasible, receiver_sup, m1)
+            if receiver is None:
+                continue
+            sender = support_lp(coef1[potential], [receiver_sup[m] for m in potential],
+                                [range(m1)] * len(potential), sender_sup, m2)
+            if sender is None:
+                continue
+            marginals = prior @ sender
+            beliefs = np.zeros((m2, n))
+            off_path = []
+            ok = True
+            for m in range(m2):
+                if marginals[m] > 1e-12:
+                    beliefs[m] = prior * sender[:, m] / marginals[m]
+                    continue
+                off_path.append(m)
+                key = (m, tuple(np.flatnonzero(receiver[m] > 1e-12).tolist()))
+                if key not in off_beliefs:
+                    off_beliefs[key] = _off_path_belief(game, *key)
+                if off_beliefs[key] is None:
+                    ok = False
+                    break
+                beliefs[m] = off_beliefs[key]
+            if not ok:
+                continue
+            gap, bayes_err, notes = verify_pbne(game, receiver, sender, beliefs)
+            if gap > GAP_TOL or bayes_err > _BAYES_TOL or notes:
+                continue
+            key = np.round(np.concatenate([receiver.ravel(), sender.ravel()]), 7).tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            results.append(SignalingPBNE(
+                receiver, sender, beliefs, tuple(off_path), classify(sender), gap))
+    results.sort(key=lambda r: (support_of(r.sender), support_of(r.receiver)))
+    return results
+
+
+# (types, messages, actions, zero-prior type).  As (defender, user)
+# games: 2x3 with 1x2 types, 2x2 with 1x3, 3x2 with 1x2 plus a
+# zero-prior type, and 3x3 with 1x3.
+_REFERENCE_CASES = ([(seed, (2, 3, 2, False)) for seed in range(5)]
+                    + [(seed, (3, 2, 2, False)) for seed in range(5)]
+                    + [(seed, (2, 2, 3, True)) for seed in range(5)]
+                    + [(7, (3, 3, 3, False))])
+
+
+@pytest.mark.parametrize("seed,shape", _REFERENCE_CASES)
+def test_mixed_pbne_matches_receiver_first_reference(seed, shape):
+    *dims, zero_prior = shape
+    g = _random_signaling(seed, *dims, zero_prior=zero_prior)
+    found = solve_mixed_pbne(g)
+    expected = _receiver_first_mixed_pbne(g)
+    assert len(found) == len(expected)
+    for r, e in zip(found, expected):
+        assert np.array_equal(r.receiver, e.receiver)
+        assert np.array_equal(r.sender, e.sender)
+        assert np.array_equal(r.beliefs, e.beliefs)
+        assert (r.off_path, r.classification, r.gap) == (e.off_path, e.classification, e.gap)
+
+
+def test_sender_side_lp_is_solved_once_per_on_path_reply_supports(monkeypatch):
+    from secgames import static
+    g = _random_signaling(0, 2, 3, 2)
+    solve_lp = static.solve_lp
+    solved = []
+
+    def spy(problem):
+        solved.append(tuple((a.shape, a.tobytes()) for a in (
+            problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq)))
+        return solve_lp(problem)
+
+    monkeypatch.setattr(static, "solve_lp", spy)
+    found = solve_mixed_pbne(g)
+    systems = list(solved)
+    solved.clear()
+    expected = _receiver_first_mixed_pbne(g)
+    assert len(found) == len(expected) > 0
+    # No system, the sender side's (sender support profile, on-path
+    # reply supports) among them, is solved twice.
+    assert len(set(systems)) == len(systems)
+    assert len(set(solved)) < len(solved)
+    assert 0 < len(systems) <= 0.6 * len(solved)

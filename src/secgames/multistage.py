@@ -25,6 +25,11 @@ pass.  A converged result's beliefs are the forward pass of its
 profile, its values are its profile's utility-to-go under those
 beliefs, and its ε-certificate is computed over the full history tree.
 
+Every walk of the history tree (node values, forward pass, reach,
+residuals, the averaging step, class keys) runs one stage at a time
+over ``build_tree`` order, with whole-array operations per stage; the
+public types stay dicts keyed by history.
+
 Non-convergence of the loop is a first-class result (reported as
 evidence that no equilibrium of this form exists), never an exception.
 
@@ -310,127 +315,146 @@ def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, warm=None
 
 # ---------------------------------------------------------------------------
 # History tree, forward pass, backward pass.
+#
+# ``build_tree`` inserts histories stage by stage, children in (a1, a2)
+# row-major order, so the children of stage k's i-th history are the
+# stage-(k + 1) histories i*m1*m2 + a1*m2 + a2.  Rows, beliefs, reach and
+# values below are per-stage arrays in that order.
 # ---------------------------------------------------------------------------
 
-def _children(path: NodeKey, st: StageGame) -> list[NodeKey]:
-    """Child histories of ``path`` in (a1, a2) row-major order."""
-    return [path + ((a1, a2),) for a1 in range(st.m1) for a2 in range(st.m2)]
+def _stages(game: MultiStageGame) -> list[tuple[list[NodeKey], np.ndarray]]:
+    """``build_tree`` order cut into stages: (histories, end states)."""
+    nodes = build_tree(game)
+    paths = list(nodes)
+    states = np.fromiter((x for _, x in nodes.values()), dtype=int, count=len(paths))
+    out, lo, size = [], 0, 1
+    for st in game.stages:
+        out.append((paths[lo:lo + size], states[lo:lo + size]))
+        lo, size = lo + size, size * st.m1 * st.m2
+    return out
+
+
+def _stage_rows(profile: StrategyProfile, tree) -> tuple[list, list]:
+    """Each player's rows per stage, ``(histories, n_types, m)``."""
+    blocks = [np.fromiter((profile.classes[p] for p in paths), dtype=int, count=len(paths))
+              for paths, _ in tree]
+    return ([a[b] for a, b in zip(profile.sigma1, blocks)],
+            [a[b] for a, b in zip(profile.sigma2, blocks)])
+
+
+def _stack(beliefs: BeliefSystem, tree) -> tuple[list, list]:
+    """Both players' node beliefs stacked per stage."""
+    return tuple([np.array([per_history[p] for p in paths]) for paths, _ in tree]
+                 for per_history in (beliefs.belief_p1, beliefs.belief_p2))
+
+
+def _per_history(tree, per_stage) -> dict:
+    """Per-stage sequences keyed back by history (array rows are views)."""
+    return {p: v for (paths, _), vals in zip(tree, per_stage) for p, v in zip(paths, vals)}
+
+
+def _prior_stage_beliefs(game: MultiStageGame, tree) -> tuple[list, list]:
+    """Both players' node beliefs per stage when every node keeps the prior."""
+    return tuple([np.tile(prior.weights, (len(paths), n_own, 1)) for paths, _ in tree]
+                 for prior, n_own in ((game.prior_about_2, game.n1),
+                                      (game.prior_about_1, game.n2)))
 
 
 def prior_beliefs(game: MultiStageGame) -> BeliefSystem:
     """The uninformative start: priors carried forward at every node."""
-    nodes = build_tree(game)
-    n1, n2 = game.n1, game.n2
-    p_about_2 = np.asarray(game.prior_about_2.weights)
-    p_about_1 = np.asarray(game.prior_about_1.weights)
-    bel1 = {path: np.tile(p_about_2, (n1, 1)) for path in nodes}
-    bel2 = {path: np.tile(p_about_1, (n2, 1)) for path in nodes}
-    off1 = {path: False for path in nodes}
-    off2 = {path: False for path in nodes}
-    agg1, agg2, agg_off = [], [], []
-    for k, st in enumerate(game.stages):
-        agg1.append(np.tile(p_about_1, (st.n_states, 1)))
-        agg2.append(np.tile(p_about_2, (st.n_states, 1)))
-        agg_off.append(np.zeros(st.n_states, dtype=bool))
-    return BeliefSystem(bel1, bel2, off1, off2,
-                        tuple(agg1), tuple(agg2), tuple(agg_off), 0.0)
+    tree = _stages(game)
+    off = _per_history(tree, [[False] * len(paths) for paths, _ in tree])
+    return BeliefSystem(*(_per_history(tree, b) for b in _prior_stage_beliefs(game, tree)),
+                        off, dict(off),
+                        *(tuple(np.tile(prior.weights, (st.n_states, 1)) for st in game.stages)
+                          for prior in (game.prior_about_1, game.prior_about_2)),
+                        tuple(np.zeros(st.n_states, dtype=bool) for st in game.stages), 0.0)
 
 
 def _bayes(bel: np.ndarray, opp_rows: np.ndarray):
-    """Posteriors after each opponent action, one row per own type.
+    """Posteriors after each opponent action, per history and own type.
 
-    ``bel[t, u]`` is own type ``t``'s belief in opponent type ``u``;
-    ``opp_rows[u, a]`` the opponent's strategy.  Returns posteriors
-    ``(m, n_own, n_opp)`` and, per action, whether it has positive
-    probability for every own type.  An action of zero probability keeps
-    the prior, as :func:`belief_update` does.
+    ``bel[h, t, u]`` is own type ``t``'s belief in opponent type ``u`` at
+    history ``h``; ``opp_rows[h, u, a]`` the opponent's strategy there.
+    Returns posteriors ``(h, m, n_own, n_opp)`` and, per (history,
+    action), whether the action has positive probability for every own
+    type.  An action of zero probability keeps the prior, as
+    :func:`belief_update` does.
     """
-    joint = bel[:, :, None] * opp_rows[None, :, :]
-    total = joint.sum(axis=1)
+    joint = bel[:, :, :, None] * opp_rows[:, None, :, :]
+    total = joint.sum(axis=2)
     on = total > 0.0
-    post = np.where(on[:, None, :], joint / np.where(on, total, 1.0)[:, None, :],
-                    bel[:, :, None])
-    return post.transpose(2, 0, 1), on.all(axis=0)
+    post = np.where(on[:, :, None, :], joint / np.where(on, total, 1.0)[:, :, None, :],
+                    bel[:, :, :, None])
+    return post.transpose(0, 3, 1, 2), on.all(axis=1)
 
 
-def _reach(game: MultiStageGame, nodes, profile: StrategyProfile) -> dict:
-    """Probability of every history per type pair, ``(n1, n2)``."""
-    reach = {(): np.ones((game.n1, game.n2))}
-    for path, (k, _) in nodes.items():
-        if k == game.horizon:
-            continue
-        st = game.stages[k]
-        r1 = profile.rows(1, path)
-        r2 = profile.rows(2, path)
-        for child in _children(path, st):
-            a1, a2 = child[-1]
-            reach[child] = reach[path] * np.outer(r1[:, a1], r2[:, a2])
-    return reach
-
-
-def _node_beliefs(game: MultiStageGame, nodes, profile: StrategyProfile):
+def _forward(game: MultiStageGame, rows1: list, rows2: list):
     """Bayes-updated node beliefs and off-path flags along every history.
 
-    Returns the dicts ``(belief_p1, belief_p2, off_path_p1, off_path_p2)``
-    of a :class:`BeliefSystem`; each history follows the profile's own
-    rows for it.
+    Returns per-stage lists ``(belief_p1, belief_p2, off_path_p1,
+    off_path_p2)``; each history follows its own rows ``rows1``/``rows2``.
     """
     n1, n2 = game.n1, game.n2
-    p1w = np.asarray(game.prior_about_1.weights)   # world prior over defender types
-    p2w = np.asarray(game.prior_about_2.weights)
-    bel1 = {(): np.tile(p2w, (n1, 1))}
-    bel2 = {(): np.tile(p1w, (n2, 1))}
-    off1 = {(): False}
-    off2 = {(): False}
-    for path, (k, _) in nodes.items():
-        if k == game.horizon:
-            continue
-        st = game.stages[k]
-        post1, seen2 = _bayes(bel1[path], profile.rows(2, path))
-        post2, seen1 = _bayes(bel2[path], profile.rows(1, path))
-        for child in _children(path, st):
-            a1, a2 = child[-1]
-            bel1[child] = post1[a2]
-            bel2[child] = post2[a1]
-            off1[child] = off1[path] or not seen2[a2]
-            off2[child] = off2[path] or not seen1[a1]
+    bel1 = [np.tile(game.prior_about_2.weights, (1, n1, 1))]
+    bel2 = [np.tile(game.prior_about_1.weights, (1, n2, 1))]
+    off1, off2 = [np.zeros(1, dtype=bool)], [np.zeros(1, dtype=bool)]
+    for k, st in enumerate(game.stages[:-1]):
+        shape = (len(off1[k]), st.m1, st.m2)
+        post1, seen2 = _bayes(bel1[k], rows2[k])
+        post2, seen1 = _bayes(bel2[k], rows1[k])
+        bel1.append(np.broadcast_to(post1[:, None], shape + (n1, n2)).reshape(-1, n1, n2))
+        bel2.append(np.broadcast_to(post2[:, :, None], shape + (n2, n1)).reshape(-1, n2, n1))
+        off1.append(np.broadcast_to(off1[k][:, None, None] | ~seen2[:, None, :], shape).ravel())
+        off2.append(np.broadcast_to(off2[k][:, None, None] | ~seen1[:, :, None], shape).ravel())
     return bel1, bel2, off1, off2
 
 
-def _with_aggregates(game: MultiStageGame, nodes, profile: StrategyProfile,
-                     bel1, bel2, off1, off2) -> BeliefSystem:
-    """Node beliefs plus their per-(stage, state) aggregate diagnostics."""
-    n1, n2 = game.n1, game.n2
+def _reach(game: MultiStageGame, rows1: list, rows2: list) -> list[np.ndarray]:
+    """Probability of every history per type pair, ``(histories, n1, n2)``
+    per stage."""
+    reach = [np.ones((1, game.n1, game.n2))]
+    for k in range(game.horizon):
+        pair = (rows1[k].transpose(0, 2, 1)[:, :, None, :, None]
+                * rows2[k].transpose(0, 2, 1)[:, None, :, None, :])
+        reach.append((reach[k][:, None, None] * pair).reshape(-1, game.n1, game.n2))
+    return reach
+
+
+def _with_aggregates(game: MultiStageGame, tree, reach, bel1, bel2, off1, off2
+                     ) -> BeliefSystem:
+    """Per-stage node beliefs as a :class:`BeliefSystem`, plus their
+    per-(stage, state) aggregate diagnostics."""
     p1w = np.asarray(game.prior_about_1.weights)
     p2w = np.asarray(game.prior_about_2.weights)
-    reach = _reach(game, nodes, profile)
     prior = p1w[:, None] * p2w[None, :]
     agg1, agg2, agg_off = [], [], []
     discrepancy = 0.0
-    by_state = _by_state(nodes)
-    for k, st in enumerate(game.stages):
+    for k, (st, (_, states)) in enumerate(zip(game.stages, tree)):
         a1k = np.tile(p1w, (st.n_states, 1))
         a2k = np.tile(p2w, (st.n_states, 1))
         offk = np.ones(st.n_states, dtype=bool)
-        for x in range(st.n_states):
-            paths = by_state.get((k, x), [])
-            joint = [prior * reach[p] for p in paths]
-            mass = sum(joint, np.zeros((n1, n2)))
+        for x in set(states.tolist()):
+            at = states == x
+            joint = prior * reach[k][at]
+            # a running sum in history order, whatever the type counts
+            mass = np.cumsum(joint, axis=0)[-1]
             if mass.sum() <= 1e-15:
                 continue
             a1k[x] = mass.sum(axis=1) / mass.sum()
             a2k[x] = mass.sum(axis=0) / mass.sum()
             offk[x] = False
-            for p, j in zip(paths, joint):
-                if j.sum() > 1e-15:
-                    discrepancy = max(
-                        discrepancy,
-                        float(np.abs(bel1[p] - a2k[x][None, :]).max()),
-                        float(np.abs(bel2[p] - a1k[x][None, :]).max()))
+            live = joint.sum(axis=(1, 2)) > 1e-15
+            if live.any():
+                discrepancy = max(discrepancy,
+                                  float(np.abs(bel1[k][at][live] - a2k[x]).max()),
+                                  float(np.abs(bel2[k][at][live] - a1k[x]).max()))
         agg1.append(a1k)
         agg2.append(a2k)
         agg_off.append(offk)
-    return BeliefSystem(bel1, bel2, off1, off2,
+    return BeliefSystem(_per_history(tree, bel1), _per_history(tree, bel2),
+                        _per_history(tree, [o.tolist() for o in off1]),
+                        _per_history(tree, [o.tolist() for o in off2]),
                         tuple(agg1), tuple(agg2), tuple(agg_off), discrepancy)
 
 
@@ -442,9 +466,9 @@ def forward_pass(game: MultiStageGame, profile: StrategyProfile) -> BeliefSystem
     node belief and its aggregate are diagnostics: the solver's stage
     programs read node beliefs.
     """
-    nodes = build_tree(game)
-    return _with_aggregates(game, nodes, profile,
-                            *_node_beliefs(game, nodes, profile))
+    tree = _stages(game)
+    rows = _stage_rows(profile, tree)
+    return _with_aggregates(game, tree, _reach(game, *rows), *_forward(game, *rows))
 
 
 def _clean_rows(rows: np.ndarray) -> np.ndarray:
@@ -459,8 +483,7 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
-              warm_profile: StrategyProfile | None):
+def _backward(game: MultiStageGame, tree, bel1: list, bel2: list, warm):
     """Solve one stage program per belief class, from the horizon down.
 
     A class holds the stage-k histories that share a state, both
@@ -473,65 +496,58 @@ def _backward(game: MultiStageGame, nodes, bel1: dict, bel2: dict,
     are the same for every own type (priors and updates ignore the
     holder's type), so the first row stands for all.
 
-    ``bel1``/``bel2`` are the node beliefs of each player; each program
-    is traced from the rows ``warm_profile`` gives its first history.
-    Returns the class profile and the stage solutions keyed by
-    (stage, class).
+    ``bel1``/``bel2`` are the players' node beliefs per stage; each
+    program is traced from the rows that ``warm`` (both players' stage
+    rows, or None) gives its first history.  Returns the class profile,
+    its stage rows and the stage solutions keyed by (stage, class).
     """
     K = game.horizon
     n1, n2 = game.n1, game.n2
-    by_stage: list[list[NodeKey]] = [[] for _ in game.stages]
-    for path, (k, _) in nodes.items():
-        by_stage[k].append(path)
     classes: dict[NodeKey, int] = {}
-    sig1: list[np.ndarray | None] = [None] * (K + 1)
-    sig2: list[np.ndarray | None] = [None] * (K + 1)
-    cv1: list[np.ndarray | None] = [None] * (K + 1)
-    cv2: list[np.ndarray | None] = [None] * (K + 1)
+    cls, sig1, sig2, cv1, cv2 = ([None] * (K + 1) for _ in range(5))
     stage_solutions: dict[tuple[int, int], BilinearStageSolution] = {}
 
     for k in range(K, -1, -1):
         st = game.stages[k]
-        keys: dict[tuple, int] = {}
-        programs = []
-        for path in by_stage[k]:
-            x = nodes[path][1]
-            b1 = np.round(bel2[path][0], CLASS_DECIMALS)
-            b2 = np.round(bel1[path][0], CLASS_DECIMALS)
-            if k < K:
-                kids = [classes[c] for c in _children(path, st)]
-                cont1 = cv1[k + 1][kids].reshape(st.m1, st.m2, n1)
-                cont2 = cv2[k + 1][kids].reshape(st.m1, st.m2, n2)
-            else:
-                cont1 = np.zeros((st.m1, st.m2, n1))
-                cont2 = np.zeros((st.m1, st.m2, n2))
-            key = (x, b1.tobytes(), b2.tobytes(), cont1.tobytes(), cont2.tobytes())
-            if key not in keys:
-                keys[key] = len(programs)
-                programs.append((path, x, b1, b2, cont1, cont2))
-            classes[path] = keys[key]
+        paths, states = tree[k]
+        n = len(paths)
+        b1 = np.round(bel2[k][:, 0], CLASS_DECIMALS)
+        b2 = np.round(bel1[k][:, 0], CLASS_DECIMALS)
+        if k < K:
+            cont1 = cv1[k + 1][cls[k + 1]].reshape(n, st.m1, st.m2, n1)
+            cont2 = cv2[k + 1][cls[k + 1]].reshape(n, st.m1, st.m2, n2)
+        else:
+            cont1 = np.zeros((n, st.m1, st.m2, n1))
+            cont2 = np.zeros((n, st.m1, st.m2, n2))
+        # the class key of each history, as one row
+        keys = np.concatenate([states[:, None], b1, b2, cont1.reshape(n, -1),
+                               cont2.reshape(n, -1)], axis=1)
+        ids: dict[bytes, int] = {}
+        cls[k] = np.array([ids.setdefault(key.tobytes(), len(ids)) for key in keys])
+        classes.update(zip(paths, cls[k].tolist()))
+        # a class's first history is where its number exceeds all before it
+        heads = np.flatnonzero(cls[k] > np.maximum.accumulate(np.r_[-1, cls[k][:-1]]))
 
-        sig1[k] = np.zeros((len(programs), n1, st.m1))
-        sig2[k] = np.zeros((len(programs), n2, st.m2))
-        cv1[k] = np.zeros((len(programs), n1))
-        cv2[k] = np.zeros((len(programs), n2))
-        for c, (path, x, b1, b2, cont1, cont2) in enumerate(programs):
-            t1, t2, feas1, feas2 = _stage_tensors(st, x, cont1, cont2)
-            warm = None
-            if warm_profile is not None:
-                warm = (warm_profile.rows(1, path), warm_profile.rows(2, path))
+        sig1[k] = np.zeros((len(heads), n1, st.m1))
+        sig2[k] = np.zeros((len(heads), n2, st.m2))
+        cv1[k] = np.zeros((len(heads), n1))
+        cv2[k] = np.zeros((len(heads), n2))
+        for c, i in enumerate(heads):
+            x = int(states[i])
+            t1, t2, feas1, feas2 = _stage_tensors(st, x, cont1[i], cont2[i])
+            start = None if warm is None else (warm[0][k][i], warm[1][k][i])
             try:
-                sol = solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, warm=warm)
+                sol = solve_stage_tensors(t1, t2, feas1, feas2, b1[i], b2[i], warm=start)
             except SolverError as err:
                 raise SolverError(
                     f"stage {k}, state {st.states[x]!r}: {err}") from err
             stage_solutions[(k, c)] = sol
-            s1, s2 = _clean_rows(sol.sigma1), _clean_rows(sol.sigma2)
-            sig1[k][c] = s1
-            sig2[k][c] = s2
-            cv1[k][c] = np.einsum("abst,sa,tb,t->s", t1, s1, s2, b2)
-            cv2[k][c] = np.einsum("abst,sa,tb,s->t", t2, s1, s2, b1)
-    return StrategyProfile(tuple(sig1), tuple(sig2), classes), stage_solutions
+            sig1[k][c] = s1 = _clean_rows(sol.sigma1)
+            sig2[k][c] = s2 = _clean_rows(sol.sigma2)
+            cv1[k][c] = np.einsum("abst,sa,tb,t->s", t1, s1, s2, b2[i])
+            cv2[k][c] = np.einsum("abst,sa,tb,s->t", t2, s1, s2, b1[i])
+    rows = ([s[c] for s, c in zip(sig1, cls)], [s[c] for s, c in zip(sig2, cls)])
+    return StrategyProfile(tuple(sig1), tuple(sig2), classes), rows, stage_solutions
 
 
 def backward_pass(game: MultiStageGame, beliefs: BeliefSystem,
@@ -544,24 +560,17 @@ def backward_pass(game: MultiStageGame, beliefs: BeliefSystem,
     state) (see :class:`ValueFunction`) and the stage solutions keyed
     by (stage, class).
     """
-    nodes = build_tree(game)
-    profile, stage_solutions = _backward(
-        game, nodes, beliefs.belief_p1, beliefs.belief_p2, warm_profile)
-    return profile, _state_values(game, nodes, profile, beliefs), stage_solutions
+    tree = _stages(game)
+    bel = _stack(beliefs, tree)
+    warm = None if warm_profile is None else _stage_rows(warm_profile, tree)
+    profile, rows, stage_solutions = _backward(game, tree, *bel, warm)
+    values = [_node_values(game, tree, rows, b, player, False)
+              for player, b in zip((1, 2), bel)]
+    return profile, _state_values(game, tree, _reach(game, *rows), *values), stage_solutions
 
 
-def _by_state(nodes) -> dict[tuple[int, int], list[NodeKey]]:
-    """Histories grouped by the (stage, state) they end in."""
-    groups: dict[tuple[int, int], list[NodeKey]] = {}
-    for path, kx in nodes.items():
-        groups.setdefault(kx, []).append(path)
-    return groups
-
-
-def _state_values(game: MultiStageGame, nodes, profile: StrategyProfile,
-                  beliefs: BeliefSystem) -> ValueFunction:
-    """Average per-history values under ``beliefs`` into per-(stage,
-    state) values.
+def _state_values(game: MultiStageGame, tree, reach, node_v1, node_v2) -> ValueFunction:
+    """Average per-history values into per-(stage, state) values.
 
     Each history of a state is weighted, per own type, by the chance
     that play reaches it given that type; a state no history reaches
@@ -570,21 +579,17 @@ def _state_values(game: MultiStageGame, nodes, profile: StrategyProfile,
     """
     p1w = np.asarray(game.prior_about_1.weights)
     p2w = np.asarray(game.prior_about_2.weights)
-    reach = _reach(game, nodes, profile)
-    node_v1, node_v2 = (_node_values(game, nodes, profile, beliefs, player, False)
-                        for player in (1, 2))
     out1 = [np.zeros((st.n_states, game.n1)) for st in game.stages]
     out2 = [np.zeros((st.n_states, game.n2)) for st in game.stages]
-    for (k, x), paths in _by_state(nodes).items():
-        for out, node_v, own_reach in (
-                (out1, node_v1, lambda r: r @ p2w),
-                (out2, node_v2, lambda r: p1w @ r)):
-            v = np.array([node_v[p] for p in paths])
-            w = np.array([own_reach(reach[p]) for p in paths])
-            total = w.sum(axis=0)
-            out[k][x] = np.where(total > 0.0,
-                                 (w * v).sum(axis=0) / np.where(total > 0.0, total, 1.0),
-                                 v.mean(axis=0))
+    for k, (_, states) in enumerate(tree):
+        for x in set(states.tolist()):
+            at = states == x
+            for out, v, w in ((out1, node_v1[k][at], reach[k][at] @ p2w),
+                              (out2, node_v2[k][at], p1w @ reach[k][at])):
+                total = w.sum(axis=0)
+                out[k][x] = np.where(total > 0.0,
+                                     (w * v).sum(axis=0) / np.where(total > 0.0, total, 1.0),
+                                     v.mean(axis=0))
     return ValueFunction(tuple(out1), tuple(out2))
 
 
@@ -592,46 +597,42 @@ def _state_values(game: MultiStageGame, nodes, profile: StrategyProfile,
 # Exact evaluation over the history tree.
 # ---------------------------------------------------------------------------
 
-def _node_values(game: MultiStageGame, nodes, profile: StrategyProfile,
-                 beliefs: BeliefSystem, player: int, best_response: bool,
-                 from_stage: int = 0) -> dict:
-    """Utility-to-go at every history, one entry per own type.
+def _node_values(game: MultiStageGame, tree, rows, bel: list, player: int,
+                 best_response: bool, from_stage: int = 0) -> list[np.ndarray]:
+    """Utility-to-go at every history, ``(histories, n_own)`` per stage.
 
-    The own-stage payoff at each node takes the joint expectation of
-    the opponent's type and action under the node belief; deviations,
-    when requested, may condition on the full history.  Stages before
-    ``from_stage`` are neither counted nor deviated at.
+    ``rows`` are both players' stage rows and ``bel`` the player's node
+    beliefs per stage.  The own-stage payoff at each node takes the joint
+    expectation of the opponent's type and action under the node belief;
+    deviations, when requested, may condition on the full history.
+    Stages before ``from_stage`` are neither counted nor deviated at.
     """
-    value: dict[NodeKey, np.ndarray] = {}
+    K = game.horizon
     n_own = game.n1 if player == 1 else game.n2
-    for path in reversed(list(nodes)):
-        k, x = nodes[path]
+    values: list = [None] * (K + 1)
+    for k in range(K, -1, -1):
         st = game.stages[k]
-        r1 = profile.rows(1, path)
-        r2 = profile.rows(2, path)
-        if k < game.horizon:
-            cont = np.array([value[c] for c in _children(path, st)]).reshape(
-                st.m1, st.m2, n_own)
-        else:
-            cont = np.zeros((st.m1, st.m2, n_own))
+        x = tree[k][1]
+        cont = (values[k + 1].reshape(len(x), st.m1, st.m2, n_own) if k < K
+                else np.zeros((len(x), st.m1, st.m2, n_own)))
         if player == 1:
-            # w[own, opp type, opp action]: belief times opponent strategy
-            w = beliefs.belief_p1[path][:, :, None] * r2[None, :, :]
-            q = np.einsum("sj,ijs->si", w.sum(axis=1), cont)
+            # w[h, own, opp type, opp action]: belief times opponent strategy
+            w = bel[k][:, :, :, None] * rows[1][k][:, None, :, :]
+            q = np.einsum("hsj,hijs->hsi", w.sum(axis=2), cont)
             if k >= from_stage:
-                q = q + np.einsum("suj,ijsu->si", w, st.payoff1.values[x])
-            own_rows, own_feas = r1, st.payoff1.feasible[x]
+                q = q + np.einsum("hsuj,hijsu->hsi", w, st.payoff1.values[x])
+            own_rows, own_feas = rows[0][k], st.payoff1.feasible[x]
         else:
-            w = beliefs.belief_p2[path][:, :, None] * r1[None, :, :]
-            q = np.einsum("ui,iju->uj", w.sum(axis=1), cont)
+            w = bel[k][:, :, :, None] * rows[0][k][:, None, :, :]
+            q = np.einsum("hui,hiju->huj", w.sum(axis=2), cont)
             if k >= from_stage:
-                q = q + np.einsum("usi,ijsu->uj", w, st.payoff2.values[x])
-            own_rows, own_feas = r2, st.payoff2.feasible[x]
+                q = q + np.einsum("husi,hijsu->huj", w, st.payoff2.values[x])
+            own_rows, own_feas = rows[1][k], st.payoff2.feasible[x]
         if best_response and k >= from_stage:
-            value[path] = np.where(own_feas, q, -np.inf).max(axis=1)
+            values[k] = np.where(own_feas, q, -np.inf).max(axis=2)
         else:
-            value[path] = (own_rows * q).sum(axis=1)
-    return value
+            values[k] = (own_rows * q).sum(axis=2)
+    return values
 
 
 def root_values(game: MultiStageGame, profile: StrategyProfile,
@@ -642,11 +643,16 @@ def root_values(game: MultiStageGame, profile: StrategyProfile,
 
     Each side's expectation runs over the opponent's type under the
     supplied beliefs and over both players' action draws, by full tree
-    traversal.
+    traversal.  ``from_stage`` must be an integer from 0 to the horizon.
     """
-    nodes = build_tree(game)
-    return tuple(_node_values(game, nodes, profile, beliefs, player, False, from_stage)[()]
-                 for player in (1, 2))
+    if isinstance(from_stage, bool) or not isinstance(from_stage, (int, np.integer)) \
+            or not 0 <= from_stage <= game.horizon:
+        raise MalformedInputError(f"from_stage must be an integer from 0 to "
+                                  f"{game.horizon}, got {from_stage!r}")
+    tree = _stages(game)
+    rows = _stage_rows(profile, tree)
+    return tuple(_node_values(game, tree, rows, b, player, False, from_stage)[0][0]
+                 for player, b in zip((1, 2), _stack(beliefs, tree)))
 
 
 def cumulative_utility(game: MultiStageGame, profile: StrategyProfile,
@@ -660,6 +666,24 @@ def cumulative_utility(game: MultiStageGame, profile: StrategyProfile,
     return float(u1[t1]), float(u2[t2])
 
 
+def _certify(game: MultiStageGame, tree, rows, bel: tuple, forward: tuple):
+    """The :class:`EpsilonReport` of stage rows under the node beliefs
+    ``bel`` (per player, per stage), given the rows' own forward pass;
+    and each player's achieved node values."""
+    violation = max(float(np.abs(f - s).max(axis=(1, 2))[~o].max(initial=0.0))
+                    for fwd, supplied, off in zip(forward[:2], bel, forward[2:])
+                    for f, s, o in zip(fwd, supplied, off))
+    eps, achieved = [], []
+    for player, b in zip((1, 2), bel):
+        ach = _node_values(game, tree, rows, b, player, False)
+        best = _node_values(game, tree, rows, b, player, True)
+        gap = np.maximum(best[0][0] - ach[0][0], 0.0)
+        gap[gap < 1e-12] = 0.0
+        eps.append(gap)
+        achieved.append(ach)
+    return EpsilonReport(eps[0], eps[1], violation, violation <= 1e-9), achieved
+
+
 def verify_epsilon(game: MultiStageGame, profile: StrategyProfile,
                    beliefs: BeliefSystem) -> EpsilonReport:
     """Certify how far each (player, type) is from its best response.
@@ -669,41 +693,15 @@ def verify_epsilon(game: MultiStageGame, profile: StrategyProfile,
     consistency is checked, not assumed: the forward pass is recomputed
     from the profile and compared on path.
     """
-    nodes = build_tree(game)
-    bel1, bel2, off1, off2 = _node_beliefs(game, nodes, profile)
-    violation = 0.0
-    for path, arr in bel1.items():
-        if not off1[path]:
-            violation = max(violation, float(np.abs(arr - beliefs.belief_p1[path]).max()))
-    for path, arr in bel2.items():
-        if not off2[path]:
-            violation = max(violation, float(np.abs(arr - beliefs.belief_p2[path]).max()))
-
-    eps = []
-    for player in (1, 2):
-        ach = _node_values(game, nodes, profile, beliefs, player, False)[()]
-        best = _node_values(game, nodes, profile, beliefs, player, True)[()]
-        gap = np.maximum(best - ach, 0.0)
-        gap[gap < 1e-12] = 0.0
-        eps.append(gap)
-    return EpsilonReport(eps[0], eps[1], violation, violation <= 1e-9)
+    tree = _stages(game)
+    rows = _stage_rows(profile, tree)
+    bel = _stack(beliefs, tree)
+    return _certify(game, tree, rows, bel, _forward(game, *rows))[0]
 
 
-def _profile_residual(game: MultiStageGame, a: StrategyProfile,
-                      b: StrategyProfile) -> float:
-    """Largest change of any history's rows between two profiles."""
-    res = 0.0
-    for path in build_tree(game):
-        for player in (1, 2):
-            res = max(res, float(np.abs(a.rows(player, path)
-                                        - b.rows(player, path)).max()))
-    return res
-
-
-def _belief_residual(a: tuple[dict, dict], b: tuple[dict, dict]) -> float:
-    """Largest change of any node belief between two (p1, p2) pairs."""
-    return max(float(np.abs(arr - y[path]).max())
-               for x, y in zip(a, b) for path, arr in x.items())
+def _largest_change(a: tuple, b: tuple) -> float:
+    """Largest entry change between two pairs of per-stage arrays."""
+    return max(float(np.abs(x - y).max()) for xs, ys in zip(a, b) for x, y in zip(xs, ys))
 
 
 def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
@@ -724,7 +722,7 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
     each later sweep from the previous profile, so the iteration is
     deterministic: ``seed`` is checked (a non-negative integer) but no
     longer changes the result.  ``max_iter`` must be an integer >= 1 and
-    ``tol`` a finite number >= 0.
+    ``tol`` a finite number >= 0 (not a bool).
 
     Returns a :class:`PbneSolution` whose beliefs are the forward pass of
     its profile and whose values are the profile's utility-to-go under
@@ -737,39 +735,38 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) \
             or max_iter < 1:
         raise MalformedInputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    if not (math.isfinite(tol) and tol >= 0.0):
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0.0):
         raise MalformedInputError(f"tol must be a finite number >= 0, got {tol!r}")
     problems = validate_game(game)
     if problems:
         raise MalformedInputError("; ".join(problems))
 
-    nodes = build_tree(game)
-    start = prior_beliefs(game)
-    bel = (start.belief_p1, start.belief_p2)
-    profile: StrategyProfile | None = None
+    tree = _stages(game)
+    bel = _prior_stage_beliefs(game, tree)
+    rows = None
     trace: list[tuple[float, float]] = []
     counts: list[int] = []
     for it in range(1, max_iter + 1):
-        new_profile, stage_solutions = _backward(game, nodes, *bel, profile)
-        forward = _node_beliefs(game, nodes, new_profile)
-        res_p = (np.inf if profile is None
-                 else _profile_residual(game, new_profile, profile))
-        res_b = _belief_residual(forward[:2], bel)
+        profile, new_rows, stage_solutions = _backward(game, tree, *bel, rows)
+        forward = _forward(game, *new_rows)
+        res_p = np.inf if rows is None else _largest_change(new_rows, rows)
+        res_b = _largest_change(forward[:2], bel)
         trace.append((res_p, res_b))
         counts.append(len(stage_solutions))
-        profile = new_profile
+        rows = new_rows
         if res_b <= tol and (it == 1 or res_p <= tol):
-            beliefs = _with_aggregates(game, nodes, profile, *forward)
-            eps = verify_epsilon(game, profile, beliefs)
+            reach = _reach(game, *rows)
+            beliefs = _with_aggregates(game, tree, reach, *forward)
+            eps, achieved = _certify(game, tree, rows, forward[:2], forward)
             # under the returned beliefs, not the averaged ones the class
             # programs were solved against (they differ by up to tol)
-            values = _state_values(game, nodes, profile, beliefs)
+            values = _state_values(game, tree, reach, *achieved)
             worst_stage = max((max(s.gaps1.max(initial=0.0), s.gaps2.max(initial=0.0))
                                for s in stage_solutions.values()), default=0.0)
             return PbneSolution(profile, beliefs, values, eps, it,
                                 tuple(trace), worst_stage, tuple(counts))
-        bel = tuple({p: 0.5 * (v + new[p]) for p, v in old.items()}
-                    for old, new in zip(bel, forward[:2]))
+        bel = tuple([0.5 * (v + new) for v, new in zip(old, fwd)]
+                    for old, fwd in zip(bel, forward[:2]))
     return NonConvergenceReport(max_iter, tuple(trace), profile,
-                                _with_aggregates(game, nodes, profile, *forward),
+                                _with_aggregates(game, tree, _reach(game, *rows), *forward),
                                 trace[-1], tuple(counts))

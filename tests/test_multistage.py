@@ -303,6 +303,13 @@ class TestSolvePbne:
         res = solve_pbne(g, max_iter=1, seed=99999999999999999999999)
         assert isinstance(res, (PbneSolution, NonConvergenceReport))
 
+    @pytest.mark.parametrize("kwargs", [{"tol": True}, {"tol": False}, {"tol": -1e-9},
+                                        {"tol": float("nan")}, {"max_iter": True},
+                                        {"max_iter": 0}, {"max_iter": 2.0}])
+    def test_bad_tol_or_max_iter_rejected(self, kwargs):
+        with pytest.raises(MalformedInputError, match="tol|max_iter"):
+            solve_pbne(build_apt_game(), **kwargs)
+
 
 class TestCumulativeUtility:
     def test_zero_game(self):
@@ -351,6 +358,26 @@ class TestCumulativeUtility:
                 for t2 in range(g.n2):
                     assert cumulative_utility(g, prof, bel, t1, t2, from_stage) == \
                            (float(u1[t1]), float(u2[t2]))
+
+
+    @pytest.mark.parametrize("from_stage", [-1, True, False, 2.5, 3, np.float64(1.0), "1",
+                                            None])
+    def test_bad_from_stage_rejected(self, from_stage):
+        g = build_apt_game()
+        assert g.horizon == 2
+        prof = StrategyProfile.uniform(g)
+        bel = prior_beliefs(g)
+        with pytest.raises(MalformedInputError, match="from_stage"):
+            root_values(g, prof, bel, from_stage)
+        with pytest.raises(MalformedInputError, match="from_stage"):
+            cumulative_utility(g, prof, bel, 0, 0, from_stage)
+
+    def test_from_stage_accepts_numpy_integers_up_to_the_horizon(self):
+        g = chain_game([(1.0, -1.0), (2.0, -2.0), (4.0, -4.0)])
+        prof = StrategyProfile.uniform(g)
+        bel = prior_beliefs(g)
+        assert cumulative_utility(g, prof, bel, 0, 0, np.int64(2)) == (4.0, -4.0)
+        assert cumulative_utility(g, prof, bel, 0, 0, np.int32(0)) == (7.0, -7.0)
 
 
 def _enumerate_best_user_policy(game, profile):
@@ -634,3 +661,211 @@ class TestVectorizedPassesMatchLoops:
                                                    post.weights, atol=1e-15)
                         if not on:
                             assert bel.off_path_p2[child]
+
+
+# ---------------------------------------------------------------------------
+# Per-history reference walks: the tree code evaluates one stage at a time
+# over build_tree order, and must match these loops bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_children(path, st):
+    return [path + ((a1, a2),) for a1 in range(st.m1) for a2 in range(st.m2)]
+
+
+def _ref_bayes(bel, opp_rows):
+    joint = bel[:, :, None] * opp_rows[None, :, :]
+    total = joint.sum(axis=1)
+    on = total > 0.0
+    post = np.where(on[:, None, :], joint / np.where(on, total, 1.0)[:, None, :],
+                    bel[:, :, None])
+    return post.transpose(2, 0, 1), on.all(axis=0)
+
+
+def _ref_reach(game, nodes, profile):
+    reach = {(): np.ones((game.n1, game.n2))}
+    for path, (k, _) in nodes.items():
+        if k == game.horizon:
+            continue
+        r1, r2 = profile.rows(1, path), profile.rows(2, path)
+        for child in _ref_children(path, game.stages[k]):
+            a1, a2 = child[-1]
+            reach[child] = reach[path] * np.outer(r1[:, a1], r2[:, a2])
+    return reach
+
+
+def _ref_node_beliefs(game, nodes, profile):
+    p1w = np.asarray(game.prior_about_1.weights)
+    p2w = np.asarray(game.prior_about_2.weights)
+    bel1, bel2 = {(): np.tile(p2w, (game.n1, 1))}, {(): np.tile(p1w, (game.n2, 1))}
+    off1, off2 = {(): False}, {(): False}
+    for path, (k, _) in nodes.items():
+        if k == game.horizon:
+            continue
+        post1, seen2 = _ref_bayes(bel1[path], profile.rows(2, path))
+        post2, seen1 = _ref_bayes(bel2[path], profile.rows(1, path))
+        for child in _ref_children(path, game.stages[k]):
+            a1, a2 = child[-1]
+            bel1[child] = post1[a2]
+            bel2[child] = post2[a1]
+            off1[child] = off1[path] or not seen2[a2]
+            off2[child] = off2[path] or not seen1[a1]
+    return bel1, bel2, off1, off2
+
+
+def _ref_node_values(game, nodes, profile, beliefs, player, best_response, from_stage):
+    value = {}
+    n_own = game.n1 if player == 1 else game.n2
+    for path in reversed(list(nodes)):
+        k, x = nodes[path]
+        st = game.stages[k]
+        r1, r2 = profile.rows(1, path), profile.rows(2, path)
+        if k < game.horizon:
+            cont = np.array([value[c] for c in _ref_children(path, st)]).reshape(
+                st.m1, st.m2, n_own)
+        else:
+            cont = np.zeros((st.m1, st.m2, n_own))
+        if player == 1:
+            w = beliefs.belief_p1[path][:, :, None] * r2[None, :, :]
+            q = np.einsum("sj,ijs->si", w.sum(axis=1), cont)
+            if k >= from_stage:
+                q = q + np.einsum("suj,ijsu->si", w, st.payoff1.values[x])
+            own_rows, own_feas = r1, st.payoff1.feasible[x]
+        else:
+            w = beliefs.belief_p2[path][:, :, None] * r1[None, :, :]
+            q = np.einsum("ui,iju->uj", w.sum(axis=1), cont)
+            if k >= from_stage:
+                q = q + np.einsum("usi,ijsu->uj", w, st.payoff2.values[x])
+            own_rows, own_feas = r2, st.payoff2.feasible[x]
+        if best_response and k >= from_stage:
+            value[path] = np.where(own_feas, q, -np.inf).max(axis=1)
+        else:
+            value[path] = (own_rows * q).sum(axis=1)
+    return value
+
+
+def random_tree_game(seed):
+    """A seeded random H = 2 game with 3 states, 3 x 3 actions and 2 x 2
+    types: normal payoffs, random transitions, some actions masked for
+    some types."""
+    rng = np.random.default_rng(seed)
+    horizon, n_states, m1, m2, n1, n2 = 2, 3, 3, 3, 2, 2
+    stages = []
+    for k in range(horizon + 1):
+        shape = (n_states, m1, m2, n1, n2)
+        feas1 = rng.uniform(size=(n_states, n1, m1)) > 0.2
+        feas2 = rng.uniform(size=(n_states, n2, m2)) > 0.2
+        feas1[..., 0] = feas2[..., 0] = True
+        nxt = [f"s{k + 1}_{x}" for x in range(n_states)]
+        stages.append(StageGame(k, [f"s{k}_{x}" for x in range(n_states)],
+                                [f"d{a}" for a in range(m1)], [f"u{a}" for a in range(m2)],
+                                PayoffTensor(rng.normal(size=shape), feas1),
+                                PayoffTensor(rng.normal(size=shape), feas2),
+                                rng.integers(n_states, size=shape[:3]), nxt))
+    return MultiStageGame(horizon, tuple(stages), tuple(f"D{i}" for i in range(n1)),
+                          tuple(f"U{i}" for i in range(n2)),
+                          FiniteDistribution(rng.dirichlet(np.ones(n1))),
+                          FiniteDistribution(rng.dirichlet(np.ones(n2))), "s0_0")
+
+
+def _random_history_profile(game, rng):
+    """One row block per history; about a fifth of the feasible actions
+    get no mass, so some histories are off path."""
+    nodes = build_tree(game)
+    sig = [[[], []] for _ in game.stages]
+    classes = {}
+    for path, (k, x) in nodes.items():
+        st = game.stages[k]
+        classes[path] = len(sig[k][0])
+        for i, tensor in enumerate((st.payoff1, st.payoff2)):
+            feas = tensor.feasible[x]
+            rows = rng.dirichlet(np.ones(feas.shape[1]), size=feas.shape[0]) * feas
+            rows *= rng.uniform(size=rows.shape) > 0.2
+            rows[rows.sum(axis=1) == 0.0] = feas[rows.sum(axis=1) == 0.0]
+            sig[k][i].append(rows / rows.sum(axis=1, keepdims=True))
+    return StrategyProfile(tuple(np.array(s[0]) for s in sig),
+                           tuple(np.array(s[1]) for s in sig), classes)
+
+
+def _oracle_cases():
+    """(game, profile, beliefs) triples: APT grid profiles under their
+    forward pass and under the priors, random H = 2 games under random
+    per-history profiles and random node beliefs."""
+    cases = []
+    for pa, ph, state in ((0.1, 0.2, "external"), (0.5, 0.5, "internal"),
+                          (0.9, 0.8, "external"), (0.3, 0.8, "internal")):
+        p = dataclasses.replace(default_apt_parameters(), prior_adversarial=pa,
+                                prior_high_awareness=ph)
+        g = build_apt_game(p, initial_state=state)
+        res = solve_pbne(g, max_iter=2)
+        prof = res.profile if isinstance(res, PbneSolution) else res.last_profile
+        cases += [(g, prof, forward_pass(g, prof)), (g, prof, prior_beliefs(g))]
+    for seed in range(4):
+        g = random_tree_game(seed)
+        rng = np.random.default_rng(100 + seed)
+        prof = _random_history_profile(g, rng)
+        nodes = build_tree(g)
+        bel = forward_pass(g, prof)
+        noisy = dataclasses.replace(
+            bel, belief_p1={p: rng.dirichlet(np.ones(g.n2), size=g.n1) for p in nodes},
+            belief_p2={p: rng.dirichlet(np.ones(g.n1), size=g.n2) for p in nodes})
+        cases += [(g, prof, bel), (g, prof, noisy)]
+    return cases
+
+
+class TestStageWalksMatchHistoryLoops:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _oracle_cases()
+
+    def test_node_values_bit_for_bit(self, cases):
+        for g, prof, bel in cases:
+            nodes = build_tree(g)
+            tree = multistage._stages(g)
+            rows = multistage._stage_rows(prof, tree)
+            stacked = multistage._stack(bel, tree)
+            for player, br, from_stage in itertools.product((1, 2), (False, True), (0, 1)):
+                ref = _ref_node_values(g, nodes, prof, bel, player, br, from_stage)
+                got = multistage._node_values(g, tree, rows, stacked[player - 1],
+                                              player, br, from_stage)
+                for (paths, _), values in zip(tree, got):
+                    assert values.shape == (len(paths), ref[()].size)
+                    for path, v in zip(paths, values):
+                        assert v.tobytes() == ref[path].tobytes(), (player, br, path)
+
+    def test_node_beliefs_and_reach_bit_for_bit(self, cases):
+        off_path = set()
+        for g, prof, _ in cases:
+            nodes = build_tree(g)
+            bel = forward_pass(g, prof)
+            ref1, ref2, ref_off1, ref_off2 = _ref_node_beliefs(g, nodes, prof)
+            for got, ref in ((bel.belief_p1, ref1), (bel.belief_p2, ref2)):
+                assert list(got) == list(nodes)
+                assert all(got[p].tobytes() == ref[p].tobytes() for p in nodes)
+            assert bel.off_path_p1 == ref_off1 and bel.off_path_p2 == ref_off2
+            off_path |= {player for player, off in ((1, ref_off1), (2, ref_off2))
+                         if any(off.values())}
+            tree = multistage._stages(g)
+            reach = multistage._per_history(
+                tree, multistage._reach(g, *multistage._stage_rows(prof, tree)))
+            ref = _ref_reach(g, nodes, prof)
+            assert all(reach[p].tobytes() == ref[p].tobytes() for p in nodes)
+        # the random profiles put some histories off path for both players
+        assert off_path == {1, 2}
+
+
+def test_stage_blocks_follow_build_tree_order():
+    # APT: 3 x 3 actions at stage 0, then 2 x 2 at stage 1
+    g = build_apt_game()
+    assert [(st.m1, st.m2) for st in g.stages] == [(3, 3), (2, 2), (2, 2)]
+    nodes = build_tree(g)
+    tree = multistage._stages(g)
+    assert [len(paths) for paths, _ in tree] == [1, 9, 36]
+    for k, st in enumerate(g.stages[:-1]):
+        paths, states = tree[k]
+        children = tree[k + 1][0]
+        for i, path in enumerate(paths):
+            assert nodes[path] == (k, states[i])
+            for a1 in range(st.m1):
+                for a2 in range(st.m2):
+                    assert children[i * st.m1 * st.m2 + a1 * st.m2 + a2] \
+                        == path + ((a1, a2),)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gamejson, multistage, scenarios, signaling, simulate, static
 from .core import (EnumerationBudgetError, MalformedInputError, MultiStageGame,
-                   validate_game)
+                   stage_states, validate_game)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -379,15 +379,15 @@ def cmd_solve_pbne(args) -> int:
     for i, t in enumerate(game.types2):
         print(f"  user[{t}]: {_fmt(res.values.v2[0][x0, i])}")
     print("strategies (per history, own type):")
-    for node, (k, x) in multistage.build_tree(game).items():
-        st = game.stages[k]
-        where = f"k={k} [{gamejson.history_label(game, node)}] x={st.states[x]}"
-        for i, t in enumerate(game.types1):
-            print(f"  {where} defender[{t}]: "
-                  f"{_dist_str(st.actions1, res.profile.rows(1, node)[i])}")
-        for i, t in enumerate(game.types2):
-            print(f"  {where} user[{t}]: "
-                  f"{_dist_str(st.actions2, res.profile.rows(2, node)[i])}")
+    for k, (st, keys, states, rows1, rows2) in enumerate(zip(
+            game.stages, gamejson.history_labels(game),
+            stage_states(game, multistage.build_tree(game)), *res.profile.history_rows())):
+        for key, x, r1, r2 in zip(keys, states, rows1, rows2):
+            where = f"k={k} [{key}] x={st.states[x]}"
+            for t, row in zip(game.types1, r1):
+                print(f"  {where} defender[{t}]: {_dist_str(st.actions1, row)}")
+            for t, row in zip(game.types2, r2):
+                print(f"  {where} user[{t}]: {_dist_str(st.actions2, row)}")
     results = {
         "converged": True,
         "iterations": res.iterations,

@@ -45,6 +45,11 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> int:
     """``seed`` as an int; it must be a non-negative integer, which
     ``SeedSequence`` turns into its entropy words."""
@@ -276,26 +281,36 @@ class StrategyProfile:
 
     ``sigma1[k]`` has shape ``(n_blocks_k, n_types1, m1_k)`` and each row
     is a distribution over stage-k defender actions (masked actions carry
-    zero mass); ``sigma2`` likewise for the user.  ``classes`` maps every
-    action history to the block its stage plays there, so histories that
-    end in one state may play differently; a Markov profile is the case
-    where block ``x`` is state ``x`` and every history of a state maps
-    to it.  Readers go through :meth:`rows`.
+    zero mass); ``sigma2`` likewise for the user.  ``classes[k]`` is an
+    int array with one entry per stage-k history in :func:`build_tree`
+    order: history ``i`` plays ``sigma1[k][classes[k][i]]`` and
+    ``sigma2[k][classes[k][i]]``, so histories that end in one state may
+    play differently.  A Markov profile is the case where block ``x`` is
+    state ``x`` and ``classes[k]`` holds each history's end state.
     """
 
     sigma1: tuple[np.ndarray, ...]
     sigma2: tuple[np.ndarray, ...]
-    classes: dict
+    classes: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "sigma1", tuple(_readonly(a) for a in self.sigma1))
         object.__setattr__(self, "sigma2", tuple(_readonly(a) for a in self.sigma2))
-        object.__setattr__(self, "classes", dict(self.classes))
+        object.__setattr__(self, "classes", tuple(_readonly(c, None) for c in self.classes))
 
     def rows(self, player: int, node: "NodeKey") -> np.ndarray:
         """Per-own-type rows, shape ``(n_types, m)``, played at history
-        ``node``."""
-        return (self.sigma1 if player == 1 else self.sigma2)[len(node)][self.classes[node]]
+        ``node``, found by the layout rule of :func:`build_tree`."""
+        i = 0
+        for k, (a1, a2) in enumerate(node):
+            i = (i * self.sigma1[k].shape[2] + a1) * self.sigma2[k].shape[2] + a2
+        return self.arrays(player)[len(node)][self.classes[len(node)][i]]
+
+    def history_rows(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Both players' rows per stage, one per history in
+        :func:`build_tree` order: shape ``(n_k, n_types, m)``."""
+        return tuple(tuple(a[c] for a, c in zip(arrays, self.classes))
+                     for arrays in (self.sigma1, self.sigma2))
 
     @classmethod
     def uniform(cls, game: MultiStageGame) -> "StrategyProfile":
@@ -306,21 +321,18 @@ class StrategyProfile:
             for out, tensor in ((s1, st.payoff1), (s2, st.payoff2)):
                 feas = tensor.feasible.astype(float)
                 out.append(feas / feas.sum(axis=2, keepdims=True))
-        return cls(tuple(s1), tuple(s2),
-                   {node: x for node, (_, x) in build_tree(game).items()})
+        return cls(tuple(s1), tuple(s2), stage_states(game, build_tree(game)))
 
     def arrays(self, player: int) -> tuple[np.ndarray, ...]:
         return self.sigma1 if player == 1 else self.sigma2
 
     def violations(self, game: MultiStageGame) -> list[str]:
-        nodes = build_tree(game)
-        if self.classes.keys() != nodes.keys():
+        states = stage_states(game, build_tree(game))
+        if len(self.classes) != len(states) or any(
+                c.shape != x.shape for c, x in zip(self.classes, states)):
             return ["profile rows do not cover exactly the game's histories"]
-        # (block, state) pairs per stage: a block is checked at every
-        # state its histories reach
-        placed: list[set] = [set() for _ in game.stages]
-        for node, (k, x) in nodes.items():
-            placed[k].add((self.classes[node], x))
+        if any(c.dtype.kind not in "iu" for c in self.classes):
+            return ["profile class indices are not integers"]
         out = []
         for player, rows in ((1, self.sigma1), (2, self.sigma2)):
             n_own = game.n1 if player == 1 else game.n2
@@ -330,7 +342,7 @@ class StrategyProfile:
                 continue
             for k, st in enumerate(game.stages):
                 m = st.m1 if player == 1 else st.m2
-                arr = rows[k]
+                arr, cls = rows[k], self.classes[k]
                 n_blocks = arr.shape[0]
                 if arr.shape != (n_blocks, n_own, m):
                     out.append(f"player {player} stage {k} shape {arr.shape} "
@@ -339,12 +351,12 @@ class StrategyProfile:
                 if not np.isfinite(arr).all() or np.any(arr < -PROB_TOL) or np.any(
                         np.abs(arr.sum(axis=2) - 1.0) > 1e-8):
                     out.append(f"player {player} stage {k} has an invalid distribution")
-                if any(not 0 <= c < n_blocks for c, _ in placed[k]):
+                if cls.min() < 0 or cls.max() >= n_blocks:
                     out.append(f"player {player} stage {k} names a missing row block")
                     continue
+                # a block is checked at every state its histories reach
                 feas = (st.payoff1 if player == 1 else st.payoff2).feasible
-                masked = np.concatenate([arr[c][~feas[x]] for c, x in sorted(placed[k])])
-                if np.any(masked > PROB_TOL):
+                if np.any(arr[cls][~feas[states[k]]] > PROB_TOL):
                     out.append(f"player {player} stage {k} puts mass on a masked action")
         return out
 
@@ -356,8 +368,11 @@ NodeKey = tuple[tuple[int, int], ...]
 def build_tree(game: MultiStageGame) -> dict[NodeKey, tuple[int, int]]:
     """All action histories up to the final stage, mapped to (stage, state).
 
-    Histories are inserted stage by stage in lexicographic order, so
-    every parent precedes its children.
+    Histories are inserted stage by stage, each parent's children in
+    (a1, a2) row-major order.  This is the layout of every per-stage
+    array in the package: stage k's histories form one block, and the
+    children of its ``i``-th history are the stage-(k + 1) histories
+    ``i*m1*m2 + a1*m2 + a2``, with ``m1``, ``m2`` stage k's action counts.
     """
     x0 = game.stages[0].state_index(game.initial_state)
     nodes: dict[NodeKey, tuple[int, int]] = {(): (0, x0)}
@@ -376,27 +391,40 @@ def build_tree(game: MultiStageGame) -> dict[NodeKey, tuple[int, int]]:
     return nodes
 
 
+def stage_states(game: MultiStageGame, nodes: dict) -> list[np.ndarray]:
+    """``nodes``, a :func:`build_tree` result, cut into its stage blocks:
+    per stage, the end state of each history, in order."""
+    states = np.fromiter((x for _, x in nodes.values()), dtype=int, count=len(nodes))
+    out, lo, size = [], 0, 1
+    for st in game.stages:
+        out.append(states[lo:lo + size])
+        lo, size = lo + size, size * st.m1 * st.m2
+    return out
+
+
 @dataclass(frozen=True)
 class BeliefSystem:
     """Posterior beliefs over the opponent's type along the action tree.
 
-    ``belief_p1[node]`` has shape ``(n_types1, n_types2)``: player 1's
-    posterior over user types, one row per own type.  These node beliefs
-    are what the per-stage equilibrium programs read.  ``agg_about_2[k][x]``
-    is the reach-weighted per-(stage, state) aggregate, a diagnostic;
+    Node beliefs are per-stage arrays in :func:`build_tree` order:
+    ``belief_p1[k]`` has shape ``(n_k, n_types1, n_types2)``, row
+    ``[i, t]`` player 1's posterior over user types at stage k's history
+    ``i`` when its own type is ``t``; ``belief_p2[k]`` likewise for the
+    user.  ``off_path_p1[k]`` is a bool array marking the histories behind
+    a user action that player 1's beliefs gave zero probability, and
+    ``off_path_p2[k]`` likewise.  These node beliefs are what the
+    per-stage equilibrium programs read.  ``agg_about_2[k][x]`` is the
+    reach-weighted per-(stage, state) aggregate, a diagnostic;
     ``aggregation_discrepancy`` reports the largest disagreement between
     an on-path node belief and its state aggregate, that is how much a
     per-state summary of the beliefs would lose.
     """
 
-    belief_p1: dict
-    belief_p2: dict
-    off_path_p1: dict
-    off_path_p2: dict
+    belief_p1: tuple[np.ndarray, ...]
+    belief_p2: tuple[np.ndarray, ...]
+    off_path_p1: tuple[np.ndarray, ...]
+    off_path_p2: tuple[np.ndarray, ...]
     agg_about_1: tuple[np.ndarray, ...]
     agg_about_2: tuple[np.ndarray, ...]
     agg_off_path: tuple[np.ndarray, ...]
     aggregation_discrepancy: float
-
-    def nodes(self) -> list[NodeKey]:
-        return sorted(self.belief_p1.keys(), key=lambda p: (len(p), p))

@@ -10,21 +10,28 @@ validate_game); structural impossibilities raise.
 
 Profiles have two forms: a versioned per-history one, which
 :func:`profile_to_dict` writes, and the Markov form with one row per
-stage, state and type.  :func:`profile_from_dict` reads both, the
-Markov form as a per-history profile whose histories share their
-state's rows.
+stage, state and type.  :func:`profile_from_dict` reads both into the
+in-memory layout, per-stage arrays in ``build_tree`` order: the
+versioned form as one row block per history, the Markov form as one
+block per state that every history of the state names.
+
+Profile and belief files key histories by their action labels, such as
+``"none,employee"`` (:func:`history_labels`).  Writers go stage by
+stage over those keys; readers place rows through one key-to-position
+map and reject a key the game does not have.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
 
 import numpy as np
 
 from .core import (PROB_TOL, BeliefSystem, FiniteDistribution, MalformedInputError,
-                   MultiStageGame, NodeKey, PayoffTensor, StageGame,
-                   StrategyProfile, build_tree)
+                   MultiStageGame, PayoffTensor, StageGame, StrategyProfile,
+                   build_tree, stage_states)
 
 
 def game_to_dict(game: MultiStageGame) -> dict[str, Any]:
@@ -171,14 +178,37 @@ def load_game(path: str) -> MultiStageGame:
 PROFILE_VERSION = 2
 
 
+def history_labels(game: MultiStageGame) -> list[list[str]]:
+    """Every history's key, per stage in ``build_tree`` order: its action
+    pairs ``"a1,a2"`` joined by ``";"``, and ``""`` for the root."""
+    out = [[""]]
+    for st in game.stages[:-1]:
+        pairs = [f"{a1},{a2}" for a1 in st.actions1 for a2 in st.actions2]
+        out.append([f"{head};{pair}" if head else pair for head in out[-1] for pair in pairs])
+    return out
+
+
+def _history_index(labels: list[list[str]]) -> dict[str, int]:
+    """Each history key's position in ``build_tree`` order.  Two histories
+    share a key when action labels contain ``","`` or ``";"``; then no
+    file can tell them apart, and this raises."""
+    index = {key: i for i, key in enumerate(itertools.chain.from_iterable(labels))}
+    if len(index) != sum(map(len, labels)):
+        raise MalformedInputError("two histories share one key: an action label "
+                                  "contains ',' or ';'")
+    return index
+
+
 def profile_to_dict(game: MultiStageGame, profile: StrategyProfile) -> dict:
     """``{"version": 2, side -> history -> type -> row}``, histories
     keyed as in the belief format."""
     out: dict[str, Any] = {"version": PROFILE_VERSION}
-    for player, side, types in ((1, "defender", game.types1), (2, "user", game.types2)):
-        out[side] = {history_label(game, node): {
-            t: row.tolist() for t, row in zip(types, profile.rows(player, node))}
-            for node in build_tree(game)}
+    labels = history_labels(game)
+    for side, types, per_stage in zip(("defender", "user"), (game.types1, game.types2),
+                                      profile.history_rows()):
+        out[side] = {key: dict(zip(types, rows))
+                     for keys, stage in zip(labels, per_stage)
+                     for key, rows in zip(keys, stage.tolist())}
     return out
 
 
@@ -195,25 +225,28 @@ def _row(raw_row, m: int, where: str) -> np.ndarray:
 
 def _profile_by_history(game: MultiStageGame, raw: dict) -> StrategyProfile:
     """One row block per history, read from the versioned form."""
-    nodes = build_tree(game)
-    classes: dict[NodeKey, int] = {}
-    blocks = [[[], []] for _ in game.stages]
-    for node, (k, _) in nodes.items():
-        key = history_label(game, node)
-        st = game.stages[k]
-        classes[node] = len(blocks[k][0])
-        for i, (side, types, m) in enumerate((("defender", game.types1, st.m1),
-                                              ("user", game.types2, st.m2))):
-            try:
-                per_type = raw[side][key]
-                rows = [_row(per_type[t], m, f"{side}/{t} at history {key!r}")
-                        for t in types]
-            except (KeyError, TypeError):
-                raise MalformedInputError(
-                    f"profile missing {side} rows for history {key!r}") from None
-            blocks[k][i].append(rows)
+    labels = history_labels(game)
+    blocks = [([], []) for _ in game.stages]
+    for st, keys, (rows1, rows2) in zip(game.stages, labels, blocks):
+        for key in keys:
+            for out, side, types, m in ((rows1, "defender", game.types1, st.m1),
+                                        (rows2, "user", game.types2, st.m2)):
+                try:
+                    per_type = raw[side][key]
+                    out.append([_row(per_type[t], m, f"{side}/{t} at history {key!r}")
+                                for t in types])
+                except (KeyError, TypeError):
+                    raise MalformedInputError(
+                        f"profile missing {side} rows for history {key!r}") from None
+    index = _history_index(labels)
+    for side in ("defender", "user"):
+        unknown = [key for key in raw[side] if key not in index]
+        if unknown:
+            raise MalformedInputError(f"profile has {side} rows for unknown history "
+                                      f"{unknown[0]!r}")
     return StrategyProfile(tuple(np.array(b[0]) for b in blocks),
-                           tuple(np.array(b[1]) for b in blocks), classes)
+                           tuple(np.array(b[1]) for b in blocks),
+                           tuple(np.arange(len(keys)) for keys in labels))
 
 
 def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
@@ -249,45 +282,25 @@ def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
                         raise MalformedInputError(
                             f"profile row for {where} puts mass on a masked action")
             out.append(arr)
-    return StrategyProfile(tuple(sig1), tuple(sig2),
-                           {node: x for node, (_, x) in build_tree(game).items()})
-
-
-def history_label(game: MultiStageGame, node: NodeKey) -> str:
-    parts = []
-    for k, (a1, a2) in enumerate(node):
-        st = game.stages[k]
-        parts.append(f"{st.actions1[a1]},{st.actions2[a2]}")
-    return ";".join(parts)
-
-
-def _node_key_parse(game: MultiStageGame, text: str) -> NodeKey:
-    if not text:
-        return ()
-    node = []
-    try:
-        for k, part in enumerate(text.split(";")):
-            a1_label, a2_label = part.split(",")
-            st = game.stages[k]
-            node.append((st.actions1.index(a1_label), st.actions2.index(a2_label)))
-    except (IndexError, ValueError):
-        raise MalformedInputError(f"unknown history {text!r}") from None
-    return tuple(node)
+    return StrategyProfile(tuple(sig1), tuple(sig2), stage_states(game, build_tree(game)))
 
 
 def beliefs_to_dict(game: MultiStageGame, beliefs: BeliefSystem) -> dict:
-    nodes = beliefs.nodes()
+    labels = history_labels(game)
+
+    def rows(per_stage, types):
+        return {key: dict(zip(types, per_type)) for keys, stage in zip(labels, per_stage)
+                for key, per_type in zip(keys, stage.tolist())}
+
+    def flagged(per_stage):
+        return [keys[i] for keys, flags in zip(labels, per_stage)
+                for i in np.flatnonzero(flags)]
+
     return {
-        "defender": {history_label(game, n): {
-            t: beliefs.belief_p1[n][ti].tolist() for ti, t in enumerate(game.types1)}
-            for n in nodes},
-        "user": {history_label(game, n): {
-            t: beliefs.belief_p2[n][ti].tolist() for ti, t in enumerate(game.types2)}
-            for n in nodes},
-        "off_path": {
-            "defender": [history_label(game, n) for n in nodes if beliefs.off_path_p1[n]],
-            "user": [history_label(game, n) for n in nodes if beliefs.off_path_p2[n]],
-        },
+        "defender": rows(beliefs.belief_p1, game.types1),
+        "user": rows(beliefs.belief_p2, game.types2),
+        "off_path": {"defender": flagged(beliefs.off_path_p1),
+                     "user": flagged(beliefs.off_path_p2)},
         "aggregates": {
             "about_defender": [a.tolist() for a in beliefs.agg_about_1],
             "about_user": [a.tolist() for a in beliefs.agg_about_2],
@@ -297,36 +310,46 @@ def beliefs_to_dict(game: MultiStageGame, beliefs: BeliefSystem) -> dict:
     }
 
 
-def _side_beliefs(game: MultiStageGame, tree, raw: dict, side: str, types,
-                  n_opp: int) -> tuple[dict, dict]:
-    """One side's node beliefs and off-path flags.  The beliefs are checked
-    once, as one stacked array: every history of ``tree`` exactly once,
-    and each row a distribution over the ``n_opp`` opponent types."""
+def _side_beliefs(raw: dict, side: str, types, n_opp: int, index: dict, cuts
+                  ) -> tuple[tuple, tuple]:
+    """One side's node beliefs and off-path flags, per stage.  The beliefs
+    are checked once, as one stacked array: every history of ``index``
+    exactly once, and each row a distribution over the ``n_opp`` opponent
+    types; the off-path list may name only histories of ``index``."""
     per_history = raw[side]
-    off_path = set(raw.get("off_path", {}).get(side, []))
-    nodes = [_node_key_parse(game, key) for key in per_history]
-    if len(nodes) != len(tree) or set(nodes) != tree.keys():
+    unknown = [key for key in per_history if key not in index]
+    if unknown:
+        raise MalformedInputError(f"unknown history {unknown[0]!r}")
+    if len(per_history) != len(index):
         raise MalformedInputError(f"{side} beliefs do not cover exactly the game's histories")
     try:
         rows = np.array([[per_type[t] for t in types] for per_type in per_history.values()],
                         dtype=float)
     except ValueError:      # a ragged or non-numeric row
         rows = None
-    if rows is None or rows.shape != (len(nodes), len(types), n_opp):
+    if rows is None or rows.shape != (len(index), len(types), n_opp):
         raise MalformedInputError(f"{side} belief rows must be {n_opp} numbers each")
     if not (np.isfinite(rows).all() and rows.min() >= -PROB_TOL
             and np.abs(rows.sum(axis=2) - 1.0).max() <= PROB_TOL):
         raise MalformedInputError(f"{side} belief rows must be distributions "
                                   "over the opponent's types")
-    return (dict(zip(nodes, rows)),
-            {node: key in off_path for node, key in zip(nodes, per_history)})
+    placed = np.empty_like(rows)
+    placed[[index[key] for key in per_history]] = rows
+    off = np.zeros(len(index), dtype=bool)
+    for key in raw.get("off_path", {}).get(side, []):
+        if key not in index:
+            raise MalformedInputError(f"{side} off-path list names unknown history {key!r}")
+        off[index[key]] = True
+    return tuple(np.split(placed, cuts)), tuple(np.split(off, cuts))
 
 
 def beliefs_from_dict(game: MultiStageGame, raw: dict) -> BeliefSystem:
-    tree = build_tree(game)
+    labels = history_labels(game)
+    index = _history_index(labels)
+    cuts = np.cumsum([len(keys) for keys in labels])[:-1]
     try:
-        bel1, off1 = _side_beliefs(game, tree, raw, "defender", game.types1, game.n2)
-        bel2, off2 = _side_beliefs(game, tree, raw, "user", game.types2, game.n1)
+        bel1, off1 = _side_beliefs(raw, "defender", game.types1, game.n2, index, cuts)
+        bel2, off2 = _side_beliefs(raw, "user", game.types2, game.n1, index, cuts)
         agg = raw.get("aggregates", {})
         agg1 = tuple(np.asarray(a, dtype=float) for a in agg.get(
             "about_defender", [np.tile(game.prior_about_1.weights, (st.n_states, 1))

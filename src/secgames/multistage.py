@@ -27,8 +27,9 @@ beliefs, and its ε-certificate is computed over the full history tree.
 
 Every walk of the history tree (node values, forward pass, reach,
 residuals, the averaging step, class keys) runs one stage at a time
-over ``build_tree`` order, with whole-array operations per stage; the
-public types stay dicts keyed by history.
+over ``build_tree`` order, with whole-array operations per stage.
+Profiles and beliefs are stored in that layout too: per-stage arrays
+with one entry per history (see :func:`build_tree`).
 
 Non-convergence of the loop is a first-class result (reported as
 evidence that no equilibrium of this form exists), never an exception.
@@ -49,9 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BeliefSystem, FiniteDistribution, MalformedInputError,
-                   MultiStageGame, NodeKey, SolverError, StageGame,
-                   StrategyProfile, build_tree, check_seed, validate_game,
-                   _readonly)
+                   MultiStageGame, SolverError, StageGame, StrategyProfile,
+                   build_tree, check_seed, is_integer, stage_states, validate_game, _readonly)
 # ``solve_lp`` is no longer called here; it stays importable by this name
 # for tools that wrap ``multistage.solve_lp`` to count LP calls.
 from .lp import lemke, solve_lp  # noqa: F401
@@ -314,48 +314,18 @@ def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, warm=None
 
 
 # ---------------------------------------------------------------------------
-# History tree, forward pass, backward pass.
-#
-# ``build_tree`` inserts histories stage by stage, children in (a1, a2)
-# row-major order, so the children of stage k's i-th history are the
-# stage-(k + 1) histories i*m1*m2 + a1*m2 + a2.  Rows, beliefs, reach and
-# values below are per-stage arrays in that order.
+# History tree, forward pass, backward pass.  Rows, beliefs, reach and
+# values below are per-stage arrays in ``build_tree`` order.
 # ---------------------------------------------------------------------------
 
-def _stages(game: MultiStageGame) -> list[tuple[list[NodeKey], np.ndarray]]:
-    """``build_tree`` order cut into stages: (histories, end states)."""
-    nodes = build_tree(game)
-    paths = list(nodes)
-    states = np.fromiter((x for _, x in nodes.values()), dtype=int, count=len(paths))
-    out, lo, size = [], 0, 1
-    for st in game.stages:
-        out.append((paths[lo:lo + size], states[lo:lo + size]))
-        lo, size = lo + size, size * st.m1 * st.m2
-    return out
+def _stages(game: MultiStageGame) -> list[np.ndarray]:
+    """The end state of every history, per stage in ``build_tree`` order."""
+    return stage_states(game, build_tree(game))
 
 
-def _stage_rows(profile: StrategyProfile, tree) -> tuple[list, list]:
-    """Each player's rows per stage, ``(histories, n_types, m)``."""
-    blocks = [np.fromiter((profile.classes[p] for p in paths), dtype=int, count=len(paths))
-              for paths, _ in tree]
-    return ([a[b] for a, b in zip(profile.sigma1, blocks)],
-            [a[b] for a, b in zip(profile.sigma2, blocks)])
-
-
-def _stack(beliefs: BeliefSystem, tree) -> tuple[list, list]:
-    """Both players' node beliefs stacked per stage."""
-    return tuple([np.array([per_history[p] for p in paths]) for paths, _ in tree]
-                 for per_history in (beliefs.belief_p1, beliefs.belief_p2))
-
-
-def _per_history(tree, per_stage) -> dict:
-    """Per-stage sequences keyed back by history (array rows are views)."""
-    return {p: v for (paths, _), vals in zip(tree, per_stage) for p, v in zip(paths, vals)}
-
-
-def _prior_stage_beliefs(game: MultiStageGame, tree) -> tuple[list, list]:
+def _prior_stage_beliefs(game: MultiStageGame, tree) -> tuple[tuple, tuple]:
     """Both players' node beliefs per stage when every node keeps the prior."""
-    return tuple([np.tile(prior.weights, (len(paths), n_own, 1)) for paths, _ in tree]
+    return tuple(tuple(np.tile(prior.weights, (len(x), n_own, 1)) for x in tree)
                  for prior, n_own in ((game.prior_about_2, game.n1),
                                       (game.prior_about_1, game.n2)))
 
@@ -363,9 +333,8 @@ def _prior_stage_beliefs(game: MultiStageGame, tree) -> tuple[list, list]:
 def prior_beliefs(game: MultiStageGame) -> BeliefSystem:
     """The uninformative start: priors carried forward at every node."""
     tree = _stages(game)
-    off = _per_history(tree, [[False] * len(paths) for paths, _ in tree])
-    return BeliefSystem(*(_per_history(tree, b) for b in _prior_stage_beliefs(game, tree)),
-                        off, dict(off),
+    off = tuple(np.zeros(len(x), dtype=bool) for x in tree)
+    return BeliefSystem(*_prior_stage_beliefs(game, tree), off, off,
                         *(tuple(np.tile(prior.weights, (st.n_states, 1)) for st in game.stages)
                           for prior in (game.prior_about_1, game.prior_about_2)),
                         tuple(np.zeros(st.n_states, dtype=bool) for st in game.stages), 0.0)
@@ -430,7 +399,7 @@ def _with_aggregates(game: MultiStageGame, tree, reach, bel1, bel2, off1, off2
     prior = p1w[:, None] * p2w[None, :]
     agg1, agg2, agg_off = [], [], []
     discrepancy = 0.0
-    for k, (st, (_, states)) in enumerate(zip(game.stages, tree)):
+    for k, (st, states) in enumerate(zip(game.stages, tree)):
         a1k = np.tile(p1w, (st.n_states, 1))
         a2k = np.tile(p2w, (st.n_states, 1))
         offk = np.ones(st.n_states, dtype=bool)
@@ -452,9 +421,7 @@ def _with_aggregates(game: MultiStageGame, tree, reach, bel1, bel2, off1, off2
         agg1.append(a1k)
         agg2.append(a2k)
         agg_off.append(offk)
-    return BeliefSystem(_per_history(tree, bel1), _per_history(tree, bel2),
-                        _per_history(tree, [o.tolist() for o in off1]),
-                        _per_history(tree, [o.tolist() for o in off2]),
+    return BeliefSystem(tuple(bel1), tuple(bel2), tuple(off1), tuple(off2),
                         tuple(agg1), tuple(agg2), tuple(agg_off), discrepancy)
 
 
@@ -466,9 +433,8 @@ def forward_pass(game: MultiStageGame, profile: StrategyProfile) -> BeliefSystem
     node belief and its aggregate are diagnostics: the solver's stage
     programs read node beliefs.
     """
-    tree = _stages(game)
-    rows = _stage_rows(profile, tree)
-    return _with_aggregates(game, tree, _reach(game, *rows), *_forward(game, *rows))
+    rows = profile.history_rows()
+    return _with_aggregates(game, _stages(game), _reach(game, *rows), *_forward(game, *rows))
 
 
 def _clean_rows(rows: np.ndarray) -> np.ndarray:
@@ -499,18 +465,18 @@ def _backward(game: MultiStageGame, tree, bel1: list, bel2: list, warm):
     ``bel1``/``bel2`` are the players' node beliefs per stage; each
     program is traced from the rows that ``warm`` (both players' stage
     rows, or None) gives its first history.  Returns the class profile,
-    its stage rows and the stage solutions keyed by (stage, class).
+    whose ``classes`` are the class numbers, and the stage solutions
+    keyed by (stage, class).
     """
     K = game.horizon
     n1, n2 = game.n1, game.n2
-    classes: dict[NodeKey, int] = {}
     cls, sig1, sig2, cv1, cv2 = ([None] * (K + 1) for _ in range(5))
     stage_solutions: dict[tuple[int, int], BilinearStageSolution] = {}
 
     for k in range(K, -1, -1):
         st = game.stages[k]
-        paths, states = tree[k]
-        n = len(paths)
+        states = tree[k]
+        n = len(states)
         b1 = np.round(bel2[k][:, 0], CLASS_DECIMALS)
         b2 = np.round(bel1[k][:, 0], CLASS_DECIMALS)
         if k < K:
@@ -524,7 +490,6 @@ def _backward(game: MultiStageGame, tree, bel1: list, bel2: list, warm):
                                cont2.reshape(n, -1)], axis=1)
         ids: dict[bytes, int] = {}
         cls[k] = np.array([ids.setdefault(key.tobytes(), len(ids)) for key in keys])
-        classes.update(zip(paths, cls[k].tolist()))
         # a class's first history is where its number exceeds all before it
         heads = np.flatnonzero(cls[k] > np.maximum.accumulate(np.r_[-1, cls[k][:-1]]))
 
@@ -546,8 +511,7 @@ def _backward(game: MultiStageGame, tree, bel1: list, bel2: list, warm):
             sig2[k][c] = s2 = _clean_rows(sol.sigma2)
             cv1[k][c] = np.einsum("abst,sa,tb,t->s", t1, s1, s2, b2[i])
             cv2[k][c] = np.einsum("abst,sa,tb,s->t", t2, s1, s2, b1[i])
-    rows = ([s[c] for s, c in zip(sig1, cls)], [s[c] for s, c in zip(sig2, cls)])
-    return StrategyProfile(tuple(sig1), tuple(sig2), classes), rows, stage_solutions
+    return StrategyProfile(tuple(sig1), tuple(sig2), tuple(cls)), stage_solutions
 
 
 def backward_pass(game: MultiStageGame, beliefs: BeliefSystem,
@@ -561,9 +525,10 @@ def backward_pass(game: MultiStageGame, beliefs: BeliefSystem,
     by (stage, class).
     """
     tree = _stages(game)
-    bel = _stack(beliefs, tree)
-    warm = None if warm_profile is None else _stage_rows(warm_profile, tree)
-    profile, rows, stage_solutions = _backward(game, tree, *bel, warm)
+    bel = beliefs.belief_p1, beliefs.belief_p2
+    warm = None if warm_profile is None else warm_profile.history_rows()
+    profile, stage_solutions = _backward(game, tree, *bel, warm)
+    rows = profile.history_rows()
     values = [_node_values(game, tree, rows, b, player, False)
               for player, b in zip((1, 2), bel)]
     return profile, _state_values(game, tree, _reach(game, *rows), *values), stage_solutions
@@ -581,7 +546,7 @@ def _state_values(game: MultiStageGame, tree, reach, node_v1, node_v2) -> ValueF
     p2w = np.asarray(game.prior_about_2.weights)
     out1 = [np.zeros((st.n_states, game.n1)) for st in game.stages]
     out2 = [np.zeros((st.n_states, game.n2)) for st in game.stages]
-    for k, (_, states) in enumerate(tree):
+    for k, states in enumerate(tree):
         for x in set(states.tolist()):
             at = states == x
             for out, v, w in ((out1, node_v1[k][at], reach[k][at] @ p2w),
@@ -612,7 +577,7 @@ def _node_values(game: MultiStageGame, tree, rows, bel: list, player: int,
     values: list = [None] * (K + 1)
     for k in range(K, -1, -1):
         st = game.stages[k]
-        x = tree[k][1]
+        x = tree[k]
         cont = (values[k + 1].reshape(len(x), st.m1, st.m2, n_own) if k < K
                 else np.zeros((len(x), st.m1, st.m2, n_own)))
         if player == 1:
@@ -645,14 +610,13 @@ def root_values(game: MultiStageGame, profile: StrategyProfile,
     supplied beliefs and over both players' action draws, by full tree
     traversal.  ``from_stage`` must be an integer from 0 to the horizon.
     """
-    if isinstance(from_stage, bool) or not isinstance(from_stage, (int, np.integer)) \
-            or not 0 <= from_stage <= game.horizon:
+    if not is_integer(from_stage) or not 0 <= from_stage <= game.horizon:
         raise MalformedInputError(f"from_stage must be an integer from 0 to "
                                   f"{game.horizon}, got {from_stage!r}")
     tree = _stages(game)
-    rows = _stage_rows(profile, tree)
+    rows = profile.history_rows()
     return tuple(_node_values(game, tree, rows, b, player, False, from_stage)[0][0]
-                 for player, b in zip((1, 2), _stack(beliefs, tree)))
+                 for player, b in ((1, beliefs.belief_p1), (2, beliefs.belief_p2)))
 
 
 def cumulative_utility(game: MultiStageGame, profile: StrategyProfile,
@@ -693,10 +657,9 @@ def verify_epsilon(game: MultiStageGame, profile: StrategyProfile,
     consistency is checked, not assumed: the forward pass is recomputed
     from the profile and compared on path.
     """
-    tree = _stages(game)
-    rows = _stage_rows(profile, tree)
-    bel = _stack(beliefs, tree)
-    return _certify(game, tree, rows, bel, _forward(game, *rows))[0]
+    rows = profile.history_rows()
+    return _certify(game, _stages(game), rows, (beliefs.belief_p1, beliefs.belief_p2),
+                    _forward(game, *rows))[0]
 
 
 def _largest_change(a: tuple, b: tuple) -> float:
@@ -732,8 +695,7 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
     only.
     """
     check_seed(seed)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) \
-            or max_iter < 1:
+    if not is_integer(max_iter) or max_iter < 1:
         raise MalformedInputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0.0):
         raise MalformedInputError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -747,7 +709,8 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
     trace: list[tuple[float, float]] = []
     counts: list[int] = []
     for it in range(1, max_iter + 1):
-        profile, new_rows, stage_solutions = _backward(game, tree, *bel, rows)
+        profile, stage_solutions = _backward(game, tree, *bel, rows)
+        new_rows = profile.history_rows()
         forward = _forward(game, *new_rows)
         res_p = np.inf if rows is None else _largest_change(new_rows, rows)
         res_b = _largest_change(forward[:2], bel)

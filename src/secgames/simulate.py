@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MalformedInputError, MultiStageGame, StrategyProfile,
-                   _readonly, check_seed)
+                   _readonly, check_seed, is_integer)
 
 # The tolerance Generator.choice allows on the sum of a float64 row.
 _SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -96,14 +96,6 @@ class Trajectory:
     type2: str
     steps: tuple[TrajectoryStep, ...]
     terminal_state: str
-
-    @property
-    def total1(self) -> float:
-        return sum(s.payoff1 for s in self.steps)
-
-    @property
-    def total2(self) -> float:
-        return sum(s.payoff2 for s in self.steps)
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -238,10 +230,6 @@ class _Sampler:
         self.prior2 = _cdf(game.prior_about_2.weights, game.n2, "prior about player 2")
         self.x0 = game.stages[0].state_index(game.initial_state)
         self._rows: dict[tuple[int, int, int, int], np.ndarray] = {}
-        # history node ids: path per id, id per path, row block per id
-        self._paths: list = [()]
-        self._ids: dict = {(): 0}
-        self._blocks = [profile.classes[()]]
         self._bits = np.random.PCG64()
         self._gen = np.random.Generator(self._bits)
         self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
@@ -266,22 +254,6 @@ class _Sampler:
         keys, rows = np.unique(blocks * n_own + types, return_inverse=True)
         tables = np.array([self._row(player, k, *divmod(int(key), n_own)) for key in keys])
         return _search(tables[rows], u)
-
-    def _children(self, nodes: np.ndarray, a1: np.ndarray, a2: np.ndarray,
-                  m1: int, m2: int) -> np.ndarray:
-        """The node ids of the histories ``nodes`` extended by ``(a1, a2)``."""
-        keys, inv = np.unique((nodes * m1 + a1) * m2 + a2, return_inverse=True)
-        out = []
-        for key in keys.tolist():
-            parent, rest = divmod(key, m1 * m2)
-            path = self._paths[parent] + (divmod(rest, m2),)
-            node = self._ids.get(path)
-            if node is None:
-                node = self._ids[path] = len(self._paths)
-                self._paths.append(path)
-                self._blocks.append(self.profile.classes[path])
-            out.append(node)
-        return np.array(out)[inv]
 
     def _draws(self, start: int, stop: int, stream: int, width: int, fill) -> np.ndarray:
         """One row of ``width`` values per trajectory ``start`` to
@@ -316,16 +288,16 @@ class _Sampler:
         pay1 = np.empty((n, n_stages))
         pay2 = np.empty((n, n_stages))
         x = np.full(n, self.x0)
+        # each trajectory's history, by its index in build_tree order
         nodes = np.zeros(n, dtype=int)
         for k, st in enumerate(stages):
-            blocks = np.array(self._blocks)[nodes]
+            blocks = self.profile.classes[k][nodes]
             a1 = self._actions(1, k, blocks, t1, u[:, 2 + 2 * k])
             a2 = self._actions(2, k, blocks, t2, u[:, 3 + 2 * k])
             states[:, k], a1s[:, k], a2s[:, k] = x, a1, a2
             pay1[:, k] = st.payoff1.values[x, a1, a2, t1, t2]
             pay2[:, k] = st.payoff2.values[x, a1, a2, t1, t2]
-            if k + 1 < n_stages:
-                nodes = self._children(nodes, a1, a2, st.m1, st.m2)
+            nodes = (nodes * st.m1 + a1) * st.m2 + a2
             x = st.transition_table[x, a1, a2]
         states[:, n_stages] = x
         scale = self.noise.scale
@@ -352,11 +324,12 @@ def sample_playout(game: MultiStageGame, profile: StrategyProfile,
 
     Noise uses its own random stream, so switching it on or off never
     changes the sampled types, actions or states.  ``trajectory_index``
-    must be below 2**32.
+    must be an integer from 0 to 2**32 - 1.
     """
     rng_seed = check_seed(rng_seed)
-    if trajectory_index < 0:
-        raise MalformedInputError("trajectory index must be non-negative")
+    if not is_integer(trajectory_index) or trajectory_index < 0:
+        raise MalformedInputError(f"trajectory index must be a non-negative integer, "
+                                  f"got {trajectory_index!r}")
     walk = _Sampler(game, profile, rng_seed, _parse_noise(noise)).walk(
         trajectory_index, trajectory_index + 1)
     x = walk.states[0].tolist()
@@ -423,13 +396,14 @@ def _totals(stage_values: np.ndarray) -> np.ndarray:
 def monte_carlo_value(game: MultiStageGame, profile: StrategyProfile, n: int,
                       rng_seed: int = 0, noise: NoiseSpec | str = "none"
                       ) -> MonteCarloReport:
-    """Sample means of cumulative payoffs, conditioned on own type.
+    """Sample means of cumulative payoffs, conditioned on own type, over
+    ``n`` trajectories (an integer >= 1).
 
     Raises :class:`MalformedInputError` when the noise is so large that
     a noisy mean or standard error is not a finite float64.
     """
-    if n < 1:
-        raise MalformedInputError("sample count must be at least 1")
+    if not is_integer(n) or n < 1:
+        raise MalformedInputError(f"sample count must be an integer >= 1, got {n!r}")
     rng_seed = check_seed(rng_seed)
     noise = _parse_noise(noise)
     sampler = _Sampler(game, profile, rng_seed, noise)

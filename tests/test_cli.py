@@ -7,8 +7,8 @@ import pytest
 
 from secgames import multistage, signaling, static
 from secgames.cli import main
-from secgames.core import FiniteDistribution, StrategyProfile, build_tree
-from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, history_label,
+from secgames.core import FiniteDistribution, StrategyProfile
+from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, history_labels,
                                load_game, profile_to_dict)
 from secgames.scenarios import build_apt_game, build_exercise_qb, build_static_bayesian
 from tests.test_gamejson import markov_profile_dict
@@ -401,9 +401,11 @@ def _per_history_expansion(game, markov: dict) -> dict:
     """The versioned per-history form of a Markov profile file: every
     history carries a copy of its state's rows."""
     out = {"version": 2}
+    classes = StrategyProfile.uniform(game).classes      # each history's end state
     for side in ("defender", "user"):
-        out[side] = {history_label(game, node): markov[side][k][game.stages[k].states[x]]
-                     for node, (k, x) in build_tree(game).items()}
+        out[side] = {key: markov[side][k][game.stages[k].states[x]]
+                     for k, (keys, states) in enumerate(zip(history_labels(game), classes))
+                     for key, x in zip(keys, states)}
     return out
 
 
@@ -524,6 +526,24 @@ def _drop_user_history(profile, beliefs):
     return profile, beliefs
 
 
+def _add_off_path_history(side, key):
+    def mutate(profile, beliefs):
+        beliefs["off_path"][side].append(key)
+        return profile, beliefs
+    return mutate
+
+
+def _versioned_profile_with_history(side, key):
+    """The versioned form of the uniform profile with rows for one more
+    history key."""
+    def mutate(profile, beliefs):
+        game = build_apt_game()
+        versioned = profile_to_dict(game, StrategyProfile.uniform(game))
+        versioned[side][key] = versioned[side][""]
+        return versioned, beliefs
+    return mutate
+
+
 def _set_first_profile_row(row):
     def mutate(profile, beliefs):
         per_state = next(iter(profile["defender"][0].values()))
@@ -540,10 +560,15 @@ def _set_first_profile_row(row):
     _set_first_profile_row("x"), _set_first_profile_row([float("nan"), 0.5, 0.5]),
     lambda profile, beliefs: ({"defender": [[1.0]], "user": [[1.0]]}, beliefs),
     lambda profile, beliefs: ([profile], beliefs),
-    lambda profile, beliefs: (profile, [beliefs])],
+    lambda profile, beliefs: (profile, [beliefs]),
+    _add_off_path_history("defender", "nope,nope"), _add_off_path_history("user", "nope"),
+    _versioned_profile_with_history("defender", "bogus,bogus;x,y"),
+    _versioned_profile_with_history("user", "nope")],
     ids=["belief-length", "unknown-history", "missing-user-history", "belief-not-numeric",
          "belief-negative", "belief-sum", "belief-nan", "profile-not-numeric",
-         "profile-nan", "profile-stage-array", "profile-array", "beliefs-array"])
+         "profile-nan", "profile-stage-array", "profile-array", "beliefs-array",
+         "off-path-unknown-defender", "off-path-unknown-user",
+         "profile-unknown-defender-history", "profile-unknown-user-history"])
 def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
     game = build_apt_game()
     profile = StrategyProfile.uniform(game)

@@ -136,23 +136,33 @@ class TestStrategyProfile:
     def test_per_history_profile_must_cover_every_history(self):
         g = build_apt_game()
         prof = StrategyProfile.uniform(g)
-        classes = {(): 0}
-        partial = StrategyProfile(tuple(a[:1] for a in prof.sigma1),
-                                  tuple(a[:1] for a in prof.sigma2), classes)
-        assert any("cover exactly" in v for v in partial.violations(g))
+        short = (prof.classes[0], prof.classes[1][:3], prof.classes[2])
+        for classes in (prof.classes[:1], short):
+            partial = StrategyProfile(prof.sigma1, prof.sigma2, classes)
+            assert partial.violations(g) == [
+                "profile rows do not cover exactly the game's histories"]
+
+    def test_class_index_out_of_range_flagged(self):
+        g = build_apt_game()
+        prof = StrategyProfile.uniform(g)
+        for bad_index in (-1, 3):
+            stage1 = prof.classes[1].copy()
+            stage1[4] = bad_index
+            bad = StrategyProfile(prof.sigma1, prof.sigma2,
+                                  (prof.classes[0], stage1, prof.classes[2]))
+            assert bad.violations(g) == [
+                "player 1 stage 1 names a missing row block",
+                "player 2 stage 1 names a missing row block"]
+        fractional = StrategyProfile(prof.sigma1, prof.sigma2,
+                                     tuple(c + 0.5 for c in prof.classes))
+        assert fractional.violations(g) == ["profile class indices are not integers"]
 
     def test_per_history_block_on_masked_action_flagged(self):
-        from secgames.multistage import build_tree
         g = build_apt_game()
         prof = StrategyProfile.uniform(g)
         # one block per history, each a copy of its state's Markov rows
-        nodes = build_tree(g)
-        classes, sig1, sig2 = {}, [[] for _ in g.stages], [[] for _ in g.stages]
-        for node, (k, x) in nodes.items():
-            classes[node] = len(sig1[k])
-            sig1[k].append(prof.sigma1[k][x])
-            sig2[k].append(prof.sigma2[k][x])
-        ok = StrategyProfile(tuple(map(np.array, sig1)), tuple(map(np.array, sig2)), classes)
+        classes = tuple(np.arange(len(c)) for c in prof.classes)
+        ok = StrategyProfile(*prof.history_rows(), classes)
         assert ok.violations(g) == []
         root_user = ok.sigma2[0].copy()
         root_user[0, 1] = [0.2, 0.3, 0.5]     # the legitimate user contacts the decoy

@@ -95,7 +95,9 @@ class TestProfileRoundTrip:
     def test_markov_form_reads_as_shared_rows(self, apt):
         prof = StrategyProfile.uniform(apt)
         back = profile_from_dict(apt, markov_profile_dict(apt, prof))
-        assert back.classes == {node: x for node, (_, x) in build_tree(apt).items()}
+        # each history names its end state's block
+        states = [x for _, x in build_tree(apt).values()]
+        assert np.concatenate(back.classes).tolist() == states
         for a, b in zip(prof.sigma1 + prof.sigma2, back.sigma1 + back.sigma2):
             np.testing.assert_array_equal(a, b)
 
@@ -131,6 +133,34 @@ class TestProfileRoundTrip:
         with pytest.raises(MalformedInputError):
             profile_from_dict(apt, raw)
 
+    def test_per_history_profile_reads_as_one_block_per_history(self, apt):
+        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
+        back = profile_from_dict(apt, profile_to_dict(apt, prof))
+        assert [c.tolist() for c in back.classes] == [[0], list(range(9)), list(range(36))]
+        rows1, rows2 = prof.history_rows()
+        for got, ref in zip(back.sigma1 + back.sigma2, rows1 + rows2):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("side, key", [("defender", "bogus,bogus;x,y"), ("user", "nope"),
+                                           ("user", "none,employee;none,employee;x,y")])
+    def test_per_history_profile_unknown_history_raises(self, apt, side, key):
+        raw = profile_to_dict(apt, StrategyProfile.uniform(apt))
+        raw[side][key] = raw[side][""]
+        with pytest.raises(MalformedInputError, match=f"unknown history {key!r}"):
+            profile_from_dict(apt, raw)
+
+    def test_histories_sharing_a_key_raise(self, apt):
+        # ("a,b", "c") and ("a", "b,c") are both keyed "a,b,c"
+        raw = game_to_dict(apt)
+        raw["stages"][0]["actions1"] = ["a,b", "a", "z"]
+        raw["stages"][0]["actions2"] = ["c", "b,c", "q"]
+        game = game_from_dict(raw)
+        prof = StrategyProfile.uniform(game)
+        with pytest.raises(MalformedInputError, match="share one key"):
+            profile_from_dict(game, profile_to_dict(game, prof))
+        with pytest.raises(MalformedInputError, match="share one key"):
+            beliefs_from_dict(game, beliefs_to_dict(game, forward_pass(game, prof)))
+
     def test_unknown_profile_version_raises(self, apt):
         prof, _, _ = backward_pass(apt, prior_beliefs(apt))
         raw = dict(profile_to_dict(apt, prof), version=3)
@@ -153,8 +183,29 @@ class TestBeliefRoundTrip:
         prof = StrategyProfile.uniform(apt)
         bel = forward_pass(apt, prof)
         back = beliefs_from_dict(apt, beliefs_to_dict(apt, bel))
-        assert back.off_path_p1 == bel.off_path_p1
+        for got, ref in zip(back.belief_p1 + back.belief_p2 + back.off_path_p1
+                            + back.off_path_p2, bel.belief_p1 + bel.belief_p2
+                            + bel.off_path_p1 + bel.off_path_p2):
+            assert got.tobytes() == ref.tobytes()
         assert back.aggregation_discrepancy == bel.aggregation_discrepancy
+
+    def test_rows_in_any_key_order_land_at_their_history(self, apt):
+        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
+        bel = forward_pass(apt, prof)
+        raw = beliefs_to_dict(apt, bel)
+        for side in ("defender", "user"):
+            raw[side] = dict(reversed(raw[side].items()))
+        back = beliefs_from_dict(apt, raw)
+        for got, ref in zip(back.belief_p1 + back.belief_p2, bel.belief_p1 + bel.belief_p2):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("side, key", [("defender", "nope,nope"), ("user", "nope"),
+                                           ("defender", "none,employee;none,employee;x,y")])
+    def test_unknown_off_path_history_raises(self, apt, side, key):
+        raw = beliefs_to_dict(apt, forward_pass(apt, StrategyProfile.uniform(apt)))
+        raw["off_path"][side].append(key)
+        with pytest.raises(MalformedInputError, match=f"unknown history {key!r}"):
+            beliefs_from_dict(apt, raw)
 
     def test_json_serializable(self, apt, tmp_path):
         prof = StrategyProfile.uniform(apt)

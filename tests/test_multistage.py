@@ -6,10 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from secgames import multistage
+from secgames import multistage, simulate
 
 from secgames.core import (FiniteDistribution, MalformedInputError, MultiStageGame,
                            PayoffTensor, StageGame, StrategyProfile)
+from secgames.gamejson import history_labels, profile_to_dict
 from secgames.multistage import (ROW_ZERO_TOL, NonConvergenceReport,
                                  PbneSolution, backward_pass, belief_update, build_tree,
                                  cumulative_utility, forward_pass,
@@ -21,6 +22,30 @@ from secgames.scenarios import (build_apt_game, build_static_bayesian,
                                 default_apt_parameters, exercise_qb_matrices)
 from secgames.static import (StaticBayesianGame, bayes_gap, equilibrium_values,
                              to_multistage)
+
+
+def _per_history(game, per_stage) -> dict:
+    """Test-local view of per-stage arrays (build_tree order) keyed by
+    history."""
+    return dict(zip(build_tree(game), (v for stage in per_stage for v in stage)))
+
+
+def _stage_paths(game) -> list[list]:
+    """The histories of each stage, in build_tree order."""
+    paths = list(build_tree(game))
+    out, lo, size = [], 0, 1
+    for st in game.stages:
+        out.append(paths[lo:lo + size])
+        lo, size = lo + size, size * st.m1 * st.m2
+    return out
+
+
+def _with_node_belief(beliefs, k, i, row, n_own):
+    """``beliefs`` with player 1's belief at stage k's history i set to
+    ``row`` for every own type."""
+    stages = [a.copy() for a in beliefs.belief_p1]
+    stages[k][i] = np.tile(row, (n_own, 1))
+    return dataclasses.replace(beliefs, belief_p1=tuple(stages))
 
 
 def chain_game(payoffs_per_stage, n_stages=None):
@@ -171,10 +196,8 @@ class TestForwardPass:
         sig2[0][:, 1, :] = [1.0, 0.0, 0.0]   # legitimate mails the employee
         prof2 = StrategyProfile(prof.sigma1, tuple(sig2), prof.classes)
         bel = forward_pass(g, prof2)
-        for node, arr in bel.belief_p1.items():
-            if len(node) != 1:
-                continue
-            (a1, a2) = node[0]
+        for i, arr in enumerate(bel.belief_p1[1]):
+            a2 = i % g.stages[0].m2
             if a2 == 1:
                 np.testing.assert_allclose(arr, np.tile([1.0, 0.0], (2, 1)), atol=1e-12)
             elif a2 == 0:
@@ -188,10 +211,10 @@ class TestForwardPass:
         sig2[0][:, 1, :] = [0.5, 0.5, 0.0]
         prof2 = StrategyProfile(prof.sigma1, tuple(sig2), prof.classes)
         bel = forward_pass(g, prof2)
-        node = ((0, 0),)
         post, _ = belief_update([0.5, 0.5], sig2[0][0], 0)
-        np.testing.assert_allclose(bel.belief_p1[node][0], post.weights, atol=1e-12)
-        np.testing.assert_allclose(bel.belief_p1[node][0], [2 / 3, 1 / 3], atol=1e-12)
+        # history ((0, 0),) is stage 1's first
+        np.testing.assert_allclose(bel.belief_p1[1][0][0], post.weights, atol=1e-12)
+        np.testing.assert_allclose(bel.belief_p1[1][0][0], [2 / 3, 1 / 3], atol=1e-12)
 
     def test_tree_size(self):
         g = build_apt_game()
@@ -455,7 +478,7 @@ class TestVerifyEpsilon:
                            FiniteDistribution([1.0]), FiniteDistribution([1.0]), "x")
         sig1 = (np.full((1, 1, 2), 0.5),)
         sig2 = (np.array([[[1.0, 0.0]]]),)    # plays the dominated action
-        prof = StrategyProfile(sig1, sig2, {(): 0})
+        prof = StrategyProfile(sig1, sig2, (np.array([0]),))
         rep = verify_epsilon(g, prof, forward_pass(g, prof))
         assert rep.eps2[0] == pytest.approx(2.5, abs=1e-12)
         assert rep.eps1[0] == 0.0
@@ -474,7 +497,7 @@ class TestVerifyEpsilon:
         g = MultiStageGame(0, (st,), ("*",), ("*",),
                            FiniteDistribution([1.0]), FiniteDistribution([1.0]), "x")
         prof = StrategyProfile((np.array([[[0.0, 1.0]]]),),
-                               (np.array([[[0.0, 1.0]]]),), {(): 0})
+                               (np.array([[[0.0, 1.0]]]),), (np.array([0]),))
         rep = verify_epsilon(g, prof, forward_pass(g, prof))
         assert rep.eps1.max() <= 1e-9 and rep.eps2.max() <= 1e-9
 
@@ -533,23 +556,22 @@ class TestHistoryClasses:
         for arr in profile.sigma1 + profile.sigma2:
             assert not np.any((arr > 0.0) & (arr < ROW_ZERO_TOL))
         bel = forward_pass(g, profile)
-        assert any(clean.off_path_p1.values()) and any(clean.off_path_p2.values())
-        assert bel.off_path_p1 == clean.off_path_p1
-        assert bel.off_path_p2 == clean.off_path_p2
+        assert any(o.any() for o in clean.off_path_p1) and any(o.any() for o in clean.off_path_p2)
+        for got, ref in ((bel.off_path_p1, clean.off_path_p1),
+                         (bel.off_path_p2, clean.off_path_p2)):
+            assert [o.tolist() for o in got] == [o.tolist() for o in ref]
 
     def test_histories_with_different_beliefs_get_their_own_programs(self):
         g = build_apt_game()
-        bel = prior_beliefs(g)
         # make the defender certain of the adversarial user after one
-        # stage-0 history only; its state shares nothing with the others
-        node = ((0, 0),)
-        bel.belief_p1[node] = np.tile([1.0, 0.0], (g.n1, 1))
+        # stage-0 history only (stage 1's first); its state shares
+        # nothing with the others
+        bel = _with_node_belief(prior_beliefs(g), 1, 0, [1.0, 0.0], g.n1)
         profile, _, sols = backward_pass(g, bel)
-        x = build_tree(g)[node][1]
-        peers = [p for p, (k, xx) in build_tree(g).items()
-                 if k == 1 and xx == x and p != node]
-        assert peers
-        assert all(profile.classes[p] != profile.classes[node] for p in peers)
+        states = multistage._stages(g)[1]
+        peers = np.flatnonzero(states == states[0])[1:]
+        assert peers.size
+        assert all(profile.classes[1][i] != profile.classes[1][0] for i in peers)
         assert len(sols) == sum(len(a) for a in profile.sigma1)
 
     def test_markov_profile_reads_as_shared_rows(self):
@@ -568,8 +590,9 @@ class TestHistoryClasses:
         assert max(res.epsilon.eps1.max(), res.epsilon.eps2.max()) <= 1e-4
         # the returned beliefs are the forward pass of the returned profile
         again = forward_pass(g, res.profile)
-        for path, arr in again.belief_p1.items():
-            np.testing.assert_array_equal(arr, res.beliefs.belief_p1[path])
+        for arr, ref in zip(again.belief_p1 + again.belief_p2,
+                            res.beliefs.belief_p1 + res.beliefs.belief_p2):
+            np.testing.assert_array_equal(arr, ref)
 
 
 def _tree_value_loop(game, profile, beliefs, player, own_type, best_response,
@@ -577,6 +600,7 @@ def _tree_value_loop(game, profile, beliefs, player, own_type, best_response,
     """Reference: the per-node, per-action loop that the vectorized tree
     evaluation replaced, reading rows through the profile accessor."""
     nodes = build_tree(game)
+    bel1, bel2 = _per_history(game, beliefs.belief_p1), _per_history(game, beliefs.belief_p2)
     value = {}
     for path in sorted(nodes, key=len, reverse=True):
         k, x = nodes[path]
@@ -591,11 +615,11 @@ def _tree_value_loop(game, profile, beliefs, player, own_type, best_response,
                 a1, a2 = (a, b) if player == 1 else (b, a)
                 cont = value[path + ((a1, a2),)] if k < game.horizon else 0.0
                 if player == 1:
-                    bel = beliefs.belief_p1[path][own_type]
+                    bel = bel1[path][own_type]
                     pay = st.payoff1.values[x, a1, a2, own_type, :]
                     lik = bel * s2[:, a2]
                 else:
-                    bel = beliefs.belief_p2[path][own_type]
+                    bel = bel2[path][own_type]
                     pay = st.payoff2.values[x, a1, a2, :, own_type]
                     lik = bel * s1[:, a1]
                 if counted:
@@ -615,8 +639,7 @@ class TestVectorizedPassesMatchLoops:
         if request.param == "markov":
             prof = StrategyProfile.uniform(g)
         else:
-            bel = prior_beliefs(g)
-            bel.belief_p1[((0, 0),)] = np.tile([0.9, 0.1], (g.n1, 1))
+            bel = _with_node_belief(prior_beliefs(g), 1, 0, [0.9, 0.1], g.n1)
             prof, _, _ = backward_pass(g, bel)
         return g, prof
 
@@ -641,6 +664,8 @@ class TestVectorizedPassesMatchLoops:
     def test_forward_beliefs(self, case):
         g, prof = case
         bel = forward_pass(g, prof)
+        bel1, bel2 = _per_history(g, bel.belief_p1), _per_history(g, bel.belief_p2)
+        off1, off2 = _per_history(g, bel.off_path_p1), _per_history(g, bel.off_path_p2)
         for path, (k, _) in build_tree(g).items():
             if k == g.horizon:
                 continue
@@ -648,19 +673,15 @@ class TestVectorizedPassesMatchLoops:
                 for a2 in range(g.stages[k].m2):
                     child = path + ((a1, a2),)
                     for t in range(g.n1):
-                        post, on = belief_update(bel.belief_p1[path][t],
-                                                 prof.rows(2, path), a2)
-                        np.testing.assert_allclose(bel.belief_p1[child][t],
-                                                   post.weights, atol=1e-15)
+                        post, on = belief_update(bel1[path][t], prof.rows(2, path), a2)
+                        np.testing.assert_allclose(bel1[child][t], post.weights, atol=1e-15)
                         if not on:
-                            assert bel.off_path_p1[child]
+                            assert off1[child]
                     for t in range(g.n2):
-                        post, on = belief_update(bel.belief_p2[path][t],
-                                                 prof.rows(1, path), a1)
-                        np.testing.assert_allclose(bel.belief_p2[child][t],
-                                                   post.weights, atol=1e-15)
+                        post, on = belief_update(bel2[path][t], prof.rows(1, path), a1)
+                        np.testing.assert_allclose(bel2[child][t], post.weights, atol=1e-15)
                         if not on:
-                            assert bel.off_path_p2[child]
+                            assert off2[child]
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +734,7 @@ def _ref_node_beliefs(game, nodes, profile):
 
 
 def _ref_node_values(game, nodes, profile, beliefs, player, best_response, from_stage):
+    bel1, bel2 = _per_history(game, beliefs.belief_p1), _per_history(game, beliefs.belief_p2)
     value = {}
     n_own = game.n1 if player == 1 else game.n2
     for path in reversed(list(nodes)):
@@ -725,13 +747,13 @@ def _ref_node_values(game, nodes, profile, beliefs, player, best_response, from_
         else:
             cont = np.zeros((st.m1, st.m2, n_own))
         if player == 1:
-            w = beliefs.belief_p1[path][:, :, None] * r2[None, :, :]
+            w = bel1[path][:, :, None] * r2[None, :, :]
             q = np.einsum("sj,ijs->si", w.sum(axis=1), cont)
             if k >= from_stage:
                 q = q + np.einsum("suj,ijsu->si", w, st.payoff1.values[x])
             own_rows, own_feas = r1, st.payoff1.feasible[x]
         else:
-            w = beliefs.belief_p2[path][:, :, None] * r1[None, :, :]
+            w = bel2[path][:, :, None] * r1[None, :, :]
             q = np.einsum("ui,iju->uj", w.sum(axis=1), cont)
             if k >= from_stage:
                 q = q + np.einsum("usi,ijsu->uj", w, st.payoff2.values[x])
@@ -772,10 +794,8 @@ def _random_history_profile(game, rng):
     get no mass, so some histories are off path."""
     nodes = build_tree(game)
     sig = [[[], []] for _ in game.stages]
-    classes = {}
     for path, (k, x) in nodes.items():
         st = game.stages[k]
-        classes[path] = len(sig[k][0])
         for i, tensor in enumerate((st.payoff1, st.payoff2)):
             feas = tensor.feasible[x]
             rows = rng.dirichlet(np.ones(feas.shape[1]), size=feas.shape[0]) * feas
@@ -783,7 +803,8 @@ def _random_history_profile(game, rng):
             rows[rows.sum(axis=1) == 0.0] = feas[rows.sum(axis=1) == 0.0]
             sig[k][i].append(rows / rows.sum(axis=1, keepdims=True))
     return StrategyProfile(tuple(np.array(s[0]) for s in sig),
-                           tuple(np.array(s[1]) for s in sig), classes)
+                           tuple(np.array(s[1]) for s in sig),
+                           tuple(np.arange(len(s[0])) for s in sig))
 
 
 def _oracle_cases():
@@ -803,11 +824,13 @@ def _oracle_cases():
         g = random_tree_game(seed)
         rng = np.random.default_rng(100 + seed)
         prof = _random_history_profile(g, rng)
-        nodes = build_tree(g)
+        sizes = [len(c) for c in prof.classes]
         bel = forward_pass(g, prof)
-        noisy = dataclasses.replace(
-            bel, belief_p1={p: rng.dirichlet(np.ones(g.n2), size=g.n1) for p in nodes},
-            belief_p2={p: rng.dirichlet(np.ones(g.n1), size=g.n2) for p in nodes})
+        noisy = dataclasses.replace(bel, **{
+            field: tuple(np.array([rng.dirichlet(np.ones(n_opp), size=n_own)
+                                   for _ in range(n)]) for n in sizes)
+            for field, n_own, n_opp in (("belief_p1", g.n1, g.n2),
+                                        ("belief_p2", g.n2, g.n1))})
         cases += [(g, prof, bel), (g, prof, noisy)]
     return cases
 
@@ -821,16 +844,15 @@ class TestStageWalksMatchHistoryLoops:
         for g, prof, bel in cases:
             nodes = build_tree(g)
             tree = multistage._stages(g)
-            rows = multistage._stage_rows(prof, tree)
-            stacked = multistage._stack(bel, tree)
+            rows = prof.history_rows()
+            stacked = bel.belief_p1, bel.belief_p2
             for player, br, from_stage in itertools.product((1, 2), (False, True), (0, 1)):
                 ref = _ref_node_values(g, nodes, prof, bel, player, br, from_stage)
                 got = multistage._node_values(g, tree, rows, stacked[player - 1],
                                               player, br, from_stage)
-                for (paths, _), values in zip(tree, got):
-                    assert values.shape == (len(paths), ref[()].size)
-                    for path, v in zip(paths, values):
-                        assert v.tobytes() == ref[path].tobytes(), (player, br, path)
+                assert [v.shape for v in got] == [(len(x), ref[()].size) for x in tree]
+                for path, v in _per_history(g, got).items():
+                    assert v.tobytes() == ref[path].tobytes(), (player, br, path)
 
     def test_node_beliefs_and_reach_bit_for_bit(self, cases):
         off_path = set()
@@ -838,34 +860,66 @@ class TestStageWalksMatchHistoryLoops:
             nodes = build_tree(g)
             bel = forward_pass(g, prof)
             ref1, ref2, ref_off1, ref_off2 = _ref_node_beliefs(g, nodes, prof)
-            for got, ref in ((bel.belief_p1, ref1), (bel.belief_p2, ref2)):
-                assert list(got) == list(nodes)
-                assert all(got[p].tobytes() == ref[p].tobytes() for p in nodes)
-            assert bel.off_path_p1 == ref_off1 and bel.off_path_p2 == ref_off2
+            sizes = [len(x) for x in multistage._stages(g)]
+            for got, ref in ((bel.belief_p1, ref1), (bel.belief_p2, ref2),
+                             (bel.off_path_p1, ref_off1), (bel.off_path_p2, ref_off2)):
+                assert [len(a) for a in got] == sizes
+                got = _per_history(g, got)
+                assert all(got[p].tobytes() == np.asarray(ref[p]).tobytes() for p in nodes)
             off_path |= {player for player, off in ((1, ref_off1), (2, ref_off2))
                          if any(off.values())}
-            tree = multistage._stages(g)
-            reach = multistage._per_history(
-                tree, multistage._reach(g, *multistage._stage_rows(prof, tree)))
+            reach = _per_history(g, multistage._reach(g, *prof.history_rows()))
             ref = _ref_reach(g, nodes, prof)
             assert all(reach[p].tobytes() == ref[p].tobytes() for p in nodes)
         # the random profiles put some histories off path for both players
         assert off_path == {1, 2}
 
 
-def test_stage_blocks_follow_build_tree_order():
+def test_stage_blocks_follow_build_tree_order(monkeypatch):
     # APT: 3 x 3 actions at stage 0, then 2 x 2 at stage 1
     g = build_apt_game()
     assert [(st.m1, st.m2) for st in g.stages] == [(3, 3), (2, 2), (2, 2)]
     nodes = build_tree(g)
     tree = multistage._stages(g)
-    assert [len(paths) for paths, _ in tree] == [1, 9, 36]
+    paths = _stage_paths(g)
+    assert [len(x) for x in tree] == [len(p) for p in paths] == [1, 9, 36]
     for k, st in enumerate(g.stages[:-1]):
-        paths, states = tree[k]
-        children = tree[k + 1][0]
-        for i, path in enumerate(paths):
-            assert nodes[path] == (k, states[i])
+        for i, path in enumerate(paths[k]):
+            assert nodes[path] == (k, tree[k][i])
             for a1 in range(st.m1):
                 for a2 in range(st.m2):
-                    assert children[i * st.m1 * st.m2 + a1 * st.m2 + a2] \
+                    assert paths[k + 1][i * st.m1 * st.m2 + a1 * st.m2 + a2] \
                         == path + ((a1, a2),)
+    # history i of stage k plays sigma[k][classes[k][i]]: that is its
+    # rows(player, node) and the rows the report keys by its label
+    prof = _random_history_profile(g, np.random.default_rng(3))
+    solved = solve_pbne(g, max_iter=2)
+    for profile in (prof, solved.profile if isinstance(solved, PbneSolution)
+                    else solved.last_profile):
+        raw = profile_to_dict(g, profile)
+        for k, keys in enumerate(history_labels(g)):
+            for i, (key, path) in enumerate(zip(keys, paths[k])):
+                assert key == ";".join(f"{g.stages[j].actions1[a1]},{g.stages[j].actions2[a2]}"
+                                       for j, (a1, a2) in enumerate(path))
+                for player, side, types in ((1, "defender", g.types1), (2, "user", g.types2)):
+                    row = profile.arrays(player)[k][profile.classes[k][i]]
+                    assert profile.rows(player, path).tobytes() == row.tobytes()
+                    assert raw[side][key] == dict(zip(types, row.tolist()))
+    # the sampler's child index finds the history its trajectory played:
+    # with one row block per history, the block is the history's index
+    blocks = []
+    actions = simulate._Sampler._actions
+
+    def spy(self, player, k, block, types, u):
+        if player == 1:
+            blocks.append(block.tolist())
+        return actions(self, player, k, block, types, u)
+
+    monkeypatch.setattr(simulate._Sampler, "_actions", spy)
+    walk = simulate._Sampler(g, prof, 7, simulate.NoiseSpec()).walk(0, 300)
+    for k, got in enumerate(blocks):
+        index = {path: i for i, path in enumerate(paths[k])}
+        played = [tuple(zip(a1[:k], a2[:k]))
+                  for a1, a2 in zip(walk.actions1.tolist(), walk.actions2.tolist())]
+        assert got == [index[path] for path in played]
+    assert len(blocks) == len(g.stages) and len(set(blocks[-1])) > 10

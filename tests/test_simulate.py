@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from secgames.core import MalformedInputError, StrategyProfile, build_tree
+from secgames.core import MalformedInputError, StrategyProfile
 from secgames.multistage import cumulative_utility, forward_pass
 from secgames import simulate
 from secgames.simulate import (NoiseSpec, Trajectory, TrajectoryStep,
@@ -45,7 +45,8 @@ class TestSamplePlayout:
         prof = StrategyProfile.uniform(g)
         traj = sample_playout(g, prof, rng_seed=0)
         assert [s.state for s in traj.steps] == ["s0", "s1"]
-        assert traj.total1 == 3.0 and traj.total2 == -3.0
+        assert sum(s.payoff1 for s in traj.steps) == 3.0
+        assert sum(s.payoff2 for s in traj.steps) == -3.0
         assert traj.terminal_state == "s2"
 
     def test_zero_noise_means_equal_payoffs(self):
@@ -185,8 +186,8 @@ def reference_monte_carlo(game, profile, n, rng_seed, noise):
         traj = reference_playout(game, profile, rng_seed, noise, i)
         t1 = game.types1.index(traj.type1)
         t2 = game.types2.index(traj.type2)
-        cells["clean", 1][t1].append(traj.total1)
-        cells["clean", 2][t2].append(traj.total2)
+        cells["clean", 1][t1].append(sum(s.payoff1 for s in traj.steps))
+        cells["clean", 2][t2].append(sum(s.payoff2 for s in traj.steps))
         cells["noisy", 1][t1].append(sum(s.noisy1 for s in traj.steps))
         cells["noisy", 2][t2].append(sum(s.noisy2 for s in traj.steps))
     out = {"counts1": np.array([len(c) for c in cells["clean", 1]]),
@@ -210,16 +211,13 @@ def per_history_profile(game, seed=0):
     """Every history its own row block, with random rows over the
     feasible actions of its state."""
     rng = np.random.default_rng(seed)
-    nodes = build_tree(game)
-    classes, sig1, sig2 = {}, [], []
-    for k, st in enumerate(game.stages):
-        at_k = [(node, x) for node, (kk, x) in nodes.items() if kk == k]
+    states = StrategyProfile.uniform(game).classes      # each history's end state
+    sig1, sig2 = [], []
+    for st, x in zip(game.stages, states):
         for out, feas in ((sig1, st.payoff1.feasible), (sig2, st.payoff2.feasible)):
-            rows = rng.random((len(at_k),) + feas.shape[1:]) * feas[[x for _, x in at_k]]
+            rows = rng.random((len(x),) + feas.shape[1:]) * feas[x]
             out.append(rows / rows.sum(axis=2, keepdims=True))
-        for block, (node, _) in enumerate(at_k):
-            classes[node] = block
-    return StrategyProfile(tuple(sig1), tuple(sig2), classes)
+    return StrategyProfile(tuple(sig1), tuple(sig2), tuple(np.arange(len(x)) for x in states))
 
 
 PROFILES = {"uniform-markov": lambda g: StrategyProfile.uniform(g),
@@ -315,6 +313,27 @@ class TestSeedKernel:
         g = build_apt_game()
         with pytest.raises(MalformedInputError):
             sample_playout(g, StrategyProfile.uniform(g), trajectory_index=index)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None])
+    def test_trajectory_index_not_an_integer(self, index):
+        g = build_apt_game()
+        with pytest.raises(MalformedInputError, match="trajectory index must be a "
+                                                      "non-negative integer"):
+            sample_playout(g, StrategyProfile.uniform(g), trajectory_index=index)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None, 0, -3])
+    def test_sample_count_not_a_positive_integer(self, n):
+        g = build_apt_game()
+        with pytest.raises(MalformedInputError, match="sample count must be an integer >= 1"):
+            monte_carlo_value(g, StrategyProfile.uniform(g), n)
+
+    def test_numpy_integer_counts_accepted(self):
+        g = build_apt_game()
+        prof = StrategyProfile.uniform(g)
+        assert sample_playout(g, prof, 3, trajectory_index=np.int64(4)) == \
+               sample_playout(g, prof, 3, trajectory_index=4)
+        assert monte_carlo_value(g, prof, np.int32(20), 3).mean1.tobytes() == \
+               monte_carlo_value(g, prof, 20, 3).mean1.tobytes()
 
     def test_last_index_matches_choice_loop(self):
         g = build_apt_game()

@@ -53,7 +53,7 @@ def is_integer(value) -> bool:
 def check_seed(seed) -> int:
     """``seed`` as an int; it must be a non-negative integer, which
     ``SeedSequence`` turns into its entropy words."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise MalformedInputError("seed must be a non-negative integer")
     return int(seed)
 
@@ -365,36 +365,29 @@ class StrategyProfile:
 NodeKey = tuple[tuple[int, int], ...]
 
 
-def build_tree(game: MultiStageGame) -> dict[NodeKey, tuple[int, int]]:
-    """All action histories up to the final stage, mapped to (stage, state).
+def build_tree(game: MultiStageGame) -> np.ndarray:
+    """The end state of every action history up to the final stage, as
+    one int array.
 
-    Histories are inserted stage by stage, each parent's children in
+    Histories are laid out stage by stage, each parent's children in
     (a1, a2) row-major order.  This is the layout of every per-stage
     array in the package: stage k's histories form one block, and the
     children of its ``i``-th history are the stage-(k + 1) histories
     ``i*m1*m2 + a1*m2 + a2``, with ``m1``, ``m2`` stage k's action counts.
+    So each stage's block is one gather of the one before it through the
+    stage's transition table.
     """
-    x0 = game.stages[0].state_index(game.initial_state)
-    nodes: dict[NodeKey, tuple[int, int]] = {(): (0, x0)}
-    frontier: list[NodeKey] = [()]
-    for k in range(game.horizon):
-        st = game.stages[k]
-        nxt = []
-        for path in frontier:
-            x = nodes[path][1]
-            for a1 in range(st.m1):
-                for a2 in range(st.m2):
-                    child = path + ((a1, a2),)
-                    nodes[child] = (k + 1, int(st.transition_table[x, a1, a2]))
-                    nxt.append(child)
-        frontier = nxt
-    return nodes
+    x = np.array([game.stages[0].state_index(game.initial_state)])
+    blocks = [x]
+    for st in game.stages[:game.horizon]:
+        x = st.transition_table[x].ravel()
+        blocks.append(x)
+    return np.concatenate(blocks)
 
 
-def stage_states(game: MultiStageGame, nodes: dict) -> list[np.ndarray]:
-    """``nodes``, a :func:`build_tree` result, cut into its stage blocks:
-    per stage, the end state of each history, in order."""
-    states = np.fromiter((x for _, x in nodes.values()), dtype=int, count=len(nodes))
+def stage_states(game: MultiStageGame, states: np.ndarray) -> list[np.ndarray]:
+    """``states``, a :func:`build_tree` result, cut into its stage
+    blocks: per stage, the end state of each history, in order."""
     out, lo, size = [], 0, 1
     for st in game.stages:
         out.append(states[lo:lo + size])

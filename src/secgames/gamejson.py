@@ -16,9 +16,12 @@ versioned form as one row block per history, the Markov form as one
 block per state that every history of the state names.
 
 Profile and belief files key histories by their action labels, such as
-``"none,employee"`` (:func:`history_labels`).  Writers go stage by
-stage over those keys; readers place rows through one key-to-position
-map and reject a key the game does not have.
+``"none,employee"`` (:func:`history_labels`), as ``{key: {type: row}}``
+maps; the Markov form keys each stage's map by state.  One writer
+builds those maps stage by stage over the keys, and one reader stacks a
+stage's map into an ``(n_keys, n_types, width)`` array in key order,
+naming the side, stage and key of a missing, ragged or non-numeric row.
+Readers reject a history key the game does not have.
 """
 
 from __future__ import annotations
@@ -199,54 +202,64 @@ def _history_index(labels: list[list[str]]) -> dict[str, int]:
     return index
 
 
+def _keyed_rows(labels: list[list[str]], per_stage, types) -> dict:
+    """``{key: {type: row}}`` over every history, stage by stage, from
+    per-stage ``(n_k, n_types, width)`` arrays."""
+    return {key: dict(zip(types, rows)) for keys, stage in zip(labels, per_stage)
+            for key, rows in zip(keys, stage.tolist())}
+
+
+def _stacked_rows(rows_by_key, keys, types, width: int, where: str) -> np.ndarray:
+    """The ``{key: {type: row}}`` map ``rows_by_key`` as one
+    ``(len(keys), len(types), width)`` float array in ``keys`` order.
+    A missing key or type, or rows that are ragged, not numeric or not
+    ``width`` long, raise naming ``where`` and the first such key."""
+    shape = (len(keys), len(types), width)
+    try:
+        rows = np.array([[rows_by_key[key][t] for t in types] for key in keys], dtype=float)
+        if rows.shape == shape:
+            return rows
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    for key in keys:
+        per_type = rows_by_key.get(key) if isinstance(rows_by_key, dict) else None
+        if not isinstance(per_type, dict) or any(t not in per_type for t in types):
+            raise MalformedInputError(f"missing {where} {key!r}")
+        try:
+            rows = np.array([per_type[t] for t in types], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            rows = None
+        if rows is None or rows.shape != shape[1:]:
+            raise MalformedInputError(f"{where} {key!r} must be {width} numbers per type")
+    raise MalformedInputError(f"{where} must be {width} numbers per type")
+
+
 def profile_to_dict(game: MultiStageGame, profile: StrategyProfile) -> dict:
     """``{"version": 2, side -> history -> type -> row}``, histories
     keyed as in the belief format."""
-    out: dict[str, Any] = {"version": PROFILE_VERSION}
     labels = history_labels(game)
-    for side, types, per_stage in zip(("defender", "user"), (game.types1, game.types2),
-                                      profile.history_rows()):
-        out[side] = {key: dict(zip(types, rows))
-                     for keys, stage in zip(labels, per_stage)
-                     for key, rows in zip(keys, stage.tolist())}
-    return out
-
-
-def _row(raw_row, m: int, where: str) -> np.ndarray:
-    try:
-        row = np.asarray(raw_row, dtype=float)
-    except (TypeError, ValueError):
-        raise MalformedInputError(f"profile row for {where} is not numeric") from None
-    if row.shape != (m,):
-        raise MalformedInputError(f"profile row for {where} has shape {row.shape}, "
-                                  f"expected ({m},)")
-    return row
+    rows1, rows2 = profile.history_rows()
+    return {"version": PROFILE_VERSION, "defender": _keyed_rows(labels, rows1, game.types1),
+            "user": _keyed_rows(labels, rows2, game.types2)}
 
 
 def _profile_by_history(game: MultiStageGame, raw: dict) -> StrategyProfile:
     """One row block per history, read from the versioned form."""
     labels = history_labels(game)
-    blocks = [([], []) for _ in game.stages]
-    for st, keys, (rows1, rows2) in zip(game.stages, labels, blocks):
-        for key in keys:
-            for out, side, types, m in ((rows1, "defender", game.types1, st.m1),
-                                        (rows2, "user", game.types2, st.m2)):
-                try:
-                    per_type = raw[side][key]
-                    out.append([_row(per_type[t], m, f"{side}/{t} at history {key!r}")
-                                for t in types])
-                except (KeyError, TypeError):
-                    raise MalformedInputError(
-                        f"profile missing {side} rows for history {key!r}") from None
     index = _history_index(labels)
-    for side in ("defender", "user"):
-        unknown = [key for key in raw[side] if key not in index]
+    sigma = []
+    for side, types, widths in (("defender", game.types1, [st.m1 for st in game.stages]),
+                                ("user", game.types2, [st.m2 for st in game.stages])):
+        rows_by_key = raw.get(side)
+        sigma.append(tuple(
+            _stacked_rows(rows_by_key, keys, types, m,
+                          f"{side} profile rows at stage {k} for history")
+            for k, (keys, m) in enumerate(zip(labels, widths))))
+        unknown = [key for key in rows_by_key if key not in index]
         if unknown:
             raise MalformedInputError(f"profile has {side} rows for unknown history "
                                       f"{unknown[0]!r}")
-    return StrategyProfile(tuple(np.array(b[0]) for b in blocks),
-                           tuple(np.array(b[1]) for b in blocks),
-                           tuple(np.arange(len(keys)) for keys in labels))
+    return StrategyProfile(*sigma, tuple(np.arange(len(keys)) for keys in labels))
 
 
 def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
@@ -265,40 +278,29 @@ def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
             except (KeyError, IndexError, TypeError):
                 raise MalformedInputError(
                     f"profile missing {side} entry for stage {k}") from None
-            arr = np.zeros((st.n_states, len(types), m))
-            for x, state in enumerate(st.states):
-                try:
-                    raw_rows = [stage_map[state][t] for t in types]
-                except (KeyError, TypeError):
-                    raise MalformedInputError(
-                        f"profile missing {side} rows for state {state!r} at stage {k}"
-                    ) from None
-                for ti, (t, raw_row) in enumerate(zip(types, raw_rows)):
-                    where = f"{side}/{t} at stage {k} state {state!r}"
-                    arr[x, ti] = _row(raw_row, m, where)
-                    # checked here for every state: the profile's own
-                    # check sees only the states some history reaches
-                    if np.any(arr[x, ti][~tensor.feasible[x, ti]] > PROB_TOL):
-                        raise MalformedInputError(
-                            f"profile row for {where} puts mass on a masked action")
-            out.append(arr)
+            where = f"{side} profile rows at stage {k} for state"
+            rows = _stacked_rows(stage_map, st.states, types, m, where)
+            # checked here for every state: the profile's own check sees
+            # only the states some history reaches
+            masked = np.argwhere(((rows > PROB_TOL) & ~tensor.feasible).any(axis=2))
+            if masked.size:
+                x, t = masked[0]
+                raise MalformedInputError(f"{where} {st.states[x]!r} put mass on a "
+                                          f"masked action of type {types[t]!r}")
+            out.append(rows)
     return StrategyProfile(tuple(sig1), tuple(sig2), stage_states(game, build_tree(game)))
 
 
 def beliefs_to_dict(game: MultiStageGame, beliefs: BeliefSystem) -> dict:
     labels = history_labels(game)
 
-    def rows(per_stage, types):
-        return {key: dict(zip(types, per_type)) for keys, stage in zip(labels, per_stage)
-                for key, per_type in zip(keys, stage.tolist())}
-
     def flagged(per_stage):
         return [keys[i] for keys, flags in zip(labels, per_stage)
                 for i in np.flatnonzero(flags)]
 
     return {
-        "defender": rows(beliefs.belief_p1, game.types1),
-        "user": rows(beliefs.belief_p2, game.types2),
+        "defender": _keyed_rows(labels, beliefs.belief_p1, game.types1),
+        "user": _keyed_rows(labels, beliefs.belief_p2, game.types2),
         "off_path": {"defender": flagged(beliefs.off_path_p1),
                      "user": flagged(beliefs.off_path_p2)},
         "aggregates": {
@@ -310,46 +312,42 @@ def beliefs_to_dict(game: MultiStageGame, beliefs: BeliefSystem) -> dict:
     }
 
 
-def _side_beliefs(raw: dict, side: str, types, n_opp: int, index: dict, cuts
+def _side_beliefs(raw: dict, side: str, types, n_opp: int, labels, index: dict
                   ) -> tuple[tuple, tuple]:
-    """One side's node beliefs and off-path flags, per stage.  The beliefs
-    are checked once, as one stacked array: every history of ``index``
-    exactly once, and each row a distribution over the ``n_opp`` opponent
-    types; the off-path list may name only histories of ``index``."""
-    per_history = raw[side]
-    unknown = [key for key in per_history if key not in index]
+    """One side's node beliefs and off-path flags, per stage: every
+    history of ``labels`` has one row per own type, each a distribution
+    over the ``n_opp`` opponent types; the file and its off-path list
+    may name only histories of ``index``."""
+    rows_by_key = raw[side]
+    unknown = [key for key in rows_by_key if key not in index]
     if unknown:
         raise MalformedInputError(f"unknown history {unknown[0]!r}")
-    if len(per_history) != len(index):
-        raise MalformedInputError(f"{side} beliefs do not cover exactly the game's histories")
-    try:
-        rows = np.array([[per_type[t] for t in types] for per_type in per_history.values()],
-                        dtype=float)
-    except ValueError:      # a ragged or non-numeric row
-        rows = None
-    if rows is None or rows.shape != (len(index), len(types), n_opp):
-        raise MalformedInputError(f"{side} belief rows must be {n_opp} numbers each")
-    if not (np.isfinite(rows).all() and rows.min() >= -PROB_TOL
-            and np.abs(rows.sum(axis=2) - 1.0).max() <= PROB_TOL):
-        raise MalformedInputError(f"{side} belief rows must be distributions "
-                                  "over the opponent's types")
-    placed = np.empty_like(rows)
-    placed[[index[key] for key in per_history]] = rows
+    beliefs = []
+    for k, keys in enumerate(labels):
+        where = f"{side} belief rows at stage {k} for history"
+        rows = _stacked_rows(rows_by_key, keys, types, n_opp, where)
+        # a non-finite weight reads as -1, which no distribution holds
+        rows_or_neg = np.where(np.isfinite(rows), rows, -1.0)
+        valid = ((rows_or_neg >= -PROB_TOL).all(axis=2)
+                 & (np.abs(rows_or_neg.sum(axis=2) - 1.0) <= PROB_TOL)).all(axis=1)
+        if not valid.all():
+            raise MalformedInputError(f"{where} {keys[valid.argmin()]!r} must be "
+                                      "distributions over the opponent's types")
+        beliefs.append(rows)
     off = np.zeros(len(index), dtype=bool)
     for key in raw.get("off_path", {}).get(side, []):
         if key not in index:
             raise MalformedInputError(f"{side} off-path list names unknown history {key!r}")
         off[index[key]] = True
-    return tuple(np.split(placed, cuts)), tuple(np.split(off, cuts))
+    return tuple(beliefs), tuple(np.split(off, np.cumsum([len(keys) for keys in labels])[:-1]))
 
 
 def beliefs_from_dict(game: MultiStageGame, raw: dict) -> BeliefSystem:
     labels = history_labels(game)
     index = _history_index(labels)
-    cuts = np.cumsum([len(keys) for keys in labels])[:-1]
     try:
-        bel1, off1 = _side_beliefs(raw, "defender", game.types1, game.n2, index, cuts)
-        bel2, off2 = _side_beliefs(raw, "user", game.types2, game.n1, index, cuts)
+        bel1, off1 = _side_beliefs(raw, "defender", game.types1, game.n2, labels, index)
+        bel2, off2 = _side_beliefs(raw, "user", game.types2, game.n1, labels, index)
         agg = raw.get("aggregates", {})
         agg1 = tuple(np.asarray(a, dtype=float) for a in agg.get(
             "about_defender", [np.tile(game.prior_about_1.weights, (st.n_states, 1))

@@ -172,15 +172,21 @@ def _stage_tensors(stage: StageGame, x: int, cont1, cont2):
     return t1, t2, stage.payoff1.feasible[x], stage.payoff2.feasible[x]
 
 
-def stage_deviation_gaps(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2):
-    """Exact per-type best-response gaps at a stage profile."""
+def _deviations(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2):
+    """Per-type best-response values and exact best-response gaps at a
+    stage profile: ``(best1, best2, gaps1, gaps2)``."""
     pure1 = np.einsum("abst,t,tb->sa", t1, b2, sigma2)      # (t1, a1)
     pure2 = np.einsum("abst,s,sa->tb", t2, b1, sigma1)      # (t2, a2)
     ach1 = np.einsum("sa,sa->s", pure1, sigma1)
     ach2 = np.einsum("tb,tb->t", pure2, sigma2)
     best1 = np.where(feas1, pure1, -np.inf).max(axis=1)
     best2 = np.where(feas2, pure2, -np.inf).max(axis=1)
-    return np.maximum(best1 - ach1, 0.0), np.maximum(best2 - ach2, 0.0)
+    return best1, best2, np.maximum(best1 - ach1, 0.0), np.maximum(best2 - ach2, 0.0)
+
+
+def stage_deviation_gaps(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2):
+    """Exact per-type best-response gaps at a stage profile."""
+    return _deviations(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2)[2:]
 
 
 def _stage_objective(t1, t2, b1, b2, sigma1, sigma2, s, w) -> float:
@@ -192,7 +198,6 @@ def _evaluate_candidate(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2,
                         start_index, alternations):
     """Repair zero-weight types, compute certificates, assemble a solution."""
     pure1 = np.einsum("abst,t,tb->sa", t1, b2, sigma2)
-    pure2 = np.einsum("abst,s,sa->tb", t2, b1, sigma1)
     sigma1 = sigma1.copy()
     sigma2 = sigma2.copy()
     for t in np.flatnonzero(np.asarray(b1) <= _ZERO_BELIEF):
@@ -204,12 +209,9 @@ def _evaluate_candidate(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2,
         best = np.where(feas2[t], pure2_t, -np.inf).argmax()
         sigma2[t] = 0.0
         sigma2[t, best] = 1.0
-    gaps1, gaps2 = stage_deviation_gaps(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2)
+    best1, best2, gaps1, gaps2 = _deviations(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2)
     # tight scalar functions: the negated best-response values
-    pure1 = np.einsum("abst,t,tb->sa", t1, b2, sigma2)
-    pure2 = np.einsum("abst,s,sa->tb", t2, b1, sigma1)
-    s = -np.where(feas1, pure1, -np.inf).max(axis=1)
-    w = -np.where(feas2, pure2, -np.inf).max(axis=1)
+    s, w = -best1, -best2
     obj = _stage_objective(t1, t2, b1, b2, sigma1, sigma2, s, w)
     converged = bool(gaps1.max(initial=0.0) <= STAGE_GAP_TOL
                      and gaps2.max(initial=0.0) <= STAGE_GAP_TOL

@@ -251,9 +251,13 @@ class _Sampler:
         """Each trajectory's action drawn with ``u`` from the row of its
         (row block, own type)."""
         n_own = self.game.n1 if player == 1 else self.game.n2
-        keys, rows = np.unique(blocks * n_own + types, return_inverse=True)
-        tables = np.array([self._row(player, k, *divmod(int(key), n_own)) for key in keys])
-        return _search(tables[rows], u)
+        codes = blocks * n_own + types
+        # the distinct codes ascending, and each code's place among them
+        seen = np.zeros(codes.max() + 1, dtype=bool)
+        seen[codes] = True
+        tables = np.array([self._row(player, k, *divmod(int(key), n_own))
+                           for key in np.flatnonzero(seen)])
+        return _search(tables[(np.cumsum(seen) - 1)[codes]], u)
 
     def _draws(self, start: int, stop: int, stream: int, width: int, fill) -> np.ndarray:
         """One row of ``width`` values per trajectory ``start`` to

@@ -451,7 +451,8 @@ def test_markov_mass_on_masked_action_at_unreached_state_exits_2(capsys, tmp_pat
                        *(["-n", "5"] if command == "simulate" else []),
                        "--out", str(out_file))
     assert code == 2
-    assert "masked action" in err and "Traceback" not in err
+    assert "user profile rows at stage 0 for state 'external' put mass on a masked action" in err
+    assert "Traceback" not in err
     assert not out_file.exists()
 
 
@@ -533,15 +534,30 @@ def _add_off_path_history(side, key):
     return mutate
 
 
-def _versioned_profile_with_history(side, key):
-    """The versioned form of the uniform profile with rows for one more
-    history key."""
+def _versioned_profile(change):
+    """The versioned form of the uniform profile, edited in place by
+    ``change``."""
     def mutate(profile, beliefs):
         game = build_apt_game()
         versioned = profile_to_dict(game, StrategyProfile.uniform(game))
-        versioned[side][key] = versioned[side][""]
+        change(versioned)
         return versioned, beliefs
     return mutate
+
+
+def _versioned_profile_with_history(side, key):
+    """The versioned form of the uniform profile with rows for one more
+    history key."""
+    return _versioned_profile(lambda raw: raw[side].__setitem__(key, raw[side][""]))
+
+
+def _versioned_profile_row(row):
+    """The versioned form of the uniform profile with the first defender
+    row of history ``"none,employee"`` replaced by ``row``."""
+    def change(raw):
+        per_type = raw["defender"]["none,employee"]
+        per_type[next(iter(per_type))] = row
+    return _versioned_profile(change)
 
 
 def _set_first_profile_row(row):
@@ -563,12 +579,17 @@ def _set_first_profile_row(row):
     lambda profile, beliefs: (profile, [beliefs]),
     _add_off_path_history("defender", "nope,nope"), _add_off_path_history("user", "nope"),
     _versioned_profile_with_history("defender", "bogus,bogus;x,y"),
-    _versioned_profile_with_history("user", "nope")],
+    _versioned_profile_with_history("user", "nope"),
+    _versioned_profile_row([0.5, 0.25, 0.25]), _versioned_profile_row("x"),
+    _versioned_profile(lambda raw: raw["user"].pop("none,employee")),
+    _versioned_profile_row([10**400, 0]), _set_first_belief_row([10**400, 0])],
     ids=["belief-length", "unknown-history", "missing-user-history", "belief-not-numeric",
          "belief-negative", "belief-sum", "belief-nan", "profile-not-numeric",
          "profile-nan", "profile-stage-array", "profile-array", "beliefs-array",
          "off-path-unknown-defender", "off-path-unknown-user",
-         "profile-unknown-defender-history", "profile-unknown-user-history"])
+         "profile-unknown-defender-history", "profile-unknown-user-history",
+         "profile-ragged-history-row", "profile-not-numeric-history-row",
+         "profile-missing-history", "profile-int-beyond-float", "belief-int-beyond-float"])
 def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
     game = build_apt_game()
     profile = StrategyProfile.uniform(game)

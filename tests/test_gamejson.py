@@ -9,10 +9,11 @@ from secgames.core import MalformedInputError, StrategyProfile, validate_game
 from secgames.gamejson import (beliefs_from_dict, beliefs_to_dict, dump_json,
                                game_from_dict, game_to_dict, load_game,
                                profile_from_dict, profile_to_dict)
-from secgames.multistage import (backward_pass, build_tree, forward_pass,
-                                 prior_beliefs, verify_epsilon)
+from secgames.multistage import (backward_pass, forward_pass, prior_beliefs,
+                                 verify_epsilon)
 from secgames.scenarios import build_apt_game, build_static_bayesian
 from secgames.static import to_multistage
+from tests.test_multistage import history_tree
 
 
 @pytest.fixture()
@@ -88,7 +89,7 @@ class TestProfileRoundTrip:
         raw = profile_to_dict(apt, prof)
         assert raw["version"] == 2
         back = profile_from_dict(apt, raw)
-        for node in build_tree(apt):
+        for node in history_tree(apt):
             for player in (1, 2):
                 np.testing.assert_array_equal(back.rows(player, node), prof.rows(player, node))
 
@@ -96,7 +97,7 @@ class TestProfileRoundTrip:
         prof = StrategyProfile.uniform(apt)
         back = profile_from_dict(apt, markov_profile_dict(apt, prof))
         # each history names its end state's block
-        states = [x for _, x in build_tree(apt).values()]
+        states = [x for _, x in history_tree(apt).values()]
         assert np.concatenate(back.classes).tolist() == states
         for a, b in zip(prof.sigma1 + prof.sigma2, back.sigma1 + back.sigma2):
             np.testing.assert_array_equal(a, b)
@@ -116,7 +117,7 @@ class TestProfileRoundTrip:
         dump_json(raw, str(path))
         back = profile_from_dict(apt, json.loads(path.read_text()))
         assert back.violations(apt) == []
-        for node in build_tree(apt):
+        for node in history_tree(apt):
             for player in (1, 2):
                 np.testing.assert_array_equal(back.rows(player, node),
                                               prof.rows(player, node))
@@ -130,7 +131,8 @@ class TestProfileRoundTrip:
         prof, _, _ = backward_pass(apt, prior_beliefs(apt))
         raw = profile_to_dict(apt, prof)
         del raw["user"]["none,employee"]
-        with pytest.raises(MalformedInputError):
+        with pytest.raises(MalformedInputError, match="missing user profile rows at stage 1 "
+                                                      "for history 'none,employee'"):
             profile_from_dict(apt, raw)
 
     def test_per_history_profile_reads_as_one_block_per_history(self, apt):

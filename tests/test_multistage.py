@@ -9,7 +9,7 @@ import pytest
 from secgames import multistage, simulate
 
 from secgames.core import (FiniteDistribution, MalformedInputError, MultiStageGame,
-                           PayoffTensor, StageGame, StrategyProfile)
+                           PayoffTensor, StageGame, StrategyProfile, stage_states)
 from secgames.gamejson import history_labels, profile_to_dict
 from secgames.multistage import (ROW_ZERO_TOL, NonConvergenceReport,
                                  PbneSolution, backward_pass, belief_update, build_tree,
@@ -18,21 +18,42 @@ from secgames.multistage import (ROW_ZERO_TOL, NonConvergenceReport,
                                  _stage_tensors, solve_stage_tensors,
                                  stage_deviation_gaps,
                                  verify_epsilon)
-from secgames.scenarios import (build_apt_game, build_static_bayesian,
+from secgames.scenarios import (build_apt_game, build_exercise_qb, build_static_bayesian,
                                 default_apt_parameters, exercise_qb_matrices)
 from secgames.static import (StaticBayesianGame, bayes_gap, equilibrium_values,
                              to_multistage)
 
 
+def history_tree(game) -> dict:
+    """Reference for ``build_tree``: every action history up to the final
+    stage, mapped to (stage, end state), inserted stage by stage with
+    each parent's children in (a1, a2) row-major order."""
+    x0 = game.stages[0].state_index(game.initial_state)
+    nodes = {(): (0, x0)}
+    frontier = [()]
+    for k in range(game.horizon):
+        st = game.stages[k]
+        nxt = []
+        for path in frontier:
+            x = nodes[path][1]
+            for a1 in range(st.m1):
+                for a2 in range(st.m2):
+                    child = path + ((a1, a2),)
+                    nodes[child] = (k + 1, int(st.transition_table[x, a1, a2]))
+                    nxt.append(child)
+        frontier = nxt
+    return nodes
+
+
 def _per_history(game, per_stage) -> dict:
     """Test-local view of per-stage arrays (build_tree order) keyed by
     history."""
-    return dict(zip(build_tree(game), (v for stage in per_stage for v in stage)))
+    return dict(zip(history_tree(game), (v for stage in per_stage for v in stage)))
 
 
 def _stage_paths(game) -> list[list]:
     """The histories of each stage, in build_tree order."""
-    paths = list(build_tree(game))
+    paths = list(history_tree(game))
     out, lo, size = [], 0, 1
     for st in game.stages:
         out.append(paths[lo:lo + size])
@@ -218,8 +239,7 @@ class TestForwardPass:
 
     def test_tree_size(self):
         g = build_apt_game()
-        nodes = build_tree(g)
-        assert len(nodes) == 1 + 9 + 36
+        assert len(build_tree(g)) == 1 + 9 + 36
 
 
 class TestBackwardPass:
@@ -315,7 +335,7 @@ class TestSolvePbne:
                     assert max(res.epsilon.eps1.max(), res.epsilon.eps2.max()) <= 1e-4
                     assert res.epsilon.belief_violation <= 1e-9
 
-    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, None])
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, None, True, False])
     def test_bad_seed_rejected(self, seed):
         g = build_apt_game()
         with pytest.raises(MalformedInputError, match="seed must be a non-negative integer"):
@@ -410,7 +430,7 @@ def _enumerate_best_user_policy(game, profile):
     pure history-dependent policies stage by stage over the joint
     (defender-type, history) measure, fixing the defender's profile.
     """
-    nodes = build_tree(game)
+    nodes = history_tree(game)
     by_stage = [[] for _ in game.stages]
     for path, (k, _) in nodes.items():
         by_stage[k].append(path)
@@ -577,7 +597,7 @@ class TestHistoryClasses:
     def test_markov_profile_reads_as_shared_rows(self):
         g = build_apt_game()
         prof = StrategyProfile.uniform(g)
-        for path, (k, x) in build_tree(g).items():
+        for path, (k, x) in history_tree(g).items():
             np.testing.assert_array_equal(prof.rows(1, path), prof.sigma1[k][x])
             np.testing.assert_array_equal(prof.rows(2, path), prof.sigma2[k][x])
 
@@ -599,7 +619,7 @@ def _tree_value_loop(game, profile, beliefs, player, own_type, best_response,
                      from_stage=0):
     """Reference: the per-node, per-action loop that the vectorized tree
     evaluation replaced, reading rows through the profile accessor."""
-    nodes = build_tree(game)
+    nodes = history_tree(game)
     bel1, bel2 = _per_history(game, beliefs.belief_p1), _per_history(game, beliefs.belief_p2)
     value = {}
     for path in sorted(nodes, key=len, reverse=True):
@@ -666,7 +686,7 @@ class TestVectorizedPassesMatchLoops:
         bel = forward_pass(g, prof)
         bel1, bel2 = _per_history(g, bel.belief_p1), _per_history(g, bel.belief_p2)
         off1, off2 = _per_history(g, bel.off_path_p1), _per_history(g, bel.off_path_p2)
-        for path, (k, _) in build_tree(g).items():
+        for path, (k, _) in history_tree(g).items():
             if k == g.horizon:
                 continue
             for a1 in range(g.stages[k].m1):
@@ -765,12 +785,12 @@ def _ref_node_values(game, nodes, profile, beliefs, player, best_response, from_
     return value
 
 
-def random_tree_game(seed):
-    """A seeded random H = 2 game with 3 states, 3 x 3 actions and 2 x 2
+def random_tree_game(seed, horizon=2):
+    """A seeded random game, H = 2 by default, with 3 states, 3 x 3 actions and 2 x 2
     types: normal payoffs, random transitions, some actions masked for
     some types."""
     rng = np.random.default_rng(seed)
-    horizon, n_states, m1, m2, n1, n2 = 2, 3, 3, 3, 2, 2
+    n_states, m1, m2, n1, n2 = 3, 3, 3, 2, 2
     stages = []
     for k in range(horizon + 1):
         shape = (n_states, m1, m2, n1, n2)
@@ -792,7 +812,7 @@ def random_tree_game(seed):
 def _random_history_profile(game, rng):
     """One row block per history; about a fifth of the feasible actions
     get no mass, so some histories are off path."""
-    nodes = build_tree(game)
+    nodes = history_tree(game)
     sig = [[[], []] for _ in game.stages]
     for path, (k, x) in nodes.items():
         st = game.stages[k]
@@ -842,7 +862,7 @@ class TestStageWalksMatchHistoryLoops:
 
     def test_node_values_bit_for_bit(self, cases):
         for g, prof, bel in cases:
-            nodes = build_tree(g)
+            nodes = history_tree(g)
             tree = multistage._stages(g)
             rows = prof.history_rows()
             stacked = bel.belief_p1, bel.belief_p2
@@ -857,7 +877,7 @@ class TestStageWalksMatchHistoryLoops:
     def test_node_beliefs_and_reach_bit_for_bit(self, cases):
         off_path = set()
         for g, prof, _ in cases:
-            nodes = build_tree(g)
+            nodes = history_tree(g)
             bel = forward_pass(g, prof)
             ref1, ref2, ref_off1, ref_off2 = _ref_node_beliefs(g, nodes, prof)
             sizes = [len(x) for x in multistage._stages(g)]
@@ -876,10 +896,20 @@ class TestStageWalksMatchHistoryLoops:
 
 
 def test_stage_blocks_follow_build_tree_order(monkeypatch):
+    # build_tree's end states, cut into stage blocks, list the reference
+    # tree's (stage, state) pairs in its order
+    games = [build_apt_game(initial_state=state) for state in ("external", "internal")]
+    games += [to_multistage(build_exercise_qb("p1-informed"))]
+    games += [random_tree_game(seed, horizon=3) for seed in range(3)]
+    assert [game.horizon for game in games] == [2, 2, 0, 3, 3, 3]
+    for game in games:
+        pairs = [(k, x) for k, block in enumerate(stage_states(game, build_tree(game)))
+                 for x in block.tolist()]
+        assert pairs == list(history_tree(game).values())
     # APT: 3 x 3 actions at stage 0, then 2 x 2 at stage 1
     g = build_apt_game()
     assert [(st.m1, st.m2) for st in g.stages] == [(3, 3), (2, 2), (2, 2)]
-    nodes = build_tree(g)
+    nodes = history_tree(g)
     tree = multistage._stages(g)
     paths = _stage_paths(g)
     assert [len(x) for x in tree] == [len(p) for p in paths] == [1, 9, 36]

@@ -299,7 +299,7 @@ class TestSeedKernel:
                                 "state": {"state": state, "inc": inc},
                                 "has_uint32": 0, "uinteger": 0}, (seed, i, stream)
 
-    @pytest.mark.parametrize("seed", [-1, -(2**64), 2.0, None])
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2.0, None, True, False])
     def test_bad_seed_rejected(self, seed):
         g = build_apt_game()
         prof = StrategyProfile.uniform(g)

@@ -1,17 +1,20 @@
 """Command-line surface.
 
 Subcommands: ``scenario list``, ``solve {ne,bne,signaling,pbne}``,
-``verify`` and ``simulate``.  Games come from a built-in scenario
-(``--scenario``, with ``--params`` JSON overrides) or a JSON file
-(``--game``); results print as probability tables rounded to four
-decimals, and ``--out`` writes the full-precision JSON report, which is
-the artifact of record.
+``verify`` and ``simulate``.  Every command reads its game through
+:func:`_load_game`, from a built-in scenario (``--scenario``, with
+``--params`` JSON overrides) or a JSON file (``--game``), and prints
+its results as probability tables rounded to four decimals.  A command
+returns its exit code, its results and the multi-stage game it ran on;
+:func:`main` alone times the command and writes ``--out``, the
+full-precision JSON report that is the artifact of record.
 
 Exit codes: 0 success, 2 invalid input (the validation findings are
-printed; also a game too large for an enumeration's budget), 3
-equilibrium-search non-convergence (``solve pbne`` only).
-Reports omit wall-clock timings unless ``--timings`` is given, so a
-(command, seed) pair reproduces its report byte for byte.
+printed; also a game too large for an enumeration's budget, and an
+``--out`` path that cannot be written), 3 equilibrium-search
+non-convergence (``solve pbne`` only).  Reports omit wall-clock timings
+unless ``--timings`` is given, so a (command, seed) pair reproduces its
+report byte for byte.
 """
 
 from __future__ import annotations
@@ -36,9 +39,7 @@ EXIT_NO_CONVERGENCE = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
+    """Invalid input: its message goes to stderr and the exit code is 2."""
 
 
 def _fmt(x: float) -> str:
@@ -47,6 +48,14 @@ def _fmt(x: float) -> str:
 
 def _dist_str(labels, weights) -> str:
     return "  ".join(f"{l}={_fmt(w)}" for l, w in zip(labels, weights))
+
+
+def _print_per_type(game, values1, values2, fmt) -> None:
+    """One ``  side[type]: fmt(value)`` line per type, defender types first."""
+    for side, types, values in (("defender", game.types1, values1),
+                                ("user", game.types2, values2)):
+        for t, value in zip(types, values):
+            print(f"  {side}[{t}]: {fmt(value)}")
 
 
 def _param_defaults(scenario: str | None) -> dict:
@@ -88,7 +97,7 @@ def _parse_params(args) -> dict:
     """The ``--params`` object, each value checked against the type of the
     scenario builder's default; keys the builder does not take are left
     for it to reject."""
-    text = getattr(args, "params", None)
+    text = args.params
     if not text:
         return {}
     try:
@@ -110,9 +119,38 @@ def _parse_params(args) -> dict:
     return params
 
 
-def _load_multistage(args) -> MultiStageGame:
+def _scenario_game(name: str, params: dict, info: str | None):
+    """Scenario ``name`` built from ``params``: with ``info`` None its
+    multi-stage game, otherwise its one-shot game under information
+    structure ``info``, which for ``complete`` is exercise-qb's pair of
+    per-type matrices.  The APT campaign has only the multi-stage form."""
+    if name == "apt":
+        initial = params.pop("initial_state", "external")
+        return scenarios.build_apt_game(scenarios.AptParameters(**params),
+                                        initial_state=initial)
+    if name == "exercise-qb" and info == "complete":
+        return scenarios.exercise_qb_matrices(**params)
+    if name == "exercise-qb":
+        game = scenarios.build_exercise_qb(*[info] if info else [], **params)
+    elif name == "static-bayesian":
+        game = scenarios.build_static_bayesian(**params)
+    else:
+        game = static.as_bayesian(scenarios.build_static_baseline(**params))
+    return game if info else static.to_multistage(game)
+
+
+def _load_game(args, one_shot: bool = False):
+    """The game that ``--scenario``/``--params`` or ``--game`` names.  A
+    multi-stage game is validated, and with ``one_shot`` viewed as a
+    one-shot game; a built-in one-shot scenario is built as one, under
+    the ``--info`` structure of ``solve bne`` (default: uninformed)."""
+    info = getattr(args, "info", None)
+    if info is not None and args.scenario != "exercise-qb":
+        raise CliError("--info applies only to --scenario exercise-qb")
     if args.game and args.params is not None:
         raise CliError("--params applies only to --scenario, not to --game")
+    if args.game and args.scenario:
+        raise CliError("give one game source: --scenario NAME or --game FILE, not both")
     params = _parse_params(args)
     if args.game:
         try:
@@ -121,32 +159,23 @@ def _load_multistage(args) -> MultiStageGame:
         # MalformedInputError
         except (OSError, ValueError) as err:
             raise CliError(f"cannot load game {args.game!r}: {err}")
-    elif args.scenario:
-        game = _build_scenario_multistage(args.scenario, params)
-    else:
+    elif not args.scenario:
         raise CliError("a game source is required: --scenario NAME or --game FILE")
+    elif args.scenario not in scenarios.SCENARIOS:
+        raise CliError(f"unknown scenario {args.scenario!r}; try: "
+                       + ", ".join(scenarios.SCENARIOS))
+    else:
+        try:
+            game = _scenario_game(args.scenario, params,
+                                  (info or "uninformed") if one_shot else None)
+        except (TypeError, MalformedInputError) as err:
+            raise CliError(f"scenario {args.scenario!r}: {err}")
+    if not isinstance(game, MultiStageGame):
+        return game
     problems = validate_game(game)
     if problems:
         raise CliError("invalid game:\n  " + "\n  ".join(problems))
-    return game
-
-
-def _build_scenario_multistage(name: str, params: dict) -> MultiStageGame:
-    try:
-        if name == "apt":
-            initial = params.pop("initial_state", "external")
-            return scenarios.build_apt_game(
-                scenarios.AptParameters(**params), initial_state=initial)
-        if name == "static-bayesian":
-            return static.to_multistage(scenarios.build_static_bayesian(**params))
-        if name == "static-baseline":
-            return static.to_multistage(
-                static.as_bayesian(scenarios.build_static_baseline(**params)))
-        if name == "exercise-qb":
-            return static.to_multistage(scenarios.build_exercise_qb(**params))
-    except (TypeError, MalformedInputError) as err:
-        raise CliError(f"scenario {name!r}: {err}")
-    raise CliError(f"unknown scenario {name!r}; try: " + ", ".join(scenarios.SCENARIOS))
+    return static.from_multistage(game) if one_shot else game
 
 
 def _game_digest(game: MultiStageGame) -> dict:
@@ -162,48 +191,31 @@ def _game_digest(game: MultiStageGame) -> dict:
 
 def _echo_args(argv: list[str]) -> list[str]:
     """Drop output plumbing so identical runs yield identical reports."""
-    out = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--out":
-            skip = True
-            continue
-        if token.startswith("--out=") or token == "--timings":
-            continue
-        out.append(token)
+    out, skip = [], False
+    for token in argv:      # skip: ``token`` is the value of ``--out``
+        if not (skip or token in ("--out", "--timings") or token.startswith("--out=")):
+            out.append(token)
+        skip = token == "--out" and not skip
     return out
-
-
-def _make_report(args, results: dict, game: MultiStageGame | None = None,
-                 elapsed: float | None = None) -> dict:
-    report = {
-        "command": " ".join(_echo_args(args.echo)),
-        "seed": getattr(args, "seed", None),
-        "results": results,
-    }
-    if game is not None:
-        report["game"] = _game_digest(game)
-    if getattr(args, "timings", False) and elapsed is not None:
-        report["wall_clock_seconds"] = elapsed
-    return report
-
-
-def _emit(args, report: dict) -> None:
-    if args.out:
-        gamejson.dump_json(report, args.out)
-        print(f"report written to {args.out}")
 
 
 # ---------------------------------------------------------------------------
 # solve subcommands
 # ---------------------------------------------------------------------------
 
-def _equilibria_payload(game_static, results) -> list[dict]:
+def _equilibria(game_static, results, label: str) -> list[dict]:
+    """Print equilibria ``results`` of a one-shot game; return their payload."""
+    print(f"{label}: {len(results)} equilibrium(s)")
     out = []
-    for r in results:
+    for n, r in enumerate(results):
+        print(f"  #{n}  gap={r.gap:.2e}  ex-ante values "
+              f"({_fmt(r.ex_ante1)}, {_fmt(r.ex_ante2)})")
+        for ti, t in enumerate(game_static.types1):
+            print(f"    defender[{t}]: {_dist_str(game_static.actions1, r.sigma1[ti])}"
+                  f"   value {_fmt(r.values1[ti])}")
+        for ti, t in enumerate(game_static.types2):
+            print(f"    user[{t}]:     {_dist_str(game_static.actions2, r.sigma2[ti])}"
+                  f"   value {_fmt(r.values2[ti])}")
         out.append({
             "sigma1": {t: r.sigma1[i].tolist() for i, t in enumerate(game_static.types1)},
             "sigma2": {t: r.sigma2[i].tolist() for i, t in enumerate(game_static.types2)},
@@ -215,84 +227,35 @@ def _equilibria_payload(game_static, results) -> list[dict]:
     return out
 
 
-def _print_equilibria(game_static, results, label: str) -> None:
-    print(f"{label}: {len(results)} equilibrium(s)")
-    for i, r in enumerate(results):
-        print(f"  #{i}  gap={r.gap:.2e}  ex-ante values "
-              f"({_fmt(r.ex_ante1)}, {_fmt(r.ex_ante2)})")
-        for ti, t in enumerate(game_static.types1):
-            print(f"    defender[{t}]: {_dist_str(game_static.actions1, r.sigma1[ti])}"
-                  f"   value {_fmt(r.values1[ti])}")
-        for ti, t in enumerate(game_static.types2):
-            print(f"    user[{t}]:     {_dist_str(game_static.actions2, r.sigma2[ti])}"
-                  f"   value {_fmt(r.values2[ti])}")
-
-
-def _static_game_for(args):
-    """Resolve the one-shot game for ne/bne/signaling commands."""
-    params = _parse_params(args)
-    info = getattr(args, "info", None)
-    try:
-        if args.scenario == "exercise-qb":
-            return scenarios.build_exercise_qb(info or "uninformed", **params)
-        if args.scenario == "static-bayesian":
-            return scenarios.build_static_bayesian(**params)
-        if args.scenario == "static-baseline":
-            return static.as_bayesian(scenarios.build_static_baseline(**params))
-    except TypeError as err:
-        raise CliError(f"scenario {args.scenario!r}: {err}")
-    game = _load_multistage(args)
-    return static.from_multistage(game)
-
-
-def cmd_solve_ne(args) -> int:
-    t0 = time.perf_counter()
-    g = _static_game_for(args)
-    bim = static.prior_averaged_bimatrix(g)
+def _bimatrix_results(bim, max_results, pure_label: str, mixed_label: str) -> dict:
+    """Pure and mixed equilibria of bimatrix game ``bim``: both are solved
+    before either prints."""
     pure = static.pure_ne(bim)
-    mixed = static.mixed_ne(bim)
-    print(f"pure equilibria: {pure if pure else 'none'}")
-    _print_equilibria(static.as_bayesian(bim), mixed, "mixed equilibria")
-    results = {
-        "pure": [list(p) for p in pure],
-        "equilibria": _equilibria_payload(static.as_bayesian(bim), mixed),
-    }
-    _emit(args, _make_report(args, results, elapsed=time.perf_counter() - t0))
-    return EXIT_OK
+    mixed = static.mixed_ne(bim, max_results=max_results)
+    print(f"{pure_label}: {pure if pure else 'none'}")
+    return {"pure": [list(p) for p in pure],
+            "equilibria": _equilibria(static.as_bayesian(bim), mixed, mixed_label)}
 
 
-def cmd_solve_bne(args) -> int:
-    t0 = time.perf_counter()
-    if args.info is not None and args.scenario != "exercise-qb":
-        raise CliError("--info applies only to --scenario exercise-qb")
-    if args.scenario == "exercise-qb" and args.info == "complete":
-        try:
-            matrices = scenarios.exercise_qb_matrices(**_parse_params(args))
-        except TypeError as err:
-            raise CliError(f"scenario {args.scenario!r}: {err}")
-        results = {}
-        for theta, bim in matrices.items():
-            pure = static.pure_ne(bim)
-            mixed = static.mixed_ne(bim, max_results=args.max_results)
-            print(f"[{theta}] pure equilibria: {pure}")
-            _print_equilibria(static.as_bayesian(bim), mixed, f"[{theta}] mixed")
-            results[theta] = {
-                "pure": [list(p) for p in pure],
-                "equilibria": _equilibria_payload(static.as_bayesian(bim), mixed),
-            }
-        _emit(args, _make_report(args, results, elapsed=time.perf_counter() - t0))
-        return EXIT_OK
-    g = _static_game_for(args)
-    eqs = static.solve_bne(g, max_results=args.max_results)
-    _print_equilibria(g, eqs, "Bayesian equilibria")
-    results = {"equilibria": _equilibria_payload(g, eqs)}
-    _emit(args, _make_report(args, results, elapsed=time.perf_counter() - t0))
-    return EXIT_OK
+def cmd_solve_ne(args) -> tuple:
+    bim = static.prior_averaged_bimatrix(_load_game(args, one_shot=True))
+    return EXIT_OK, _bimatrix_results(bim, None, "pure equilibria", "mixed equilibria"), None
 
 
-def cmd_solve_signaling(args) -> int:
-    t0 = time.perf_counter()
-    g = signaling.as_signaling_game(_static_game_for(args))
+def cmd_solve_bne(args) -> tuple:
+    g = _load_game(args, one_shot=True)
+    if isinstance(g, dict):     # exercise-qb --info complete: a bimatrix per world type
+        results = {theta: _bimatrix_results(bim, args.max_results,
+                                            f"[{theta}] pure equilibria", f"[{theta}] mixed")
+                   for theta, bim in g.items()}
+    else:
+        eqs = static.solve_bne(g, max_results=args.max_results)
+        results = {"equilibria": _equilibria(g, eqs, "Bayesian equilibria")}
+    return EXIT_OK, results, None
+
+
+def cmd_solve_signaling(args) -> tuple:
+    g = signaling.as_signaling_game(_load_game(args, one_shot=True))
     # every method is solved before anything prints, so a method that
     # refuses the game leaves no partial output
     solved = {method: (signaling.solve_pure_pbne(g) if method == "pure"
@@ -319,11 +282,15 @@ def cmd_solve_signaling(args) -> int:
                 "gap": r.gap,
             })
         payload[method] = rows
-    _emit(args, _make_report(args, payload, elapsed=time.perf_counter() - t0))
-    return EXIT_OK
+    return EXIT_OK, payload, None
 
 
-def _epsilon_payload(game: MultiStageGame, eps) -> dict:
+def _epsilon_results(game: MultiStageGame, eps, heading: str, violation: str) -> dict:
+    """Print the ε certificate ``eps`` under ``heading``, then the belief
+    consistency ``violation`` line; return its payload."""
+    print(heading)
+    _print_per_type(game, eps.eps1, eps.eps2, lambda e: f"{e:.6g}")
+    print(f"belief consistency violation: {violation}")
     return {
         "defender": {t: float(eps.eps1[i]) for i, t in enumerate(game.types1)},
         "user": {t: float(eps.eps2[i]) for i, t in enumerate(game.types2)},
@@ -332,79 +299,60 @@ def _epsilon_payload(game: MultiStageGame, eps) -> dict:
     }
 
 
-def cmd_solve_pbne(args) -> int:
-    t0 = time.perf_counter()
-    game = _load_multistage(args)
+def cmd_solve_pbne(args) -> tuple:
+    game = _load_game(args)
     res = multistage.solve_pbne(game, tol=args.tol, max_iter=args.max_iter,
                                 seed=args.seed)
-    elapsed = time.perf_counter() - t0
-    trace = [[float(a) if np.isfinite(a) else None, float(b)]
-             for a, b in res.residual_trace]
-    if isinstance(res, multistage.NonConvergenceReport):
+    converged = not isinstance(res, multistage.NonConvergenceReport)
+    profile, beliefs = ((res.profile, res.beliefs) if converged
+                        else (res.last_profile, res.last_beliefs))
+    results = {
+        "converged": converged,
+        "iterations": res.iterations,
+        "residual_trace": [[float(a) if np.isfinite(a) else None, float(b)]
+                           for a, b in res.residual_trace],
+        "class_counts": list(res.class_counts),
+        "profile": gamejson.profile_to_dict(game, profile),
+        "beliefs": gamejson.beliefs_to_dict(game, beliefs),
+    }
+    if not converged:
         print(f"did not converge after {res.iterations} sweeps; "
               f"final residuals strategy={res.final_residuals[0]:.3g} "
               f"belief={res.final_residuals[1]:.3g}")
         print("residual trace (strategy, belief, stage programs) per sweep:")
         for i, ((rp, rb), n) in enumerate(zip(res.residual_trace, res.class_counts), 1):
             print(f"  sweep {i}: {rp:.3g} {rb:.3g} {n}")
-        results = {
-            "converged": False,
-            "iterations": res.iterations,
-            "residual_trace": trace,
-            "class_counts": list(res.class_counts),
-            "profile": gamejson.profile_to_dict(game, res.last_profile),
-            "beliefs": gamejson.beliefs_to_dict(game, res.last_beliefs),
-        }
-        _emit(args, _make_report(args, results, game, elapsed))
-        return EXIT_NO_CONVERGENCE
+        return EXIT_NO_CONVERGENCE, results, game
 
     eps = res.epsilon
     print(f"converged in {res.iterations} sweep(s); "
           f"worst per-stage deviation gap {res.stage_gap:.2e}")
     print("stage programs (belief classes) per sweep: "
           + " ".join(str(n) for n in res.class_counts))
-    print(f"belief aggregation discrepancy: {res.beliefs.aggregation_discrepancy:.4g} "
+    print(f"belief aggregation discrepancy: {beliefs.aggregation_discrepancy:.4g} "
           "(diagnostic: how far on-path histories' beliefs are from their "
           "state's average; stage programs read per-history beliefs)")
-    print("epsilon certificate (distance from best response, per type):")
-    for i, t in enumerate(game.types1):
-        print(f"  defender[{t}]: {eps.eps1[i]:.6g}")
-    for i, t in enumerate(game.types2):
-        print(f"  user[{t}]: {eps.eps2[i]:.6g}")
-    print(f"belief consistency violation: {eps.belief_violation:.2e}")
+    results["epsilon"] = _epsilon_results(
+        game, eps, "epsilon certificate (distance from best response, per type):",
+        f"{eps.belief_violation:.2e}")
     x0 = game.stages[0].state_index(game.initial_state)
     print("utility-to-go at the initial state:")
-    for i, t in enumerate(game.types1):
-        print(f"  defender[{t}]: {_fmt(res.values.v1[0][x0, i])}")
-    for i, t in enumerate(game.types2):
-        print(f"  user[{t}]: {_fmt(res.values.v2[0][x0, i])}")
+    _print_per_type(game, res.values.v1[0][x0], res.values.v2[0][x0], _fmt)
     print("strategies (per history, own type):")
     for k, (st, keys, states, rows1, rows2) in enumerate(zip(
             game.stages, gamejson.history_labels(game),
-            stage_states(game, multistage.build_tree(game)), *res.profile.history_rows())):
+            stage_states(game, multistage.build_tree(game)), *profile.history_rows())):
         for key, x, r1, r2 in zip(keys, states, rows1, rows2):
             where = f"k={k} [{key}] x={st.states[x]}"
             for t, row in zip(game.types1, r1):
                 print(f"  {where} defender[{t}]: {_dist_str(st.actions1, row)}")
             for t, row in zip(game.types2, r2):
                 print(f"  {where} user[{t}]: {_dist_str(st.actions2, row)}")
-    results = {
-        "converged": True,
-        "iterations": res.iterations,
-        "residual_trace": trace,
-        "class_counts": list(res.class_counts),
-        "stage_gap": res.stage_gap,
-        "aggregation_discrepancy": res.beliefs.aggregation_discrepancy,
-        "profile": gamejson.profile_to_dict(game, res.profile),
-        "beliefs": gamejson.beliefs_to_dict(game, res.beliefs),
-        "values": {
-            "defender": [v.tolist() for v in res.values.v1],
-            "user": [v.tolist() for v in res.values.v2],
-        },
-        "epsilon": _epsilon_payload(game, eps),
-    }
-    _emit(args, _make_report(args, results, game, elapsed))
-    return EXIT_OK
+    results.update(stage_gap=res.stage_gap,
+                   aggregation_discrepancy=beliefs.aggregation_discrepancy,
+                   values={"defender": [v.tolist() for v in res.values.v1],
+                           "user": [v.tolist() for v in res.values.v2]})
+    return EXIT_OK, results, game
 
 
 # ---------------------------------------------------------------------------
@@ -421,67 +369,56 @@ def _json_object(path: str) -> dict:
 
 def _load_profile_and_beliefs(game: MultiStageGame, profile_path: str,
                               beliefs_path: str | None):
-    raw = _json_object(profile_path)
-    if isinstance(raw.get("results"), dict):      # a full solve report
-        prof_raw = raw["results"].get("profile")
-        bel_raw = raw["results"].get("beliefs")
-    else:
-        prof_raw = raw.get("profile", raw)
-        bel_raw = raw.get("beliefs")
-    if prof_raw is None:
-        raise CliError(f"{profile_path!r} carries no strategy profile")
-    profile = gamejson.profile_from_dict(game, prof_raw)
-    bad = profile.violations(game)
-    if bad:
-        raise CliError("invalid profile:\n  " + "\n  ".join(bad))
-    if beliefs_path:
-        bel_raw = _json_object(beliefs_path)
-        if isinstance(bel_raw.get("results"), dict):
-            bel_raw = bel_raw["results"].get("beliefs")
-    if bel_raw is not None:
-        beliefs = gamejson.beliefs_from_dict(game, bel_raw)
-        derived = False
-    else:
-        beliefs = multistage.forward_pass(game, profile)
-        derived = True
-    return profile, beliefs, derived
-
-
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    game = _load_multistage(args)
+    """The profile, its beliefs (read from ``beliefs_path``, else from the
+    profile file, else its own forward pass) and whether they were
+    derived; a file that cannot be read raises :class:`CliError`."""
     try:
-        profile, beliefs, derived = _load_profile_and_beliefs(
-            game, args.profile, args.beliefs)
-    except (OSError, json.JSONDecodeError, MalformedInputError, KeyError) as err:
+        raw = _json_object(profile_path)
+        if isinstance(raw.get("results"), dict):      # a full solve report
+            prof_raw = raw["results"].get("profile")
+            bel_raw = raw["results"].get("beliefs")
+        else:
+            prof_raw = raw.get("profile", raw)
+            bel_raw = raw.get("beliefs")
+        if prof_raw is None:
+            raise CliError(f"{profile_path!r} carries no strategy profile")
+        profile = gamejson.profile_from_dict(game, prof_raw)
+        bad = profile.violations(game)
+        if bad:
+            raise CliError("invalid profile:\n  " + "\n  ".join(bad))
+        if beliefs_path:
+            bel_raw = _json_object(beliefs_path)
+            if isinstance(bel_raw.get("results"), dict):
+                bel_raw = bel_raw["results"].get("beliefs")
+            if bel_raw is None:
+                raise CliError(f"{beliefs_path!r} carries no beliefs")
+        if bel_raw is not None:
+            return profile, gamejson.beliefs_from_dict(game, bel_raw), False
+        return profile, multistage.forward_pass(game, profile), True
+    # ValueError: invalid JSON, or a file that is not UTF-8
+    except (OSError, ValueError, MalformedInputError, KeyError) as err:
         raise CliError(f"cannot load profile/beliefs: {err}")
+
+
+def cmd_verify(args) -> tuple:
+    game = _load_game(args)
+    profile, beliefs, derived = _load_profile_and_beliefs(game, args.profile, args.beliefs)
     eps = multistage.verify_epsilon(game, profile, beliefs)
     if derived:
         print("note: no beliefs supplied; verified against the profile's "
               "own forward-pass beliefs")
-    print("epsilon (distance from best response):")
-    for i, t in enumerate(game.types1):
-        print(f"  defender[{t}]: {eps.eps1[i]:.6g}")
-    for i, t in enumerate(game.types2):
-        print(f"  user[{t}]: {eps.eps2[i]:.6g}")
-    print(f"belief consistency violation: {eps.belief_violation:.3g} "
-          f"({'consistent' if eps.consistent else 'INCONSISTENT on path'})")
-    results = {"epsilon": _epsilon_payload(game, eps),
-               "beliefs_derived_from_profile": derived}
-    _emit(args, _make_report(args, results, game, time.perf_counter() - t0))
-    return EXIT_OK
+    epsilon = _epsilon_results(
+        game, eps, "epsilon (distance from best response):",
+        f"{eps.belief_violation:.3g} "
+        f"({'consistent' if eps.consistent else 'INCONSISTENT on path'})")
+    return EXIT_OK, {"epsilon": epsilon, "beliefs_derived_from_profile": derived}, game
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args) -> tuple:
     if args.n < 1:
         raise CliError("-n must be at least 1")
-    game = _load_multistage(args)
-    try:
-        profile, beliefs, _ = _load_profile_and_beliefs(
-            game, args.profile, args.beliefs)
-    except (OSError, json.JSONDecodeError, MalformedInputError, KeyError) as err:
-        raise CliError(f"cannot load profile/beliefs: {err}")
+    game = _load_game(args)
+    profile, beliefs, _ = _load_profile_and_beliefs(game, args.profile, args.beliefs)
     noise = simulate.NoiseSpec.parse(args.noise)
     if args.n == 1:
         traj = simulate.sample_playout(game, profile, args.seed, noise)
@@ -494,15 +431,10 @@ def cmd_simulate(args) -> int:
     report = simulate.monte_carlo_value(game, profile, args.n, args.seed, noise)
     exact1, exact2 = (v.tolist() for v in multistage.root_values(game, profile, beliefs))
     print(f"monte carlo over n={args.n} draws (clean payoffs, exact = tree value):")
-    for i, t in enumerate(game.types1):
-        print(f"  defender[{t}]: count={report.counts1[i]} "
-              f"mean={report.mean1[i]:.6g} stderr={report.stderr1[i]:.3g} "
-              f"exact={exact1[i]:.6g}")
-    for i, t in enumerate(game.types2):
-        print(f"  user[{t}]: count={report.counts2[i]} "
-              f"mean={report.mean2[i]:.6g} stderr={report.stderr2[i]:.3g} "
-              f"exact={exact2[i]:.6g}")
-    results = {
+    _print_per_type(game, zip(report.counts1, report.mean1, report.stderr1, exact1),
+                    zip(report.counts2, report.mean2, report.stderr2, exact2),
+                    lambda row: "count={} mean={:.6g} stderr={:.3g} exact={:.6g}".format(*row))
+    return EXIT_OK, {
         "n": args.n,
         "noise": {"kind": noise.kind, "scale": noise.scale},
         "counts": {"defender": report.counts1.tolist(), "user": report.counts2.tolist()},
@@ -513,15 +445,13 @@ def cmd_simulate(args) -> int:
         "noisy_stderr": {"defender": report.noisy_stderr1.tolist(),
                          "user": report.noisy_stderr2.tolist()},
         "exact": {"defender": exact1, "user": exact2},
-    }
-    _emit(args, _make_report(args, results, game, time.perf_counter() - t0))
-    return EXIT_OK
+    }, game
 
 
-def cmd_scenario_list(_args) -> int:
+def cmd_scenario_list(_args) -> tuple:
     for name, blurb in scenarios.SCENARIOS.items():
         print(f"{name:16s} {blurb}")
-    return EXIT_OK
+    return EXIT_OK, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -606,15 +536,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; time it and write its report to ``--out``."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    args.echo = argv
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code, results, game = args.func(args)
+        if results is not None and args.out:
+            report = {"command": " ".join(_echo_args(argv)), "seed": args.seed,
+                      "results": results}
+            if game is not None:
+                report["game"] = _game_digest(game)
+            if args.timings:
+                report["wall_clock_seconds"] = time.perf_counter() - t0
+            try:
+                gamejson.dump_json(report, args.out)
+            except OSError as err:
+                raise CliError(f"cannot write report {args.out!r}: {err}")
+            print(f"report written to {args.out}")
+        return code
     except CliError as err:
         print(str(err), file=sys.stderr)
-        return err.code
+        return EXIT_INVALID
     except (MalformedInputError, EnumerationBudgetError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_INVALID

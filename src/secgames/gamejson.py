@@ -89,6 +89,9 @@ def _array(raw, key: str, where: str, dtype=float) -> np.ndarray:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):
         raise MalformedInputError(f"{where}: {key!r} must be a numeric array") from None
+    except OverflowError:       # an integer literal beyond the float range
+        raise MalformedInputError(f"{where}: {key!r} holds a number beyond the "
+                                  "float range") from None
 
 
 def _stage_from_dict(k: int, raw: dict, next_states: list[str] | None,
@@ -349,17 +352,23 @@ def beliefs_from_dict(game: MultiStageGame, raw: dict) -> BeliefSystem:
         bel1, off1 = _side_beliefs(raw, "defender", game.types1, game.n2, labels, index)
         bel2, off2 = _side_beliefs(raw, "user", game.types2, game.n1, labels, index)
         agg = raw.get("aggregates", {})
+        field = "aggregates 'about_defender'"
         agg1 = tuple(np.asarray(a, dtype=float) for a in agg.get(
             "about_defender", [np.tile(game.prior_about_1.weights, (st.n_states, 1))
                                for st in game.stages]))
+        field = "aggregates 'about_user'"
         agg2 = tuple(np.asarray(a, dtype=float) for a in agg.get(
             "about_user", [np.tile(game.prior_about_2.weights, (st.n_states, 1))
                            for st in game.stages]))
         agg_off = tuple(np.asarray(a, dtype=bool) for a in agg.get(
             "off_path", [np.zeros(st.n_states, dtype=bool) for st in game.stages]))
+        field = "'aggregation_discrepancy'"
         discrepancy = float(raw.get("aggregation_discrepancy", 0.0))
     except MalformedInputError:
         raise
+    except OverflowError:       # an integer literal beyond the float range
+        raise MalformedInputError(f"beliefs {field} holds a number beyond the "
+                                  "float range") from None
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise MalformedInputError(f"malformed beliefs: {err!r}") from None
     return BeliefSystem(bel1, bel2, off1, off2, agg1, agg2, agg_off, discrepancy)

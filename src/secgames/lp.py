@@ -85,8 +85,8 @@ class DominanceScreen:
         The float temporary holds ``n_profiles * F**2`` doubles for the F
         own-feasible actions.  When the own supports are all nonempty
         subsets of ``own_feasible`` and ``(2**F - 1) * n_profiles`` is
-        within the 10**6 profiles of ``static.solve_bne``'s default
-        budget, that is at most about 11 MB (at F = 2).
+        within ``static.BNE_BUDGET`` (10**6 profiles), that is at most
+        about 11 MB (at F = 2).
         """
         feasible = self.own_feasible
         n_own = len(feasible)

@@ -565,14 +565,13 @@ def _state_values(game: MultiStageGame, tree, reach, node_v1, node_v2) -> ValueF
 # ---------------------------------------------------------------------------
 
 def _node_values(game: MultiStageGame, tree, rows, bel: list, player: int,
-                 best_response: bool, from_stage: int = 0) -> list[np.ndarray]:
+                 best_response: bool) -> list[np.ndarray]:
     """Utility-to-go at every history, ``(histories, n_own)`` per stage.
 
     ``rows`` are both players' stage rows and ``bel`` the player's node
     beliefs per stage.  The own-stage payoff at each node takes the joint
     expectation of the opponent's type and action under the node belief;
     deviations, when requested, may condition on the full history.
-    Stages before ``from_stage`` are neither counted nor deviated at.
     """
     K = game.horizon
     n_own = game.n1 if player == 1 else game.n2
@@ -585,17 +584,15 @@ def _node_values(game: MultiStageGame, tree, rows, bel: list, player: int,
         if player == 1:
             # w[h, own, opp type, opp action]: belief times opponent strategy
             w = bel[k][:, :, :, None] * rows[1][k][:, None, :, :]
-            q = np.einsum("hsj,hijs->hsi", w.sum(axis=2), cont)
-            if k >= from_stage:
-                q = q + np.einsum("hsuj,hijsu->hsi", w, st.payoff1.values[x])
+            q = (np.einsum("hsj,hijs->hsi", w.sum(axis=2), cont)
+                 + np.einsum("hsuj,hijsu->hsi", w, st.payoff1.values[x]))
             own_rows, own_feas = rows[0][k], st.payoff1.feasible[x]
         else:
             w = bel[k][:, :, :, None] * rows[0][k][:, None, :, :]
-            q = np.einsum("hui,hiju->huj", w.sum(axis=2), cont)
-            if k >= from_stage:
-                q = q + np.einsum("husi,hijsu->huj", w, st.payoff2.values[x])
+            q = (np.einsum("hui,hiju->huj", w.sum(axis=2), cont)
+                 + np.einsum("husi,hijsu->huj", w, st.payoff2.values[x]))
             own_rows, own_feas = rows[1][k], st.payoff2.feasible[x]
-        if best_response and k >= from_stage:
+        if best_response:
             values[k] = np.where(own_feas, q, -np.inf).max(axis=2)
         else:
             values[k] = (own_rows * q).sum(axis=2)
@@ -603,32 +600,27 @@ def _node_values(game: MultiStageGame, tree, rows, bel: list, player: int,
 
 
 def root_values(game: MultiStageGame, profile: StrategyProfile,
-                beliefs: BeliefSystem, from_stage: int = 0
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact expected sums of stage payoffs from ``from_stage`` on, per
-    own type: (defender values, user values).
+                beliefs: BeliefSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Exact expected sums of all stage payoffs, per own type:
+    (defender values, user values).
 
     Each side's expectation runs over the opponent's type under the
     supplied beliefs and over both players' action draws, by full tree
-    traversal.  ``from_stage`` must be an integer from 0 to the horizon.
+    traversal.
     """
-    if not is_integer(from_stage) or not 0 <= from_stage <= game.horizon:
-        raise MalformedInputError(f"from_stage must be an integer from 0 to "
-                                  f"{game.horizon}, got {from_stage!r}")
     tree = _stages(game)
     rows = profile.history_rows()
-    return tuple(_node_values(game, tree, rows, b, player, False, from_stage)[0][0]
+    return tuple(_node_values(game, tree, rows, b, player, False)[0][0]
                  for player, b in ((1, beliefs.belief_p1), (2, beliefs.belief_p2)))
 
 
 def cumulative_utility(game: MultiStageGame, profile: StrategyProfile,
-                       beliefs: BeliefSystem, type1, type2,
-                       from_stage: int = 0) -> tuple[float, float]:
+                       beliefs: BeliefSystem, type1, type2) -> tuple[float, float]:
     """The :func:`root_values` pair at the given types: (defender value
     at ``type1``, user value at ``type2``)."""
     t1 = game.type_index(1, type1)
     t2 = game.type_index(2, type2)
-    u1, u2 = root_values(game, profile, beliefs, from_stage)
+    u1, u2 = root_values(game, profile, beliefs)
     return float(u1[t1]), float(u2[t2])
 
 

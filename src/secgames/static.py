@@ -40,6 +40,7 @@ from .lp import DominanceScreen, LinearProgram, solve_lp
 
 GAP_TOL = 1e-8
 _TIE_TOL = 1e-9
+BNE_BUDGET = 1_000_000     # support profiles solve_bne enumerates at most
 
 
 @dataclass(frozen=True)
@@ -338,8 +339,8 @@ def support_of(strategy: np.ndarray) -> tuple:
     return tuple(tuple(int(a) for a in np.flatnonzero(row > 1e-9)) for row in strategy)
 
 
-def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
-              budget: int = 1_000_000) -> list[EquilibriumResult]:
+def solve_bne(game: StaticBayesianGame, max_results: int | None = None
+              ) -> list[EquilibriumResult]:
     """Bayesian equilibria by agent-form support enumeration.
 
     Candidate support profiles are searched smallest-first; results are
@@ -352,9 +353,9 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None,
     sized1 = [sized_subsets(a.feasible) for a in agents1]
     sized2 = [sized_subsets(a.feasible) for a in agents2]
     n_combos = int(np.prod([len(s) for s in sized1 + sized2]))
-    if n_combos > budget:
+    if n_combos > BNE_BUDGET:
         raise EnumerationBudgetError(
-            f"{n_combos} support profiles exceed the enumeration budget {budget}")
+            f"{n_combos} support profiles exceed the enumeration budget {BNE_BUDGET}")
 
     coeffs1 = [_agent_payoff_coeffs(game, a, agents2) for a in agents1]
     coeffs2 = [_agent_payoff_coeffs(game, a, agents1) for a in agents2]

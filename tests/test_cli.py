@@ -124,12 +124,15 @@ _DELETE = object()      # a field to delete, not to set
     (("stages", 0, "mask"), "x", "mask"), (("stages", 0, "mask"), [1], "mask"),
     (("stages", 2, "next_states"), True, "next_states"),
     (("stages", 0, "next_states"), ["nowhere"], "stage 0: 'next_states'"),
-    (("stages", 0, "next_states"), ["ceo", "employee", "honeypot"], "stage 0: 'next_states'")],
+    (("stages", 0, "next_states"), ["ceo", "employee", "honeypot"], "stage 0: 'next_states'"),
+    (("priors", "about_defender", 0), 10**400, "priors: 'about_defender'"),
+    (("stages", 0, "payoffs1", 0, 0, 0, 0, 0), 10**400, "stage 0: 'payoffs1'")],
     ids=["no-prior", "null-priors", "text-prior", "list-types", "text-horizon",
          "float-horizon", "null-stages", "number-stage", "null-states", "no-actions1",
          "no-payoffs1", "object-payoffs2", "no-transition", "empty-transition",
          "text-transition", "text-mask", "list-mask", "bool-next-states",
-         "unknown-next-states", "reordered-next-states"])
+         "unknown-next-states", "reordered-next-states", "int-beyond-float-prior",
+         "int-beyond-float-payoff"])
 def test_malformed_game_file_exits_2(capsys, tmp_path, command, path, value, named):
     raw = game_to_dict(build_apt_game())
     target = raw
@@ -326,18 +329,20 @@ def test_params_override(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", [("solve", "ne", "--scenario", "static-baseline"),
                                      ("solve", "bne", "--scenario", "static-bayesian"),
+                                     ("solve", "signaling", "--scenario", "static-bayesian"),
                                      ("solve", "pbne", "--scenario", "apt",
-                                      "--max-iter", "1")], ids=["ne", "bne", "pbne"])
+                                      "--max-iter", "1")],
+                         ids=["ne", "bne", "signaling", "pbne"])
 @pytest.mark.parametrize("params", ["@missing.json", "@.", "@bad.json", "@list.json",
                                     "5", "[1]", '"r0"', "{bad", '{"no_such_key": 1}',
                                     '{"r1": 1e400}', '{"r1": NaN}', '{"r1": -Infinity}',
                                     '{"literal_avatar_cost": "no"}', '{"r1": true}',
                                     '{"r4_k_by_state": [NaN, 4, 8, 12]}', '{"r1": null}',
-                                    '{"r1": 1%s}' % ("0" * 400)],
+                                    '{"r1": 1%s}' % ("0" * 400), '{"r0": -3}'],
                          ids=["missing", "directory", "bad-file", "list-file", "number",
                               "list", "string", "bad", "unknown-key", "overflow", "nan",
                               "infinity", "text-for-bool", "bool-for-number", "nan-in-tuple",
-                              "null", "integer-overflow"])
+                              "null", "integer-overflow", "builder-rejects"])
 def test_bad_params_exit_2(capsys, tmp_path, command, params):
     (tmp_path / "bad.json").write_text("{bad", encoding="utf-8")
     (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
@@ -350,7 +355,10 @@ def test_bad_params_exit_2(capsys, tmp_path, command, params):
     assert "Traceback" not in err
     assert not out_file.exists()
     if params.startswith('{"'):       # the message names the offending key
-        assert repr(next(iter(json.loads(params)))) in err
+        assert repr(next(iter(json.loads(params)))) in err or "r0 must be" in err
+    if params == '{"r0": -3}' and "static-bayesian" in command:
+        # one-shot and multi-stage builders' errors read alike
+        assert "scenario 'static-bayesian': r0 must be positive" in err
 
 
 @pytest.mark.parametrize("max_results", ["0", "-1"])
@@ -560,6 +568,14 @@ def _versioned_profile_row(row):
     return _versioned_profile(change)
 
 
+def _set_beliefs_field(container, key, value):
+    """Set ``container(beliefs)[key]`` to ``value``."""
+    def mutate(profile, beliefs):
+        container(beliefs)[key] = value
+        return profile, beliefs
+    return mutate
+
+
 def _set_first_profile_row(row):
     def mutate(profile, beliefs):
         per_state = next(iter(profile["defender"][0].values()))
@@ -582,14 +598,19 @@ def _set_first_profile_row(row):
     _versioned_profile_with_history("user", "nope"),
     _versioned_profile_row([0.5, 0.25, 0.25]), _versioned_profile_row("x"),
     _versioned_profile(lambda raw: raw["user"].pop("none,employee")),
-    _versioned_profile_row([10**400, 0]), _set_first_belief_row([10**400, 0])],
+    _versioned_profile_row([10**400, 0]), _set_first_belief_row([10**400, 0]),
+    _set_beliefs_field(lambda raw: raw["aggregates"]["about_defender"][0][0], 0, 10**400),
+    _set_beliefs_field(lambda raw: raw, "aggregation_discrepancy", 10**400),
+    lambda profile, beliefs: (profile, {"command": "verify", "seed": None, "results": {
+        "epsilon": {}, "beliefs_derived_from_profile": True}})],
     ids=["belief-length", "unknown-history", "missing-user-history", "belief-not-numeric",
          "belief-negative", "belief-sum", "belief-nan", "profile-not-numeric",
          "profile-nan", "profile-stage-array", "profile-array", "beliefs-array",
          "off-path-unknown-defender", "off-path-unknown-user",
          "profile-unknown-defender-history", "profile-unknown-user-history",
          "profile-ragged-history-row", "profile-not-numeric-history-row",
-         "profile-missing-history", "profile-int-beyond-float", "belief-int-beyond-float"])
+         "profile-missing-history", "profile-int-beyond-float", "belief-int-beyond-float",
+         "aggregate-int-beyond-float", "discrepancy-int-beyond-float", "verify-report"])
 def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
     game = build_apt_game()
     profile = StrategyProfile.uniform(game)
@@ -604,6 +625,21 @@ def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
                                                          else []), "--out", str(out_file))
     assert code == 2
     assert err and "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("bad", ["--profile", "--beliefs"])
+def test_profile_or_beliefs_file_not_utf8_exits_2(capsys, tmp_path, command, bad):
+    game = build_apt_game()
+    good, latin1, out_file = tmp_path / "good.json", tmp_path / "latin1.json", tmp_path / "r.json"
+    dump_json(markov_profile_dict(game, StrategyProfile.uniform(game)), str(good))
+    latin1.write_bytes(b'\xff{"defender": []}')
+    files = (("--profile", str(latin1)) if bad == "--profile"
+             else ("--profile", str(good), "--beliefs", str(latin1)))
+    code, _, err = run(capsys, command, "--scenario", "apt", *files, "--out", str(out_file))
+    assert code == 2
+    assert "cannot load profile/beliefs" in err and "Traceback" not in err
     assert not out_file.exists()
 
 
@@ -635,6 +671,56 @@ def test_params_with_game_file_exits_2(capsys, tmp_path, command, game, params):
     assert code == 2
     assert "--params" in err and "--game" in err
     assert not out_file.exists()
+
+
+def test_scenario_and_game_file_together_exit_2(capsys, tmp_path):
+    path, out_file = tmp_path / "game.json", tmp_path / "r.json"
+    dump_json(game_to_dict(static.to_multistage(build_static_bayesian())), str(path))
+    code, out, err = run(capsys, "solve", "ne", "--scenario", "static-baseline",
+                         "--game", str(path), "--out", str(out_file))
+    assert code == 2
+    assert "--scenario" in err and "--game" in err
+    assert out == "" and not out_file.exists()
+
+
+@pytest.mark.parametrize("out", ["missing/r.json", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize("command", [("solve", "ne", "--scenario", "static-baseline"),
+                                     ("solve", "pbne", "--scenario", "apt")],
+                         ids=["ne", "pbne"])
+def test_unwritable_out_exits_2(capsys, tmp_path, command, out):
+    out = str(tmp_path / out)
+    code, _, err = run(capsys, *command, "--out", out)
+    assert code == 2
+    assert f"cannot write report {out!r}" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def apt_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("apt") / "report.json"
+    assert main(["solve", "pbne", "--scenario", "apt", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "ne", "--scenario", "static-baseline"),
+    ("solve", "bne", "--scenario", "static-bayesian"),
+    ("solve", "signaling", "--scenario", "static-bayesian"),
+    ("solve", "pbne", "--scenario", "apt"),
+    ("verify", "--scenario", "apt", "--profile"),
+    ("simulate", "--scenario", "apt", "-n", "10", "--profile")],
+    ids=["ne", "bne", "signaling", "pbne", "verify", "simulate"])
+def test_timings_flag_adds_only_wall_clock(capsys, tmp_path, apt_report, command):
+    if command[-1] == "--profile":
+        command += (apt_report,)
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert run(capsys, *command, "--out", str(plain))[0] == 0
+    assert run(capsys, *command, "--timings", "--out", str(timed))[0] == 0
+    plain, timed = json.loads(plain.read_text()), json.loads(timed.read_text())
+    assert "wall_clock_seconds" not in plain
+    elapsed = timed.pop("wall_clock_seconds")
+    assert isinstance(elapsed, float) and np.isfinite(elapsed) and elapsed >= 0
+    assert "--timings" not in timed["command"]
+    assert timed == plain
 
 
 @pytest.mark.parametrize("command", [("solve", "pbne"), ("verify",), ("simulate", "-n", "10")],

@@ -375,8 +375,6 @@ class TestCumulativeUtility:
         prof = StrategyProfile.uniform(g)
         bel = prior_beliefs(g)
         assert cumulative_utility(g, prof, bel, 0, 0) == (7.0, -7.0)
-        assert cumulative_utility(g, prof, bel, 0, 0, from_stage=1) == (6.0, -6.0)
-        assert cumulative_utility(g, prof, bel, 0, 0, from_stage=2) == (4.0, -4.0)
 
     def test_matches_value_function_on_converged_solution(self):
         g = build_apt_game()
@@ -394,33 +392,11 @@ class TestCumulativeUtility:
         g = build_apt_game()
         prof = StrategyProfile.uniform(g)
         bel = forward_pass(g, prof)
-        for from_stage in (0, 1):
-            u1, u2 = root_values(g, prof, bel, from_stage)
-            assert u1.shape == (g.n1,) and u2.shape == (g.n2,)
-            for t1 in range(g.n1):
-                for t2 in range(g.n2):
-                    assert cumulative_utility(g, prof, bel, t1, t2, from_stage) == \
-                           (float(u1[t1]), float(u2[t2]))
-
-
-    @pytest.mark.parametrize("from_stage", [-1, True, False, 2.5, 3, np.float64(1.0), "1",
-                                            None])
-    def test_bad_from_stage_rejected(self, from_stage):
-        g = build_apt_game()
-        assert g.horizon == 2
-        prof = StrategyProfile.uniform(g)
-        bel = prior_beliefs(g)
-        with pytest.raises(MalformedInputError, match="from_stage"):
-            root_values(g, prof, bel, from_stage)
-        with pytest.raises(MalformedInputError, match="from_stage"):
-            cumulative_utility(g, prof, bel, 0, 0, from_stage)
-
-    def test_from_stage_accepts_numpy_integers_up_to_the_horizon(self):
-        g = chain_game([(1.0, -1.0), (2.0, -2.0), (4.0, -4.0)])
-        prof = StrategyProfile.uniform(g)
-        bel = prior_beliefs(g)
-        assert cumulative_utility(g, prof, bel, 0, 0, np.int64(2)) == (4.0, -4.0)
-        assert cumulative_utility(g, prof, bel, 0, 0, np.int32(0)) == (7.0, -7.0)
+        u1, u2 = root_values(g, prof, bel)
+        assert u1.shape == (g.n1,) and u2.shape == (g.n2,)
+        for t1 in range(g.n1):
+            for t2 in range(g.n2):
+                assert cumulative_utility(g, prof, bel, t1, t2) == (float(u1[t1]), float(u2[t2]))
 
 
 def _enumerate_best_user_policy(game, profile):
@@ -615,8 +591,7 @@ class TestHistoryClasses:
             np.testing.assert_array_equal(arr, ref)
 
 
-def _tree_value_loop(game, profile, beliefs, player, own_type, best_response,
-                     from_stage=0):
+def _tree_value_loop(game, profile, beliefs, player, own_type, best_response):
     """Reference: the per-node, per-action loop that the vectorized tree
     evaluation replaced, reading rows through the profile accessor."""
     nodes = history_tree(game)
@@ -627,7 +602,6 @@ def _tree_value_loop(game, profile, beliefs, player, own_type, best_response,
         st = game.stages[k]
         s1 = profile.rows(1, path)
         s2 = profile.rows(2, path)
-        counted = k >= from_stage
         own_m, opp_m = (st.m1, st.m2) if player == 1 else (st.m2, st.m1)
         q = np.zeros(own_m)
         for a in range(own_m):
@@ -642,13 +616,12 @@ def _tree_value_loop(game, profile, beliefs, player, own_type, best_response,
                     bel = bel2[path][own_type]
                     pay = st.payoff2.values[x, a1, a2, :, own_type]
                     lik = bel * s1[:, a1]
-                if counted:
-                    q[a] += float(lik @ pay)
+                q[a] += float(lik @ pay)
                 q[a] += float(lik.sum()) * cont
         feas = (st.payoff1 if player == 1 else st.payoff2).feasible[x, own_type]
         own = (s1 if player == 1 else s2)[own_type]
         value[path] = (float(np.where(feas, q, -np.inf).max())
-                       if best_response and counted else float(own @ q))
+                       if best_response else float(own @ q))
     return value[()]
 
 
@@ -668,12 +641,11 @@ class TestVectorizedPassesMatchLoops:
         bel = forward_pass(g, prof)
         for t1 in range(g.n1):
             for t2 in range(g.n2):
-                for from_stage in (0, 1):
-                    u1, u2 = cumulative_utility(g, prof, bel, t1, t2, from_stage)
-                    assert u1 == pytest.approx(
-                        _tree_value_loop(g, prof, bel, 1, t1, False, from_stage), abs=1e-12)
-                    assert u2 == pytest.approx(
-                        _tree_value_loop(g, prof, bel, 2, t2, False, from_stage), abs=1e-12)
+                u1, u2 = cumulative_utility(g, prof, bel, t1, t2)
+                assert u1 == pytest.approx(_tree_value_loop(g, prof, bel, 1, t1, False),
+                                           abs=1e-12)
+                assert u2 == pytest.approx(_tree_value_loop(g, prof, bel, 2, t2, False),
+                                           abs=1e-12)
         rep = verify_epsilon(g, prof, bel)
         for player, eps in ((1, rep.eps1), (2, rep.eps2)):
             for t in range(len(eps)):
@@ -753,7 +725,7 @@ def _ref_node_beliefs(game, nodes, profile):
     return bel1, bel2, off1, off2
 
 
-def _ref_node_values(game, nodes, profile, beliefs, player, best_response, from_stage):
+def _ref_node_values(game, nodes, profile, beliefs, player, best_response):
     bel1, bel2 = _per_history(game, beliefs.belief_p1), _per_history(game, beliefs.belief_p2)
     value = {}
     n_own = game.n1 if player == 1 else game.n2
@@ -769,16 +741,14 @@ def _ref_node_values(game, nodes, profile, beliefs, player, best_response, from_
         if player == 1:
             w = bel1[path][:, :, None] * r2[None, :, :]
             q = np.einsum("sj,ijs->si", w.sum(axis=1), cont)
-            if k >= from_stage:
-                q = q + np.einsum("suj,ijsu->si", w, st.payoff1.values[x])
+            q = q + np.einsum("suj,ijsu->si", w, st.payoff1.values[x])
             own_rows, own_feas = r1, st.payoff1.feasible[x]
         else:
             w = bel2[path][:, :, None] * r1[None, :, :]
             q = np.einsum("ui,iju->uj", w.sum(axis=1), cont)
-            if k >= from_stage:
-                q = q + np.einsum("usi,ijsu->uj", w, st.payoff2.values[x])
+            q = q + np.einsum("usi,ijsu->uj", w, st.payoff2.values[x])
             own_rows, own_feas = r2, st.payoff2.feasible[x]
-        if best_response and k >= from_stage:
+        if best_response:
             value[path] = np.where(own_feas, q, -np.inf).max(axis=1)
         else:
             value[path] = (own_rows * q).sum(axis=1)
@@ -866,10 +836,9 @@ class TestStageWalksMatchHistoryLoops:
             tree = multistage._stages(g)
             rows = prof.history_rows()
             stacked = bel.belief_p1, bel.belief_p2
-            for player, br, from_stage in itertools.product((1, 2), (False, True), (0, 1)):
-                ref = _ref_node_values(g, nodes, prof, bel, player, br, from_stage)
-                got = multistage._node_values(g, tree, rows, stacked[player - 1],
-                                              player, br, from_stage)
+            for player, br in itertools.product((1, 2), (False, True)):
+                ref = _ref_node_values(g, nodes, prof, bel, player, br)
+                got = multistage._node_values(g, tree, rows, stacked[player - 1], player, br)
                 assert [v.shape for v in got] == [(len(x), ref[()].size) for x in tree]
                 for path, v in _per_history(g, got).items():
                     assert v.tobytes() == ref[path].tobytes(), (player, br, path)

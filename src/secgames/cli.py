@@ -468,11 +468,20 @@ def _add_game_source(p: argparse.ArgumentParser) -> None:
                         "(breaks byte-for-byte reproducibility)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` its subparsers, that take
+    options by their full names only: ``_echo_args`` drops ``--out`` and
+    ``--timings`` from reports by name, so a prefix must not reach them."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: building it costs
     milliseconds, parsing leaves it unchanged."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="secgames",
         description="Equilibrium solvers for finite Bayesian security games")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -3,13 +3,15 @@
 Trajectory ``i`` of a run with seed ``s`` draws from the streams of
 ``SeedSequence(entropy=s, spawn_key=(i, stream))`` with PCG64, stream 0
 for types and actions and stream 1 for noise, so a run is
-bit-reproducible and independent of batching.  Those seeds are computed
-for a whole block of trajectories at once by array arithmetic that
-reproduces ``SeedSequence`` and PCG64 seeding; each trajectory's draws
-then come from one reused ``Generator`` set to its state.  Additive
-zero-mean stage noise can be recorded next to the clean payoffs; it
-never influences actions or transitions, mirroring the fact that the
-solvers work with the noise-free expected payoffs.
+bit-reproducible and independent of batching.  A whole block of
+trajectories is seeded and drawn at once in uint64 word arrays that
+reproduce ``SeedSequence``, PCG64's seeding and its 128-bit LCG steps
+with XSL-RR output, so every uniform equals the one ``Generator.random``
+returns.  Gaussian noise is the one draw made per trajectory, by a
+reused ``Generator`` set to the trajectory's stream.  Additive zero-mean
+stage noise can be recorded next to the clean payoffs; it never
+influences actions or transitions, mirroring the fact that the solvers
+work with the noise-free expected payoffs.
 
 Types and actions are drawn the way ``Generator.choice(m, p=row)`` draws
 them, one uniform per draw searched in the row's cumulative sums, so the
@@ -42,7 +44,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier (pcg_setseq_128_srandom_r).
 _PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_U32, _MASK_U32 = np.uint64(32), np.uint64(_MASK32)
+_MAX_TRAJECTORIES = 2**32       # trajectory indices are one spawn-key word each
 
 
 @dataclass(frozen=True)
@@ -117,22 +121,24 @@ def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
     return value ^ (value >> np.uint32(16)), const
 
 
-def _pcg64_seeds(seed: int, indices: np.ndarray, stream: int
-                 ) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(SeedSequence(entropy=seed,
-    spawn_key=(i, stream)))`` for every ``i`` in ``indices``.
+def _pcg64_seeds(seed: int, indices: np.ndarray, streams: tuple[int, ...]) -> np.ndarray:
+    """PCG64's state of ``PCG64(SeedSequence(entropy=seed,
+    spawn_key=(i, stream)))`` for every ``stream`` and every ``i`` in
+    ``indices``, as uint64 words: ``[state_hi, state_lo, inc_hi, inc_lo]``
+    stacked on the first axis, one row per stream, one column per index.
 
     ``indices`` must all be below 2**32 (one spawn-key word each).
     SeedSequence's pool mixing and ``generate_state(4, uint64)`` run in
-    uint32 arithmetic, one array element per index; PCG64's seeding
-    step runs on Python ints.
+    uint32 arithmetic, PCG64's seeding step in uint64 word arithmetic,
+    one array element per (stream, index).
     """
-    n = len(indices)
+    shape = (len(streams), len(indices))
     # the run entropy is zero-padded to the pool size when a spawn key follows
     run = _uint32_words(seed)
     run += [0] * (_POOL_SIZE - len(run))
-    entropy = [np.full(n, w, dtype=np.uint32) for w in run]
-    entropy += [indices.astype(np.uint32), np.full(n, stream, dtype=np.uint32)]
+    entropy = [np.full(shape, w, dtype=np.uint32) for w in run]
+    entropy += [np.broadcast_to(indices.astype(np.uint32), shape),
+                np.broadcast_to(np.array(streams, dtype=np.uint32)[:, None], shape)]
 
     hash_const = _INIT_A
 
@@ -159,13 +165,42 @@ def _pcg64_seeds(seed: int, indices: np.ndarray, stream: int
     for i in range(8):                       # generate_state(4, uint64)
         value, hash_const = _hash(pool[i % _POOL_SIZE], hash_const, _MULT_B)
         words.append(value.astype(np.uint64))
-    s0, s1, s2, s3 = ((words[2 * j + 1] << np.uint64(32) | words[2 * j]).tolist()
-                      for j in range(4))
-    seeds = []
-    for hi, lo, seq_hi, seq_lo in zip(s0, s1, s2, s3):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        seeds.append((((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return seeds
+    init_hi, init_lo, seq_hi, seq_lo = (words[2 * j + 1] << _U32 | words[2 * j]
+                                        for j in range(4))
+    # pcg_setseq_128_srandom_r: inc = seq << 1 | 1, state = step(inc + init)
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < init_lo)
+    return np.stack(_step(hi, lo, inc_hi, inc_lo) + (inc_hi, inc_lo))
+
+
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """``state * _PCG_MULT + inc mod 2**128`` on ``(hi, lo)`` uint64 words:
+    32-bit partial products give the carry of ``lo * mult_lo`` into the
+    high word, and the wrapping uint64 products give the rest."""
+    a1, a0 = lo >> _U32, lo & _MASK_U32
+    b1, b0 = _MULT_LO >> _U32, _MULT_LO & _MASK_U32
+    low, cross1, cross0 = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> _U32) + (cross1 & _MASK_U32) + (cross0 & _MASK_U32)
+    carry = a1 * b1 + (cross1 >> _U32) + (cross0 >> _U32) + (mid >> _U32)
+    out_lo = lo * _MULT_LO + inc_lo
+    return carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (out_lo < inc_lo), out_lo
+
+
+def _uniforms(state: np.ndarray, width: int) -> np.ndarray:
+    """``width`` doubles per column of ``state`` (``[state_hi, state_lo,
+    inc_hi, inc_lo]`` words, as ``_pcg64_seeds`` gives them): each the
+    value ``Generator.random`` returns, PCG64 stepped then read out with
+    XSL-RR, ``(x >> 11) * 2**-53``."""
+    hi, lo, inc_hi, inc_lo = state
+    out = np.empty(hi.shape + (width,))
+    for j in range(width):
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        out[..., j] = (x >> rot | x << (np.uint64(64) - rot & np.uint64(63))) >> np.uint64(11)
+    return out * 2.0**-53
 
 
 def _cdf(p, m: int, what: str) -> np.ndarray:
@@ -217,8 +252,7 @@ class _Walk:
 
 class _Sampler:
     """Play-outs of one profile: per-row search tables, each checked and
-    built the first time a trajectory reaches its row, and one reused
-    generator that is set to each trajectory's stream in turn."""
+    built the first time a trajectory reaches its row."""
 
     def __init__(self, game: MultiStageGame, profile: StrategyProfile,
                  rng_seed: int, noise: NoiseSpec):
@@ -230,10 +264,6 @@ class _Sampler:
         self.prior2 = _cdf(game.prior_about_2.weights, game.n2, "prior about player 2")
         self.x0 = game.stages[0].state_index(game.initial_state)
         self._rows: dict[tuple[int, int, int, int], np.ndarray] = {}
-        self._bits = np.random.PCG64()
-        self._gen = np.random.Generator(self._bits)
-        self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
-                       "has_uint32": 0, "uinteger": 0}
 
     def _row(self, player: int, k: int, block: int, t: int) -> np.ndarray:
         key = (player, k, block, t)
@@ -259,31 +289,19 @@ class _Sampler:
                            for key in np.flatnonzero(seen)])
         return _search(tables[(np.cumsum(seen) - 1)[codes]], u)
 
-    def _draws(self, start: int, stop: int, stream: int, width: int, fill) -> np.ndarray:
-        """One row of ``width`` values per trajectory ``start`` to
-        ``stop - 1``, written by ``fill(generator, row)`` from that
-        trajectory's own ``stream``."""
-        if stop > 2**32:
-            raise MalformedInputError("trajectory indices must be below 2**32")
-        out = np.empty((stop - start, width))
-        inner = self._state["state"]
-        for row, (state, inc) in zip(out, _pcg64_seeds(
-                self.rng_seed, np.arange(start, stop), stream)):
-            inner["state"], inner["inc"] = state, inc
-            self._bits.state = self._state
-            fill(self._gen, row)
-        return out
-
     def walk(self, start: int, stop: int) -> _Walk:
-        """Trajectories ``start`` to ``stop - 1``.
+        """Trajectories ``start`` to ``stop - 1`` (``stop`` at most 2**32).
 
-        Each trajectory's uniforms come from one call on its stream-0
-        generator, in the order ``choice`` consumed them: the two types,
-        then both actions of each stage.
+        Each trajectory's uniforms come from its stream-0 generator, in
+        the order ``choice`` consumed them: the two types, then both
+        actions of each stage.
         """
         stages = self.game.stages
         n, n_stages = stop - start, len(stages)
-        u = self._draws(start, stop, 0, 2 + 2 * n_stages, lambda g, row: g.random(out=row))
+        kind, scale = self.noise.kind, self.noise.scale
+        seeds = _pcg64_seeds(self.rng_seed, np.arange(start, stop),
+                             (0,) if kind == "none" else (0, 1))
+        u = _uniforms(seeds[:, 0], 2 + 2 * n_stages)
         t1 = _search(self.prior1, u[:, 0])
         t2 = _search(self.prior2, u[:, 1])
         states = np.empty((n, n_stages + 1), dtype=int)
@@ -304,13 +322,21 @@ class _Sampler:
             nodes = (nodes * st.m1 + a1) * st.m2 + a2
             x = st.transition_table[x, a1, a2]
         states[:, n_stages] = x
-        scale = self.noise.scale
-        if self.noise.kind == "gaussian":
-            noise = self._draws(start, stop, 1, 2 * n_stages, lambda g, row: np.copyto(
-                row, g.normal(0.0, scale, len(row))))
-        elif self.noise.kind == "uniform":
-            noise = self._draws(start, stop, 1, 2 * n_stages, lambda g, row: np.copyto(
-                row, g.uniform(-scale, scale, len(row))))
+        if kind == "gaussian":
+            # numpy's ziggurat is not exposed: one reused generator, set to
+            # each trajectory's stream in turn
+            gen = np.random.default_rng()
+            bits, normal = gen.bit_generator, gen.standard_normal
+            state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+            z = np.empty((n, 2 * n_stages))
+            for row, (hi, lo, inc_hi, inc_lo) in zip(z, seeds[:, 1].T.tolist()):
+                state["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+                bits.state = state
+                normal(out=row)
+            with np.errstate(over="ignore"):     # as normal(0, scale) overflows to inf
+                noise = 0.0 + scale * z
+        elif kind == "uniform":                  # Generator.uniform(-scale, scale)
+            noise = -scale + (scale - -scale) * _uniforms(seeds[:, 1], 2 * n_stages)
         else:
             noise = np.zeros((n, 2 * n_stages))
         return _Walk(t1, t2, states, a1s, a2s, pay1, pay2, noise)
@@ -331,9 +357,9 @@ def sample_playout(game: MultiStageGame, profile: StrategyProfile,
     must be an integer from 0 to 2**32 - 1.
     """
     rng_seed = check_seed(rng_seed)
-    if not is_integer(trajectory_index) or trajectory_index < 0:
-        raise MalformedInputError(f"trajectory index must be a non-negative integer, "
-                                  f"got {trajectory_index!r}")
+    if not is_integer(trajectory_index) or not 0 <= trajectory_index < _MAX_TRAJECTORIES:
+        raise MalformedInputError(f"trajectory index must be a non-negative integer "
+                                  f"below 2**32, got {trajectory_index!r}")
     walk = _Sampler(game, profile, rng_seed, _parse_noise(noise)).walk(
         trajectory_index, trajectory_index + 1)
     x = walk.states[0].tolist()
@@ -401,13 +427,15 @@ def monte_carlo_value(game: MultiStageGame, profile: StrategyProfile, n: int,
                       rng_seed: int = 0, noise: NoiseSpec | str = "none"
                       ) -> MonteCarloReport:
     """Sample means of cumulative payoffs, conditioned on own type, over
-    ``n`` trajectories (an integer >= 1).
+    ``n`` trajectories (an integer from 1 to 2**32, the number of
+    trajectory indices).
 
     Raises :class:`MalformedInputError` when the noise is so large that
     a noisy mean or standard error is not a finite float64.
     """
-    if not is_integer(n) or n < 1:
-        raise MalformedInputError(f"sample count must be an integer >= 1, got {n!r}")
+    if not is_integer(n) or not 1 <= n <= _MAX_TRAJECTORIES:
+        raise MalformedInputError(
+            f"sample count must be an integer >= 1 and at most 2**32, got {n!r}")
     rng_seed = check_seed(rng_seed)
     noise = _parse_noise(noise)
     sampler = _Sampler(game, profile, rng_seed, noise)

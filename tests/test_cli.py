@@ -1,11 +1,12 @@
 """Command-line behavior: exit codes, reports, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from secgames import multistage, signaling, static
+from secgames import multistage, signaling, simulate, static
 from secgames.cli import main
 from secgames.core import FiniteDistribution, StrategyProfile
 from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, history_labels,
@@ -295,6 +296,55 @@ def test_simulate_multi_word_seed(capsys, tmp_path, n):
     assert json.loads(out_file.read_text())["results"]["n"] == int(n)
 
 
+def test_simulate_n_above_index_range_exits_2(capsys, tmp_path, monkeypatch):
+    def walk(*args):
+        raise AssertionError("walk called")
+
+    monkeypatch.setattr(simulate._Sampler, "walk", walk)
+    out_file = tmp_path / "sim.json"
+    code, _, err = run(capsys, "simulate", "--scenario", "apt", "--profile",
+                       _markov_profile(tmp_path), "-n", str(2**32 + 1),
+                       "--out", str(out_file))
+    assert code == 2
+    assert "at most 2**32" in err and "Traceback" not in err
+    assert not out_file.exists()
+
+
+# sha256 of simulate reports on the APT solve report, keyed by (-n, --noise, --seed)
+_WIDE_SEED = str(2**64 + 3)
+SIMULATE_DIGESTS = {
+    ("1", "none", "0"): "37fce17492f0c58a746586ee181846f85a48d96256a23d787cd18c9c772c0343",
+    ("1", "none", _WIDE_SEED): "3425e998b42fcb6911e741907a3c8e82919854bc758c51a182040b84abc741e0",
+    ("1", "gaussian:1.0", "0"): "691c056983ca023a49dcc76db821baa03b608e4052d96efaf5d6a3f5d0173558",
+    ("1", "gaussian:1.0", _WIDE_SEED): "206207a4f3fe6f40e73b5822625d1b4086164c2f888bec1f71431ac1c12c6793",
+    ("1", "uniform:0.5", "0"): "e01632d795fe8905a4dfe04e17b560486cb32a649248fc371d09f860bad4b197",
+    ("1", "uniform:0.5", _WIDE_SEED): "b208b5a1a267d1132138515b05ac2f64e4692a6284602adce44a0b612fbf8f8d",
+    ("1000", "none", "0"): "374b43660683461a893cd885ae623529a6e568d6ab627f69fd4cafe49de9c12c",
+    ("1000", "none", _WIDE_SEED): "c3698a02f43a338b217829a7d5a77a432051ee1fcfdd87458addda90fc38a4e9",
+    ("1000", "gaussian:1.0", "0"): "3687e739efa988a761ffd1e625caec214c70ffa1bef67fee7f5540099d06953d",
+    ("1000", "gaussian:1.0", _WIDE_SEED): "ffd56637f1d8a3ab00e01a3fe83183e55ef282020d3342a6efe40c6e6dca5097",
+    ("1000", "uniform:0.5", "0"): "179e6030af9ba6104d5210df4e79bb61e1bc47fe491f0a557e018dba8f559d7e",
+    ("1000", "uniform:0.5", _WIDE_SEED): "93d12475a24410266b6b3400b4aa47e2351d8d4321163cb7d490f66e74306d29",
+    ("5000", "none", "0"): "37da426ee5b049860f5eb6da95911aa13b441dd8eedea901234050da477fb9e1",
+    ("5000", "none", _WIDE_SEED): "c780f7a4ee571e03eebb9ad7477ad4a0662555283f609700920cf9820b6792fe",
+    ("5000", "gaussian:1.0", "0"): "f41ff852ed28cc9de89328a0a31c1223be339995288aa7eea545feb15a219145",
+    ("5000", "gaussian:1.0", _WIDE_SEED): "fb47de96af7be6035235d3dc69162a7705949c6fb05ef7b9d25821c0c2d947f3",
+    ("5000", "uniform:0.5", "0"): "564794f6033a1d7fc0c8291a169ae254ea81837f33f228c6db983fc53f6feaed",
+    ("5000", "uniform:0.5", _WIDE_SEED): "7cfc164db7dcf487971427b1df3cdf4e0f2f29cbb88d98a643c51bb85b18293b",
+}
+
+
+def test_simulate_reports_match_pinned_digests(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)             # the report's command holds the paths
+    assert run(capsys, "solve", "pbne", "--scenario", "apt", "--out", "report.json")[0] == 0
+    for (n, noise, seed), digest in SIMULATE_DIGESTS.items():
+        code, _, _ = run(capsys, "simulate", "--scenario", "apt", "--profile", "report.json",
+                         "-n", n, "--noise", noise, "--seed", seed, "--out", "sim.json")
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "sim.json").read_bytes()).hexdigest() == digest, \
+            (n, noise, seed)
+
+
 def test_verify_flags_inconsistent_beliefs(capsys, tmp_path):
     # beliefs frozen at the prior do not match a type-revealing profile
     out_file = tmp_path / "pbne.json"
@@ -470,6 +520,18 @@ def test_offpath_grid_flag_is_gone(capsys):
               "--offpath-grid", "11"])
     assert exc.value.code == 2
     assert "--offpath-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [("--ou", "r.json", "--tim"), ("--ou", "r.json"),
+                                     ("--out=r.json", "--tim"), ("--ou=r.json",)])
+def test_option_prefixes_exit_2(capsys, tmp_path, monkeypatch, options):
+    # a prefix of --out or --timings would slip past the report's echo
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "ne", "--scenario", "static-baseline", *options])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def _too_large_game(kind) -> static.StaticBayesianGame:

@@ -290,14 +290,27 @@ class TestSeedKernel:
     @pytest.mark.parametrize("stream", [0, 1, 2])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_seed_sequence(self, seed, stream):
-        got = simulate._pcg64_seeds(seed, np.array(INDICES), stream)
-        assert len(got) == len(INDICES)
-        for i, (state, inc) in zip(INDICES, got):
+        words = simulate._pcg64_seeds(seed, np.array(INDICES), (0, 1, 2))
+        assert words.dtype == np.uint64 and words.shape == (4, 3, len(INDICES))
+        for i, (state_hi, state_lo, inc_hi, inc_lo) in zip(INDICES, words[:, stream].T.tolist()):
             expected = np.random.default_rng(np.random.SeedSequence(
                 entropy=seed, spawn_key=(i, stream))).bit_generator.state
             assert expected == {"bit_generator": "PCG64",
-                                "state": {"state": state, "inc": inc},
+                                "state": {"state": state_hi << 64 | state_lo,
+                                          "inc": inc_hi << 64 | inc_lo},
                                 "has_uint32": 0, "uinteger": 0}, (seed, i, stream)
+
+    @pytest.mark.parametrize("width", [1, 8])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_match_generator_random(self, seed, width):
+        indices = INDICES + (4095, 4096)
+        words = simulate._pcg64_seeds(seed, np.array(indices), (0, 1))
+        for stream in (0, 1):
+            got = simulate._uniforms(words[:, stream], width)
+            assert got.shape == (len(indices), width)
+            for i, row in zip(indices, got):
+                assert row.tobytes() == _rng(seed, i, stream).random(width).tobytes(), \
+                    (seed, i, stream)
 
     @pytest.mark.parametrize("seed", [-1, -(2**64), 2.0, None, True, False])
     def test_bad_seed_rejected(self, seed):
@@ -326,6 +339,16 @@ class TestSeedKernel:
         g = build_apt_game()
         with pytest.raises(MalformedInputError, match="sample count must be an integer >= 1"):
             monte_carlo_value(g, StrategyProfile.uniform(g), n)
+
+    def test_sample_count_above_index_range_rejected_before_sampling(self, monkeypatch):
+        g = build_apt_game()
+
+        def walk(*args):
+            raise AssertionError("walk called")
+
+        monkeypatch.setattr(simulate._Sampler, "walk", walk)
+        with pytest.raises(MalformedInputError, match="at most 2\\*\\*32"):
+            monte_carlo_value(g, StrategyProfile.uniform(g), 2**32 + 1)
 
     def test_numpy_integer_counts_accepted(self):
         g = build_apt_game()

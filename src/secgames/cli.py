@@ -420,15 +420,15 @@ def cmd_simulate(args) -> tuple:
     game = _load_game(args)
     profile, beliefs, _ = _load_profile_and_beliefs(game, args.profile, args.beliefs)
     noise = simulate.NoiseSpec.parse(args.noise)
+    report = simulate.monte_carlo_value(game, profile, args.n, args.seed, noise)
     if args.n == 1:
-        traj = simulate.sample_playout(game, profile, args.seed, noise)
+        traj = report.first
         print(f"types: defender={traj.type1} user={traj.type2}; "
               f"terminal state {traj.terminal_state}")
         for s in traj.steps:
             print(f"  k={s.stage} x={s.state}: ({s.action1}, {s.action2}) "
                   f"payoffs ({_fmt(s.payoff1)}, {_fmt(s.payoff2)}) "
                   f"noisy ({_fmt(s.noisy1)}, {_fmt(s.noisy2)})")
-    report = simulate.monte_carlo_value(game, profile, args.n, args.seed, noise)
     exact1, exact2 = (v.tolist() for v in multistage.root_values(game, profile, beliefs))
     print(f"monte carlo over n={args.n} draws (clean payoffs, exact = tree value):")
     _print_per_type(game, zip(report.counts1, report.mean1, report.stderr1, exact1),

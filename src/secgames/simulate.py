@@ -1,17 +1,18 @@
 """Monte Carlo play-out of a multi-stage game under a strategy profile.
 
-Trajectory ``i`` of a run with seed ``s`` draws from the streams of
-``SeedSequence(entropy=s, spawn_key=(i, stream))`` with PCG64, stream 0
-for types and actions and stream 1 for noise, so a run is
-bit-reproducible and independent of batching.  A whole block of
-trajectories is seeded and drawn at once in uint64 word arrays that
-reproduce ``SeedSequence``, PCG64's seeding and its 128-bit LCG steps
-with XSL-RR output, so every uniform equals the one ``Generator.random``
-returns.  Gaussian noise is the one draw made per trajectory, by a
-reused ``Generator`` set to the trajectory's stream.  Additive zero-mean
-stage noise can be recorded next to the clean payoffs; it never
-influences actions or transitions, mirroring the fact that the solvers
-work with the noise-free expected payoffs.
+A run with seed ``s`` keys its randomness to seed blocks of 4,096
+trajectories: trajectory ``i`` is row ``i % 4096`` of block
+``b = i // 4096``.  Its uniforms, the two types and then both actions of
+each stage, are that row of
+``Generator(PCG64(SeedSequence(s, spawn_key=(b, 0)))).random((4096, 2 + 2H))``.
+Its noise is the same row drawn from stream ``(b, 1)``:
+``standard_normal((4096, 2H))`` times the scale for gaussian noise, or
+``random`` mapped onto ``[-scale, scale)`` for uniform noise.  So a run
+is bit-reproducible, and trajectory ``i`` does not depend on ``n`` or on
+how trajectories are batched.  Additive zero-mean stage noise can be
+recorded next to the clean payoffs; it never influences actions or
+transitions, mirroring the fact that the solvers work with the
+noise-free expected payoffs.
 
 Types and actions are drawn the way ``Generator.choice(m, p=row)`` draws
 them, one uniform per draw searched in the row's cumulative sums, so the
@@ -35,18 +36,9 @@ from .core import (MalformedInputError, MultiStageGame, StrategyProfile,
 _SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 # Trajectories walked together as arrays; memory stays flat in n.
 _BLOCK = 4096
-
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFF_FFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier (pcg_setseq_128_srandom_r).
-_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
-_U32, _MASK_U32 = np.uint64(32), np.uint64(_MASK32)
-_MAX_TRAJECTORIES = 2**32       # trajectory indices are one spawn-key word each
+# Trajectories that share one pair of streams, whatever the batching.
+_SEED_BLOCK = 4096
+_MAX_TRAJECTORIES = 2**32
 
 
 @dataclass(frozen=True)
@@ -100,107 +92,6 @@ class Trajectory:
     type2: str
     steps: tuple[TrajectoryStep, ...]
     terminal_state: str
-
-
-def _uint32_words(value: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence makes of an int >= 0."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """One step of SeedSequence's multiplicative hash on uint32 words:
-    the hashed words and the next hash constant."""
-    value = value ^ np.uint32(const)
-    const = const * mult & _MASK32
-    value = value * np.uint32(const)
-    return value ^ (value >> np.uint32(16)), const
-
-
-def _pcg64_seeds(seed: int, indices: np.ndarray, streams: tuple[int, ...]) -> np.ndarray:
-    """PCG64's state of ``PCG64(SeedSequence(entropy=seed,
-    spawn_key=(i, stream)))`` for every ``stream`` and every ``i`` in
-    ``indices``, as uint64 words: ``[state_hi, state_lo, inc_hi, inc_lo]``
-    stacked on the first axis, one row per stream, one column per index.
-
-    ``indices`` must all be below 2**32 (one spawn-key word each).
-    SeedSequence's pool mixing and ``generate_state(4, uint64)`` run in
-    uint32 arithmetic, PCG64's seeding step in uint64 word arithmetic,
-    one array element per (stream, index).
-    """
-    shape = (len(streams), len(indices))
-    # the run entropy is zero-padded to the pool size when a spawn key follows
-    run = _uint32_words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = [np.full(shape, w, dtype=np.uint32) for w in run]
-    entropy += [np.broadcast_to(indices.astype(np.uint32), shape),
-                np.broadcast_to(np.array(streams, dtype=np.uint32)[:, None], shape)]
-
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value, hash_const = _hash(value, hash_const, _MULT_A)
-        return value
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):                       # generate_state(4, uint64)
-        value, hash_const = _hash(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        words.append(value.astype(np.uint64))
-    init_hi, init_lo, seq_hi, seq_lo = (words[2 * j + 1] << _U32 | words[2 * j]
-                                        for j in range(4))
-    # pcg_setseq_128_srandom_r: inc = seq << 1 | 1, state = step(inc + init)
-    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
-    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
-    lo = inc_lo + init_lo
-    hi = inc_hi + init_hi + (lo < init_lo)
-    return np.stack(_step(hi, lo, inc_hi, inc_lo) + (inc_hi, inc_lo))
-
-
-def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """``state * _PCG_MULT + inc mod 2**128`` on ``(hi, lo)`` uint64 words:
-    32-bit partial products give the carry of ``lo * mult_lo`` into the
-    high word, and the wrapping uint64 products give the rest."""
-    a1, a0 = lo >> _U32, lo & _MASK_U32
-    b1, b0 = _MULT_LO >> _U32, _MULT_LO & _MASK_U32
-    low, cross1, cross0 = a0 * b0, a0 * b1, a1 * b0
-    mid = (low >> _U32) + (cross1 & _MASK_U32) + (cross0 & _MASK_U32)
-    carry = a1 * b1 + (cross1 >> _U32) + (cross0 >> _U32) + (mid >> _U32)
-    out_lo = lo * _MULT_LO + inc_lo
-    return carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (out_lo < inc_lo), out_lo
-
-
-def _uniforms(state: np.ndarray, width: int) -> np.ndarray:
-    """``width`` doubles per column of ``state`` (``[state_hi, state_lo,
-    inc_hi, inc_lo]`` words, as ``_pcg64_seeds`` gives them): each the
-    value ``Generator.random`` returns, PCG64 stepped then read out with
-    XSL-RR, ``(x >> 11) * 2**-53``."""
-    hi, lo, inc_hi, inc_lo = state
-    out = np.empty(hi.shape + (width,))
-    for j in range(width):
-        hi, lo = _step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        out[..., j] = (x >> rot | x << (np.uint64(64) - rot & np.uint64(63))) >> np.uint64(11)
-    return out * 2.0**-53
 
 
 def _cdf(p, m: int, what: str) -> np.ndarray:
@@ -289,19 +180,36 @@ class _Sampler:
                            for key in np.flatnonzero(seen)])
         return _search(tables[(np.cumsum(seen) - 1)[codes]], u)
 
+    def _draws(self, stream: int, start: int, stop: int, width: int,
+              gaussian: bool = False) -> np.ndarray:
+        """Rows ``start`` to ``stop - 1`` of ``stream``: row ``i`` is row
+        ``i % _SEED_BLOCK`` of seed block ``i // _SEED_BLOCK``'s
+        ``random`` (or ``standard_normal``) draw of shape
+        ``(_SEED_BLOCK, width)``, and only the rows needed are drawn."""
+        parts = []
+        for b in range(start // _SEED_BLOCK, (stop - 1) // _SEED_BLOCK + 1):
+            r0 = max(start - b * _SEED_BLOCK, 0)
+            r1 = min(stop - b * _SEED_BLOCK, _SEED_BLOCK)
+            gen = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(self.rng_seed, spawn_key=(b, stream))))
+            if gaussian:     # the ziggurat takes a variable count of outputs
+                parts.append(gen.standard_normal((r1, width))[r0:])
+            else:            # one output per double: skip the rows before r0
+                gen.bit_generator.advance(r0 * width)
+                parts.append(gen.random((r1 - r0, width)))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     def walk(self, start: int, stop: int) -> _Walk:
         """Trajectories ``start`` to ``stop - 1`` (``stop`` at most 2**32).
 
-        Each trajectory's uniforms come from its stream-0 generator, in
-        the order ``choice`` consumed them: the two types, then both
-        actions of each stage.
+        Each trajectory's stream-0 uniforms are used in the order
+        ``choice`` consumed them: the two types, then both actions of
+        each stage.
         """
         stages = self.game.stages
         n, n_stages = stop - start, len(stages)
         kind, scale = self.noise.kind, self.noise.scale
-        seeds = _pcg64_seeds(self.rng_seed, np.arange(start, stop),
-                             (0,) if kind == "none" else (0, 1))
-        u = _uniforms(seeds[:, 0], 2 + 2 * n_stages)
+        u = self._draws(0, start, stop, 2 + 2 * n_stages)
         t1 = _search(self.prior1, u[:, 0])
         t2 = _search(self.prior2, u[:, 1])
         states = np.empty((n, n_stages + 1), dtype=int)
@@ -323,20 +231,10 @@ class _Sampler:
             x = st.transition_table[x, a1, a2]
         states[:, n_stages] = x
         if kind == "gaussian":
-            # numpy's ziggurat is not exposed: one reused generator, set to
-            # each trajectory's stream in turn
-            gen = np.random.default_rng()
-            bits, normal = gen.bit_generator, gen.standard_normal
-            state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-            z = np.empty((n, 2 * n_stages))
-            for row, (hi, lo, inc_hi, inc_lo) in zip(z, seeds[:, 1].T.tolist()):
-                state["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
-                bits.state = state
-                normal(out=row)
             with np.errstate(over="ignore"):     # as normal(0, scale) overflows to inf
-                noise = 0.0 + scale * z
+                noise = 0.0 + scale * self._draws(1, start, stop, 2 * n_stages, True)
         elif kind == "uniform":                  # Generator.uniform(-scale, scale)
-            noise = -scale + (scale - -scale) * _uniforms(seeds[:, 1], 2 * n_stages)
+            noise = -scale + (scale - -scale) * self._draws(1, start, stop, 2 * n_stages)
         else:
             noise = np.zeros((n, 2 * n_stages))
         return _Walk(t1, t2, states, a1s, a2s, pay1, pay2, noise)
@@ -360,23 +258,29 @@ def sample_playout(game: MultiStageGame, profile: StrategyProfile,
     if not is_integer(trajectory_index) or not 0 <= trajectory_index < _MAX_TRAJECTORIES:
         raise MalformedInputError(f"trajectory index must be a non-negative integer "
                                   f"below 2**32, got {trajectory_index!r}")
-    walk = _Sampler(game, profile, rng_seed, _parse_noise(noise)).walk(
-        trajectory_index, trajectory_index + 1)
-    x = walk.states[0].tolist()
-    a1, a2 = walk.actions1[0].tolist(), walk.actions2[0].tolist()
-    pay1, pay2 = walk.payoffs1[0].tolist(), walk.payoffs2[0].tolist()
-    w = walk.noise[0].tolist()
+    i = int(trajectory_index)
+    walk = _Sampler(game, profile, rng_seed, _parse_noise(noise)).walk(i, i + 1)
+    return _trajectory(game, walk, 0)
+
+
+def _trajectory(game: MultiStageGame, walk: _Walk, row: int) -> Trajectory:
+    """Row ``row`` of ``walk`` with its states, actions and types named."""
+    x = walk.states[row].tolist()
+    a1, a2 = walk.actions1[row].tolist(), walk.actions2[row].tolist()
+    pay1, pay2 = walk.payoffs1[row].tolist(), walk.payoffs2[row].tolist()
+    w = walk.noise[row].tolist()
     steps = tuple(
         TrajectoryStep(k, st.states[x[k]], st.actions1[a1[k]], st.actions2[a2[k]],
                        pay1[k], pay2[k], pay1[k] + w[2 * k], pay2[k] + w[2 * k + 1])
         for k, st in enumerate(game.stages))
-    return Trajectory(game.types1[walk.types1[0]], game.types2[walk.types2[0]], steps,
+    return Trajectory(game.types1[walk.types1[row]], game.types2[walk.types2[row]], steps,
                       game.stages[-1].next_states[x[-1]])
 
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Per-(player, own type) sample statistics of cumulative payoffs."""
+    """Per-(player, own type) sample statistics of cumulative payoffs,
+    and ``first``, trajectory 0 of the run."""
 
     n: int
     counts1: np.ndarray
@@ -389,6 +293,7 @@ class MonteCarloReport:
     noisy_mean2: np.ndarray
     noisy_stderr1: np.ndarray
     noisy_stderr2: np.ndarray
+    first: Trajectory
 
     def __post_init__(self):
         for name in ("counts1", "counts2"):
@@ -442,6 +347,8 @@ def monte_carlo_value(game: MultiStageGame, profile: StrategyProfile, n: int,
     parts: list[tuple[np.ndarray, ...]] = []
     for start in range(0, n, _BLOCK):
         walk = sampler.walk(start, min(start + _BLOCK, n))
+        if not start:
+            first = _trajectory(game, walk, 0)
         # payoffs near the float64 limit overflow to inf as sum() does, silently
         with np.errstate(over="ignore", invalid="ignore"):
             parts.append((walk.types1, walk.types2,
@@ -460,4 +367,4 @@ def monte_carlo_value(game: MultiStageGame, profile: StrategyProfile, n: int,
             f"noisy payoff statistics overflow float64 at noise scale {noise.scale!r}")
     return MonteCarloReport(
         n, np.bincount(types1, minlength=game.n1), np.bincount(types2, minlength=game.n2),
-        m1, m2, e1, e2, nm1, nm2, ne1, ne2)
+        m1, m2, e1, e2, nm1, nm2, ne1, ne2, first)

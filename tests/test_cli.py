@@ -310,6 +310,21 @@ def test_simulate_n_above_index_range_exits_2(capsys, tmp_path, monkeypatch):
     assert not out_file.exists()
 
 
+def test_simulate_single_trajectory_walks_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    walk = simulate._Sampler.walk
+
+    def recording_walk(self, start, stop):
+        calls.append((start, stop))
+        return walk(self, start, stop)
+
+    monkeypatch.setattr(simulate._Sampler, "walk", recording_walk)
+    code, out, _ = run(capsys, "simulate", "--scenario", "apt", "--profile",
+                       _markov_profile(tmp_path), "-n", "1", "--noise", "gaussian:1.0")
+    assert code == 0 and "types:" in out
+    assert calls == [(0, 1)]
+
+
 # sha256 of simulate reports on the APT solve report, keyed by (-n, --noise, --seed)
 _WIDE_SEED = str(2**64 + 3)
 SIMULATE_DIGESTS = {
@@ -319,18 +334,18 @@ SIMULATE_DIGESTS = {
     ("1", "gaussian:1.0", _WIDE_SEED): "206207a4f3fe6f40e73b5822625d1b4086164c2f888bec1f71431ac1c12c6793",
     ("1", "uniform:0.5", "0"): "e01632d795fe8905a4dfe04e17b560486cb32a649248fc371d09f860bad4b197",
     ("1", "uniform:0.5", _WIDE_SEED): "b208b5a1a267d1132138515b05ac2f64e4692a6284602adce44a0b612fbf8f8d",
-    ("1000", "none", "0"): "374b43660683461a893cd885ae623529a6e568d6ab627f69fd4cafe49de9c12c",
-    ("1000", "none", _WIDE_SEED): "c3698a02f43a338b217829a7d5a77a432051ee1fcfdd87458addda90fc38a4e9",
-    ("1000", "gaussian:1.0", "0"): "3687e739efa988a761ffd1e625caec214c70ffa1bef67fee7f5540099d06953d",
-    ("1000", "gaussian:1.0", _WIDE_SEED): "ffd56637f1d8a3ab00e01a3fe83183e55ef282020d3342a6efe40c6e6dca5097",
-    ("1000", "uniform:0.5", "0"): "179e6030af9ba6104d5210df4e79bb61e1bc47fe491f0a557e018dba8f559d7e",
-    ("1000", "uniform:0.5", _WIDE_SEED): "93d12475a24410266b6b3400b4aa47e2351d8d4321163cb7d490f66e74306d29",
-    ("5000", "none", "0"): "37da426ee5b049860f5eb6da95911aa13b441dd8eedea901234050da477fb9e1",
-    ("5000", "none", _WIDE_SEED): "c780f7a4ee571e03eebb9ad7477ad4a0662555283f609700920cf9820b6792fe",
-    ("5000", "gaussian:1.0", "0"): "f41ff852ed28cc9de89328a0a31c1223be339995288aa7eea545feb15a219145",
-    ("5000", "gaussian:1.0", _WIDE_SEED): "fb47de96af7be6035235d3dc69162a7705949c6fb05ef7b9d25821c0c2d947f3",
-    ("5000", "uniform:0.5", "0"): "564794f6033a1d7fc0c8291a169ae254ea81837f33f228c6db983fc53f6feaed",
-    ("5000", "uniform:0.5", _WIDE_SEED): "7cfc164db7dcf487971427b1df3cdf4e0f2f29cbb88d98a643c51bb85b18293b",
+    ("1000", "none", "0"): "7bed7a3b3783f1931ee78dd87a04c39612fdc0a684b2feb4de6227860bf16638",
+    ("1000", "none", _WIDE_SEED): "f49046df8865680d64a2fdf33d94b380cc0878cc9c55b1b59f308b6acfbf6295",
+    ("1000", "gaussian:1.0", "0"): "f446c4474a4e818987927e69841013cdbeb9478c0f7f748208494f4e13bcea2c",
+    ("1000", "gaussian:1.0", _WIDE_SEED): "6faf17c1cea21b5873599627bbe68d037d04496569bb79618f6fd0f1f78388a6",
+    ("1000", "uniform:0.5", "0"): "e55e4406ab3fea1f3a44b86371b6c6788c68c2343d5841e8ba9e22e0f483faf5",
+    ("1000", "uniform:0.5", _WIDE_SEED): "a1f0670d41e1ee12d20efbd11b8a5464f2c88fcbc6616d5ca1a709764993d17f",
+    ("5000", "none", "0"): "f2c0fdca603861c388ff9e9dcc2f1535a0f20aa236d0d36a37acc3066983cb1e",
+    ("5000", "none", _WIDE_SEED): "7153cfba040fd74c0ba90f1338dd09f86d2ae5d7d2e2303392cd07027a08aef5",
+    ("5000", "gaussian:1.0", "0"): "f8754e77c1da6255bed72770a1f13a8258213225d197592ed4a48c1fc8cc80fc",
+    ("5000", "gaussian:1.0", _WIDE_SEED): "3d043f024a67236cc716f5c55190af7570db3a9142c416c3281278d82c04e88c",
+    ("5000", "uniform:0.5", "0"): "1b116afaad7649f242d264cd614e5f19e7af5c023d13c320b014f467dd9bb625",
+    ("5000", "uniform:0.5", _WIDE_SEED): "1481ae4fe34b18cfb527f274a802a4a3c38092c4cabe3f747a4ca89c51a2a0b4",
 }
 
 

@@ -139,17 +139,26 @@ class TestMonteCarloValue:
 # Oracle: the sampler against one Generator.choice call per draw
 # ---------------------------------------------------------------------------
 
-def _rng(seed, index, stream):
+def _block_rng(seed, block, stream):
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index, stream)))
+        np.random.SeedSequence(entropy=seed, spawn_key=(block, stream)))
 
 
 def reference_playout(game, profile, rng_seed, noise, index):
     """The play-out as written before the search tables: ``rng.choice``
-    per draw, and a noise generator built and drawn once per value."""
+    per draw, and one noise value drawn per call, each generator first
+    moved past the rows of the trajectories before ``index`` in its
+    seed block."""
     noise = NoiseSpec.parse(noise)
-    rng = _rng(rng_seed, index, 0)
-    noise_rng = _rng(rng_seed, index, 1)
+    block, row = divmod(index, simulate._SEED_BLOCK)
+    width = 2 * len(game.stages)
+    rng = _block_rng(rng_seed, block, 0)
+    rng.bit_generator.advance(row * (2 + width))
+    noise_rng = _block_rng(rng_seed, block, 1)
+    if noise.kind == "gaussian":        # the ziggurat's output count varies: draw past
+        noise_rng.standard_normal(row * width)
+    else:
+        noise_rng.bit_generator.advance(row * width)
 
     def draw():
         if noise.kind == "gaussian":
@@ -272,10 +281,36 @@ class TestSamplerOracle:
             assert getattr(whole, name).tobytes() == expected.tobytes(), name
             assert getattr(split, name).tobytes() == expected.tobytes(), name
 
+    @pytest.mark.parametrize("noise", NOISES)
+    def test_walk_batching_across_seed_blocks(self, monkeypatch, noise):
+        g = build_apt_game()
+        prof = per_history_profile(g)
+        n = simulate._SEED_BLOCK + 5
+        whole = monte_carlo_value(g, prof, n, rng_seed=41, noise=noise)
+        walks = []
+        walk = simulate._Sampler.walk
+
+        def recording_walk(self, start, stop):
+            walks.append((start, walk(self, start, stop)))
+            return walks[-1][1]
+
+        monkeypatch.setattr(simulate._Sampler, "walk", recording_walk)
+        monkeypatch.setattr(simulate, "_BLOCK", 1000)    # the fifth walk straddles 4096
+        split = monte_carlo_value(g, prof, n, rng_seed=41, noise=noise)
+        assert [start for start, _ in walks] == [0, 1000, 2000, 3000, 4000]
+        for name in ("counts1", "counts2", "mean1", "mean2", "stderr1", "stderr2",
+                     "noisy_mean1", "noisy_mean2", "noisy_stderr1", "noisy_stderr2"):
+            assert getattr(split, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert split.first == whole.first == sample_playout(g, prof, 41, noise)
+        for i in (0, 4095, 4096, 4100):
+            start, part = walks[i // 1000]
+            assert sample_playout(g, prof, 41, noise, trajectory_index=i) == \
+                simulate._trajectory(g, part, i - start), i
+
     def test_more_than_one_block_matches_choice_loop(self):
         g = build_apt_game()
         prof = StrategyProfile.uniform(g)
-        n = simulate._BLOCK + 3
+        n = simulate._SEED_BLOCK + 3
         rep = monte_carlo_value(g, prof, n, rng_seed=37, noise="gaussian:1.0")
         ref = reference_monte_carlo(g, prof, n, 37, "gaussian:1.0")
         for name, expected in ref.items():
@@ -283,34 +318,34 @@ class TestSamplerOracle:
 
 
 SEEDS = (0, 1, 7, 2**31 - 1, 2**32, 2**64 + 3, 2**130 + 9)
-INDICES = tuple(range(50)) + (2**31, 2**32 - 1)
 
 
 class TestSeedKernel:
-    @pytest.mark.parametrize("stream", [0, 1, 2])
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["random", "standard_normal"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_matches_seed_sequence(self, seed, stream):
-        words = simulate._pcg64_seeds(seed, np.array(INDICES), (0, 1, 2))
-        assert words.dtype == np.uint64 and words.shape == (4, 3, len(INDICES))
-        for i, (state_hi, state_lo, inc_hi, inc_lo) in zip(INDICES, words[:, stream].T.tolist()):
-            expected = np.random.default_rng(np.random.SeedSequence(
-                entropy=seed, spawn_key=(i, stream))).bit_generator.state
-            assert expected == {"bit_generator": "PCG64",
-                                "state": {"state": state_hi << 64 | state_lo,
-                                          "inc": inc_hi << 64 | inc_lo},
-                                "has_uint32": 0, "uinteger": 0}, (seed, i, stream)
+    def test_draws_match_generator_rows(self, seed, gaussian):
+        g = build_apt_game()
+        sampler = simulate._Sampler(g, StrategyProfile.uniform(g), seed, NoiseSpec())
+        size = simulate._SEED_BLOCK
 
-    @pytest.mark.parametrize("width", [1, 8])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_uniforms_match_generator_random(self, seed, width):
-        indices = INDICES + (4095, 4096)
-        words = simulate._pcg64_seeds(seed, np.array(indices), (0, 1))
+        def block_rows(block, stream):
+            gen = _block_rng(seed, block, stream)
+            return gen.standard_normal((size, 8)) if gaussian else gen.random((size, 8))
+
         for stream in (0, 1):
-            got = simulate._uniforms(words[:, stream], width)
-            assert got.shape == (len(indices), width)
-            for i, row in zip(indices, got):
-                assert row.tobytes() == _rng(seed, i, stream).random(width).tobytes(), \
-                    (seed, i, stream)
+            for block in (0, 1, 2**20 - 1):
+                rows = block_rows(block, stream)
+                for row in (0, 1, size - 1):
+                    i = block * size + row
+                    assert sampler._draws(stream, i, i + 1, 8, gaussian).tobytes() == \
+                        rows[row].tobytes(), (block, stream, row)
+                start = block * size
+                assert sampler._draws(stream, start, start + size, 8, gaussian).tobytes() == \
+                    rows.tobytes()
+            # a walk across a seed-block boundary
+            expected = np.concatenate([block_rows(0, stream)[-2:], block_rows(1, stream)[:3]])
+            assert sampler._draws(stream, size - 2, size + 3, 8, gaussian).tobytes() == \
+                expected.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, -(2**64), 2.0, None, True, False])
     def test_bad_seed_rejected(self, seed):

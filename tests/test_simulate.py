@@ -321,31 +321,51 @@ SEEDS = (0, 1, 7, 2**31 - 1, 2**32, 2**64 + 3, 2**130 + 9)
 
 
 class TestSeedKernel:
-    @pytest.mark.parametrize("gaussian", [False, True], ids=["random", "standard_normal"])
+    @pytest.mark.parametrize("stream", [0, 1, 2])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_draws_match_generator_rows(self, seed, gaussian):
+    def test_matches_seed_sequence(self, seed, stream):
+        # seed block b of a stream is Generator(PCG64(SeedSequence(seed, (b, stream))))
         g = build_apt_game()
         sampler = simulate._Sampler(g, StrategyProfile.uniform(g), seed, NoiseSpec())
         size = simulate._SEED_BLOCK
 
-        def block_rows(block, stream):
+        def block_rows(block, gaussian):
             gen = _block_rng(seed, block, stream)
             return gen.standard_normal((size, 8)) if gaussian else gen.random((size, 8))
 
-        for stream in (0, 1):
+        for gaussian in (False, True):
             for block in (0, 1, 2**20 - 1):
-                rows = block_rows(block, stream)
+                rows = block_rows(block, gaussian)
                 for row in (0, 1, size - 1):
                     i = block * size + row
                     assert sampler._draws(stream, i, i + 1, 8, gaussian).tobytes() == \
-                        rows[row].tobytes(), (block, stream, row)
+                        rows[row].tobytes(), (block, gaussian, row)
                 start = block * size
                 assert sampler._draws(stream, start, start + size, 8, gaussian).tobytes() == \
-                    rows.tobytes()
+                    rows.tobytes(), (block, gaussian)
             # a walk across a seed-block boundary
-            expected = np.concatenate([block_rows(0, stream)[-2:], block_rows(1, stream)[:3]])
+            expected = np.concatenate([block_rows(0, gaussian)[-2:], block_rows(1, gaussian)[:3]])
             assert sampler._draws(stream, size - 2, size + 3, 8, gaussian).tobytes() == \
-                expected.tobytes()
+                expected.tobytes(), gaussian
+
+    @pytest.mark.parametrize("width", [1, 8])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_match_generator_random(self, seed, width):
+        # uniform rows are reached with advance(row * width), so the skip depends on width
+        g = build_apt_game()
+        sampler = simulate._Sampler(g, StrategyProfile.uniform(g), seed, NoiseSpec())
+        size = simulate._SEED_BLOCK
+        for stream in (0, 1):
+            blocks = {b: _block_rng(seed, b, stream).random((size, width))
+                      for b in (0, 1, 2**19, 2**20 - 1)}
+            for i in (0, 1, 2, 49, size - 1, size, size + 1, 2**31, 2**32 - 1):
+                got = sampler._draws(stream, i, i + 1, width)
+                assert got.shape == (1, width)
+                assert got.tobytes() == blocks[i // size][i % size].tobytes(), (i, stream)
+            for start, stop in ((2, 9), (size - 3, size + 2), (0, 2 * size)):
+                expected = np.concatenate([blocks[0], blocks[1]])[start:stop]
+                assert sampler._draws(stream, start, stop, width).tobytes() == \
+                    expected.tobytes(), (start, stop, stream)
 
     @pytest.mark.parametrize("seed", [-1, -(2**64), 2.0, None, True, False])
     def test_bad_seed_rejected(self, seed):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gamejson, multistage, scenarios, signaling, simulate, static
 from .core import (EnumerationBudgetError, MalformedInputError, MultiStageGame,
-                   stage_states, validate_game)
+                   check_seed, stage_states, validate_game)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -301,30 +301,27 @@ def _epsilon_results(game: MultiStageGame, eps, heading: str, violation: str) ->
 
 def cmd_solve_pbne(args) -> tuple:
     game = _load_game(args)
-    res = multistage.solve_pbne(game, tol=args.tol, max_iter=args.max_iter,
-                                seed=args.seed)
-    converged = not isinstance(res, multistage.NonConvergenceReport)
-    profile, beliefs = ((res.profile, res.beliefs) if converged
-                        else (res.last_profile, res.last_beliefs))
+    check_seed(args.seed)       # recorded in the report; the solve does not read it
+    res = multistage.solve_pbne(game, tol=args.tol, max_iter=args.max_iter)
     results = {
-        "converged": converged,
+        "converged": res.converged,
         "iterations": res.iterations,
         "residual_trace": [[float(a) if np.isfinite(a) else None, float(b)]
                            for a, b in res.residual_trace],
         "class_counts": list(res.class_counts),
-        "profile": gamejson.profile_to_dict(game, profile),
-        "beliefs": gamejson.beliefs_to_dict(game, beliefs),
+        "profile": gamejson.profile_to_dict(game, res.profile),
+        "beliefs": gamejson.beliefs_to_dict(game, res.beliefs),
     }
-    if not converged:
+    if not res.converged:
+        last_p, last_b = res.residual_trace[-1]
         print(f"did not converge after {res.iterations} sweeps; "
-              f"final residuals strategy={res.final_residuals[0]:.3g} "
-              f"belief={res.final_residuals[1]:.3g}")
+              f"final residuals strategy={last_p:.3g} belief={last_b:.3g}")
         print("residual trace (strategy, belief, stage programs) per sweep:")
         for i, ((rp, rb), n) in enumerate(zip(res.residual_trace, res.class_counts), 1):
             print(f"  sweep {i}: {rp:.3g} {rb:.3g} {n}")
         return EXIT_NO_CONVERGENCE, results, game
 
-    eps = res.epsilon
+    eps, beliefs = res.epsilon, res.beliefs
     print(f"converged in {res.iterations} sweep(s); "
           f"worst per-stage deviation gap {res.stage_gap:.2e}")
     print("stage programs (belief classes) per sweep: "
@@ -341,7 +338,7 @@ def cmd_solve_pbne(args) -> tuple:
     print("strategies (per history, own type):")
     for k, (st, keys, states, rows1, rows2) in enumerate(zip(
             game.stages, gamejson.history_labels(game),
-            stage_states(game, multistage.build_tree(game)), *profile.history_rows())):
+            stage_states(game, multistage.build_tree(game)), *res.profile.history_rows())):
         for key, x, r1, r2 in zip(keys, states, rows1, rows2):
             where = f"k={k} [{key}] x={st.states[x]}"
             for t, row in zip(game.types1, r1):
@@ -370,16 +367,17 @@ def _json_object(path: str) -> dict:
 def _load_profile_and_beliefs(game: MultiStageGame, profile_path: str,
                               beliefs_path: str | None):
     """The profile, its beliefs (read from ``beliefs_path``, else from the
-    profile file, else its own forward pass) and whether they were
-    derived; a file that cannot be read raises :class:`CliError`."""
+    solve report that holds the profile, else its own forward pass) and
+    whether they were derived.  ``profile_path`` holds a bare profile or
+    a full solve report; a file that cannot be read raises
+    :class:`CliError`."""
     try:
         raw = _json_object(profile_path)
         if isinstance(raw.get("results"), dict):      # a full solve report
             prof_raw = raw["results"].get("profile")
             bel_raw = raw["results"].get("beliefs")
         else:
-            prof_raw = raw.get("profile", raw)
-            bel_raw = raw.get("beliefs")
+            prof_raw, bel_raw = raw, None
         if prof_raw is None:
             raise CliError(f"{profile_path!r} carries no strategy profile")
         profile = gamejson.profile_from_dict(game, prof_raw)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .core import (BeliefSystem, FiniteDistribution, MalformedInputError,
                    MultiStageGame, SolverError, StageGame, StrategyProfile,
-                   build_tree, check_seed, is_integer, stage_states, validate_game, _readonly)
+                   build_tree, is_integer, stage_states, validate_game, _readonly)
 # ``solve_lp`` is no longer called here; it stays importable by this name
 # for tools that wrap ``multistage.solve_lp`` to count LP calls.
 from .lp import lemke, solve_lp  # noqa: F401
@@ -116,26 +116,21 @@ class EpsilonReport:
 
 @dataclass(frozen=True)
 class PbneSolution:
+    """The last sweep of :func:`solve_pbne`, whichever way the search ended.
+
+    ``beliefs`` are the forward pass of ``profile``.  ``values``,
+    ``epsilon`` and ``stage_gap`` are None unless ``converged``.
+    """
+
     profile: StrategyProfile
     beliefs: BeliefSystem
-    values: ValueFunction
-    epsilon: EpsilonReport
     iterations: int
     residual_trace: tuple[tuple[float, float], ...]
-    stage_gap: float
-    class_counts: tuple[int, ...] = ()     # stage programs solved per sweep
-    converged: bool = True
-
-
-@dataclass(frozen=True)
-class NonConvergenceReport:
-    iterations: int
-    residual_trace: tuple[tuple[float, float], ...]
-    last_profile: StrategyProfile
-    last_beliefs: BeliefSystem
-    final_residuals: tuple[float, float]
-    class_counts: tuple[int, ...] = ()
-    converged: bool = False
+    class_counts: tuple[int, ...]           # stage programs solved per sweep
+    converged: bool
+    values: ValueFunction | None = None
+    epsilon: EpsilonReport | None = None
+    stage_gap: float | None = None
 
 
 def belief_update(prior, opponent_strategy, observed: int
@@ -661,8 +656,8 @@ def _largest_change(a: tuple, b: tuple) -> float:
     return max(float(np.abs(x - y).max()) for xs, ys in zip(a, b) for x, y in zip(xs, ys))
 
 
-def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
-               seed: int = 0):
+def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100
+               ) -> PbneSolution:
     """Forward-backward iteration to a consistent profile/belief pair.
 
     Each sweep solves the class programs against the current node
@@ -677,18 +672,18 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
 
     The first sweep traces every class program from uniform rows, and
     each later sweep from the previous profile, so the iteration is
-    deterministic: ``seed`` is checked (a non-negative integer) but no
-    longer changes the result.  ``max_iter`` must be an integer >= 1 and
-    ``tol`` a finite number >= 0 (not a bool).
+    deterministic.  ``max_iter`` must be an integer >= 1 and ``tol`` a
+    finite number >= 0 (not a bool).
 
-    Returns a :class:`PbneSolution` whose beliefs are the forward pass of
-    its profile and whose values are the profile's utility-to-go under
-    those beliefs, or a :class:`NonConvergenceReport` carrying the residual
-    trace, which is evidence that no equilibrium of this form was found,
-    not an error.  State aggregates are computed for the returned beliefs
-    only.
+    Returns a :class:`PbneSolution` built from the last sweep: its
+    profile, that profile's forward pass as beliefs (state aggregates
+    are computed for these only), the residual trace and the class
+    counts.  If the sweep converged, it also carries the profile's
+    utility-to-go under those beliefs, its ε-certificate and the worst
+    stage gap.  If ``max_iter`` sweeps pass without converging,
+    ``converged`` is False: the residual trace is evidence that no
+    equilibrium of this form was found, not an error.
     """
-    check_seed(seed)
     if not is_integer(max_iter) or max_iter < 1:
         raise MalformedInputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0.0):
@@ -711,19 +706,21 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100,
         trace.append((res_p, res_b))
         counts.append(len(stage_solutions))
         rows = new_rows
-        if res_b <= tol and (it == 1 or res_p <= tol):
-            reach = _reach(game, *rows)
-            beliefs = _with_aggregates(game, tree, reach, *forward)
-            eps, achieved = _certify(game, tree, rows, forward[:2], forward)
-            # under the returned beliefs, not the averaged ones the class
-            # programs were solved against (they differ by up to tol)
-            values = _state_values(game, tree, reach, *achieved)
-            worst_stage = max((max(s.gaps1.max(initial=0.0), s.gaps2.max(initial=0.0))
-                               for s in stage_solutions.values()), default=0.0)
-            return PbneSolution(profile, beliefs, values, eps, it,
-                                tuple(trace), worst_stage, tuple(counts))
+        converged = res_b <= tol and (it == 1 or res_p <= tol)
+        if converged:
+            break
         bel = tuple([0.5 * (v + new) for v, new in zip(old, fwd)]
                     for old, fwd in zip(bel, forward[:2]))
-    return NonConvergenceReport(max_iter, tuple(trace), profile,
-                                _with_aggregates(game, tree, _reach(game, *rows), *forward),
-                                trace[-1], tuple(counts))
+    reach = _reach(game, *rows)
+    beliefs = _with_aggregates(game, tree, reach, *forward)
+    certificate = {}
+    if converged:
+        eps, achieved = _certify(game, tree, rows, forward[:2], forward)
+        # under the returned beliefs, not the averaged ones the class
+        # programs were solved against (they differ by up to tol)
+        certificate = dict(
+            values=_state_values(game, tree, reach, *achieved), epsilon=eps,
+            stage_gap=max((max(s.gaps1.max(initial=0.0), s.gaps2.max(initial=0.0))
+                           for s in stage_solutions.values()), default=0.0))
+    return PbneSolution(profile, beliefs, it, tuple(trace), tuple(counts), converged,
+                        **certificate)

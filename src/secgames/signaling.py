@@ -150,18 +150,15 @@ def receiver_best_response(game: SignalingGame, belief, message: int) -> set[int
 def classify(sender) -> str:
     """pooling / separating / semi-separating, per support pattern.
 
-    A pure strategy may be given as a sequence of message indices; a
-    stochastic (type, message) matrix is classified on its supports:
+    A stochastic (type, message) matrix is classified on its supports:
     identical distributions pool, pairwise-disjoint supports separate.
+    A pure strategy may be given as a sequence of message indices; it is
+    classified as one-hot rows over its distinct messages.
     """
     arr = np.asarray(sender, dtype=float)
     if arr.ndim == 1:
-        msgs = [int(m) for m in arr]
-        if len(set(msgs)) == 1:
-            return "pooling"
-        if len(set(msgs)) == len(msgs):
-            return "separating"
-        return "semi-separating"
+        msgs, inverse = np.unique([int(m) for m in arr], return_inverse=True)
+        arr = np.eye(len(msgs))[inverse]
     rows = [arr[t] for t in range(arr.shape[0])]
     if all(np.allclose(rows[0], r, atol=1e-12) for r in rows[1:]):
         return "pooling"

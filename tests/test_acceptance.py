@@ -14,8 +14,7 @@ import numpy as np
 
 from secgames.cli import main
 from secgames.core import FiniteDistribution
-from secgames.multistage import (PbneSolution, cumulative_utility,
-                                 solve_pbne, solve_stage_tensors,
+from secgames.multistage import (cumulative_utility, solve_pbne, solve_stage_tensors,
                                  stage_deviation_gaps)
 from secgames.scenarios import (build_apt_game, build_exercise_qb,
                                 default_apt_parameters, exercise_qb_matrices)
@@ -155,10 +154,10 @@ def test_criterion_6_apt_end_to_end():
     tolerance allows.  The bound is asserted as stated.
     """
     t0 = time.perf_counter()
-    res = solve_pbne(build_apt_game(), tol=1e-6, max_iter=100, seed=0)
+    res = solve_pbne(build_apt_game(), tol=1e-6, max_iter=100)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"runtime {elapsed:.0f}s exceeds 5 minutes"
-    if isinstance(res, PbneSolution):
+    if res.converged:
         eps_max = float(max(res.epsilon.eps1.max(), res.epsilon.eps2.max()))
         ok = eps_max <= 1e-4 and res.epsilon.belief_violation <= 1e-9
         _verdict("6 APT end-to-end", ok,
@@ -167,8 +166,7 @@ def test_criterion_6_apt_end_to_end():
                  f"aggregation discrepancy "
                  f"{res.beliefs.aggregation_discrepancy:.3g}, {elapsed:.1f}s")
     else:
-        ok = (len(res.residual_trace) == res.iterations
-              and res.final_residuals == res.residual_trace[-1])
+        ok = len(res.residual_trace) == res.iterations
         _verdict("6 APT end-to-end", ok,
                  f"non-convergence reported after {res.iterations} sweeps")
 
@@ -176,8 +174,8 @@ def test_criterion_6_apt_end_to_end():
 def test_criterion_7_dp_simulation_agreement():
     """Monte Carlo at n=1e5 matches tree-exact values within 3 stderr."""
     game = build_apt_game()
-    res = solve_pbne(game, seed=0)
-    assert isinstance(res, PbneSolution), "needs a converged solution"
+    res = solve_pbne(game)
+    assert res.converged, "needs a converged solution"
     mc = monte_carlo_value(game, res.profile, 100_000, rng_seed=123)
     ok = True
     detail = []

@@ -286,6 +286,29 @@ def test_negative_seed_exits_2(capsys, tmp_path, command):
     assert not out_file.exists()
 
 
+def test_pbne_multi_word_negative_seed_exits_2(capsys, tmp_path):
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, "solve", "pbne", "--scenario", "apt", "--max-iter", "1",
+                         "--seed", str(-(2**70)), "--out", str(out_file))
+    assert code == 2
+    assert "invalid input: seed must be a non-negative integer" in err
+    assert "Traceback" not in err and "converge" not in out
+    assert not out_file.exists()
+
+
+def test_pbne_multi_word_seed_is_recorded_not_solved_with(capsys, tmp_path):
+    reports = {}
+    for seed in ("0", "99999999999999999999999"):
+        out_file = tmp_path / f"pbne-{seed}.json"
+        code, _, _ = run(capsys, "solve", "pbne", "--scenario", "apt",
+                         "--seed", seed, "--out", str(out_file))
+        assert code == 0
+        reports[seed] = json.loads(out_file.read_text())
+    big = reports["99999999999999999999999"]
+    assert big["seed"] == 99999999999999999999999
+    assert big["results"] == reports["0"]["results"]
+
+
 @pytest.mark.parametrize("n", ["1", "5"])
 def test_simulate_multi_word_seed(capsys, tmp_path, n):
     out_file = tmp_path / "sim.json"
@@ -702,6 +725,23 @@ def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
                                                          else []), "--out", str(out_file))
     assert code == 2
     assert err and "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_profile_and_beliefs_wrapper_file_exits_2(capsys, tmp_path, command):
+    # --profile takes a bare profile or a full solve report, not a
+    # {"profile": ..., "beliefs": ...} wrapper
+    game = build_apt_game()
+    profile = StrategyProfile.uniform(game)
+    wrapper, out_file = tmp_path / "wrapper.json", tmp_path / "r.json"
+    dump_json({"profile": markov_profile_dict(game, profile),
+               "beliefs": beliefs_to_dict(game, multistage.forward_pass(game, profile))},
+              str(wrapper))
+    code, _, err = run(capsys, command, "--scenario", "apt", "--profile", str(wrapper),
+                       *(["-n", "5"] if command == "simulate" else []), "--out", str(out_file))
+    assert code == 2
+    assert "cannot load profile/beliefs" in err and "Traceback" not in err
     assert not out_file.exists()
 
 

@@ -11,8 +11,7 @@ from secgames import multistage, simulate
 from secgames.core import (FiniteDistribution, MalformedInputError, MultiStageGame,
                            PayoffTensor, StageGame, StrategyProfile, stage_states)
 from secgames.gamejson import history_labels, profile_to_dict
-from secgames.multistage import (ROW_ZERO_TOL, NonConvergenceReport,
-                                 PbneSolution, backward_pass, belief_update, build_tree,
+from secgames.multistage import (ROW_ZERO_TOL, backward_pass, belief_update, build_tree,
                                  cumulative_utility, forward_pass,
                                  prior_beliefs, root_values, solve_pbne,
                                  _stage_tensors, solve_stage_tensors,
@@ -274,8 +273,8 @@ class TestSolvePbne:
     def test_k0_converges_in_one_sweep_and_matches_bne(self):
         static_g = build_static_bayesian(2.0, 1.0, 3.0)
         g = to_multistage(static_g)
-        res = solve_pbne(g, seed=0)
-        assert isinstance(res, PbneSolution)
+        res = solve_pbne(g)
+        assert res.converged
         assert res.iterations == 1
         gap, _ = bayes_gap(static_g, res.profile.sigma1[0][0],
                            res.profile.sigma2[0][0])
@@ -298,8 +297,8 @@ class TestSolvePbne:
         g = MultiStageGame(1, (st, st1), ("L", "H"), ("A", "B"),
                            FiniteDistribution([0.4, 0.6]),
                            FiniteDistribution([0.3, 0.7]), "x")
-        res = solve_pbne(g, seed=0)
-        assert isinstance(res, PbneSolution)
+        res = solve_pbne(g)
+        assert res.converged
         for k in range(2):
             np.testing.assert_allclose(res.beliefs.agg_about_1[k], [[0.4, 0.6]], atol=1e-9)
             np.testing.assert_allclose(res.beliefs.agg_about_2[k], [[0.3, 0.7]], atol=1e-9)
@@ -307,20 +306,29 @@ class TestSolvePbne:
 
     def test_apt_outcome_is_wellformed(self):
         g = build_apt_game()
-        res = solve_pbne(g, tol=1e-6, max_iter=40, seed=0)
-        assert isinstance(res, (PbneSolution, NonConvergenceReport))
-        if isinstance(res, PbneSolution):
-            assert res.stage_gap <= 1e-6
-            assert res.epsilon.belief_violation <= 1e-9
-        else:
-            assert len(res.residual_trace) == 40
+        res = solve_pbne(g, tol=1e-6, max_iter=40)
+        assert res.converged
+        assert res.stage_gap <= 1e-6
+        assert res.epsilon.belief_violation <= 1e-9
 
     def test_non_convergence_is_reported_not_raised(self):
         g = build_apt_game()
-        res = solve_pbne(g, tol=1e-12, max_iter=2, seed=0)
-        if isinstance(res, NonConvergenceReport):
-            assert len(res.residual_trace) == 2
-            assert res.final_residuals == res.residual_trace[-1]
+        res = solve_pbne(g, tol=1e-12, max_iter=2)
+        assert not res.converged
+        assert res.iterations == len(res.residual_trace) == len(res.class_counts) == 2
+        assert res.values is None and res.epsilon is None and res.stage_gap is None
+        assert res.profile.violations(g) == []
+        # the beliefs are the forward pass of the last sweep's profile
+        again = forward_pass(g, res.profile)
+        for field in dataclasses.fields(again):
+            got, ref = getattr(res.beliefs, field.name), getattr(again, field.name)
+            if field.name == "aggregation_discrepancy":
+                assert got == ref
+                continue
+            assert len(got) == len(ref)
+            for arr, ref_arr in zip(got, ref):
+                assert arr.dtype == ref_arr.dtype and arr.shape == ref_arr.shape
+                assert arr.tobytes() == ref_arr.tobytes(), field.name
 
     def test_apt_grid_certifies(self):
         # 5 x 3 priors x both entry states; the multistart search certified
@@ -330,21 +338,10 @@ class TestSolvePbne:
                 for state in ("external", "internal"):
                     p = dataclasses.replace(default_apt_parameters(), prior_adversarial=pa,
                                             prior_high_awareness=ph)
-                    res = solve_pbne(build_apt_game(p, initial_state=state), seed=0)
-                    assert isinstance(res, PbneSolution), (pa, ph, state)
+                    res = solve_pbne(build_apt_game(p, initial_state=state))
+                    assert res.converged, (pa, ph, state)
                     assert max(res.epsilon.eps1.max(), res.epsilon.eps2.max()) <= 1e-4
                     assert res.epsilon.belief_violation <= 1e-9
-
-    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, None, True, False])
-    def test_bad_seed_rejected(self, seed):
-        g = build_apt_game()
-        with pytest.raises(MalformedInputError, match="seed must be a non-negative integer"):
-            solve_pbne(g, max_iter=1, seed=seed)
-
-    def test_multi_word_seed_accepted(self):
-        g = build_apt_game()
-        res = solve_pbne(g, max_iter=1, seed=99999999999999999999999)
-        assert isinstance(res, (PbneSolution, NonConvergenceReport))
 
     @pytest.mark.parametrize("kwargs", [{"tol": True}, {"tol": False}, {"tol": -1e-9},
                                         {"tol": float("nan")}, {"max_iter": True},
@@ -378,8 +375,8 @@ class TestCumulativeUtility:
 
     def test_matches_value_function_on_converged_solution(self):
         g = build_apt_game()
-        res = solve_pbne(g, seed=0)
-        assert isinstance(res, PbneSolution)
+        res = solve_pbne(g)
+        assert res.converged
         x0 = g.stages[0].state_index(g.initial_state)
         for t1 in range(g.n1):
             u1, _ = cumulative_utility(g, res.profile, res.beliefs, t1, 0)
@@ -579,8 +576,8 @@ class TestHistoryClasses:
 
     def test_apt_converges_with_certified_epsilon_and_class_counts(self):
         g = build_apt_game()
-        res = solve_pbne(g, seed=0)
-        assert isinstance(res, PbneSolution)
+        res = solve_pbne(g)
+        assert res.converged
         assert len(res.class_counts) == res.iterations == len(res.residual_trace)
         assert res.class_counts[0] == 8      # 1 + 3 + 4: one class per state
         assert max(res.epsilon.eps1.max(), res.epsilon.eps2.max()) <= 1e-4
@@ -808,7 +805,7 @@ def _oracle_cases():
                                 prior_high_awareness=ph)
         g = build_apt_game(p, initial_state=state)
         res = solve_pbne(g, max_iter=2)
-        prof = res.profile if isinstance(res, PbneSolution) else res.last_profile
+        prof = res.profile
         cases += [(g, prof, forward_pass(g, prof)), (g, prof, prior_beliefs(g))]
     for seed in range(4):
         g = random_tree_game(seed)
@@ -893,8 +890,7 @@ def test_stage_blocks_follow_build_tree_order(monkeypatch):
     # rows(player, node) and the rows the report keys by its label
     prof = _random_history_profile(g, np.random.default_rng(3))
     solved = solve_pbne(g, max_iter=2)
-    for profile in (prof, solved.profile if isinstance(solved, PbneSolution)
-                    else solved.last_profile):
+    for profile in (prof, solved.profile):
         raw = profile_to_dict(g, profile)
         for k, keys in enumerate(history_labels(g)):
             for i, (key, path) in enumerate(zip(keys, paths[k])):

@@ -65,6 +65,11 @@ class TestClassify:
         assert classify([0, 1]) == "separating"
         assert classify([0, 0, 1]) == "semi-separating"
 
+    def test_pure_patterns_with_gaps_in_message_indices(self):
+        assert classify([2, 2]) == "pooling"
+        assert classify([0, 2]) == "separating"
+        assert classify([5, 5, 0]) == "semi-separating"
+
     def test_mixed_patterns(self):
         assert classify(np.array([[0.5, 0.5], [0.5, 0.5]])) == "pooling"
         assert classify(np.array([[1.0, 0.0], [0.0, 1.0]])) == "separating"

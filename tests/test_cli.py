@@ -286,10 +286,11 @@ def test_negative_seed_exits_2(capsys, tmp_path, command):
     assert not out_file.exists()
 
 
-def test_pbne_multi_word_negative_seed_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("seed", ["-1", str(-(2**70))])
+def test_pbne_negative_seed_exits_2(capsys, tmp_path, seed):
     out_file = tmp_path / "out.json"
     code, out, err = run(capsys, "solve", "pbne", "--scenario", "apt", "--max-iter", "1",
-                         "--seed", str(-(2**70)), "--out", str(out_file))
+                         "--seed", seed, "--out", str(out_file))
     assert code == 2
     assert "invalid input: seed must be a non-negative integer" in err
     assert "Traceback" not in err and "converge" not in out

@@ -310,7 +310,7 @@ def cmd_solve_pbne(args) -> tuple:
                            for a, b in res.residual_trace],
         "class_counts": list(res.class_counts),
         "profile": gamejson.profile_to_dict(game, res.profile),
-        "beliefs": gamejson.beliefs_to_dict(game, res.beliefs),
+        **gamejson.aggregates_to_dict(res.beliefs),
     }
     if not res.converged:
         last_p, last_b = res.residual_trace[-1]
@@ -346,7 +346,6 @@ def cmd_solve_pbne(args) -> tuple:
             for t, row in zip(game.types2, r2):
                 print(f"  {where} user[{t}]: {_dist_str(st.actions2, row)}")
     results.update(stage_gap=res.stage_gap,
-                   aggregation_discrepancy=beliefs.aggregation_discrepancy,
                    values={"defender": [v.tolist() for v in res.values.v1],
                            "user": [v.tolist() for v in res.values.v2]})
     return EXIT_OK, results, game
@@ -366,32 +365,23 @@ def _json_object(path: str) -> dict:
 
 def _load_profile_and_beliefs(game: MultiStageGame, profile_path: str,
                               beliefs_path: str | None):
-    """The profile, its beliefs (read from ``beliefs_path``, else from the
-    solve report that holds the profile, else its own forward pass) and
-    whether they were derived.  ``profile_path`` holds a bare profile or
-    a full solve report; a file that cannot be read raises
+    """The profile, its beliefs (read from ``beliefs_path``, else its own
+    forward pass) and whether they were derived.  ``profile_path`` holds
+    a bare profile or a full solve report, whose beliefs are that forward
+    pass and are not stored; a file that cannot be read raises
     :class:`CliError`."""
     try:
         raw = _json_object(profile_path)
         if isinstance(raw.get("results"), dict):      # a full solve report
-            prof_raw = raw["results"].get("profile")
-            bel_raw = raw["results"].get("beliefs")
-        else:
-            prof_raw, bel_raw = raw, None
-        if prof_raw is None:
+            raw = raw["results"].get("profile")
+        if raw is None:
             raise CliError(f"{profile_path!r} carries no strategy profile")
-        profile = gamejson.profile_from_dict(game, prof_raw)
+        profile = gamejson.profile_from_dict(game, raw)
         bad = profile.violations(game)
         if bad:
             raise CliError("invalid profile:\n  " + "\n  ".join(bad))
         if beliefs_path:
-            bel_raw = _json_object(beliefs_path)
-            if isinstance(bel_raw.get("results"), dict):
-                bel_raw = bel_raw["results"].get("beliefs")
-            if bel_raw is None:
-                raise CliError(f"{beliefs_path!r} carries no beliefs")
-        if bel_raw is not None:
-            return profile, gamejson.beliefs_from_dict(game, bel_raw), False
+            return profile, gamejson.beliefs_from_dict(game, _json_object(beliefs_path)), False
         return profile, multistage.forward_pass(game, profile), True
     # ValueError: invalid JSON, or a file that is not UTF-8
     except (OSError, ValueError, MalformedInputError, KeyError) as err:

@@ -343,15 +343,14 @@ class StrategyProfile:
             for k, st in enumerate(game.stages):
                 m = st.m1 if player == 1 else st.m2
                 arr, cls = rows[k], self.classes[k]
-                n_blocks = arr.shape[0]
-                if arr.shape != (n_blocks, n_own, m):
-                    out.append(f"player {player} stage {k} shape {arr.shape} "
-                               f"!= {(n_blocks, n_own, m)}")
+                if arr.ndim != 3 or arr.shape[1:] != (n_own, m):
+                    out.append(f"player {player} stage {k} shape {arr.shape} is not "
+                               f"(blocks, {n_own}, {m})")
                     continue
                 if not np.isfinite(arr).all() or np.any(arr < -PROB_TOL) or np.any(
                         np.abs(arr.sum(axis=2) - 1.0) > 1e-8):
                     out.append(f"player {player} stage {k} has an invalid distribution")
-                if cls.min() < 0 or cls.max() >= n_blocks:
+                if cls.min() < 0 or cls.max() >= len(arr):
                     out.append(f"player {player} stage {k} names a missing row block")
                     continue
                 # a block is checked at every state its histories reach

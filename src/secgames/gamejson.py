@@ -8,20 +8,22 @@ nested as [state][a1][a2][type1][type2], an optional ``mask`` and a
 permissive about normalization problems (they surface later through
 validate_game); structural impossibilities raise.
 
-Profiles have two forms: a versioned per-history one, which
-:func:`profile_to_dict` writes, and the Markov form with one row per
-stage, state and type.  :func:`profile_from_dict` reads both into the
-in-memory layout, per-stage arrays in ``build_tree`` order: the
-versioned form as one row block per history, the Markov form as one
-block per state that every history of the state names.
+Profiles are written in the :class:`StrategyProfile` layout (version 3):
+per stage, the row blocks and the block each history plays, in
+``build_tree`` order.  :func:`profile_from_dict` also reads version 2,
+one row block per history, and the Markov form, one row per stage, state
+and type, read as one block per state that its histories all name.
 
-Profile and belief files key histories by their action labels, such as
-``"none,employee"`` (:func:`history_labels`), as ``{key: {type: row}}``
-maps; the Markov form keys each stage's map by state.  One writer
-builds those maps stage by stage over the keys, and one reader stacks a
-stage's map into an ``(n_keys, n_types, width)`` array in key order,
-naming the side, stage and key of a missing, ragged or non-numeric row.
-Readers reject a history key the game does not have.
+Belief files and version-2 profiles key histories by their action
+labels, such as ``"none,employee"`` (:func:`history_labels`), as
+``{key: {type: row}}`` maps; the Markov form keys each stage's map by
+state.  One writer builds those maps stage by stage over the keys, and
+one reader stacks a stage's map into an ``(n_keys, n_types, width)``
+array in key order, naming the side, stage and key of a missing, ragged
+or non-numeric row.  Readers reject a history key the game does not
+have.  Solve reports store no beliefs: they are the forward pass of the
+profile, and ``beliefs_to_dict(game, forward_pass(game, profile))``
+writes them as a ``--beliefs`` file.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def load_game(path: str) -> MultiStageGame:
 # Profiles and beliefs.
 # ---------------------------------------------------------------------------
 
-# Version of the per-history profile form; the Markov form carries none.
-PROFILE_VERSION = 2
+# Version of the profile form that is written; the Markov form carries none.
+PROFILE_VERSION = 3
 
 
 def history_labels(game: MultiStageGame) -> list[list[str]]:
@@ -238,12 +240,12 @@ def _stacked_rows(rows_by_key, keys, types, width: int, where: str) -> np.ndarra
 
 
 def profile_to_dict(game: MultiStageGame, profile: StrategyProfile) -> dict:
-    """``{"version": 2, side -> history -> type -> row}``, histories
-    keyed as in the belief format."""
-    labels = history_labels(game)
-    rows1, rows2 = profile.history_rows()
-    return {"version": PROFILE_VERSION, "defender": _keyed_rows(labels, rows1, game.types1),
-            "user": _keyed_rows(labels, rows2, game.types2)}
+    """``{"version": 3, "classes": [stage][history] block, side ->
+    [stage][block][type][action]}``, the layout of ``profile``; the
+    histories of ``game`` are implied by ``build_tree`` order."""
+    return {"version": PROFILE_VERSION, "classes": [c.tolist() for c in profile.classes],
+            "defender": [a.tolist() for a in profile.sigma1],
+            "user": [a.tolist() for a in profile.sigma2]}
 
 
 def _profile_by_history(game: MultiStageGame, raw: dict) -> StrategyProfile:
@@ -266,9 +268,23 @@ def _profile_by_history(game: MultiStageGame, raw: dict) -> StrategyProfile:
 
 
 def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
-    """Read either profile form written by :func:`profile_to_dict`."""
+    """Read a profile of version 3 (:func:`profile_to_dict`), of version 2
+    or in the Markov form.  Of version 3 only the numbers are checked
+    here; whether it fits the game is for :meth:`StrategyProfile.violations`
+    to find."""
+    if isinstance(raw, dict) and raw.get("version") == PROFILE_VERSION:
+        classes = raw.get("classes")
+        if not isinstance(classes, list) or any(isinstance(c, bool) for stage in classes
+                                                if isinstance(stage, list) for c in stage):
+            raise MalformedInputError("profile 'classes' must be per-stage lists of "
+                                      "block numbers")
+        try:
+            return StrategyProfile(tuple(raw["defender"]), tuple(raw["user"]), tuple(classes))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise MalformedInputError("profile 'classes', 'defender' and 'user' must be "
+                                      "per-stage arrays of numbers") from None
     if isinstance(raw, dict) and "version" in raw:
-        if raw["version"] != PROFILE_VERSION:
+        if raw["version"] != 2:
             raise MalformedInputError(f"unknown profile version {raw['version']!r}")
         return _profile_by_history(game, raw)
     sig1, sig2 = [], []
@@ -294,6 +310,15 @@ def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
     return StrategyProfile(tuple(sig1), tuple(sig2), stage_states(game, build_tree(game)))
 
 
+def aggregates_to_dict(beliefs: BeliefSystem) -> dict:
+    """The per-(stage, state) ``aggregates`` of ``beliefs`` and their
+    ``aggregation_discrepancy``: a diagnostic that no reader uses."""
+    return {"aggregates": {"about_defender": [a.tolist() for a in beliefs.agg_about_1],
+                           "about_user": [a.tolist() for a in beliefs.agg_about_2],
+                           "off_path": [a.tolist() for a in beliefs.agg_off_path]},
+            "aggregation_discrepancy": beliefs.aggregation_discrepancy}
+
+
 def beliefs_to_dict(game: MultiStageGame, beliefs: BeliefSystem) -> dict:
     labels = history_labels(game)
 
@@ -306,12 +331,7 @@ def beliefs_to_dict(game: MultiStageGame, beliefs: BeliefSystem) -> dict:
         "user": _keyed_rows(labels, beliefs.belief_p2, game.types2),
         "off_path": {"defender": flagged(beliefs.off_path_p1),
                      "user": flagged(beliefs.off_path_p2)},
-        "aggregates": {
-            "about_defender": [a.tolist() for a in beliefs.agg_about_1],
-            "about_user": [a.tolist() for a in beliefs.agg_about_2],
-            "off_path": [a.tolist() for a in beliefs.agg_off_path],
-        },
-        "aggregation_discrepancy": beliefs.aggregation_discrepancy,
+        **aggregates_to_dict(beliefs),
     }
 
 
@@ -321,7 +341,7 @@ def _side_beliefs(raw: dict, side: str, types, n_opp: int, labels, index: dict
     history of ``labels`` has one row per own type, each a distribution
     over the ``n_opp`` opponent types; the file and its off-path list
     may name only histories of ``index``."""
-    rows_by_key = raw[side]
+    rows_by_key = _field(raw, side, "beliefs")
     unknown = [key for key in rows_by_key if key not in index]
     if unknown:
         raise MalformedInputError(f"unknown history {unknown[0]!r}")
@@ -346,32 +366,23 @@ def _side_beliefs(raw: dict, side: str, types, n_opp: int, labels, index: dict
 
 
 def beliefs_from_dict(game: MultiStageGame, raw: dict) -> BeliefSystem:
+    """Node beliefs, off-path flags and the discrepancy (0 when absent) as
+    :func:`beliefs_to_dict` writes them.  The file's ``aggregates`` are
+    not read: no check uses them, so the result's are empty."""
     labels = history_labels(game)
     index = _history_index(labels)
     try:
         bel1, off1 = _side_beliefs(raw, "defender", game.types1, game.n2, labels, index)
         bel2, off2 = _side_beliefs(raw, "user", game.types2, game.n1, labels, index)
-        agg = raw.get("aggregates", {})
-        field = "aggregates 'about_defender'"
-        agg1 = tuple(np.asarray(a, dtype=float) for a in agg.get(
-            "about_defender", [np.tile(game.prior_about_1.weights, (st.n_states, 1))
-                               for st in game.stages]))
-        field = "aggregates 'about_user'"
-        agg2 = tuple(np.asarray(a, dtype=float) for a in agg.get(
-            "about_user", [np.tile(game.prior_about_2.weights, (st.n_states, 1))
-                           for st in game.stages]))
-        agg_off = tuple(np.asarray(a, dtype=bool) for a in agg.get(
-            "off_path", [np.zeros(st.n_states, dtype=bool) for st in game.stages]))
-        field = "'aggregation_discrepancy'"
         discrepancy = float(raw.get("aggregation_discrepancy", 0.0))
     except MalformedInputError:
         raise
     except OverflowError:       # an integer literal beyond the float range
-        raise MalformedInputError(f"beliefs {field} holds a number beyond the "
-                                  "float range") from None
+        raise MalformedInputError("beliefs 'aggregation_discrepancy' holds a number "
+                                  "beyond the float range") from None
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise MalformedInputError(f"malformed beliefs: {err!r}") from None
-    return BeliefSystem(bel1, bel2, off1, off2, agg1, agg2, agg_off, discrepancy)
+    return BeliefSystem(bel1, bel2, off1, off2, (), (), (), discrepancy)
 
 
 def dump_json(payload: dict, path: str) -> None:

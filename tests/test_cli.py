@@ -10,9 +10,9 @@ from secgames import multistage, signaling, simulate, static
 from secgames.cli import main
 from secgames.core import FiniteDistribution, StrategyProfile
 from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, history_labels,
-                               load_game, profile_to_dict)
+                               load_game, profile_from_dict, profile_to_dict)
 from secgames.scenarios import build_apt_game, build_exercise_qb, build_static_bayesian
-from tests.test_gamejson import markov_profile_dict
+from tests.test_gamejson import markov_profile_dict, per_history_profile_dict
 
 
 def run(capsys, *argv):
@@ -389,8 +389,9 @@ def test_verify_flags_inconsistent_beliefs(capsys, tmp_path):
     out_file = tmp_path / "pbne.json"
     run(capsys, "solve", "pbne", "--scenario", "apt", "--seed", "0",
         "--out", str(out_file))
-    report = json.loads(out_file.read_text())
-    beliefs = report["results"]["beliefs"]
+    game = build_apt_game()
+    profile = profile_from_dict(game, json.loads(out_file.read_text())["results"]["profile"])
+    beliefs = beliefs_to_dict(game, multistage.forward_pass(game, profile))
     for node in beliefs["defender"]:
         for t in beliefs["defender"][node]:
             beliefs["defender"][node][t] = [0.5, 0.5]
@@ -467,13 +468,50 @@ def test_verify_reproduces_solve_epsilon_exactly(capsys, tmp_path):
     assert code == 0
     assert "stage programs (belief classes) per sweep: 8 " in out
     report = json.loads(out_file.read_text())["results"]
-    assert report["profile"]["version"] == 2
+    assert report["profile"]["version"] == 3
     assert len(report["class_counts"]) == report["iterations"]
+    # one row block per class of the last sweep, and no stored beliefs
+    for side in ("defender", "user"):
+        assert sum(map(len, report["profile"][side])) == report["class_counts"][-1]
+    assert "beliefs" not in report
+    assert sorted(report["aggregates"]) == ["about_defender", "about_user", "off_path"]
     verify_out = tmp_path / "verify.json"
     code2, _, _ = run(capsys, "verify", "--scenario", "apt",
                       "--profile", str(out_file), "--out", str(verify_out))
     assert code2 == 0
     assert json.loads(verify_out.read_text())["results"]["epsilon"] == report["epsilon"]
+
+
+@pytest.mark.parametrize("max_iter", ["100", "1"])
+def test_version_2_report_verifies_and_simulates_as_version_3(capsys, tmp_path, monkeypatch,
+                                                               max_iter):
+    # the same solve as a report of the old form: a version-2 profile and
+    # the beliefs, which are the forward pass of that profile
+    monkeypatch.chdir(tmp_path)             # the reports' commands hold the paths
+    code, _, _ = run(capsys, "solve", "pbne", "--scenario", "apt", "--max-iter", max_iter,
+                     "--out", "report.json")
+    assert code == (0 if max_iter == "100" else 3)
+    v3 = json.loads((tmp_path / "report.json").read_text())
+    game = build_apt_game()
+    profile = profile_from_dict(game, v3["results"]["profile"])
+    v2 = json.loads(json.dumps(v3))
+    v2["results"].update(profile=per_history_profile_dict(game, profile),
+                         beliefs=beliefs_to_dict(game, multistage.forward_pass(game, profile)))
+    outputs = []
+    for report in (v3, v2):
+        dump_json(report, "report.json")
+        runs = []
+        for argv in (("verify",), ("simulate", "-n", "1000", "--noise", "gaussian:1.0")):
+            code, out, _ = run(capsys, *argv, "--scenario", "apt", "--profile", "report.json",
+                               "--out", "r.json")
+            assert code == 0
+            runs.append((out, (tmp_path / "r.json").read_bytes()))
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
+    verified = json.loads(outputs[0][0][1])["results"]
+    assert verified["beliefs_derived_from_profile"] is True
+    if max_iter == "100":
+        assert verified["epsilon"] == v3["results"]["epsilon"]
 
 
 def test_verify_and_simulate_accept_markov_profiles(capsys, tmp_path):
@@ -643,15 +681,31 @@ def _add_off_path_history(side, key):
     return mutate
 
 
-def _versioned_profile(change):
-    """The versioned form of the uniform profile, edited in place by
-    ``change``."""
+def _versioned_profile(change, to_dict=per_history_profile_dict):
+    """The version-2 form of the uniform profile (version 3 with
+    ``profile_to_dict``), edited in place by ``change``."""
     def mutate(profile, beliefs):
         game = build_apt_game()
-        versioned = profile_to_dict(game, StrategyProfile.uniform(game))
+        versioned = to_dict(game, StrategyProfile.uniform(game))
         change(versioned)
         return versioned, beliefs
     return mutate
+
+
+def _v3_profile(change):
+    return _versioned_profile(change, profile_to_dict)
+
+
+def _v3_set(field, *path_and_value):
+    """Version 3 with ``raw[field][path...] = value``."""
+    *path, index, value = path_and_value
+
+    def change(raw):
+        target = raw[field]
+        for key in path:
+            target = target[key]
+        target[index] = value
+    return _v3_profile(change)
 
 
 def _versioned_profile_with_history(side, key):
@@ -700,10 +754,18 @@ def _set_first_profile_row(row):
     _versioned_profile_row([0.5, 0.25, 0.25]), _versioned_profile_row("x"),
     _versioned_profile(lambda raw: raw["user"].pop("none,employee")),
     _versioned_profile_row([10**400, 0]), _set_first_belief_row([10**400, 0]),
-    _set_beliefs_field(lambda raw: raw["aggregates"]["about_defender"][0][0], 0, 10**400),
     _set_beliefs_field(lambda raw: raw, "aggregation_discrepancy", 10**400),
     lambda profile, beliefs: (profile, {"command": "verify", "seed": None, "results": {
-        "epsilon": {}, "beliefs_derived_from_profile": True}})],
+        "epsilon": {}, "beliefs_derived_from_profile": True}}),
+    lambda profile, beliefs: (profile, {"command": "solve pbne", "seed": 0, "results": {
+        "profile": profile}}),
+    _v3_set("defender", 0, 5), _v3_set("user", 0, 0, [[0.5, 0.5, 0.0]]),
+    _v3_set("classes", 1, 0, 1.5), _v3_set("classes", 1, 0, True),
+    _v3_set("classes", 2, 0, -1), _v3_set("classes", 1, 0, 3),
+    _v3_profile(lambda raw: [raw[key].pop() for key in ("classes", "defender", "user")]),
+    _v3_set("defender", 0, 0, 0, 0, 10**400), _v3_set("classes", 1, 0, 10**400),
+    _v3_profile(lambda raw: raw.__setitem__("classes", 0)),
+    _v3_profile(lambda raw: raw.__setitem__("version", 4))],
     ids=["belief-length", "unknown-history", "missing-user-history", "belief-not-numeric",
          "belief-negative", "belief-sum", "belief-nan", "profile-not-numeric",
          "profile-nan", "profile-stage-array", "profile-array", "beliefs-array",
@@ -711,7 +773,11 @@ def _set_first_profile_row(row):
          "profile-unknown-defender-history", "profile-unknown-user-history",
          "profile-ragged-history-row", "profile-not-numeric-history-row",
          "profile-missing-history", "profile-int-beyond-float", "belief-int-beyond-float",
-         "aggregate-int-beyond-float", "discrepancy-int-beyond-float", "verify-report"])
+         "discrepancy-int-beyond-float", "verify-report", "solve-report",
+         "v3-0-d-stage", "v3-ragged-blocks", "v3-class-fraction", "v3-class-bool",
+         "v3-class-negative", "v3-class-past-blocks", "v3-stage-missing",
+         "v3-row-int-beyond-float", "v3-class-int-beyond-float", "v3-classes-not-list",
+         "unknown-version"])
 def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
     game = build_apt_game()
     profile = StrategyProfile.uniform(game)

@@ -168,3 +168,12 @@ class TestStrategyProfile:
         root_user[0, 1] = [0.2, 0.3, 0.5]     # the legitimate user contacts the decoy
         bad = StrategyProfile(ok.sigma1, (root_user,) + ok.sigma2[1:], classes)
         assert any("masked" in v for v in bad.violations(g))
+
+    @pytest.mark.parametrize("stage0", [np.float64(1.0), [0.5, 0.5], [[1.0, 0.0, 0.0]]],
+                             ids=["0-d", "1-d", "2-d"])
+    def test_stage_array_not_3d_is_a_finding(self, stage0):
+        g = build_apt_game()
+        u = StrategyProfile.uniform(g)
+        bad = StrategyProfile((stage0,) + u.sigma1[1:], u.sigma2, u.classes)
+        found = bad.violations(g)
+        assert len(found) == 1 and found[0].startswith("player 1 stage 0 shape ")

@@ -7,9 +7,9 @@ import pytest
 
 from secgames.core import MalformedInputError, StrategyProfile, validate_game
 from secgames.gamejson import (beliefs_from_dict, beliefs_to_dict, dump_json,
-                               game_from_dict, game_to_dict, load_game,
+                               game_from_dict, game_to_dict, history_labels, load_game,
                                profile_from_dict, profile_to_dict)
-from secgames.multistage import (backward_pass, forward_pass, prior_beliefs,
+from secgames.multistage import (backward_pass, forward_pass, prior_beliefs, solve_pbne,
                                  verify_epsilon)
 from secgames.scenarios import build_apt_game, build_static_bayesian
 from secgames.static import to_multistage
@@ -30,6 +30,17 @@ def markov_profile_dict(game, profile) -> dict:
                    for k, st in enumerate(game.stages)]
             for side, types, arrs in (("defender", game.types1, profile.sigma1),
                                       ("user", game.types2, profile.sigma2))}
+
+
+def per_history_profile_dict(game, profile) -> dict:
+    """The version-2 file form, ``side -> history -> type -> row``, that
+    solve reports held before version 3: every history carries a copy of
+    its block's rows."""
+    return {"version": 2, **{
+        side: {key: dict(zip(types, row)) for keys, stage in zip(history_labels(game), rows)
+               for key, row in zip(keys, stage.tolist())}
+        for side, types, rows in zip(("defender", "user"), (game.types1, game.types2),
+                                     profile.history_rows())}}
 
 
 class TestGameRoundTrip:
@@ -87,11 +98,57 @@ class TestProfileRoundTrip:
     def test_uniform_profile(self, apt):
         prof = StrategyProfile.uniform(apt)
         raw = profile_to_dict(apt, prof)
-        assert raw["version"] == 2
+        assert raw["version"] == 3
         back = profile_from_dict(apt, raw)
         for node in history_tree(apt):
             for player in (1, 2):
                 np.testing.assert_array_equal(back.rows(player, node), prof.rows(player, node))
+
+    def test_version_3_is_the_in_memory_layout(self, apt, tmp_path):
+        prof = solve_pbne(apt).profile
+        path = tmp_path / "profile.json"
+        dump_json(profile_to_dict(apt, prof), str(path))
+        raw = json.loads(path.read_text())
+        assert sorted(raw) == ["classes", "defender", "user", "version"]
+        back = profile_from_dict(apt, raw)
+        assert back.violations(apt) == []
+        for got, ref in zip(back.sigma1 + back.sigma2 + back.classes,
+                            prof.sigma1 + prof.sigma2 + prof.classes):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("change, finding", [
+        (lambda raw: raw["defender"].__setitem__(0, 5), "player 1 stage 0 shape ()"),
+        (lambda raw: raw["classes"][1].__setitem__(0, 1.5), "class indices are not integers"),
+        (lambda raw: raw["classes"][1].__setitem__(0, 10**400), "not integers"),
+        (lambda raw: raw["classes"][2].__setitem__(0, -1), "stage 2 names a missing row block"),
+        (lambda raw: raw["classes"][0].__setitem__(0, len(raw["defender"][0])),
+         "stage 0 names a missing row block"),
+        (lambda raw: [raw[key].pop() for key in ("classes", "defender", "user")],
+         "do not cover exactly the game's histories"),
+        (lambda raw: raw.__setitem__("classes", raw["classes"][:2]),
+         "do not cover exactly the game's histories")],
+        ids=["0-d-stage", "fractional-class", "huge-class", "negative-class", "class-past-blocks",
+             "stages-missing", "classes-missing-stage"])
+    def test_version_3_layout_is_checked_by_violations(self, apt, change, finding):
+        raw = profile_to_dict(apt, StrategyProfile.uniform(apt))
+        change(raw)
+        assert any(finding in v for v in profile_from_dict(apt, raw).violations(apt))
+
+    @pytest.mark.parametrize("change", [
+        lambda raw: raw["classes"][1].__setitem__(0, True),
+        lambda raw: raw.__setitem__("classes", {"0": [0]}),
+        lambda raw: raw.pop("classes"),
+        lambda raw: raw["user"][0].__setitem__(0, raw["user"][0][0][:1]),
+        lambda raw: raw["defender"][0][0][0].__setitem__(0, 10**400),
+        lambda raw: raw["defender"][1].__setitem__(0, "x"),
+        lambda raw: raw.__setitem__("user", None)],
+        ids=["bool-class", "classes-object", "classes-missing", "ragged-blocks",
+             "huge-row", "text-block", "user-null"])
+    def test_version_3_bad_numbers_raise(self, apt, change):
+        raw = profile_to_dict(apt, StrategyProfile.uniform(apt))
+        change(raw)
+        with pytest.raises(MalformedInputError, match="profile 'classes'"):
+            profile_from_dict(apt, raw)
 
     def test_markov_form_reads_as_shared_rows(self, apt):
         prof = StrategyProfile.uniform(apt)
@@ -111,8 +168,7 @@ class TestProfileRoundTrip:
 
     def test_per_history_profile(self, apt, tmp_path):
         prof, _, _ = backward_pass(apt, prior_beliefs(apt))
-        raw = profile_to_dict(apt, prof)
-        assert raw["version"] == 2
+        raw = per_history_profile_dict(apt, prof)
         path = tmp_path / "profile.json"
         dump_json(raw, str(path))
         back = profile_from_dict(apt, json.loads(path.read_text()))
@@ -129,7 +185,7 @@ class TestProfileRoundTrip:
 
     def test_per_history_profile_missing_history_raises(self, apt):
         prof, _, _ = backward_pass(apt, prior_beliefs(apt))
-        raw = profile_to_dict(apt, prof)
+        raw = per_history_profile_dict(apt, prof)
         del raw["user"]["none,employee"]
         with pytest.raises(MalformedInputError, match="missing user profile rows at stage 1 "
                                                       "for history 'none,employee'"):
@@ -137,7 +193,7 @@ class TestProfileRoundTrip:
 
     def test_per_history_profile_reads_as_one_block_per_history(self, apt):
         prof, _, _ = backward_pass(apt, prior_beliefs(apt))
-        back = profile_from_dict(apt, profile_to_dict(apt, prof))
+        back = profile_from_dict(apt, per_history_profile_dict(apt, prof))
         assert [c.tolist() for c in back.classes] == [[0], list(range(9)), list(range(36))]
         rows1, rows2 = prof.history_rows()
         for got, ref in zip(back.sigma1 + back.sigma2, rows1 + rows2):
@@ -146,7 +202,7 @@ class TestProfileRoundTrip:
     @pytest.mark.parametrize("side, key", [("defender", "bogus,bogus;x,y"), ("user", "nope"),
                                            ("user", "none,employee;none,employee;x,y")])
     def test_per_history_profile_unknown_history_raises(self, apt, side, key):
-        raw = profile_to_dict(apt, StrategyProfile.uniform(apt))
+        raw = per_history_profile_dict(apt, StrategyProfile.uniform(apt))
         raw[side][key] = raw[side][""]
         with pytest.raises(MalformedInputError, match=f"unknown history {key!r}"):
             profile_from_dict(apt, raw)
@@ -159,15 +215,16 @@ class TestProfileRoundTrip:
         game = game_from_dict(raw)
         prof = StrategyProfile.uniform(game)
         with pytest.raises(MalformedInputError, match="share one key"):
-            profile_from_dict(game, profile_to_dict(game, prof))
+            profile_from_dict(game, per_history_profile_dict(game, prof))
         with pytest.raises(MalformedInputError, match="share one key"):
             beliefs_from_dict(game, beliefs_to_dict(game, forward_pass(game, prof)))
 
     def test_unknown_profile_version_raises(self, apt):
         prof, _, _ = backward_pass(apt, prior_beliefs(apt))
-        raw = dict(profile_to_dict(apt, prof), version=3)
-        with pytest.raises(MalformedInputError):
-            profile_from_dict(apt, raw)
+        for version in (1, 4, "3", True):
+            raw = dict(profile_to_dict(apt, prof), version=version)
+            with pytest.raises(MalformedInputError, match="unknown profile version"):
+                profile_from_dict(apt, raw)
 
 
 class TestBeliefRoundTrip:
@@ -189,6 +246,14 @@ class TestBeliefRoundTrip:
                             + back.off_path_p2, bel.belief_p1 + bel.belief_p2
                             + bel.off_path_p1 + bel.off_path_p2):
             assert got.tobytes() == ref.tobytes()
+        assert back.aggregation_discrepancy == bel.aggregation_discrepancy
+
+    def test_aggregates_are_not_read(self, apt):
+        bel = forward_pass(apt, StrategyProfile.uniform(apt))
+        raw = beliefs_to_dict(apt, bel)
+        raw["aggregates"] = "not read"
+        back = beliefs_from_dict(apt, raw)
+        assert back.agg_about_1 == back.agg_about_2 == back.agg_off_path == ()
         assert back.aggregation_discrepancy == bel.aggregation_discrepancy
 
     def test_rows_in_any_key_order_land_at_their_history(self, apt):

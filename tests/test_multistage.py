@@ -887,7 +887,8 @@ def test_stage_blocks_follow_build_tree_order(monkeypatch):
                     assert paths[k + 1][i * st.m1 * st.m2 + a1 * st.m2 + a2] \
                         == path + ((a1, a2),)
     # history i of stage k plays sigma[k][classes[k][i]]: that is its
-    # rows(player, node) and the rows the report keys by its label
+    # rows(player, node) and the rows the report names by its position;
+    # files that key histories by label take the label of that path
     prof = _random_history_profile(g, np.random.default_rng(3))
     solved = solve_pbne(g, max_iter=2)
     for profile in (prof, solved.profile):
@@ -896,10 +897,12 @@ def test_stage_blocks_follow_build_tree_order(monkeypatch):
             for i, (key, path) in enumerate(zip(keys, paths[k])):
                 assert key == ";".join(f"{g.stages[j].actions1[a1]},{g.stages[j].actions2[a2]}"
                                        for j, (a1, a2) in enumerate(path))
-                for player, side, types in ((1, "defender", g.types1), (2, "user", g.types2)):
-                    row = profile.arrays(player)[k][profile.classes[k][i]]
+                c = raw["classes"][k][i]
+                assert c == profile.classes[k][i]
+                for player, side in ((1, "defender"), (2, "user")):
+                    row = profile.arrays(player)[k][c]
                     assert profile.rows(player, path).tobytes() == row.tobytes()
-                    assert raw[side][key] == dict(zip(types, row.tolist()))
+                    assert raw[side][k][c] == row.tolist()
     # the sampler's child index finds the history its trajectory played:
     # with one row block per history, the block is the history's index
     blocks = []

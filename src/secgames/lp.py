@@ -15,6 +15,13 @@ fails its check is repeated in exact rational arithmetic with Bland's
 rule, whose verdict is exact and which cannot cycle.  So is a
 floating-point run that reaches its pivot cap: its lowest-row ratio
 ties are not Bland's rule and can cycle on degenerate tableaus.
+
+:func:`solve_stack` runs phase 1 on a whole stack of systems at once,
+one numpy step per pivot for all members.  Each member pivots as
+:func:`solve_lp` pivots it alone, so verdicts and points agree bit for
+bit.  A step costs about as much for one member as for hundreds, so the
+stack pays off only for callers with many systems at a time
+(``static.solve_bne``); callers with one system use :func:`solve_lp`.
 """
 
 from __future__ import annotations
@@ -95,16 +102,20 @@ class DominanceScreen:
         for g, choices in enumerate(opp_choices):
             block = self.coef[feasible, g, :]
             gains = block[:, None, :] - block[None, :, :]   # [b, a, o]
-            minima = np.stack([gains[:, :, list(sup)].min(axis=2) for sup in choices])
+            sizes = [len(sup) for sup in choices]
+            in_sup = np.zeros((len(choices), block.shape[1]), dtype=bool)
+            in_sup[np.repeat(np.arange(len(choices)), sizes),
+                   [o for sup in choices for o in sup]] = True
+            minima = np.where(in_sup[:, None, None, :], gains, np.inf).min(axis=3)
             bound = bound[..., None, :, :] + minima
-            n_y = n_y[..., None] + np.array([len(sup) for sup in choices])
+            n_y = n_y[..., None] + np.array(sizes)
         screened = 4 * n_y.ravel() + 2 * len(opp_choices) + 3 <= _SCREEN_MAX_TERMS
         beaten = (bound.reshape(-1, n_own, n_own) > self._threshold).any(axis=1)
         beaten &= screened[:, None]                         # [profile, a]
         column = {a: i for i, a in enumerate(feasible)}
         members = np.zeros((len(own_supports), n_own), dtype=bool)
-        for i, sup in enumerate(own_supports):
-            members[i, [column[a] for a in sup]] = True
+        members[np.repeat(np.arange(len(own_supports)), [len(sup) for sup in own_supports]),
+                [column[a] for sup in own_supports for a in sup]] = True
         return members @ beaten.T       # boolean: some supported a is beaten
 
 
@@ -198,16 +209,18 @@ def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
         _pivot(tableau, basis, leaving, entering)
 
 
-def solve_lp(problem: LinearProgram) -> LpSolution:
-    """A point of the system, or "infeasible"; never an exception for
-    a well-formed system."""
-    problem.check()
+def _standard_form(problem: LinearProgram):
+    """``(body, rhs, ready)`` of :func:`_phase_one` for a checked system.
+
+    Equalities come first, then inequalities with slack columns
+    appended; rows with a negative right-hand side are negated.
+    Untouched slacks of inequality rows start basic (``ready``); every
+    other row gets -1, for an artificial column.
+    """
     n = problem.a_eq.shape[1]
     n_ub = problem.a_ub.shape[0]
     n_eq = problem.a_eq.shape[0]
     m = n_ub + n_eq
-
-    # Equalities first, then inequalities with slack columns appended.
     body = np.zeros((m, n + n_ub))
     rhs = np.zeros(m)
     body[:n_eq, :n] = problem.a_eq
@@ -220,17 +233,23 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     body[neg] *= -1.0
     rhs[neg] *= -1.0
 
-    # Untouched slacks of inequality rows start basic; every other row
-    # gets an artificial column.
     ready = np.full(m, -1, dtype=int)
     for r in range(n_eq, m):
         if not neg[r]:
             ready[r] = n + (r - n_eq)
+    return body, rhs, ready
+
+
+def solve_lp(problem: LinearProgram) -> LpSolution:
+    """A point of the system, or "infeasible"; never an exception for
+    a well-formed system."""
+    problem.check()
+    body, rhs, ready = _standard_form(problem)
     # A floating-point run whose verdict fails its check against the
     # original rows is repeated in exact rational arithmetic.
     status, x = (_phase_one(body, rhs, ready, exact=False)
                  or _phase_one(body, rhs, ready, exact=True))
-    return LpSolution(status, None if x is None else x[:n])
+    return LpSolution(status, None if x is None else x[:problem.a_eq.shape[1]])
 
 
 def _phase_one(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray, exact: bool):
@@ -285,7 +304,7 @@ def _phase_one(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray, exact: bool
             # of zero phase-1 cost).
             y = -tableau[-1, start_cols]
             y[needs_artificial] += 1.0
-            if ((body.T @ y).max() <= _PIVOT_TOL * (1.0 + np.abs(y).max())
+            if ((body.T @ y).max(initial=0.0) <= _PIVOT_TOL * (1.0 + np.abs(y).max())
                     and rhs @ y > _FEAS_TOL):
                 return "infeasible", None
             return None
@@ -301,6 +320,136 @@ def _phase_one(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray, exact: bool
                       or np.abs(body @ x - rhs).max(initial=0.0) > check_tol):
         return None
     return "optimal", x
+
+
+def solve_stack(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
+                n_rows: np.ndarray, n_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 1 of a stack of systems in one run, each member exactly as
+    :func:`_phase_one` runs it alone.
+
+    Member k is ``body[k] . x == rhs[k], x >= 0`` (rhs >= 0) in the form
+    :func:`_phase_one` takes: ``ready[k, r]`` is a column that can start
+    basic in row r, or -1.  Its ``n_rows[k]`` rows come first; padding
+    rows and padding columns are zero.  A zero column never enters, so a
+    member's columns may sit anywhere in ``body[k]`` as long as their
+    order is kept.  ``n_cols[k]`` is the member's own column count, which
+    sets its pivot cap.
+
+    Each step pivots every member that has not finished, by the scalar
+    rules: the lowest-index entering column, the sequential lowest-row
+    ratio scan with its 1e-12 slack, and the per-member pivot cap.  So
+    every member pivots, and ends with the verdict and point, that the
+    scalar floating-point run gives, bit for bit.  The Farkas and point
+    checks are the scalar ones, computed for all members at once; a
+    member that fails its check or stalls is re-run alone in exact
+    arithmetic.  Returns ``feasible[k]`` and the points ``x[k]`` over
+    ``body``'s columns (zero for an infeasible member).
+    """
+    n_sys, m, n_work = body.shape
+    rows = np.arange(m) < n_rows[:, None]
+    artificial = rows & (ready < 0)
+    # columns: body | one artificial per row (n_work + r) | rhs
+    tab = np.zeros((n_sys, m + 1, n_work + m + 1))
+    tab[:, :m, :n_work] = body
+    tab[:, :m, -1] = rhs
+    start = np.where(artificial | ~rows, n_work + np.arange(m), ready)
+    k_art, r_art = np.nonzero(artificial)
+    tab[k_art, r_art, n_work + r_art] = 1.0
+    for r in range(m):      # the artificial sum's reduced costs, row by row
+        tab[:, m] -= np.where(artificial[:, r, None], tab[:, r], 0.0)
+    tab[:, m, n_work:-1] = 0.0
+
+    stalled = np.zeros(n_sys, dtype=bool)
+    last = np.empty((n_sys, n_work + m + 1))     # final reduced-cost row
+    level = np.empty((n_sys, m))                 # final right-hand side
+    basis = np.empty_like(start)                 # final basis
+    # The working set: member ids, tableaus, bases, pivots left before the
+    # cap, and whether still pivoting.  A finished member's final state is
+    # copied out, and its tableau takes no-op pivots until half the set
+    # has finished and the set is compacted.
+    ids, bas = np.arange(n_sys), start.copy()
+    left = _PIVOT_CAP * (n_rows + n_cols)
+    active = np.ones(n_sys, dtype=bool)
+    while True:
+        live = np.arange(ids.size)
+        negative = tab[:, m, :n_work] < -_PIVOT_TOL
+        entering = negative.argmax(axis=1)
+        col = tab[live, :m, entering]
+        positive = col > _PIVOT_TOL
+        ratio = np.divide(tab[:, :m, -1], col, out=np.full(col.shape, np.inf),
+                          where=positive)
+        leaving = ratio.argmin(axis=1)
+        least = ratio[live, leaving][:, None]
+        # The scan moves to a later row only for a ratio lower by more
+        # than 1e-12, so the first least ratio is its choice unless some
+        # other ratio lies that close above it; those members replay it.
+        close = (ratio > least) & (ratio - 1e-12 <= least)
+        if close.any():
+            replay = np.flatnonzero(close.any(axis=1))
+            leaving[replay] = _ratio_scan(ratio[replay], positive[replay])
+        moves = negative[live, entering] & (least[:, 0] < np.inf)
+        stop = active & (~moves | (left == 0))
+        if stop.any():
+            done = ids[stop]
+            stalled[done] = moves[stop]
+            last[done] = tab[stop, m]
+            level[done] = tab[stop, :m, -1]
+            basis[done] = bas[stop]
+            active &= ~stop
+            if not active.any():
+                break
+            if 2 * np.count_nonzero(active) <= ids.size:
+                ids, tab, bas, left = ids[active], tab[active], bas[active], left[active]
+                entering, leaving = entering[active], leaving[active]
+                active = active[active]
+                live = np.arange(ids.size)
+        pivot = np.where(active, tab[live, leaving, entering], 1.0)
+        pivot_row = tab[live, leaving] / pivot[:, None]
+        tab[live, leaving] = pivot_row
+        factors = tab[live, :, entering]
+        factors[live, leaving] = 0.0
+        factors[~active] = 0.0
+        tab -= factors[:, :, None] * pivot_row[:, None, :]
+        bas[live, leaving] = entering
+        left -= 1
+
+    check_tol = _FEAS_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))
+    everyone = np.arange(n_sys)[:, None]
+    # A Farkas certificate, read off the start columns as _phase_one reads it.
+    y = -last[everyone, start]
+    y = np.where(rows, np.where(artificial, y + 1.0, y), 0.0)
+    farkas = ((np.einsum("kr,krc->kc", y, body).max(axis=1, initial=0.0)
+               <= _PIVOT_TOL * (1.0 + np.abs(y).max(axis=1)))
+              & (np.einsum("kr,kr->k", rhs, y) > _FEAS_TOL))
+    infeasible = ~stalled & (last[:, -1] < -_FEAS_TOL)
+    x = np.zeros((n_sys, n_work))
+    k_real, r_real = np.nonzero(rows & (basis < n_work))
+    x[k_real, basis[k_real, r_real]] = level[k_real, r_real]
+    residual = np.abs(np.einsum("krc,kc->kr", body, x) - rhs).max(axis=1, initial=0.0)
+    point_fails = ((last[:, -1] > check_tol) | (level.min(axis=1, initial=0.0) < -check_tol)
+                   | (x.min(axis=1, initial=0.0) < -check_tol) | (residual > check_tol))
+    feasible = ~stalled & ~infeasible & ~point_fails
+    for k in np.flatnonzero(stalled | (infeasible & ~farkas) | (~infeasible & point_fails)):
+        real = slice(0, n_rows[k])
+        status, point = _phase_one(body[k, real], rhs[k, real], ready[k, real], exact=True)
+        feasible[k] = status == "optimal"
+        if feasible[k]:
+            x[k] = point
+    x[~feasible] = 0.0
+    return feasible, x
+
+
+def _ratio_scan(ratio: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """:func:`_simplex`'s floating-point leaving row, for a stack: rows
+    in order, a later row taken only when its ratio is lower by more
+    than 1e-12."""
+    best = np.zeros(len(ratio))
+    leaving = np.full(len(ratio), -1)
+    for r in range(ratio.shape[1]):
+        better = positive[:, r] & ((leaving < 0) | (ratio[:, r] < best - 1e-12))
+        best = np.where(better, ratio[:, r], best)
+        leaving = np.where(better, r, leaving)
+    return leaving
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ the LP's point.  Everything reported is re-verified against the exact
 optimality and consistency conditions.
 
 Mixed equilibria come from support enumeration with one feasibility LP
-per side.  These LPs and the off-path ones are all built by
-:func:`static.support_lp`, the one builder of support-system LPs.  A
+per side.  These LPs and the off-path ones come one at a time, and
+:func:`static.support_lp` builds and solves each of them.  A
 candidate is skipped without an LP when the conditional-dominance
 screen of :class:`lp.DominanceScreen` proves its receiver-side LP
 (sender optimality per type) infeasible.  The screen runs once before

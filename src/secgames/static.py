@@ -13,9 +13,14 @@ Three solvers live here:
 Support enumeration resolves each candidate support profile with a pair
 of linear feasibility programs (the two sides decouple once supports
 are fixed), so degenerate games with equilibrium continua yield vertex
-representatives instead of being skipped.  :func:`support_lp` builds
-and solves every such program, the signaling solver's included.  Both
-LPs of a candidate are skipped when a conditional-dominance screen
+representatives instead of being skipped.  :func:`solve_bne` has many
+such programs and solves them as stacks (:func:`lp.solve_stack`): side
+1 of every candidate, then side 2 of those whose side 1 is feasible,
+at most ``_STACK_SYSTEMS`` systems per stack.  :func:`support_lp`
+builds and solves one program with :func:`lp.solve_lp`, which is faster
+for a single system; the signaling solver, which meets its programs
+one at a time, uses it.  Both paths give the same points bit for bit.
+Both LPs of a candidate are skipped when a conditional-dominance screen
 (:class:`lp.DominanceScreen`) finds, on either side, a support action
 that another feasible action beats against every opponent mix on the
 opponent supports; such an LP could not have reported a solution, so
@@ -36,11 +41,14 @@ import numpy as np
 
 from .core import (EnumerationBudgetError, FiniteDistribution,
                    MalformedInputError, _readonly)
-from .lp import DominanceScreen, LinearProgram, solve_lp
+from .lp import DominanceScreen, LinearProgram, solve_lp, solve_stack
 
 GAP_TOL = 1e-8
 _TIE_TOL = 1e-9
 BNE_BUDGET = 1_000_000     # support profiles solve_bne enumerates at most
+# Support systems in one stacked run at most: enough to spread a run's
+# per-pivot cost, few enough to keep its tableaus to a few megabytes.
+_STACK_SYSTEMS = 256
 
 
 @dataclass(frozen=True)
@@ -247,7 +255,8 @@ def screen_grid(screens, own_choices, opp_choices) -> np.ndarray:
 
 def support_lp(coeffs, own_supports, own_feasible, opp_supports,
                opp_action_count: int) -> np.ndarray | None:
-    """A point of one side's support system, from :func:`lp.solve_lp`.
+    """A point of one side's support system, from :func:`lp.solve_lp`:
+    the one-system path (:class:`_SupportStack` writes many at once).
 
     ``coeffs[i][own_action, opp_agent, opp_action]`` is own agent i's
     payoff, linear in the opponent rows (the format of
@@ -285,6 +294,85 @@ def support_lp(coeffs, own_supports, own_feasible, opp_supports,
     return out / totals
 
 
+class _SupportStack:
+    """One side's support systems for :func:`lp.solve_stack`, written as
+    :func:`support_lp` and :func:`lp.solve_lp` write each one.
+
+    Rows: the opponent rows' sums, then one row per own (agent, feasible
+    action), supported actions (the equalities) first, each group in
+    agent-then-action order.  Columns: one per opponent (agent g, action
+    a), at ``g * m_opp + a`` and zero where a is not in g's support; the
+    own agents' value pairs (v+, v-); the inequality rows' slacks.  So
+    every member keeps ``support_lp``'s rows and column order.
+    """
+
+    def __init__(self, coeffs, own_feasible):
+        pairs = [(i, b) for i, feas in enumerate(own_feasible) for b in feas]
+        self.agent, self.action = np.array(pairs).T
+        _, n_opp, self.m_opp = coeffs[0].shape
+        value = np.zeros((len(pairs), 2 * len(coeffs)))
+        value[np.arange(len(pairs)), 2 * self.agent] = -1.0
+        value[np.arange(len(pairs)), 2 * self.agent + 1] = 1.0
+        self.own_rows = np.hstack([np.stack([coeffs[i][b].ravel() for i, b in pairs]), value])
+        self.sum_rows = np.repeat(np.eye(n_opp), self.m_opp, axis=1)
+
+    def systems(self, own: np.ndarray, opp: np.ndarray):
+        """:func:`lp.solve_stack`'s arguments for the systems of own
+        support masks ``own[k, agent, action]`` against opponent support
+        masks ``opp[k, agent, action]``."""
+        n_sys = len(own)
+        n_opp, n_y = self.sum_rows.shape
+        n_pairs, n_value = len(self.agent), self.own_rows.shape[1]
+        m = n_opp + n_pairs
+        supported = own[:, self.agent, self.action]
+        n_eq = n_opp + supported.sum(axis=1)
+        in_support = opp.reshape(n_sys, 1, n_y)
+        body = np.zeros((n_sys, m, n_value + n_pairs))
+        body[:, :n_opp, :n_y] = np.where(in_support, self.sum_rows, 0.0)
+        rows = self.own_rows[np.argsort(~supported, axis=1, kind="stable")]
+        rows[..., :n_y] = np.where(in_support, rows[..., :n_y], 0.0)
+        body[:, n_opp:, :n_value] = rows
+        slack = np.arange(m) - n_eq[:, None]        # past the value columns
+        k, r = np.nonzero(slack >= 0)
+        body[k, r, n_value + slack[k, r]] = 1.0
+        ready = np.where(slack >= 0, n_value + slack, -1)
+        rhs = np.zeros((n_sys, m))
+        rhs[:, :n_opp] = 1.0
+        n_cols = opp.sum(axis=(1, 2)) + n_value - n_y + m - n_eq
+        return body, rhs, ready, np.full(n_sys, m), n_cols
+
+    def solve(self, own: np.ndarray, opp: np.ndarray) -> list:
+        """Per system, the opponent rows :func:`support_lp` returns for it."""
+        feasible, x = solve_stack(*self.systems(own, opp))
+        out = np.maximum(x[:, :self.sum_rows.shape[1]], 0.0).reshape(
+            len(own), -1, self.m_opp)
+        totals = out.sum(axis=2, keepdims=True)
+        keep = np.flatnonzero(feasible & (totals > 0.0).all(axis=(1, 2)))
+        points = [None] * len(own)
+        for k, point in zip(keep, out[keep] / totals[keep]):
+            points[k] = point
+        return points
+
+
+def _support_tables(choices, n_actions: int) -> list[np.ndarray]:
+    """``tables[i][j]``: agent i's support ``choices[i][j]`` as a row of
+    ``n_actions`` bools."""
+    tables = []
+    for agent_choices in choices:
+        table = np.zeros((len(agent_choices), n_actions), dtype=bool)
+        table[np.repeat(np.arange(len(agent_choices)), [len(s) for s in agent_choices]),
+              [a for sup in agent_choices for a in sup]] = True
+        tables.append(table)
+    return tables
+
+
+def _profile_masks(tables, profiles: np.ndarray) -> np.ndarray:
+    """Support masks ``[k, agent, action]`` of the support profiles
+    numbered in ``itertools.product`` order."""
+    index = np.unravel_index(profiles, [len(t) for t in tables])
+    return np.stack([t[i] for t, i in zip(tables, index)], axis=1)
+
+
 def _profile_from_agents(game: StaticBayesianGame, agents: list[_Agent],
                          rows: np.ndarray, player: int) -> np.ndarray:
     n = len(game.types1 if player == 1 else game.types2)
@@ -306,14 +394,23 @@ def bayes_gap(game: StaticBayesianGame, sigma1: np.ndarray, sigma2: np.ndarray
     produced by other solvers.
     """
     agents1, agents2 = _make_agents(game)
+    return _deviation_gaps(agents1, agents2,
+                           [_agent_payoff_coeffs(game, a, agents2) for a in agents1],
+                           [_agent_payoff_coeffs(game, a, agents1) for a in agents2],
+                           sigma1, sigma2)
+
+
+def _deviation_gaps(agents1, agents2, coeffs1, coeffs2, sigma1, sigma2
+                    ) -> tuple[float, dict]:
+    """:func:`bayes_gap` from the agents' coefficient tensors."""
     detail = {}
     worst = 0.0
-    for player, agents, own_sigma in ((1, agents1, sigma1), (2, agents2, sigma2)):
+    for player, agents, coeffs, own_sigma in ((1, agents1, coeffs1, sigma1),
+                                              (2, agents2, coeffs2, sigma2)):
         opponents = agents2 if player == 1 else agents1
         opp_sigma = sigma2 if player == 1 else sigma1
-        for agent in agents:
-            coef = _agent_payoff_coeffs(game, agent, opponents)
-            y = np.stack([opp_sigma[opp.types[0]] for opp in opponents])
+        y = np.stack([opp_sigma[opp.types[0]] for opp in opponents])
+        for agent, coef in zip(agents, coeffs):
             per_action = np.einsum("agb,gb->a", coef, y)
             row = own_sigma[agent.types[0]]
             achieved = float(per_action @ row)
@@ -366,21 +463,25 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None
     screens2 = [DominanceScreen(c, f) for c, f in zip(coeffs2, feas2)]
     rejected = (screen_grid(screens1, sized1, sized2)
                 | screen_grid(screens2, sized2, sized1).T)
+    side1, side2 = _SupportStack(coeffs1, feas1), _SupportStack(coeffs2, feas2)
+    tables1, tables2 = _support_tables(sized1, m1), _support_tables(sized2, m2)
+    candidates = np.flatnonzero(~rejected.ravel())      # in search order
     results: list[EquilibriumResult] = []
     seen: set[bytes] = set()
-    for sup1, row in zip(itertools.product(*sized1), rejected):
-        for sup2, skip in zip(itertools.product(*sized2), row.tolist()):
-            if skip:
-                continue
-            rows2 = support_lp(coeffs1, sup1, feas1, sup2, m2)
-            if rows2 is None:
-                continue
-            rows1 = support_lp(coeffs2, sup2, feas2, sup1, m1)
+    for lo in range(0, candidates.size, _STACK_SYSTEMS):
+        profile1, profile2 = np.divmod(candidates[lo:lo + _STACK_SYSTEMS], rejected.shape[1])
+        masks1 = _profile_masks(tables1, profile1)
+        masks2 = _profile_masks(tables2, profile2)
+        # Side 1 for every candidate, side 2 where side 1 is feasible.
+        found2 = side1.solve(masks1, masks2)
+        live = [k for k, rows2 in enumerate(found2) if rows2 is not None]
+        found1 = side2.solve(masks2[live], masks1[live]) if live else []
+        for k, rows1 in zip(live, found1):
             if rows1 is None:
                 continue
             sigma1 = _profile_from_agents(game, agents1, rows1, 1)
-            sigma2 = _profile_from_agents(game, agents2, rows2, 2)
-            gap, _ = bayes_gap(game, sigma1, sigma2)
+            sigma2 = _profile_from_agents(game, agents2, found2[k], 2)
+            gap, _ = _deviation_gaps(agents1, agents2, coeffs1, coeffs2, sigma1, sigma2)
             if gap > GAP_TOL:
                 continue
             key = np.round(np.concatenate([sigma1.ravel(), sigma2.ravel()]), 7).tobytes()

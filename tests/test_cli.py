@@ -384,6 +384,58 @@ def test_simulate_reports_match_pinned_digests(capsys, tmp_path, monkeypatch):
             (n, noise, seed)
 
 
+def _random_oneshot_game(seed: int, m: int, n: int) -> static.StaticBayesianGame:
+    """m x m actions and n types per player, payoffs normal to 6 places."""
+    rng = np.random.default_rng(seed)
+    priors = {1: ([1.0], [1.0]), 2: ([0.3, 0.7], [0.6, 0.4])}[n]
+    return static.StaticBayesianGame(
+        tuple(f"d{i}" for i in range(n)), tuple(f"u{i}" for i in range(n)),
+        FiniteDistribution(priors[0]), FiniteDistribution(priors[1]),
+        np.round(rng.normal(size=(m, m, n, n)), 6), np.round(rng.normal(size=(m, m, n, n)), 6),
+        *static.StaticBayesianGame.full_masks(m, m, n, n))
+
+
+# (seed, actions, types) of the random games the one-shot digests read
+ONESHOT_GAMES = {"ne-5x5-a.json": (501, 5, 1), "ne-5x5-b.json": (502, 5, 1),
+                 "bne-3x3-a.json": (331, 3, 2), "bne-3x3-b.json": (332, 3, 2)}
+# sha256 of one-shot solve reports, keyed by the command after "solve"
+ONESHOT_DIGESTS = {
+    ("ne", "--scenario", "static-baseline"):
+        "d80367f11a318bce20018a28d69246538552622b38df03bf8d9826600b02ea75",
+    ("bne", "--scenario", "exercise-qb", "--info", "uninformed"):
+        "d379c8d523f1c686bdf037fd1dcf4e05df1a8fd2cc56462b4908e2c232959005",
+    ("bne", "--scenario", "exercise-qb", "--info", "p1-informed"):
+        "a55bce7531649aea9248c5ee6513cc0f857e91db3f8a63c5657dd2aa31bf98e6",
+    ("bne", "--scenario", "exercise-qb", "--info", "complete"):
+        "751fa8103927299334ee4b6d56b240981e55db5d1e001886dc4ad3c2b18d4f20",
+    ("bne", "--scenario", "static-bayesian"):
+        "f53feba58677592d82127ea3621fcbb9b4f24c35f200d3128c0d4083fa207a71",
+    ("bne", "--scenario", "static-bayesian", "--max-results", "1"):
+        "294d787a5aa497c4d9de39e0992786023693e50fd10ca2f4135c7a47acdd14af",
+    ("bne", "--scenario", "static-bayesian", "--max-results", "2"):
+        "e5693b43cec442c705c564818a833b4b7eee8f4fee952a9d023802a42b1b6731",
+    ("ne", "--game", "ne-5x5-a.json"):
+        "eb1402e4cd2de6fcaf614a41eee919260d614f6fff9f9a54773f311626bd32a2",
+    ("ne", "--game", "ne-5x5-b.json"):
+        "7b38fe0e87c98fda824ee59b7aa84fcc5cac61bb39b4bb31958f56b79d8539f1",
+    ("bne", "--game", "bne-3x3-a.json"):
+        "1d58a84800b732f28520ede7b1982431cb7fc6260062cb6a4cb5f452f22b626d",
+    ("bne", "--game", "bne-3x3-b.json"):
+        "89123e66eb67fde92c8e561948cd64d9ac910ef73a7efcfe543aa145e679de9d",
+}
+
+
+def test_oneshot_reports_match_pinned_digests(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)             # the report's command holds the paths
+    for name, (seed, m, n) in ONESHOT_GAMES.items():
+        dump_json(game_to_dict(static.to_multistage(_random_oneshot_game(seed, m, n))), name)
+    for argv, digest in ONESHOT_DIGESTS.items():
+        code, _, _ = run(capsys, "solve", *argv, "--out", "report.json")
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest, \
+            argv
+
+
 def test_verify_flags_inconsistent_beliefs(capsys, tmp_path):
     # beliefs frozen at the prior do not match a type-revealing profile
     out_file = tmp_path / "pbne.json"

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from secgames import lp
+from secgames import lp, static
 from secgames.core import MalformedInputError
 from secgames.lp import LinearProgram, solve_lp
 from tests.test_screen import _system_lp
@@ -31,6 +31,12 @@ def test_equality_and_free_variable():
     assert sol.status == "optimal"
     assert sol.z[0] - sol.z[1] == pytest.approx(2.5, abs=1e-9)
     assert np.all(sol.z >= 0.0)
+
+
+def test_system_without_columns_is_infeasible():
+    # 0 = 1: the Farkas certificate has no columns to check
+    sol = solve_lp(LinearProgram.build(a_eq=np.zeros((1, 0)), b_eq=[1.0]))
+    assert sol.status == "infeasible" and sol.z is None
 
 
 def test_dimension_mismatch_raises():
@@ -269,3 +275,192 @@ def test_cycling_lp_reaches_the_exact_run(monkeypatch):
     monkeypatch.setattr(lp, "_phase_one", spy)
     assert solve_lp(LinearProgram.build(**_CYCLING_LP)).status == "infeasible"
     assert calls == [False, True]
+
+
+# ---------------------------------------------------------------------------
+# Stacked phase 1: every member as solve_lp solves it alone
+# ---------------------------------------------------------------------------
+
+def _stack(problems):
+    """Pad the systems' solve_lp forms into one stack: each member's rows
+    and columns first, zeros after."""
+    forms = [lp._standard_form(p) for p in problems]
+    m = max(body.shape[0] for body, _, _ in forms)
+    width = max(body.shape[1] for body, _, _ in forms)
+    body = np.zeros((len(forms), m, width))
+    rhs = np.zeros((len(forms), m))
+    ready = np.full((len(forms), m), -1)
+    for k, (b, r, ready_k) in enumerate(forms):
+        body[k, :b.shape[0], :b.shape[1]] = b
+        rhs[k, :r.size] = r
+        ready[k, :r.size] = ready_k
+    n_rows = np.array([b.shape[0] for b, _, _ in forms])
+    n_cols = np.array([b.shape[1] for b, _, _ in forms])
+    return body, rhs, ready, n_rows, n_cols
+
+
+def _random_side(rng, n_own, n_opp, m_own, m_opp, binary):
+    """Coefficient tensors and feasible actions of one side's agents."""
+    draw = ((lambda: rng.integers(0, 2, size=(m_own, n_opp, m_opp)).astype(float))
+            if binary else (lambda: rng.normal(size=(m_own, n_opp, m_opp))))
+    coeffs = [draw() for _ in range(n_own)]
+    feasible = [sorted(rng.choice(m_own, size=int(rng.integers(1, m_own + 1)),
+                                  replace=False).tolist()) for _ in range(n_own)]
+    return coeffs, feasible
+
+
+def _random_supports(rng, choices, n_sys):
+    """``n_sys`` support profiles: one nonempty subset of each choice."""
+    return [tuple(tuple(sorted(rng.choice(c, size=int(rng.integers(1, len(c) + 1)),
+                                          replace=False).tolist())) for c in choices)
+            for _ in range(n_sys)]
+
+
+def _masks(profiles, n_actions):
+    out = np.zeros((len(profiles), len(profiles[0]), n_actions), dtype=bool)
+    for k, profile in enumerate(profiles):
+        for i, sup in enumerate(profile):
+            out[k, i, list(sup)] = True
+    return out
+
+
+def _support_problems(monkeypatch, coeffs, feasible, own, opp, m_opp):
+    """support_lp's point and LinearProgram for each (own, opp) profile."""
+    seen = []
+
+    def recording(problem):
+        seen.append(problem)
+        return solve_lp(problem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(static, "solve_lp", recording)
+        points = [static.support_lp(coeffs, o, feasible, p, m_opp) for o, p in zip(own, opp)]
+    return points, seen
+
+
+# (own agents, opponent agents, own actions, opponent actions, {0,1} payoffs)
+_SIDE_SHAPES = [(1, 1, 5, 5, False), (1, 1, 5, 5, True), (1, 2, 3, 3, False),
+                (2, 2, 3, 3, True), (2, 1, 3, 4, False), (2, 2, 4, 2, True)]
+
+
+def _side_systems(monkeypatch, seed, shape, n_sys=40):
+    n_own, n_opp, m_own, m_opp, binary = shape
+    rng = np.random.default_rng([seed, *map(int, shape)])
+    coeffs, feasible = _random_side(rng, n_own, n_opp, m_own, m_opp, binary)
+    own = _random_supports(rng, feasible, n_sys)
+    opp = _random_supports(rng, [range(m_opp)] * n_opp, n_sys)
+    points, problems = _support_problems(monkeypatch, coeffs, feasible, own, opp, m_opp)
+    return coeffs, feasible, _masks(own, m_own), _masks(opp, m_opp), points, problems
+
+
+def test_stack_members_equal_solve_lp_bit_for_bit(monkeypatch):
+    # one stack of every shape's systems, so members differ in rows and columns
+    problems = []
+    for seed in range(3):
+        for shape in _SIDE_SHAPES:
+            problems += _side_systems(monkeypatch, seed, shape)[-1]
+    feasible, x = lp.solve_stack(*_stack(problems))
+    n_infeasible = 0
+    for k, p in enumerate(problems):
+        ref = solve_lp(p)
+        assert feasible[k] == (ref.status == "optimal"), k
+        if feasible[k]:
+            assert x[k, :ref.z.size].tobytes() == ref.z.tobytes(), k
+        n_infeasible += ref.status == "infeasible"
+    assert len(problems) == 720 and 0 < n_infeasible < len(problems)
+
+
+@pytest.mark.parametrize("shape", _SIDE_SHAPES)
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_sides_return_support_lp_points(monkeypatch, seed, shape):
+    coeffs, feasible, own, opp, points, _ = _side_systems(monkeypatch, seed, shape)
+    stacked = static._SupportStack(coeffs, feasible).solve(own, opp)
+    assert len(stacked) == len(points)
+    for k, (got, want) in enumerate(zip(stacked, points)):
+        assert (got is None) == (want is None), k
+        if want is not None:
+            assert got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("shape", _SIDE_SHAPES)
+def test_stacked_builder_writes_support_lp_rows(monkeypatch, shape):
+    coeffs, feasible, own, opp, _, problems = _side_systems(monkeypatch, 0, shape)
+    body, rhs, ready, n_rows, n_cols = static._SupportStack(coeffs, feasible).systems(own, opp)
+    n_y = opp.shape[1] * opp.shape[2]
+    n_value = 2 * len(coeffs)
+    for k, p in enumerate(problems):
+        ref_body, ref_rhs, ref_ready = lp._standard_form(p)
+        n_eq, n_ub = p.a_eq.shape[0], p.a_ub.shape[0]
+        # the member's columns: its opponent variables, the values, its slacks
+        cols = np.concatenate([np.flatnonzero(opp[k].ravel()),
+                               n_y + np.arange(n_value), n_y + n_value + np.arange(n_ub)])
+        assert (n_rows[k], n_cols[k]) == ref_body.shape == (n_eq + n_ub, cols.size)
+        assert body[k][:, cols].tobytes() == ref_body.tobytes()
+        assert not np.delete(body[k], cols, axis=1).any()     # padding is zero
+        assert rhs[k].tobytes() == ref_rhs.tobytes()
+        assert ready[k].tolist() == [-1 if r < 0 else int(cols[r]) for r in ref_ready]
+
+
+def _near_tie_system(rng):
+    """x_0 + ... + x_(n-1) = 2 under bounds x_j <= 1 + d, with every d
+    below 2e-12: the ratio tests meet ratios within 1e-12 of each
+    other, where the scan's choice is not the least ratio's row."""
+    n = int(rng.integers(1, 4))
+    k = int(rng.integers(2, 7))
+    a_ub = np.zeros((k, n))
+    a_ub[np.arange(k), rng.integers(n, size=k)] = 1.0
+    return LinearProgram.build(a_ub, 1.0 + rng.uniform(0.0, 2e-12, size=k),
+                               a_eq=np.ones((1, n)), b_eq=[2.0])
+
+
+def test_stack_members_equal_solve_lp_on_hard_systems(monkeypatch):
+    # near ratio ties, float verdicts that fail their checks (the stage
+    # LPs) and general systems, in one stack; the cycling LP has its own
+    # time-bounded test below
+    rng = np.random.default_rng(12)
+    problems = [_near_tie_system(rng) for _ in range(60)]
+    problems += [_stage_lp(case) for case in _STAGE_LPS]
+    problems += [LinearProgram.build(*_random_system(1000 + t)) for t in range(40)]
+    refs = [solve_lp(p) for p in problems]
+    replayed = []
+    scan = lp._ratio_scan
+    monkeypatch.setattr(lp, "_ratio_scan",
+                        lambda ratio, positive: replayed.append(len(ratio)) or scan(ratio, positive))
+    feasible, x = lp.solve_stack(*_stack(problems))
+    assert replayed
+    for k, ref in enumerate(refs):
+        assert feasible[k] == (ref.status == "optimal"), k
+        if feasible[k]:
+            assert x[k, :ref.z.size].tobytes() == ref.z.tobytes(), k
+
+
+def test_stalled_member_alone_reaches_the_exact_run(monkeypatch):
+    problems = []
+    for shape in _SIDE_SHAPES[:3]:
+        problems += _side_systems(monkeypatch, 5, shape, n_sys=10)[-1]
+    cycling = LinearProgram.build(**_CYCLING_LP)
+    problems.insert(7, cycling)
+    refs = [solve_lp(p) for p in problems]
+    exact_bodies = []
+    phase_one = lp._phase_one
+
+    def spy(body, rhs, ready, exact):
+        if exact:
+            exact_bodies.append(body.copy())
+        return phase_one(body, rhs, ready, exact=exact)
+
+    monkeypatch.setattr(lp, "_phase_one", spy)
+    out = []
+    # without its pivot cap the cycling member would run for minutes
+    worker = threading.Thread(target=lambda: out.append(lp.solve_stack(*_stack(problems))),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "solve_stack did not return"
+    feasible, _ = out[0]
+    body = lp._standard_form(cycling)[0]
+    assert len(exact_bodies) == 1
+    assert exact_bodies[0][:, :body.shape[1]].tobytes() == body.tobytes()
+    assert not exact_bodies[0][:, body.shape[1]:].any()     # padding columns
+    assert feasible.tolist() == [ref.status == "optimal" for ref in refs]
+    assert not feasible[7]

@@ -231,15 +231,16 @@ def test_screen_changes_no_equilibrium(monkeypatch, solve):
 
 
 def test_screen_cuts_lp_calls_on_a_5x5_game(monkeypatch):
+    # solve_bne solves its support systems in stacks; count the systems
     rng = np.random.default_rng(2024)
     game = static.BimatrixGame(rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
     calls = []
 
-    def counting(problem):
-        calls.append(1)
-        return solve_lp(problem)
+    def counting(body, *args):
+        calls.extend([1] * len(body))
+        return lp.solve_stack(body, *args)
 
-    monkeypatch.setattr(static, "solve_lp", counting)
+    monkeypatch.setattr(static, "solve_stack", counting)
     static.mixed_ne(game)
     screened = len(calls)
     calls.clear()

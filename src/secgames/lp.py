@@ -1,27 +1,25 @@
 """Dense feasibility solver (phase 1 of the tableau simplex method).
 
-:func:`solve_lp` finds a point of a system in standard form,
+:func:`solve_stack` finds a point of each system of a stack in
+standard form, ``body . x == rhs, x >= 0``, or proves that none exists,
+one numpy step per pivot for all members.  Problem sizes in this package
+stay below a few dozen variables, so a robust dense tableau beats
+anything clever.  The floating-point run's verdicts are checked against
+the original data instead of trusted from a tableau that pivoting has
+filled with round-off: "infeasible" needs a Farkas certificate on the
+original rows, and a point must satisfy them.  A member whose verdict
+fails its check is repeated alone in exact rational arithmetic with
+Bland's rule (:func:`_phase_one`), whose verdict is exact and which
+cannot cycle.  So is a member that reaches its pivot cap: its lowest-row
+ratio ties are not Bland's rule and can cycle on degenerate tableaus.
+
+Every support system of the solvers is a stack member.  :func:`solve_lp`
+is the one-system entry for a system written as
 
     A_ub . z <= b_ub,    A_eq . z == b_eq,    z >= 0,
 
-or proves that none exists; a free variable is written by the caller
-as the difference of two columns.  Problem sizes in this package stay
-below a few dozen variables, so a robust dense tableau beats anything
-clever.  The floating-point run's verdicts are checked against the
-original data instead of trusted from a tableau that pivoting has
-filled with round-off: "infeasible" needs a Farkas certificate on the
-original rows, and a point must satisfy them.  A run whose verdict
-fails its check is repeated in exact rational arithmetic with Bland's
-rule, whose verdict is exact and which cannot cycle.  So is a
-floating-point run that reaches its pivot cap: its lowest-row ratio
-ties are not Bland's rule and can cycle on degenerate tableaus.
-
-:func:`solve_stack` runs phase 1 on a whole stack of systems at once,
-one numpy step per pivot for all members.  Each member pivots as
-:func:`solve_lp` pivots it alone, so verdicts and points agree bit for
-bit.  A step costs about as much for one member as for hundreds, so the
-stack pays off only for callers with many systems at a time
-(``static.solve_bne``); callers with one system use :func:`solve_lp`.
+a free variable written by the caller as the difference of two columns;
+it runs the system as a one-member stack.
 """
 
 from __future__ import annotations
@@ -162,55 +160,35 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
-             exact: bool = False) -> str:
-    """Drive the artificial sum in the last tableau row towards zero.
+def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
+    """Drive the artificial sum in the last row of an exact (rational)
+    tableau to its least value.
 
     Reduced costs are kept in the last row; a column among the first
     ``n_cols`` with a negative entry lowers the sum, and the lowest-index
-    one enters.  In floating point, entries within ``_PIVOT_TOL`` of zero
-    count as zero and ratio ties go to the lowest row.  In exact
-    arithmetic nothing is rounded and ties go to the lowest basic index:
-    that is Bland's rule, which cannot cycle.  Returns "done" when no
-    column enters or, as only round-off can cause, none leaves; in
-    floating point also "stalled" once ``_PIVOT_CAP`` times the
-    tableau's rows plus columns pivots have not reached a verdict.
+    one enters.  Ratio ties go to the lowest basic index: that is Bland's
+    rule, which cannot cycle.  Stops when no column enters or none leaves.
     """
-    tol = 0 if exact else _PIVOT_TOL
     m = tableau.shape[0] - 1
-    pivots_left = None if exact else _PIVOT_CAP * (m + n_cols)
     while True:
-        obj = tableau[-1, :n_cols]
-        if not exact:   # Python floats compare and divide as float64 does, faster
-            obj = obj.tolist()
-        entering = next((j for j, v in enumerate(obj) if v < -tol), -1)
+        entering = next((j for j, v in enumerate(tableau[-1, :n_cols]) if v < 0), -1)
         if entering < 0:
-            return "done"
-        col, rhs = tableau[:m, entering], tableau[:m, -1]
-        if not exact:
-            col, rhs = col.tolist(), rhs.tolist()
+            return
         best, leaving = None, -1
         for r in range(m):
-            if col[r] > tol:
-                ratio = rhs[r] / col[r]
-                if exact:
-                    better = (leaving < 0 or ratio < best
-                              or (ratio == best and basis[r] < basis[leaving]))
-                else:   # a later row must improve by more than 1e-12
-                    better = leaving < 0 or ratio < best - 1e-12
-                if better:
+            if tableau[r, entering] > 0:
+                ratio = tableau[r, -1] / tableau[r, entering]
+                if (leaving < 0 or ratio < best
+                        or (ratio == best and basis[r] < basis[leaving])):
                     best, leaving = ratio, r
         if leaving < 0:
-            return "done"
-        if pivots_left is not None:
-            if pivots_left == 0:
-                return "stalled"
-            pivots_left -= 1
+            return
         _pivot(tableau, basis, leaving, entering)
 
 
 def _standard_form(problem: LinearProgram):
-    """``(body, rhs, ready)`` of :func:`_phase_one` for a checked system.
+    """``(body, rhs, ready)`` of a checked system, one member of
+    :func:`solve_stack`.
 
     Equalities come first, then inequalities with slack columns
     appended; rows with a negative right-hand side are negated.
@@ -242,108 +220,87 @@ def _standard_form(problem: LinearProgram):
 
 def solve_lp(problem: LinearProgram) -> LpSolution:
     """A point of the system, or "infeasible"; never an exception for
-    a well-formed system."""
+    a well-formed system.  The system runs as a one-member
+    :func:`solve_stack`."""
     problem.check()
     body, rhs, ready = _standard_form(problem)
-    # A floating-point run whose verdict fails its check against the
-    # original rows is repeated in exact rational arithmetic.
-    status, x = (_phase_one(body, rhs, ready, exact=False)
-                 or _phase_one(body, rhs, ready, exact=True))
-    return LpSolution(status, None if x is None else x[:problem.a_eq.shape[1]])
+    # A zero padding row and column keep the stack's arrays nonempty for
+    # a system without rows or columns; padding changes no member.
+    feasible, x = solve_stack(np.pad(body, ((0, 1), (0, 1)))[None], np.append(rhs, 0.0)[None],
+                              np.append(ready, -1)[None], np.array([body.shape[0]]),
+                              np.array([body.shape[1]]))
+    if not feasible[0]:
+        return LpSolution("infeasible", None)
+    return LpSolution("optimal", x[0, :problem.a_eq.shape[1]])
 
 
-def _phase_one(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray, exact: bool):
+def _phase_one(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray) -> np.ndarray | None:
     """Phase 1 of the simplex method on ``body . x == rhs, x >= 0``
-    (rhs >= 0).
+    (rhs >= 0), in exact rational arithmetic with Bland's rule: a point
+    x, or None when the system is infeasible.  Both verdicts are exact.
 
     ``ready[r]`` is a column that can start basic in row ``r``, or -1.
-    Returns ("optimal", x) or ("infeasible", None).  With ``exact`` the
-    float data are converted to fractions (exactly) and the verdict is
-    exact.  Otherwise None is returned whenever a verdict does not hold
-    up on the original rows: "infeasible" needs a Farkas certificate, a
-    point must satisfy the rows, and a stalled run is left to the exact
-    run.
+    :func:`solve_stack` re-runs here a member whose floating-point
+    verdict fails its check.
     """
+    # imported here: the exact run is rare, and ``fractions`` (with
+    # ``decimal``) adds about 4 ms to every start of the program
+    from fractions import Fraction
+    rational = np.vectorize(Fraction, otypes=[object])
+    body, rhs = rational(body), rational(rhs)
     m, n_work = body.shape
-    if exact:
-        # imported here: the exact run is rare, and ``fractions`` (with
-        # ``decimal``) adds about 4 ms to every start of the program
-        from fractions import Fraction
-        rational = np.vectorize(Fraction, otypes=[object])
-        body, rhs = rational(body), rational(rhs)
-        check_tol = 0
-    else:
-        check_tol = _FEAS_TOL * (1.0 + np.abs(rhs).max(initial=0.0))
     basis = ready.copy()
     needs_artificial = [r for r in range(m) if ready[r] < 0]
     n_art = len(needs_artificial)
-    tableau = np.zeros((m + 1, n_work + n_art + 1), dtype=body.dtype)
+    tableau = np.zeros((m + 1, n_work + n_art + 1), dtype=object)
     tableau[:m, :n_work] = body
     tableau[:m, -1] = rhs
     for idx, r in enumerate(needs_artificial):
         tableau[r, n_work + idx] = 1
         basis[r] = n_work + idx
-
-    if n_art:
-        # Last row: the reduced costs of the sum of artificials.
-        for r in needs_artificial:
-            tableau[-1, : n_work + n_art] -= tableau[r, : n_work + n_art]
-            tableau[-1, -1] -= tableau[r, -1]
-        tableau[-1, n_work:n_work + n_art] = 0
-        # Artificials are excluded from entering candidates (columns >=
-        # n_work).  The artificial sum, not how the run stopped, decides.
-        start_cols = basis.copy()
-        if _simplex(tableau, basis, n_work, exact) == "stalled":
-            return None
-        if tableau[-1, -1] < (0 if exact else -_FEAS_TOL):
-            if exact:
-                return "infeasible", None
-            # A Farkas certificate on the original rows: y . body <= 0 and
-            # y . rhs > 0.  The run leaves -y . [body | rhs] in the last row;
-            # y is read off the columns that started basic (unit columns
-            # of zero phase-1 cost).
-            y = -tableau[-1, start_cols]
-            y[needs_artificial] += 1.0
-            if ((body.T @ y).max(initial=0.0) <= _PIVOT_TOL * (1.0 + np.abs(y).max())
-                    and rhs @ y > _FEAS_TOL):
-                return "infeasible", None
-            return None
-        if tableau[-1, -1] > check_tol or tableau[:m, -1].min() < -check_tol:
-            return None     # round-off broke the basis
-
+    # Last row: the reduced costs of the sum of artificials, which are
+    # excluded from entering (columns >= n_work).
+    for r in needs_artificial:
+        tableau[-1, : n_work + n_art] -= tableau[r, : n_work + n_art]
+        tableau[-1, -1] -= tableau[r, -1]
+    tableau[-1, n_work:n_work + n_art] = 0
+    _simplex(tableau, basis, n_work)
+    if tableau[-1, -1] < 0:
+        return None
     # The point sits in the basis; artificials left basic at level zero
     # are skipped.
     x = np.zeros(n_work)
     real = basis < n_work
     x[basis[real]] = tableau[:m, -1][real].astype(float)
-    if not exact and (x.min(initial=0.0) < -check_tol
-                      or np.abs(body @ x - rhs).max(initial=0.0) > check_tol):
-        return None
-    return "optimal", x
+    return x
 
 
 def solve_stack(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
                 n_rows: np.ndarray, n_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase 1 of a stack of systems in one run, each member exactly as
-    :func:`_phase_one` runs it alone.
+    """Phase 1 of a stack of systems in one run, one numpy step per pivot
+    for all members.
 
-    Member k is ``body[k] . x == rhs[k], x >= 0`` (rhs >= 0) in the form
-    :func:`_phase_one` takes: ``ready[k, r]`` is a column that can start
-    basic in row r, or -1.  Its ``n_rows[k]`` rows come first; padding
-    rows and padding columns are zero.  A zero column never enters, so a
-    member's columns may sit anywhere in ``body[k]`` as long as their
-    order is kept.  ``n_cols[k]`` is the member's own column count, which
-    sets its pivot cap.
+    Member k is ``body[k] . x == rhs[k], x >= 0`` (rhs >= 0), as
+    :func:`_standard_form` writes it: ``ready[k, r]`` is a column that
+    can start basic in row r, or -1.  Its ``n_rows[k]`` rows come first;
+    padding rows and padding columns are zero.  A zero column never
+    enters, so a member's columns may sit anywhere in ``body[k]`` as long
+    as their order is kept.  ``n_cols[k]`` is the member's own column
+    count, which sets its pivot cap.
 
-    Each step pivots every member that has not finished, by the scalar
-    rules: the lowest-index entering column, the sequential lowest-row
-    ratio scan with its 1e-12 slack, and the per-member pivot cap.  So
-    every member pivots, and ends with the verdict and point, that the
-    scalar floating-point run gives, bit for bit.  The Farkas and point
-    checks are the scalar ones, computed for all members at once; a
-    member that fails its check or stalls is re-run alone in exact
-    arithmetic.  Returns ``feasible[k]`` and the points ``x[k]`` over
-    ``body``'s columns (zero for an infeasible member).
+    Each step pivots every member that has not finished, by one member's
+    rules: the lowest-index column whose reduced cost is below
+    -``_PIVOT_TOL`` enters; the leaving row comes from a scan of the rows
+    in order that takes a later row only for a ratio lower by more than
+    1e-12; and a member stalls after ``_PIVOT_CAP`` times its rows plus
+    columns pivots.  So a member's verdict and point do not depend on the
+    other members or on padding.  A verdict is checked on the member's
+    original rows: "infeasible" needs a Farkas certificate, and a point
+    must satisfy the rows.  A member that fails its check or stalls (its
+    lowest-row ratio ties are not Bland's rule and can cycle) is re-run
+    alone by :func:`_phase_one` in exact arithmetic.  Returns
+    ``feasible[k]`` and the points ``x[k]`` over ``body``'s columns (zero
+    for an infeasible member).
     """
     n_sys, m, n_work = body.shape
     rows = np.arange(m) < n_rows[:, None]
@@ -415,7 +372,10 @@ def solve_stack(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
 
     check_tol = _FEAS_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))
     everyone = np.arange(n_sys)[:, None]
-    # A Farkas certificate, read off the start columns as _phase_one reads it.
+    # A Farkas certificate on the original rows, y . body <= 0 and
+    # y . rhs > 0: the run leaves -y . [body | rhs] in the last row, and y
+    # is read off the columns that started basic (unit columns of zero
+    # phase-1 cost).
     y = -last[everyone, start]
     y = np.where(rows, np.where(artificial, y + 1.0, y), 0.0)
     farkas = ((np.einsum("kr,krc->kc", y, body).max(axis=1, initial=0.0)
@@ -431,8 +391,8 @@ def solve_stack(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
     feasible = ~stalled & ~infeasible & ~point_fails
     for k in np.flatnonzero(stalled | (infeasible & ~farkas) | (~infeasible & point_fails)):
         real = slice(0, n_rows[k])
-        status, point = _phase_one(body[k, real], rhs[k, real], ready[k, real], exact=True)
-        feasible[k] = status == "optimal"
+        point = _phase_one(body[k, real], rhs[k, real], ready[k, real])
+        feasible[k] = point is not None
         if feasible[k]:
             x[k] = point
     x[~feasible] = 0.0
@@ -440,9 +400,9 @@ def solve_stack(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
 
 
 def _ratio_scan(ratio: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """:func:`_simplex`'s floating-point leaving row, for a stack: rows
-    in order, a later row taken only when its ratio is lower by more
-    than 1e-12."""
+    """The leaving rows of :func:`solve_stack`'s ratio scan: rows in
+    order, a later row taken only when its ratio is lower by more than
+    1e-12."""
     best = np.zeros(len(ratio))
     leaving = np.full(len(ratio), -1)
     for r in range(ratio.shape[1]):

@@ -52,8 +52,8 @@ import numpy as np
 from .core import (BeliefSystem, FiniteDistribution, MalformedInputError,
                    MultiStageGame, SolverError, StageGame, StrategyProfile,
                    build_tree, is_integer, stage_states, validate_game, _readonly)
-# ``solve_lp`` is no longer called here; it stays importable by this name
-# for tools that wrap ``multistage.solve_lp`` to count LP calls.
+# ``solve_lp`` is not called here.  Tools that count LP calls wrap this
+# module's ``solve_lp``, so the name stays importable.
 from .lp import lemke, solve_lp  # noqa: F401
 
 STAGE_GAP_TOL = 1e-6

@@ -7,25 +7,26 @@ marginal probability, and best-responds.  Off the equilibrium path any
 belief is admissible.  The beliefs under which every action of a reply
 support S is a best reply at message m form a polytope, {mu in the
 simplex : mu . (U[a] - U[b]) >= 0 for a in S and every b, with ties
-inside S}; :func:`_off_path_belief` decides whether it is empty with one
-support-system LP and stores the prior when the prior lies in it, else
-the LP's point.  Everything reported is re-verified against the exact
+inside S}; :func:`_off_path_beliefs` decides whether it is empty with one
+support system and stores the prior when the prior lies in it, else the
+system's point.  Everything reported is re-verified against the exact
 optimality and consistency conditions.
 
-Mixed equilibria come from support enumeration with one feasibility LP
-per side.  These LPs and the off-path ones come one at a time, and
-:func:`static.support_lp` builds and solves each of them.  A
-candidate is skipped without an LP when the conditional-dominance
-screen of :class:`lp.DominanceScreen` proves its receiver-side LP
-(sender optimality per type) infeasible.  The screen runs once before
-the enumeration, as one table per sender type over all of the
-receiver's support profiles (:func:`static.screen_grid`).  The
-sender-side LP (receiver optimality in posterior weights) runs next.
+Mixed equilibria come from support enumeration with one feasibility
+system per side.  As in :func:`static.solve_bne`, every support system,
+off-path ones included, is a member of a stack (:class:`static._SupportStack`,
+:func:`static.solve_supports`), and the solver runs in phases, one batch
+of systems each.  A candidate is skipped without a system when the
+conditional-dominance screen of :class:`lp.DominanceScreen` proves its
+receiver side (sender optimality per type) infeasible.  The screen runs
+once before the enumeration, as one table per sender type over all of
+the receiver's support profiles (:func:`static.screen_grid`).  The
+sender side (receiver optimality in posterior weights) is solved next.
 It is not screened, because its posterior weights can be 0, but it
-reads only the reply supports at the messages some type may send, so
-it is solved once per (sender support profile, on-path reply supports)
-pair.  The receiver-side LP runs last, only where the sender side is
-feasible.
+reads only the reply supports at the messages some type may send, so it
+is solved once per (sender support profile, on-path reply supports)
+pair.  The receiver side is solved only where the sender side is
+feasible, and the off-path belief systems only where both are.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import numpy as np
 
 from .core import (EnumerationBudgetError, FiniteDistribution,
                    MalformedInputError, _readonly)
-# ``solve_lp`` is no longer called here; it stays importable by this name
-# for tools that wrap ``signaling.solve_lp`` to count LP calls.
+# ``solve_lp`` is not called here.  Tools that count LP calls wrap this
+# module's ``solve_lp``, so the name stays importable.
 from .lp import DominanceScreen, solve_lp  # noqa: F401
-from .static import screen_grid, sized_subsets, support_lp, support_of
+from .static import (_profile_masks, _support_tables, _SupportStack, screen_grid,
+                     sized_subsets, solve_supports, support_of)
 
 GAP_TOL = 1e-8
 _BAYES_TOL = 1e-9
@@ -102,7 +104,7 @@ class SignalingPBNE:
     ``sender[t]`` a distribution over messages for type ``t``;
     ``beliefs[m]`` the stored belief at ``m``: the Bayes posterior on
     path; off path the prior when it sustains the reply, else a point of
-    the exact region of beliefs that do (see :func:`_off_path_belief`).
+    the exact region of beliefs that do (see :func:`_off_path_beliefs`).
     """
 
     receiver: np.ndarray
@@ -207,19 +209,30 @@ def verify_pbne(game: SignalingGame, receiver: np.ndarray, sender: np.ndarray,
     return max(0.0, gap), bayes_err, notes
 
 
-def _off_path_belief(game: SignalingGame, message: int, support
-                     ) -> np.ndarray | None:
-    """A belief at ``message`` under which every action in ``support``
-    is a best reply: the prior when it is one, else the point that
-    :func:`support_lp` finds in the region of such beliefs (one own
-    agent, the receiver at ``message``, against one opponent row, the
-    type distribution), or None when that region is empty."""
-    if set(support) <= receiver_best_response(game, game.prior, message):
-        return np.array(game.prior.weights)
-    n = game.n_types
-    rows = support_lp([game.payoffs1[:, message, None, :]], [support],
-                      [range(game.n_actions)], [range(n)], n)
-    return None if rows is None else rows[0]
+def _off_path_beliefs(game: SignalingGame, keys) -> dict:
+    """Per ``(message, support)`` key, a belief at the message under
+    which every action in the support is a best reply: the prior when it
+    is one, else the point of the region of such beliefs that its
+    support system gives (one own agent, the receiver at the message,
+    against one opponent row, the type distribution), or None when that
+    region is empty.  The systems of all keys are solved as one batch."""
+    n, m1 = game.n_types, game.n_actions
+    prior = np.array(game.prior.weights)
+    out, open_keys = {}, {}
+    for m, support in keys:
+        if set(support) <= receiver_best_response(game, game.prior, m):
+            out[m, support] = prior
+        else:
+            open_keys.setdefault(m, []).append(support)
+    parts = [(_SupportStack([game.payoffs1[:, m, None, :]], [range(m1)]),
+              _support_tables([supports], m1)[0][:, None, :],
+              np.ones((len(supports), 1, n), dtype=bool))
+             for m, supports in open_keys.items()]
+    points = solve_supports(parts)
+    for key, rows in zip([(m, s) for m, supports in open_keys.items() for s in supports],
+                         points):
+        out[key] = None if rows is None else rows[0]
+    return out
 
 
 def solve_pure_pbne(game: SignalingGame) -> list[SignalingPBNE]:
@@ -236,9 +249,10 @@ def solve_pure_pbne(game: SignalingGame) -> list[SignalingPBNE]:
             f"{m2}^{n} pure sender strategies exceed the enumeration budget")
     # (action, belief) pairs per message for when it is off path; they do
     # not depend on the sender map.  The prior always sustains some action.
-    off_choices = [[(a, belief) for a in range(game.n_actions)
-                    for belief in [_off_path_belief(game, m, (a,))] if belief is not None]
-                   for m in range(m2)]
+    beliefs = _off_path_beliefs(game, [(m, (a,)) for m in range(m2)
+                                       for a in range(game.n_actions)])
+    off_choices = [[(a, beliefs[m, (a,)]) for a in range(game.n_actions)
+                    if beliefs[m, (a,)] is not None] for m in range(m2)]
 
     results: list[SignalingPBNE] = []
     feasible_msgs = [tuple(int(m) for m in np.flatnonzero(game.message_mask[t]))
@@ -278,8 +292,9 @@ def solve_pure_pbne(game: SignalingGame) -> list[SignalingPBNE]:
 
 
 def _support_coefficients(game: SignalingGame) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides' support systems in the format of :func:`support_lp`,
-    one ``[own_action, opp_agent, opp_action]`` tensor per own agent.
+    """Both sides' support systems in the format of
+    :class:`static._SupportStack`, one ``[own_action, opp_agent,
+    opp_action]`` tensor per own agent.
 
     Receiver side (own agents: types; unknowns: replies): type t's
     payoff from message m reads only the reply row at m,
@@ -304,10 +319,11 @@ def solve_mixed_pbne(game: SignalingGame) -> list[SignalingPBNE]:
     """Mixed equilibria by agent-form support enumeration.
 
     Agents are sender types and receiver information sets (messages);
-    candidate supports are resolved by two decoupled feasibility LPs,
-    the sender side (memoised per on-path reply supports) before the
-    receiver side, and every solution is re-verified, with off-path
-    responses required to be optimal under some belief.
+    candidate supports are resolved by two decoupled feasibility systems,
+    the sender side (one per sender support profile and on-path reply
+    supports) before the receiver side, and every solution is
+    re-verified, with off-path responses required to be optimal under
+    some belief.
     """
     n, m1, m2 = game.n_types, game.n_actions, game.n_messages
     if n > 3 or m1 > 3 or m2 > 3:
@@ -322,58 +338,67 @@ def solve_mixed_pbne(game: SignalingGame) -> list[SignalingPBNE]:
     screens = [DominanceScreen(coef[t], feasible[t]) for t in range(n)]
 
     rejected = screen_grid(screens, sender_subsets, receiver_subsets)
+    # The unscreened candidates in search order, as support masks.
+    sender_profile, reply_profile = np.divmod(np.flatnonzero(~rejected.ravel()),
+                                              rejected.shape[1])
+    senders = _profile_masks(_support_tables(sender_subsets, m2), sender_profile)
+    replies = _profile_masks(_support_tables(receiver_subsets, m1), reply_profile)
+
+    # The sender side reads the reply supports only at the messages some
+    # type may send, so candidates that differ off path share a system.
+    # Its key packs that set of messages (most significant), the sender
+    # profile and the on-path reply supports into one integer.
+    potential = senders.any(axis=1)
+    code = potential @ (1 << np.arange(m2))
+    on_path = (replies & potential[:, :, None]).reshape(len(replies), -1)
+    key = (((code * len(rejected) + sender_profile) << on_path.shape[1])
+           + on_path @ (1 << np.arange(on_path.shape[1])))
+    _, first, system = np.unique(key, return_index=True, return_inverse=True)
+    # Its own agents are the messages in ``potential``: one builder per
+    # set.  The keys come sorted, so each set's systems are contiguous.
+    parts = []
+    for c in np.unique(code[first]):
+        rep = first[code[first] == c]
+        messages = np.flatnonzero(potential[rep[0]])
+        parts.append((_SupportStack(coef1[messages], [range(m1)] * len(messages)),
+                      replies[rep][:, messages], senders[rep]))
+    sender_rows = solve_supports(parts)
+
+    # The receiver side where the sender side is feasible.
+    live = [k for k, u in enumerate(system) if sender_rows[u] is not None]
+    receiver_rows = solve_supports([(_SupportStack(coef, feasible), senders[live], replies[live])])
+    survivors = []
+    for k, receiver in zip(live, receiver_rows):
+        if receiver is None:
+            continue
+        sender = sender_rows[system[k]]
+        marginals = prior @ sender
+        off_keys = [(m, tuple(np.flatnonzero(receiver[m] > 1e-12).tolist()))
+                    for m in range(m2) if marginals[m] <= 1e-12]
+        survivors.append((sender, receiver, marginals, off_keys))
+    off_beliefs = _off_path_beliefs(game, dict.fromkeys(
+        key for *_, off_keys in survivors for key in off_keys))
 
     results: list[SignalingPBNE] = []
     seen: set[bytes] = set()
-    off_beliefs: dict[tuple, np.ndarray | None] = {}   # per (message, reply support)
-    for sender_sup, row in zip(itertools.product(*sender_subsets), rejected):
-        potential = sorted({m for sup in sender_sup for m in sup})
-        # The sender side reads the reply supports only at messages in
-        # ``potential``, so reply profiles that differ off path share it.
-        senders: dict[tuple, np.ndarray | None] = {}
-        for receiver_sup, skip in zip(itertools.product(*receiver_subsets), row.tolist()):
-            # Both sides must be solvable.  The screen costs no LP; then
-            # the memoised sender side, which is infeasible more often
-            # than the screened receiver side.
-            if skip:
-                continue
-            on_path = tuple(receiver_sup[m] for m in potential)
-            if on_path not in senders:
-                senders[on_path] = support_lp(coef1[potential], on_path,
-                                              [range(m1)] * len(potential), sender_sup, m2)
-            sender = senders[on_path]
-            if sender is None:
-                continue
-            receiver = support_lp(coef, sender_sup, feasible, receiver_sup, m1)
-            if receiver is None:
-                continue
-            marginals = prior @ sender
-            beliefs = np.zeros((m2, n))
-            off_path = []
-            ok = True
-            for m in range(m2):
-                if marginals[m] > 1e-12:
-                    beliefs[m] = prior * sender[:, m] / marginals[m]
-                    continue
-                off_path.append(m)
-                key = (m, tuple(np.flatnonzero(receiver[m] > 1e-12).tolist()))
-                if key not in off_beliefs:
-                    off_beliefs[key] = _off_path_belief(game, *key)
-                if off_beliefs[key] is None:
-                    ok = False
-                    break
-                beliefs[m] = off_beliefs[key]
-            if not ok:
-                continue
-            gap, bayes_err, notes = verify_pbne(game, receiver, sender, beliefs)
-            if gap > GAP_TOL or bayes_err > _BAYES_TOL or notes:
-                continue
-            key = np.round(np.concatenate([receiver.ravel(), sender.ravel()]), 7).tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            results.append(SignalingPBNE(
-                receiver, sender, beliefs, tuple(off_path), classify(sender), gap))
+    for sender, receiver, marginals, off_keys in survivors:
+        if any(off_beliefs[key] is None for key in off_keys):
+            continue
+        beliefs = np.zeros((m2, n))
+        for m in range(m2):
+            if marginals[m] > 1e-12:
+                beliefs[m] = prior * sender[:, m] / marginals[m]
+        for m, support in off_keys:
+            beliefs[m] = off_beliefs[m, support]
+        gap, bayes_err, notes = verify_pbne(game, receiver, sender, beliefs)
+        if gap > GAP_TOL or bayes_err > _BAYES_TOL or notes:
+            continue
+        key = np.round(np.concatenate([receiver.ravel(), sender.ravel()]), 7).tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        results.append(SignalingPBNE(receiver, sender, beliefs, tuple(m for m, _ in off_keys),
+                                     classify(sender), gap))
     results.sort(key=lambda r: (support_of(r.sender), support_of(r.receiver)))
     return results
 

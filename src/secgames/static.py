@@ -13,22 +13,22 @@ Three solvers live here:
 Support enumeration resolves each candidate support profile with a pair
 of linear feasibility programs (the two sides decouple once supports
 are fixed), so degenerate games with equilibrium continua yield vertex
-representatives instead of being skipped.  :func:`solve_bne` has many
-such programs and solves them as stacks (:func:`lp.solve_stack`): side
-1 of every candidate, then side 2 of those whose side 1 is feasible,
-at most ``_STACK_SYSTEMS`` systems per stack.  :func:`support_lp`
-builds and solves one program with :func:`lp.solve_lp`, which is faster
-for a single system; the signaling solver, which meets its programs
-one at a time, uses it.  Both paths give the same points bit for bit.
-Both LPs of a candidate are skipped when a conditional-dominance screen
-(:class:`lp.DominanceScreen`) finds, on either side, a support action
-that another feasible action beats against every opponent mix on the
-opponent supports; such an LP could not have reported a solution, so
-results do not change.  The screen runs before the enumeration, as one
-table per agent over all of its support systems; :func:`screen_grid`
-ORs the tables into one grid of rejected profiles.  Every candidate is
-re-verified against the exact best-response inequalities before it is
-reported; anything returned has deviation gap <= 1e-8.
+representatives instead of being skipped.  Every such program is a
+member of a stack (:func:`lp.solve_stack`), written by
+:class:`_SupportStack` and solved by :func:`solve_supports`, at most
+``_STACK_SYSTEMS`` systems per stack; the signaling solver's programs
+go the same way.  :func:`solve_bne` takes its candidates one stack's
+worth at a time: side 1 of each, then side 2 of those whose side 1 is
+feasible.  Both LPs of a candidate are skipped when a
+conditional-dominance screen (:class:`lp.DominanceScreen`) finds, on
+either side, a support action that another feasible action beats
+against every opponent mix on the opponent supports; such an LP could
+not have reported a solution, so results do not change.  The screen
+runs before the enumeration, as one table per agent over all of its
+support systems; :func:`screen_grid` ORs the tables into one grid of
+rejected profiles.  Every candidate is re-verified against the exact
+best-response inequalities before it is reported; anything returned
+has deviation gap <= 1e-8.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ import numpy as np
 
 from .core import (EnumerationBudgetError, FiniteDistribution,
                    MalformedInputError, _readonly)
-from .lp import DominanceScreen, LinearProgram, solve_lp, solve_stack
+# ``solve_lp`` is not called here.  Tools that count LP calls wrap this
+# module's ``solve_lp``, so the name stays importable.
+from .lp import DominanceScreen, solve_lp, solve_stack  # noqa: F401
 
 GAP_TOL = 1e-8
 _TIE_TOL = 1e-9
@@ -253,57 +255,28 @@ def screen_grid(screens, own_choices, opp_choices) -> np.ndarray:
     return rejected
 
 
-def support_lp(coeffs, own_supports, own_feasible, opp_supports,
-               opp_action_count: int) -> np.ndarray | None:
-    """A point of one side's support system, from :func:`lp.solve_lp`:
-    the one-system path (:class:`_SupportStack` writes many at once).
+class _SupportStack:
+    """One side's support systems, written as :func:`lp.solve_stack`
+    members straight from the coefficient tensors and support masks.
 
     ``coeffs[i][own_action, opp_agent, opp_action]`` is own agent i's
     payoff, linear in the opponent rows (the format of
-    :class:`lp.DominanceScreen`).  Unknowns are the opponent agents'
-    strategies, restricted to ``opp_supports``, plus one free value per
-    own agent, written as two columns v+ - v- after the opponent rows
-    (the points :func:`lp.solve_lp` finds have z >= 0).  Own-support
-    actions must tie at the value; the other ``own_feasible`` actions
-    must not beat it.  Returns the point's opponent rows as one
-    ``(opp_agents, opp_action_count)`` array, or None when the system is
-    infeasible.
-    """
-    var = [(g, a) for g, sup in enumerate(opp_supports) for a in sup]
-    n_v = len(own_supports)
-    a_eq = [[float(vg == g) for vg, _ in var] + [0.0] * (2 * n_v)
-            for g in range(len(opp_supports))]
-    a_ub = []
-    for i, (sup, feas, coef) in enumerate(zip(own_supports, own_feasible, coeffs)):
-        value = [0.0] * (2 * n_v)
-        value[2 * i:2 * i + 2] = -1.0, 1.0
-        for b in feas:
-            (a_eq if b in sup else a_ub).append([coef[b, g, a] for g, a in var] + value)
-    b_eq = [1.0] * len(opp_supports) + [0.0] * (len(a_eq) - len(opp_supports))
-    # ``solve_lp`` is looked up in this module, where tools that count
-    # LP calls wrap it.
-    sol = solve_lp(LinearProgram.build(a_ub or None, [0.0] * len(a_ub) or None, a_eq, b_eq))
-    if sol.status != "optimal":
-        return None
-    out = np.zeros((len(opp_supports), opp_action_count))
-    for (g, a), z in zip(var, sol.z):
-        out[g, a] = max(0.0, z)
-    totals = out.sum(axis=1, keepdims=True)
-    if (totals <= 0.0).any():
-        return None
-    return out / totals
-
-
-class _SupportStack:
-    """One side's support systems for :func:`lp.solve_stack`, written as
-    :func:`support_lp` and :func:`lp.solve_lp` write each one.
+    :class:`lp.DominanceScreen`), and ``own_feasible[i]`` its feasible
+    actions.  A system fixes an own support per agent and an opponent
+    support per opponent row.  Unknowns are the opponent rows on their
+    supports, plus one free value per own agent, written as two columns
+    v+ - v- (the points :func:`lp.solve_stack` finds have x >= 0).
+    Own-support actions must tie at the value; the other feasible
+    actions must not beat it.
 
     Rows: the opponent rows' sums, then one row per own (agent, feasible
     action), supported actions (the equalities) first, each group in
     agent-then-action order.  Columns: one per opponent (agent g, action
     a), at ``g * m_opp + a`` and zero where a is not in g's support; the
-    own agents' value pairs (v+, v-); the inequality rows' slacks.  So
-    every member keeps ``support_lp``'s rows and column order.
+    own agents' value pairs (v+, v-); the inequality rows' slacks.  So a
+    member, without its zero opponent columns, is the form that
+    :func:`lp.solve_lp` gives the same system stated with these
+    equality and inequality rows.
     """
 
     def __init__(self, coeffs, own_feasible):
@@ -341,17 +314,55 @@ class _SupportStack:
         n_cols = opp.sum(axis=(1, 2)) + n_value - n_y + m - n_eq
         return body, rhs, ready, np.full(n_sys, m), n_cols
 
-    def solve(self, own: np.ndarray, opp: np.ndarray) -> list:
-        """Per system, the opponent rows :func:`support_lp` returns for it."""
-        feasible, x = solve_stack(*self.systems(own, opp))
-        out = np.maximum(x[:, :self.sum_rows.shape[1]], 0.0).reshape(
-            len(own), -1, self.m_opp)
+
+def solve_supports(parts) -> list:
+    """Per support system, its point's opponent rows as one
+    ``(opp_agents, m_opp)`` array, or None when the system is infeasible.
+
+    ``parts`` lists ``(stack, own, opp)``: a :class:`_SupportStack` and
+    the support masks of its systems, as :meth:`_SupportStack.systems`
+    takes them.  The points come in the order of ``parts`` and of their
+    systems.  Every system is a member of an :func:`lp.solve_stack` run
+    of at most ``_STACK_SYSTEMS`` members, and a run's systems are
+    written only when it starts, so memory stays bounded.
+    """
+    points, stack_parts, room = [], [], _STACK_SYSTEMS
+    for stack, own, opp in parts:
+        while len(own):
+            stack_parts.append((stack, own[:room], opp[:room]))
+            own, opp, room = own[room:], opp[room:], room - len(stack_parts[-1][1])
+            if not room:
+                points += _solve_one_stack(stack_parts)
+                stack_parts, room = [], _STACK_SYSTEMS
+    return points + (_solve_one_stack(stack_parts) if stack_parts else [])
+
+
+def _solve_one_stack(parts) -> list:
+    """:func:`solve_supports` for one :func:`lp.solve_stack` run; the
+    systems of different parts are padded to one size with zero rows and
+    columns."""
+    systems = [stack.systems(own, opp) for stack, own, opp in parts]
+    m = max(body.shape[1] for body, *_ in systems)
+    width = max(body.shape[2] for body, *_ in systems)
+    body = np.concatenate([np.pad(body, ((0, 0), (0, m - body.shape[1]),
+                                         (0, width - body.shape[2])))
+                           for body, *_ in systems])
+    rhs = np.concatenate([np.pad(rhs, ((0, 0), (0, m - rhs.shape[1])))
+                          for _, rhs, *_ in systems])
+    ready = np.concatenate([np.pad(ready, ((0, 0), (0, m - ready.shape[1])), constant_values=-1)
+                            for _, _, ready, *_ in systems])
+    n_rows, n_cols = (np.concatenate(counts) for counts in zip(*(s[3:] for s in systems)))
+    feasible, x = solve_stack(body, rhs, ready, n_rows, n_cols)
+    points = []
+    lo = 0
+    for stack, own, _ in parts:
+        n_sys, (n_opp, n_y) = len(own), stack.sum_rows.shape
+        out = np.maximum(x[lo:lo + n_sys, :n_y], 0.0).reshape(n_sys, n_opp, stack.m_opp)
         totals = out.sum(axis=2, keepdims=True)
-        keep = np.flatnonzero(feasible & (totals > 0.0).all(axis=(1, 2)))
-        points = [None] * len(own)
-        for k, point in zip(keep, out[keep] / totals[keep]):
-            points[k] = point
-        return points
+        keep = feasible[lo:lo + n_sys] & (totals > 0.0).all(axis=(1, 2))
+        points += [point / total if k else None for point, total, k in zip(out, totals, keep)]
+        lo += n_sys
+    return points
 
 
 def _support_tables(choices, n_actions: int) -> list[np.ndarray]:
@@ -468,14 +479,16 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None
     candidates = np.flatnonzero(~rejected.ravel())      # in search order
     results: list[EquilibriumResult] = []
     seen: set[bytes] = set()
+    # One stack's worth of candidates at a time, so that ``max_results``
+    # stops the search after the stack that fills it.
     for lo in range(0, candidates.size, _STACK_SYSTEMS):
         profile1, profile2 = np.divmod(candidates[lo:lo + _STACK_SYSTEMS], rejected.shape[1])
         masks1 = _profile_masks(tables1, profile1)
         masks2 = _profile_masks(tables2, profile2)
         # Side 1 for every candidate, side 2 where side 1 is feasible.
-        found2 = side1.solve(masks1, masks2)
+        found2 = solve_supports([(side1, masks1, masks2)])
         live = [k for k, rows2 in enumerate(found2) if rows2 is not None]
-        found1 = side2.solve(masks2[live], masks1[live]) if live else []
+        found1 = solve_supports([(side2, masks2[live], masks1[live])])
         for k, rows1 in zip(live, found1):
             if rows1 is None:
                 continue

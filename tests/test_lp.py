@@ -9,6 +9,7 @@ import pytest
 from secgames import lp, static
 from secgames.core import MalformedInputError
 from secgames.lp import LinearProgram, solve_lp
+from tests import scalar_lp
 from tests.test_screen import _system_lp
 
 
@@ -114,8 +115,8 @@ def test_random_lps_with_equalities():
 
 
 def test_support_systems_match_highs_verdicts():
-    # random one-agent support systems, built as static.support_lp builds
-    # them: 3 own actions with a support of one or two, one or two
+    # random one-agent support systems, built as the solvers' stacks
+    # state them: 3 own actions with a support of one or two, one or two
     # opponent rows of 3 actions on random supports; 115 of the 200 are
     # infeasible
     optimize = pytest.importorskip("scipy.optimize")
@@ -268,21 +269,21 @@ def test_cycling_lp_reaches_the_exact_run(monkeypatch):
     calls = []
     phase_one = lp._phase_one
 
-    def spy(*args, exact):
-        calls.append(exact)
-        return phase_one(*args, exact=exact)
+    def spy(*args):
+        calls.append(args)
+        return phase_one(*args)
 
     monkeypatch.setattr(lp, "_phase_one", spy)
     assert solve_lp(LinearProgram.build(**_CYCLING_LP)).status == "infeasible"
-    assert calls == [False, True]
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
-# Stacked phase 1: every member as solve_lp solves it alone
+# Stacked phase 1: every member as the scalar reference solves it alone
 # ---------------------------------------------------------------------------
 
 def _stack(problems):
-    """Pad the systems' solve_lp forms into one stack: each member's rows
+    """Pad the systems' standard forms into one stack: each member's rows
     and columns first, zeros after."""
     forms = [lp._standard_form(p) for p in problems]
     m = max(body.shape[0] for body, _, _ in forms)
@@ -324,18 +325,11 @@ def _masks(profiles, n_actions):
     return out
 
 
-def _support_problems(monkeypatch, coeffs, feasible, own, opp, m_opp):
-    """support_lp's point and LinearProgram for each (own, opp) profile."""
-    seen = []
-
-    def recording(problem):
-        seen.append(problem)
-        return solve_lp(problem)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(static, "solve_lp", recording)
-        points = [static.support_lp(coeffs, o, feasible, p, m_opp) for o, p in zip(own, opp)]
-    return points, seen
+def _support_problems(coeffs, feasible, own, opp, m_opp):
+    """The scalar reference's point and LinearProgram for each (own,
+    opp) profile."""
+    points = [scalar_lp.support_lp(coeffs, o, feasible, p, m_opp) for o, p in zip(own, opp)]
+    return points, [scalar_lp.support_problem(coeffs, o, feasible, p) for o, p in zip(own, opp)]
 
 
 # (own agents, opponent agents, own actions, opponent actions, {0,1} payoffs)
@@ -343,38 +337,71 @@ _SIDE_SHAPES = [(1, 1, 5, 5, False), (1, 1, 5, 5, True), (1, 2, 3, 3, False),
                 (2, 2, 3, 3, True), (2, 1, 3, 4, False), (2, 2, 4, 2, True)]
 
 
-def _side_systems(monkeypatch, seed, shape, n_sys=40):
+def _side_systems(seed, shape, n_sys=40):
     n_own, n_opp, m_own, m_opp, binary = shape
     rng = np.random.default_rng([seed, *map(int, shape)])
     coeffs, feasible = _random_side(rng, n_own, n_opp, m_own, m_opp, binary)
     own = _random_supports(rng, feasible, n_sys)
     opp = _random_supports(rng, [range(m_opp)] * n_opp, n_sys)
-    points, problems = _support_problems(monkeypatch, coeffs, feasible, own, opp, m_opp)
+    points, problems = _support_problems(coeffs, feasible, own, opp, m_opp)
     return coeffs, feasible, _masks(own, m_own), _masks(opp, m_opp), points, problems
 
 
-def test_stack_members_equal_solve_lp_bit_for_bit(monkeypatch):
+def _assert_solve_lp_equals(problem, ref):
+    """``lp.solve_lp``, a one-member stack, gives the reference's verdict
+    and point bit for bit."""
+    sol = solve_lp(problem)
+    assert sol.status == ref.status
+    assert (sol.z is None) == (ref.z is None)
+    if ref.z is not None:
+        assert sol.z.tobytes() == ref.z.tobytes()
+
+
+def test_stack_members_equal_solve_lp_bit_for_bit():
     # one stack of every shape's systems, so members differ in rows and columns
     problems = []
     for seed in range(3):
         for shape in _SIDE_SHAPES:
-            problems += _side_systems(monkeypatch, seed, shape)[-1]
+            problems += _side_systems(seed, shape)[-1]
     feasible, x = lp.solve_stack(*_stack(problems))
     n_infeasible = 0
     for k, p in enumerate(problems):
-        ref = solve_lp(p)
+        ref = scalar_lp.solve_lp(p)
         assert feasible[k] == (ref.status == "optimal"), k
         if feasible[k]:
             assert x[k, :ref.z.size].tobytes() == ref.z.tobytes(), k
+        _assert_solve_lp_equals(p, ref)
         n_infeasible += ref.status == "infeasible"
     assert len(problems) == 720 and 0 < n_infeasible < len(problems)
 
 
 @pytest.mark.parametrize("shape", _SIDE_SHAPES)
 @pytest.mark.parametrize("seed", range(3))
-def test_stacked_sides_return_support_lp_points(monkeypatch, seed, shape):
-    coeffs, feasible, own, opp, points, _ = _side_systems(monkeypatch, seed, shape)
-    stacked = static._SupportStack(coeffs, feasible).solve(own, opp)
+def test_stacked_sides_return_support_lp_points(seed, shape):
+    coeffs, feasible, own, opp, points, _ = _side_systems(seed, shape)
+    stacked = static.solve_supports([(static._SupportStack(coeffs, feasible), own, opp)])
+    assert len(stacked) == len(points)
+    for k, (got, want) in enumerate(zip(stacked, points)):
+        assert (got is None) == (want is None), k
+        if want is not None:
+            assert got.tobytes() == want.tobytes(), k
+
+
+def test_builders_of_different_sizes_share_padded_stacks(monkeypatch):
+    # every shape's builder in one call: stacks cut across builders, and
+    # members of different sizes are padded to one
+    parts, points = [], []
+    for seed in range(3):
+        for shape in _SIDE_SHAPES:
+            coeffs, feasible, own, opp, want, _ = _side_systems(seed, shape)
+            parts.append((static._SupportStack(coeffs, feasible), own, opp))
+            points += want
+    sizes = []
+    solve_stack = static.solve_stack
+    monkeypatch.setattr(static, "solve_stack",
+                        lambda body, *args: sizes.append(len(body)) or solve_stack(body, *args))
+    stacked = static.solve_supports(parts)
+    assert sizes == [static._STACK_SYSTEMS, static._STACK_SYSTEMS, 720 - 2 * static._STACK_SYSTEMS]
     assert len(stacked) == len(points)
     for k, (got, want) in enumerate(zip(stacked, points)):
         assert (got is None) == (want is None), k
@@ -383,8 +410,8 @@ def test_stacked_sides_return_support_lp_points(monkeypatch, seed, shape):
 
 
 @pytest.mark.parametrize("shape", _SIDE_SHAPES)
-def test_stacked_builder_writes_support_lp_rows(monkeypatch, shape):
-    coeffs, feasible, own, opp, _, problems = _side_systems(monkeypatch, 0, shape)
+def test_stacked_builder_writes_support_lp_rows(shape):
+    coeffs, feasible, own, opp, _, problems = _side_systems(0, shape)
     body, rhs, ready, n_rows, n_cols = static._SupportStack(coeffs, feasible).systems(own, opp)
     n_y = opp.shape[1] * opp.shape[2]
     n_value = 2 * len(coeffs)
@@ -421,7 +448,9 @@ def test_stack_members_equal_solve_lp_on_hard_systems(monkeypatch):
     problems = [_near_tie_system(rng) for _ in range(60)]
     problems += [_stage_lp(case) for case in _STAGE_LPS]
     problems += [LinearProgram.build(*_random_system(1000 + t)) for t in range(40)]
-    refs = [solve_lp(p) for p in problems]
+    refs = [scalar_lp.solve_lp(p) for p in problems]
+    for p, ref in zip(problems, refs):
+        _assert_solve_lp_equals(p, ref)
     replayed = []
     scan = lp._ratio_scan
     monkeypatch.setattr(lp, "_ratio_scan",
@@ -437,17 +466,16 @@ def test_stack_members_equal_solve_lp_on_hard_systems(monkeypatch):
 def test_stalled_member_alone_reaches_the_exact_run(monkeypatch):
     problems = []
     for shape in _SIDE_SHAPES[:3]:
-        problems += _side_systems(monkeypatch, 5, shape, n_sys=10)[-1]
+        problems += _side_systems(5, shape, n_sys=10)[-1]
     cycling = LinearProgram.build(**_CYCLING_LP)
     problems.insert(7, cycling)
-    refs = [solve_lp(p) for p in problems]
+    refs = [scalar_lp.solve_lp(p) for p in problems]
     exact_bodies = []
     phase_one = lp._phase_one
 
-    def spy(body, rhs, ready, exact):
-        if exact:
-            exact_bodies.append(body.copy())
-        return phase_one(body, rhs, ready, exact=exact)
+    def spy(body, rhs, ready):
+        exact_bodies.append(body.copy())
+        return phase_one(body, rhs, ready)
 
     monkeypatch.setattr(lp, "_phase_one", spy)
     out = []

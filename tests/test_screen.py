@@ -16,26 +16,14 @@ from secgames.core import FiniteDistribution
 from secgames.lp import DominanceScreen, LinearProgram, solve_lp
 from secgames.scenarios import (build_exercise_qb, build_static_baseline,
                                 build_static_bayesian, exercise_qb_matrices)
+from tests import scalar_lp
 
 
 def _system_lp(coef, own_feasible, own_support, opp_supports) -> LinearProgram:
     """One agent's support system as the side LPs state it: opponent rows
     on their supports summing to 1, own support tied at the value v,
     other feasible actions not above it."""
-    var = [(g, o) for g, sup in enumerate(opp_supports) for o in sup]
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for g in range(len(opp_supports)):
-        a_eq.append([float(vg == g) for vg, _ in var] + [0.0, 0.0])
-        b_eq.append(1.0)
-    for b in own_feasible:
-        row = [coef[b, g, o] for g, o in var] + [-1.0, 1.0]     # v = v+ - v-
-        if b in own_support:
-            a_eq.append(row)
-            b_eq.append(0.0)
-        else:
-            a_ub.append(row)
-            b_ub.append(0.0)
-    return LinearProgram.build(a_ub or None, b_ub or None, a_eq, b_eq)
+    return scalar_lp.support_problem([coef], [own_support], [own_feasible], opp_supports)
 
 
 def _verdict(coef, feas, own_support, opp_supports) -> bool:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from secgames.core import FiniteDistribution, MalformedInputError
-from secgames.signaling import (_TIE_TOL, SignalingGame, _off_path_belief,
+from secgames.signaling import (_TIE_TOL, SignalingGame, _off_path_beliefs,
                                 as_signaling_game, classify, posterior_from_sender,
                                 receiver_best_response, solve_mixed_pbne,
                                 solve_pure_pbne, verify_pbne)
 from secgames.scenarios import build_static_bayesian
+from tests.scalar_lp import support_lp
 
 
 def escalation_signaling(r0=1.0, r1=1.0, r2=1.0, prior=0.5) -> SignalingGame:
@@ -367,7 +368,7 @@ def _check_ties(values, support, feasible):
     (0, (2, 2, 2), False), (1, (2, 2, 3), False), (2, (3, 2, 2), True)])
 def test_support_lp_matches_highs_on_both_sides(seed, shape, zero_prior):
     from secgames.signaling import _support_coefficients
-    from secgames.static import sized_subsets, support_lp
+    from secgames.static import sized_subsets
     g = _random_signaling(seed, *shape, zero_prior=zero_prior)
     n, m2, m1 = shape
     prior = np.asarray(g.prior.weights)
@@ -430,25 +431,37 @@ def test_off_path_belief_matches_highs(seed):
                       FiniteDistribution(weights / weights.sum()),
                       ("m0", "m1"), ("a0", "a1", "a2"), p1, np.zeros(shape),
                       np.ones((n, 2), bool))
-    for m in range(2):
-        for support in sized_subsets(range(3)):
-            belief = _off_path_belief(g, m, support)
-            assert (belief is not None) == _region_oracle(g, m, support), (m, support)
-            if belief is None:
-                continue
-            assert belief.shape == (n,) and (belief >= 0).all()
-            assert belief.sum() == pytest.approx(1.0, abs=1e-12)
-            values = g.payoffs1[:, m, :] @ belief
-            assert values[list(support)].min() >= values.max() - _TIE_TOL
+    keys = [(m, support) for m in range(2) for support in sized_subsets(range(3))]
+    beliefs = _off_path_beliefs(g, keys)
+    for m, support in keys:
+        belief = beliefs[m, support]
+        assert (belief is not None) == _region_oracle(g, m, support), (m, support)
+        if belief is None:
+            continue
+        assert belief.shape == (n,) and (belief >= 0).all()
+        assert belief.sum() == pytest.approx(1.0, abs=1e-12)
+        values = g.payoffs1[:, m, :] @ belief
+        assert values[list(support)].min() >= values.max() - _TIE_TOL
+
+
+def _scalar_off_path_belief(game, message, support):
+    """The off-path belief of ``_off_path_beliefs``, one system at a time
+    on the scalar reference path."""
+    if set(support) <= receiver_best_response(game, game.prior, message):
+        return np.array(game.prior.weights)
+    rows = support_lp([game.payoffs1[:, message, None, :]], [support],
+                      [range(game.n_actions)], [range(game.n_types)], game.n_types)
+    return None if rows is None else rows[0]
 
 
 def _receiver_first_mixed_pbne(game):
-    """Reference enumeration: the mixed solver with the receiver-side LP
-    first and no memo of the sender side, otherwise unchanged."""
+    """Reference enumeration: the mixed solver one candidate at a time,
+    with the receiver-side LP first, no memo of the sender side, and
+    every LP on the scalar reference path."""
     from secgames.lp import DominanceScreen
     from secgames.signaling import (_BAYES_TOL, GAP_TOL, SignalingPBNE,
                                     _support_coefficients)
-    from secgames.static import screen_grid, sized_subsets, support_lp, support_of
+    from secgames.static import screen_grid, sized_subsets, support_of
     n, m1, m2 = game.n_types, game.n_actions, game.n_messages
     prior = np.asarray(game.prior.weights)
     feasible = [np.flatnonzero(game.message_mask[t]).tolist() for t in range(n)]
@@ -481,7 +494,7 @@ def _receiver_first_mixed_pbne(game):
                 off_path.append(m)
                 key = (m, tuple(np.flatnonzero(receiver[m] > 1e-12).tolist()))
                 if key not in off_beliefs:
-                    off_beliefs[key] = _off_path_belief(game, *key)
+                    off_beliefs[key] = _scalar_off_path_belief(game, *key)
                 if off_beliefs[key] is None:
                     ok = False
                     break
@@ -510,10 +523,40 @@ _REFERENCE_CASES = ([(seed, (2, 3, 2, False)) for seed in range(5)]
                     + [(7, (3, 3, 3, False))])
 
 
+def _spy_on_stacks(monkeypatch):
+    """Records every ``static.solve_stack`` call as ``(phase, systems)``:
+    phase i counts the ``signaling.solve_supports`` calls made so far, and
+    a member system is its rows up to its last nonzero column, its
+    right-hand side and its counts, so that padding does not count."""
+    from secgames import signaling, static
+    solve_supports, solve_stack = signaling.solve_supports, static.solve_stack
+    phase, stacks = [0], []
+
+    def supports_spy(parts):
+        phase[0] += 1
+        return solve_supports(parts)
+
+    def stack_spy(body, rhs, ready, n_rows, n_cols):
+        systems = []
+        for k in range(len(body)):
+            rows = body[k, :n_rows[k]]
+            width = np.flatnonzero(rows.any(axis=0))[-1] + 1
+            systems.append((int(n_rows[k]), int(n_cols[k]), rows[:, :width].tobytes(),
+                            rhs[k, :n_rows[k]].tobytes()))
+        stacks.append((phase[0], systems))
+        return solve_stack(body, rhs, ready, n_rows, n_cols)
+
+    monkeypatch.setattr(signaling, "solve_supports", supports_spy)
+    monkeypatch.setattr(static, "solve_stack", stack_spy)
+    return stacks
+
+
 @pytest.mark.parametrize("seed,shape", _REFERENCE_CASES)
-def test_mixed_pbne_matches_receiver_first_reference(seed, shape):
+def test_mixed_pbne_matches_receiver_first_reference(monkeypatch, seed, shape):
+    from secgames.static import _STACK_SYSTEMS
     *dims, zero_prior = shape
     g = _random_signaling(seed, *dims, zero_prior=zero_prior)
+    stacks = _spy_on_stacks(monkeypatch)
     found = solve_mixed_pbne(g)
     expected = _receiver_first_mixed_pbne(g)
     assert len(found) == len(expected)
@@ -522,27 +565,23 @@ def test_mixed_pbne_matches_receiver_first_reference(seed, shape):
         assert np.array_equal(r.sender, e.sender)
         assert np.array_equal(r.beliefs, e.beliefs)
         assert (r.off_path, r.classification, r.gap) == (e.off_path, e.classification, e.gap)
+    # No stack exceeds the cap; the largest game's sender side fills some.
+    largest = max(len(systems) for _, systems in stacks)
+    assert largest <= _STACK_SYSTEMS
+    if shape == (3, 3, 3, False):
+        assert largest == _STACK_SYSTEMS
 
 
 def test_sender_side_lp_is_solved_once_per_on_path_reply_supports(monkeypatch):
-    from secgames import static
     g = _random_signaling(0, 2, 3, 2)
-    solve_lp = static.solve_lp
-    solved = []
-
-    def spy(problem):
-        solved.append(tuple((a.shape, a.tobytes()) for a in (
-            problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq)))
-        return solve_lp(problem)
-
-    monkeypatch.setattr(static, "solve_lp", spy)
+    stacks = _spy_on_stacks(monkeypatch)
     found = solve_mixed_pbne(g)
-    systems = list(solved)
-    solved.clear()
-    expected = _receiver_first_mixed_pbne(g)
-    assert len(found) == len(expected) > 0
+    assert len(found) == len(_receiver_first_mixed_pbne(g)) > 0
     # No system, the sender side's (sender support profile, on-path
     # reply supports) among them, is solved twice.
+    systems = [system for _, members in stacks for system in members]
     assert len(set(systems)) == len(systems)
-    assert len(set(solved)) < len(solved)
-    assert 0 < len(systems) <= 0.6 * len(solved)
+    # Phase 1 is the sender side, phase 2 the receiver side of the
+    # sender-feasible candidates, phase 3 the off-path beliefs.
+    counts = [sum(len(members) for phase, members in stacks if phase == i) for i in (1, 2, 3)]
+    assert counts == [9, 3, 1]

@@ -12,37 +12,40 @@ support system and stores the prior when the prior lies in it, else the
 system's point.  Everything reported is re-verified against the exact
 optimality and consistency conditions.
 
-Mixed equilibria come from support enumeration with one feasibility
-system per side.  As in :func:`static.solve_bne`, every support system,
-off-path ones included, is a member of a stack (:class:`static._SupportStack`,
-:func:`static.solve_supports`), and the solver runs in phases, one batch
-of systems each.  A candidate is skipped without a system when the
-conditional-dominance screen of :class:`lp.DominanceScreen` proves its
-receiver side (sender optimality per type) infeasible.  The screen runs
-once before the enumeration, as one table per sender type over all of
-the receiver's support profiles (:func:`static.screen_grid`).  The
-sender side (receiver optimality in posterior weights) is solved next.
-It is not screened, because its posterior weights can be 0, but it
-reads only the reply supports at the messages some type may send, so it
-is solved once per (sender support profile, on-path reply supports)
-pair.  The receiver side is solved only where the sender side is
-feasible, and the off-path belief systems only where both are.
+Pure and mixed equilibria come from one agent-form support search
+(:func:`_support_search`) with one feasibility system per side: the
+mixed solver tries every nonempty support of every agent, the pure
+solver only the singletons.  Either is refused when it would enumerate
+more than ``static.BNE_BUDGET`` support profiles
+(:func:`static.check_budget`).  As in :func:`static.solve_bne`, every
+support system, off-path ones included, is a member of a stack
+(:class:`static._SupportStack`, :func:`static.solve_supports`), and the
+search runs in phases, one batch of systems each.  A candidate is
+skipped without a system when the conditional-dominance screen of
+:class:`lp.DominanceScreen` proves its receiver side (sender optimality
+per type) infeasible.  The screen runs once before the enumeration, as
+one table per sender type over all of the receiver's support profiles
+(:func:`static.screen_grid`).  The sender side (receiver optimality in
+posterior weights) is solved next.  It is not screened, because its
+posterior weights can be 0, but it reads only the reply supports at the
+messages some type may send, so it is solved once per (sender support
+profile, on-path reply supports) pair.  The receiver side is solved
+only where the sender side is feasible, and the off-path belief systems
+only where both are.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EnumerationBudgetError, FiniteDistribution,
-                   MalformedInputError, _readonly)
+from .core import FiniteDistribution, MalformedInputError, _readonly
 # ``solve_lp`` is not called here.  Tools that count LP calls wrap this
 # module's ``solve_lp``, so the name stays importable.
 from .lp import DominanceScreen, solve_lp  # noqa: F401
-from .static import (_profile_masks, _support_tables, _SupportStack, screen_grid,
-                     sized_subsets, solve_supports, support_of)
+from .static import (_profile_masks, _support_tables, _SupportStack, check_budget,
+                     screen_grid, sized_subsets, solve_supports, support_of)
 
 GAP_TOL = 1e-8
 _BAYES_TOL = 1e-9
@@ -235,62 +238,6 @@ def _off_path_beliefs(game: SignalingGame, keys) -> dict:
     return out
 
 
-def solve_pure_pbne(game: SignalingGame) -> list[SignalingPBNE]:
-    """Enumerate all pure-strategy equilibria.
-
-    Every feasible type-to-message map is tried; receiver replies are
-    enumerated over best-response ties on path and, off path, over every
-    action that some belief makes a best reply, and kept when no sender
-    type gains by deviating to any feasible message.
-    """
-    n, m2 = game.n_types, game.n_messages
-    if m2 ** n > 10_000:
-        raise EnumerationBudgetError(
-            f"{m2}^{n} pure sender strategies exceed the enumeration budget")
-    # (action, belief) pairs per message for when it is off path; they do
-    # not depend on the sender map.  The prior always sustains some action.
-    beliefs = _off_path_beliefs(game, [(m, (a,)) for m in range(m2)
-                                       for a in range(game.n_actions)])
-    off_choices = [[(a, beliefs[m, (a,)]) for a in range(game.n_actions)
-                    if beliefs[m, (a,)] is not None] for m in range(m2)]
-
-    results: list[SignalingPBNE] = []
-    feasible_msgs = [tuple(int(m) for m in np.flatnonzero(game.message_mask[t]))
-                     for t in range(n)]
-    for sender_map in itertools.product(*feasible_msgs):
-        sender = np.zeros((n, m2))
-        sender[np.arange(n), sender_map] = 1.0
-        # A message sent only by zero-prior types is off path too.
-        posts = [posterior_from_sender(game.prior, sender, m) for m in range(m2)]
-        off_path = tuple(m for m in range(m2) if posts[m] is None)
-        choice_sets = [
-            off_choices[m] if post is None else
-            [(a, post.weights) for a in sorted(receiver_best_response(game, post, m))]
-            for m, post in enumerate(posts)]
-
-        for combo in itertools.product(*choice_sets):
-            receiver = np.zeros((m2, game.n_actions))
-            receiver[np.arange(m2), [a for a, _ in combo]] = 1.0
-            stored = np.array([belief for _, belief in combo])
-            value = _sender_values(game, receiver)
-            ok = True
-            for t, mm in enumerate(sender_map):
-                feas = np.flatnonzero(game.message_mask[t])
-                if value[t, feas].max() > value[t, mm] + _TIE_TOL:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            gap, bayes_err, _ = verify_pbne(game, receiver, sender, stored)
-            if gap > GAP_TOL or bayes_err > _BAYES_TOL:
-                continue
-            results.append(SignalingPBNE(
-                receiver, sender, stored, off_path, classify(list(sender_map)), gap))
-    results.sort(key=lambda r: (tuple(np.argmax(r.sender, axis=1)),
-                                tuple(np.argmax(r.receiver, axis=1))))
-    return results
-
-
 def _support_coefficients(game: SignalingGame) -> tuple[np.ndarray, np.ndarray]:
     """Both sides' support systems in the format of
     :class:`static._SupportStack`, one ``[own_action, opp_agent,
@@ -315,25 +262,47 @@ def _support_coefficients(game: SignalingGame) -> tuple[np.ndarray, np.ndarray]:
     return coef, coef1
 
 
-def solve_mixed_pbne(game: SignalingGame) -> list[SignalingPBNE]:
-    """Mixed equilibria by agent-form support enumeration.
+def solve_pure_pbne(game: SignalingGame) -> list[SignalingPBNE]:
+    """All pure-strategy equilibria: the singleton slice of
+    :func:`_support_search`, one message per sender type and one action
+    per message.
 
-    Agents are sender types and receiver information sets (messages);
-    candidate supports are resolved by two decoupled feasibility systems,
-    the sender side (one per sender support profile and on-path reply
+    Ties are those of the support systems: a reply is kept at an on-path
+    message when it is a best reply in posterior weights, at an
+    off-path message when some belief makes it one, and a sender map
+    when no type gains by deviating to a feasible message, each within
+    the feasibility tolerance of :func:`lp.solve_stack`.  Every result
+    is then re-verified to ``GAP_TOL``.  Results come in (sender map,
+    reply map) order.
+    """
+    return _support_search(game, largest=1)
+
+
+def solve_mixed_pbne(game: SignalingGame) -> list[SignalingPBNE]:
+    """Mixed equilibria: :func:`_support_search` over every nonempty
+    support of every agent, smallest first."""
+    return _support_search(game, largest=None)
+
+
+def _support_search(game: SignalingGame, largest: int | None) -> list[SignalingPBNE]:
+    """Equilibria by agent-form support enumeration.
+
+    Agents are sender types and receiver information sets (messages).
+    An agent's candidate supports are the nonempty subsets of its
+    feasible choices with at most ``largest`` members.  Candidate
+    supports are resolved by two decoupled feasibility systems, the
+    sender side (one per sender support profile and on-path reply
     supports) before the receiver side, and every solution is
     re-verified, with off-path responses required to be optimal under
-    some belief.
+    some belief.  Results come in support order.
     """
     n, m1, m2 = game.n_types, game.n_actions, game.n_messages
-    if n > 3 or m1 > 3 or m2 > 3:
-        raise EnumerationBudgetError(
-            "mixed-equilibrium enumeration is limited to 3 types/messages/actions")
     prior = np.asarray(game.prior.weights)
 
     feasible = [np.flatnonzero(game.message_mask[t]).tolist() for t in range(n)]
-    sender_subsets = [sized_subsets(f) for f in feasible]
-    receiver_subsets = [sized_subsets(range(m1))] * m2
+    check_budget([len(f) for f in feasible] + [m1] * m2, largest)
+    sender_subsets = [sized_subsets(f, largest) for f in feasible]
+    receiver_subsets = [sized_subsets(range(m1), largest)] * m2
     coef, coef1 = _support_coefficients(game)
     screens = [DominanceScreen(coef[t], feasible[t]) for t in range(n)]
 

@@ -28,7 +28,9 @@ runs before the enumeration, as one table per agent over all of its
 support systems; :func:`screen_grid` ORs the tables into one grid of
 rejected profiles.  Every candidate is re-verified against the exact
 best-response inequalities before it is reported; anything returned
-has deviation gap <= 1e-8.
+has deviation gap <= 1e-8.  A search over more than ``BNE_BUDGET``
+support profiles, counted before the screen, is refused
+(:func:`check_budget`, which the signaling searches share).
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ from .lp import DominanceScreen, solve_lp, solve_stack  # noqa: F401
 
 GAP_TOL = 1e-8
 _TIE_TOL = 1e-9
-BNE_BUDGET = 1_000_000     # support profiles solve_bne enumerates at most
+# Support profiles a search enumerates at most, counted before the screen:
+# solve_bne's (and so mixed_ne's) and the signaling searches'.
+BNE_BUDGET = 1_000_000
 # Support systems in one stacked run at most: enough to spread a run's
 # per-pivot cost, few enough to keep its tableaus to a few megabytes.
 _STACK_SYSTEMS = 256
@@ -235,11 +239,24 @@ def _agent_payoff_coeffs(game: StaticBayesianGame, agent: _Agent,
     return coef
 
 
-def sized_subsets(items) -> list[tuple[int, ...]]:
-    """Nonempty subsets of ``items``, smallest first, then lexicographic."""
-    return sorted((s for r in range(1, len(items) + 1)
+def sized_subsets(items, largest: int | None = None) -> list[tuple[int, ...]]:
+    """Nonempty subsets of ``items`` with at most ``largest`` members
+    (any number by default), smallest first, then lexicographic."""
+    return sorted((s for r in range(1, (largest or len(items)) + 1)
                    for s in itertools.combinations(items, r)),
                   key=lambda s: (len(s), s))
+
+
+def check_budget(item_counts, largest: int | None = None) -> None:
+    """Refuse a search over more than ``BNE_BUDGET`` support profiles,
+    counted before the screen and before any support is listed: one
+    :func:`sized_subsets` member (``largest`` as there) per agent, of an
+    agent with ``item_counts[i]`` feasible items."""
+    n_combos = math.prod(sum(math.comb(k, r) for r in range(1, (largest or k) + 1))
+                         for k in item_counts)
+    if n_combos > BNE_BUDGET:
+        raise EnumerationBudgetError(
+            f"{n_combos} support profiles exceed the enumeration budget {BNE_BUDGET}")
 
 
 def screen_grid(screens, own_choices, opp_choices) -> np.ndarray:
@@ -289,27 +306,35 @@ class _SupportStack:
         self.own_rows = np.hstack([np.stack([coeffs[i][b].ravel() for i, b in pairs]), value])
         self.sum_rows = np.repeat(np.eye(n_opp), self.m_opp, axis=1)
 
-    def systems(self, own: np.ndarray, opp: np.ndarray):
+    def shape(self) -> tuple[int, int]:
+        """Rows and columns of one system."""
+        n_pairs = len(self.agent)
+        return len(self.sum_rows) + n_pairs, self.own_rows.shape[1] + n_pairs
+
+    def systems(self, own: np.ndarray, opp: np.ndarray, out=None):
         """:func:`lp.solve_stack`'s arguments for the systems of own
         support masks ``own[k, agent, action]`` against opponent support
-        masks ``opp[k, agent, action]``."""
+        masks ``opp[k, agent, action]``.  ``out``, when given, is the
+        ``(body, rhs, ready)`` to write them into, one row per system:
+        zeros (``ready`` -1) with at least :meth:`shape` rows and
+        columns per system, of which the systems take the top left."""
         n_sys = len(own)
         n_opp, n_y = self.sum_rows.shape
         n_pairs, n_value = len(self.agent), self.own_rows.shape[1]
-        m = n_opp + n_pairs
+        m, width = self.shape()
+        body, rhs, ready = out or (np.zeros((n_sys, m, width)), np.zeros((n_sys, m)),
+                                   np.full((n_sys, m), -1))
         supported = own[:, self.agent, self.action]
         n_eq = n_opp + supported.sum(axis=1)
         in_support = opp.reshape(n_sys, 1, n_y)
-        body = np.zeros((n_sys, m, n_value + n_pairs))
         body[:, :n_opp, :n_y] = np.where(in_support, self.sum_rows, 0.0)
         rows = self.own_rows[np.argsort(~supported, axis=1, kind="stable")]
         rows[..., :n_y] = np.where(in_support, rows[..., :n_y], 0.0)
-        body[:, n_opp:, :n_value] = rows
+        body[:, n_opp:m, :n_value] = rows
         slack = np.arange(m) - n_eq[:, None]        # past the value columns
         k, r = np.nonzero(slack >= 0)
         body[k, r, n_value + slack[k, r]] = 1.0
-        ready = np.where(slack >= 0, n_value + slack, -1)
-        rhs = np.zeros((n_sys, m))
+        ready[:, :m] = np.where(slack >= 0, n_value + slack, -1)
         rhs[:, :n_opp] = 1.0
         n_cols = opp.sum(axis=(1, 2)) + n_value - n_y + m - n_eq
         return body, rhs, ready, np.full(n_sys, m), n_cols
@@ -339,19 +364,17 @@ def solve_supports(parts) -> list:
 
 def _solve_one_stack(parts) -> list:
     """:func:`solve_supports` for one :func:`lp.solve_stack` run; the
-    systems of different parts are padded to one size with zero rows and
-    columns."""
-    systems = [stack.systems(own, opp) for stack, own, opp in parts]
-    m = max(body.shape[1] for body, *_ in systems)
-    width = max(body.shape[2] for body, *_ in systems)
-    body = np.concatenate([np.pad(body, ((0, 0), (0, m - body.shape[1]),
-                                         (0, width - body.shape[2])))
-                           for body, *_ in systems])
-    rhs = np.concatenate([np.pad(rhs, ((0, 0), (0, m - rhs.shape[1])))
-                          for _, rhs, *_ in systems])
-    ready = np.concatenate([np.pad(ready, ((0, 0), (0, m - ready.shape[1])), constant_values=-1)
-                            for _, _, ready, *_ in systems])
-    n_rows, n_cols = (np.concatenate(counts) for counts in zip(*(s[3:] for s in systems)))
+    systems of all parts are written straight into one array, padded to
+    one size with zero rows and columns."""
+    n_sys = sum(len(own) for _, own, _ in parts)
+    m, width = np.max([stack.shape() for stack, *_ in parts], axis=0)
+    body, rhs, ready = np.zeros((n_sys, m, width)), np.zeros((n_sys, m)), np.full((n_sys, m), -1)
+    counts, lo = [], 0
+    for stack, own, opp in parts:
+        view = slice(lo, lo + len(own))
+        counts.append(stack.systems(own, opp, (body[view], rhs[view], ready[view]))[3:])
+        lo += len(own)
+    n_rows, n_cols = (np.concatenate(c) for c in zip(*counts))
     feasible, x = solve_stack(body, rhs, ready, n_rows, n_cols)
     points = []
     lo = 0
@@ -458,12 +481,9 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None
     if max_results is not None and max_results < 1:
         raise MalformedInputError(f"max_results must be at least 1, got {max_results}")
     agents1, agents2 = _make_agents(game)
+    check_budget([len(a.feasible) for a in agents1 + agents2])
     sized1 = [sized_subsets(a.feasible) for a in agents1]
     sized2 = [sized_subsets(a.feasible) for a in agents2]
-    n_combos = int(np.prod([len(s) for s in sized1 + sized2]))
-    if n_combos > BNE_BUDGET:
-        raise EnumerationBudgetError(
-            f"{n_combos} support profiles exceed the enumeration budget {BNE_BUDGET}")
 
     coeffs1 = [_agent_payoff_coeffs(game, a, agents2) for a in agents1]
     coeffs2 = [_agent_payoff_coeffs(game, a, agents1) for a in agents2]
@@ -527,11 +547,8 @@ def as_bayesian(game: BimatrixGame) -> StaticBayesianGame:
 
 def mixed_ne(game: BimatrixGame, max_results: int | None = None
              ) -> list[EquilibriumResult]:
-    """All mixed equilibria of a bimatrix game (supports up to 8 actions)."""
-    m1, m2 = game.shape
-    if m1 > 8 or m2 > 8:
-        raise EnumerationBudgetError(
-            f"support enumeration budget is 8 actions per player, got {m1}x{m2}")
+    """All mixed equilibria of a bimatrix game, by :func:`solve_bne` and
+    within its budget: (2**m1 - 1) * (2**m2 - 1) support profiles."""
     return solve_bne(as_bayesian(game), max_results=max_results)
 
 

@@ -664,10 +664,13 @@ def test_option_prefixes_exit_2(capsys, tmp_path, monkeypatch, options):
 
 
 def _too_large_game(kind) -> static.StaticBayesianGame:
-    # 9x9 actions exceed mixed_ne's budget; 4 user types exceed the
-    # mixed signaling enumeration's
+    # Both exceed the budget of 10**6 support profiles: 10x10 actions
+    # give (2**10 - 1)**2 = 1,046,529.  The signaling game (3 user types,
+    # 4 user actions as messages, 3 defender replies) gives 15**3 * 7**4 =
+    # 8,103,375 mixed profiles, but its 4**3 * 3**4 = 5,184 pure ones
+    # solve, so --method both must refuse after the pure method solved.
     rng = np.random.default_rng(0)
-    m1, m2, n2 = (9, 9, 1) if kind == "ne" else (2, 2, 4)
+    m1, m2, n2 = (10, 10, 1) if kind == "ne" else (3, 4, 3)
     return static.StaticBayesianGame(
         ("d",), tuple(f"u{i}" for i in range(n2)), FiniteDistribution([1.0]),
         FiniteDistribution(np.full(n2, 1 / n2)), rng.normal(size=(m1, m2, 1, n2)),
@@ -676,7 +679,7 @@ def _too_large_game(kind) -> static.StaticBayesianGame:
 
 @pytest.mark.parametrize("command", [("ne",), ("signaling", "--method", "mixed"),
                                      ("signaling", "--method", "both")],
-                         ids=["ne-9x9", "signaling-4-types", "signaling-both-4-types"])
+                         ids=["ne-10x10", "signaling-3-types-4x3", "signaling-both-3-types-4x3"])
 def test_enumeration_budget_exits_2(capsys, tmp_path, command):
     path = tmp_path / "game.json"
     dump_json(game_to_dict(static.to_multistage(_too_large_game(command[0]))), str(path))

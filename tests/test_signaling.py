@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from secgames.core import FiniteDistribution, MalformedInputError
+from secgames.core import EnumerationBudgetError, FiniteDistribution, MalformedInputError
 from secgames.signaling import (_TIE_TOL, SignalingGame, _off_path_beliefs,
                                 as_signaling_game, classify, posterior_from_sender,
                                 receiver_best_response, solve_mixed_pbne,
@@ -175,7 +175,8 @@ class TestPurePbne:
                           FiniteDistribution(np.full(8, 0.125)),
                           tuple(f"m{i}" for i in range(4)), ("x", "y"),
                           p1, p2, np.ones((8, 4), bool))
-        with pytest.raises(Exception):
+        # 4**8 sender maps times 2**4 replies: 1,048,576 support profiles
+        with pytest.raises(EnumerationBudgetError):
             solve_pure_pbne(g)
 
 
@@ -444,6 +445,45 @@ def test_off_path_belief_matches_highs(seed):
         assert values[list(support)].min() >= values.max() - _TIE_TOL
 
 
+def _map_loop_pure_pbne(game):
+    """Reference enumeration of the pure equilibria: every feasible
+    type-to-message map, then every reply that is a best response (ties
+    within ``_TIE_TOL``) under the Bayes posterior on path or under some
+    belief off path, kept when no sender type gains by deviating."""
+    from secgames.signaling import _BAYES_TOL, GAP_TOL, SignalingPBNE, _sender_values
+    n, m1, m2 = game.n_types, game.n_actions, game.n_messages
+    beliefs = _off_path_beliefs(game, [(m, (a,)) for m in range(m2) for a in range(m1)])
+    off_choices = [[(a, beliefs[m, (a,)]) for a in range(m1) if beliefs[m, (a,)] is not None]
+                   for m in range(m2)]
+    results = []
+    feasible_msgs = [np.flatnonzero(game.message_mask[t]).tolist() for t in range(n)]
+    for sender_map in itertools.product(*feasible_msgs):
+        sender = np.zeros((n, m2))
+        sender[np.arange(n), sender_map] = 1.0
+        posts = [posterior_from_sender(game.prior, sender, m) for m in range(m2)]
+        off_path = tuple(m for m in range(m2) if posts[m] is None)
+        choice_sets = [
+            off_choices[m] if post is None else
+            [(a, post.weights) for a in sorted(receiver_best_response(game, post, m))]
+            for m, post in enumerate(posts)]
+        for combo in itertools.product(*choice_sets):
+            receiver = np.zeros((m2, m1))
+            receiver[np.arange(m2), [a for a, _ in combo]] = 1.0
+            stored = np.array([belief for _, belief in combo])
+            value = _sender_values(game, receiver)
+            if any(value[t, feasible_msgs[t]].max() > value[t, mm] + _TIE_TOL
+                   for t, mm in enumerate(sender_map)):
+                continue
+            gap, bayes_err, _ = verify_pbne(game, receiver, sender, stored)
+            if gap > GAP_TOL or bayes_err > _BAYES_TOL:
+                continue
+            results.append(SignalingPBNE(
+                receiver, sender, stored, off_path, classify(list(sender_map)), gap))
+    results.sort(key=lambda r: (tuple(np.argmax(r.sender, axis=1)),
+                                tuple(np.argmax(r.receiver, axis=1))))
+    return results
+
+
 def _scalar_off_path_belief(game, message, support):
     """The off-path belief of ``_off_path_beliefs``, one system at a time
     on the scalar reference path."""
@@ -516,11 +556,13 @@ def _receiver_first_mixed_pbne(game):
 
 # (types, messages, actions, zero-prior type).  As (defender, user)
 # games: 2x3 with 1x2 types, 2x2 with 1x3, 3x2 with 1x2 plus a
-# zero-prior type, and 3x3 with 1x3.
+# zero-prior type, 3x3 with 1x3, 2x2 with 1x4 and 2x4 with 1x2.
 _REFERENCE_CASES = ([(seed, (2, 3, 2, False)) for seed in range(5)]
                     + [(seed, (3, 2, 2, False)) for seed in range(5)]
                     + [(seed, (2, 2, 3, True)) for seed in range(5)]
-                    + [(7, (3, 3, 3, False))])
+                    + [(7, (3, 3, 3, False))]
+                    + [(seed, (4, 2, 2, False)) for seed in range(2)]
+                    + [(seed, (2, 4, 2, False)) for seed in range(2)])
 
 
 def _spy_on_stacks(monkeypatch):
@@ -585,3 +627,49 @@ def test_sender_side_lp_is_solved_once_per_on_path_reply_supports(monkeypatch):
     # sender-feasible candidates, phase 3 the off-path beliefs.
     counts = [sum(len(members) for phase, members in stacks if phase == i) for i in (1, 2, 3)]
     assert counts == [9, 3, 1]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2, False), (3, 2, 3, True), (3, 3, 3, False),
+                                   (4, 2, 3, False), (4, 3, 2, True), (5, 2, 2, False)])
+def test_pure_pbne_matches_map_loop(shape):
+    *dims, zero_prior = shape
+    for seed in range(5):
+        g = _random_signaling(seed, *dims, zero_prior=zero_prior)
+        found, expected = solve_pure_pbne(g), _map_loop_pure_pbne(g)
+        assert len(found) == len(expected)
+        # On path the search divides by the marginal prior @ sender, the
+        # loop by the sum of prior * sender.  From 4 types on, the two
+        # sums may round apart by an ulp, and so may the gap that
+        # verify_pbne computes under those beliefs.
+        tol = 1e-15 if g.n_types >= 4 else 0.0
+        for r, e in zip(found, expected):
+            assert np.array_equal(r.receiver, e.receiver)
+            assert np.array_equal(r.sender, e.sender)
+            assert (r.off_path, r.classification) == (e.off_path, e.classification)
+            off = list(r.off_path)
+            on = [m for m in range(g.n_messages) if m not in r.off_path]
+            assert np.array_equal(r.beliefs[off], e.beliefs[off])
+            assert np.abs(r.beliefs[on] - e.beliefs[on]).max(initial=0.0) <= tol
+            assert abs(r.gap - e.gap) <= tol
+
+
+def test_games_past_the_old_shape_caps_solve():
+    # mixed_ne once stopped at 8 actions and the mixed signaling search
+    # at 3 types, messages or actions; both are now inside the budget.
+    from secgames.static import BimatrixGame, as_bayesian, bayes_gap, check_budget, mixed_ne
+    # The largest games the caps let through, 3 types x 3 messages x 3
+    # actions (7**3 * 7**3 profiles) and 8x8 (255**2), are inside it too.
+    check_budget([3] * 6)
+    check_budget([8, 8])
+    rng = np.random.default_rng(0)
+    bim = BimatrixGame(*rng.integers(-3, 4, size=(2, 9, 9)).astype(float))
+    found = mixed_ne(bim)
+    assert found
+    for e in found:
+        assert bayes_gap(as_bayesian(bim), e.sigma1, e.sigma2)[0] <= 1e-8
+    g = _random_signaling(1, 4, 3, 3)
+    found = solve_mixed_pbne(g)
+    assert found
+    for r in found:
+        gap, bayes_err, notes = verify_pbne(g, r.receiver, r.sender, r.beliefs)
+        assert gap <= 1e-8 and bayes_err <= 1e-9 and not notes

@@ -60,8 +60,9 @@ class TestMixedNe:
                            for e in eqs), (a1, a2)
 
     def test_budget(self):
+        # (2**10 - 1)**2 = 1,046,529 support profiles: over solve_bne's budget
         with pytest.raises(EnumerationBudgetError):
-            mixed_ne(BimatrixGame(np.zeros((9, 2)), np.zeros((9, 2))))
+            mixed_ne(BimatrixGame(np.zeros((10, 10)), np.zeros((10, 10))))
 
     def test_lexicographic_support_order(self):
         eqs = mixed_ne(build_static_baseline(1.0, 1.0, 1.0, 1.0))

@@ -19,19 +19,21 @@ solver only the singletons.  Either is refused when it would enumerate
 more than ``static.BNE_BUDGET`` support profiles
 (:func:`static.check_budget`).  As in :func:`static.solve_bne`, every
 support system, off-path ones included, is a member of a stack
-(:class:`static._SupportStack`, :func:`static.solve_supports`), and the
-search runs in phases, one batch of systems each.  A candidate is
-skipped without a system when the conditional-dominance screen of
-:class:`lp.DominanceScreen` proves its receiver side (sender optimality
-per type) infeasible.  The screen runs once before the enumeration, as
-one table per sender type over all of the receiver's support profiles
-(:func:`static.screen_grid`).  The sender side (receiver optimality in
-posterior weights) is solved next.  It is not screened, because its
-posterior weights can be 0, but it reads only the reply supports at the
-messages some type may send, so it is solved once per (sender support
-profile, on-path reply supports) pair.  The receiver side is solved
-only where the sender side is feasible, and the off-path belief systems
-only where both are.
+(:class:`static._SupportStack`, :func:`static.solve_supports`).  The
+search walks the candidates in blocks of sender support profiles, at
+most ``_BLOCK_PROFILES`` support profiles each unless one sender profile
+has more, and runs each block in phases, one batch of systems each.  A
+candidate is skipped without a system when the conditional-dominance
+screen of :class:`lp.DominanceScreen` proves its receiver side (sender
+optimality per type) infeasible.  The screen runs once before the
+enumeration, as one table per sender type over all of the receiver's
+support profiles (:func:`static.screen_grid`).  The sender side
+(receiver optimality in posterior weights) is solved next.  It is not
+screened, because its posterior weights can be 0, but it reads only the
+reply supports at the messages some type may send, so it is solved once
+per (sender support profile, on-path reply supports) pair.  The receiver
+side is solved only where the sender side is feasible, and, after the
+last block, the off-path belief systems only where both are.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ from .static import (_profile_masks, _support_tables, _SupportStack, check_budge
 GAP_TOL = 1e-8
 _BAYES_TOL = 1e-9
 _TIE_TOL = 1e-9
+# Support profiles in one block of the support search at most (unless one
+# sender profile has more): a block's masks and keys take a few megabytes.
+_BLOCK_PROFILES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -307,44 +312,51 @@ def _support_search(game: SignalingGame, largest: int | None) -> list[SignalingP
     screens = [DominanceScreen(coef[t], feasible[t]) for t in range(n)]
 
     rejected = screen_grid(screens, sender_subsets, receiver_subsets)
-    # The unscreened candidates in search order, as support masks.
-    sender_profile, reply_profile = np.divmod(np.flatnonzero(~rejected.ravel()),
-                                              rejected.shape[1])
-    senders = _profile_masks(_support_tables(sender_subsets, m2), sender_profile)
-    replies = _profile_masks(_support_tables(receiver_subsets, m1), reply_profile)
-
-    # The sender side reads the reply supports only at the messages some
-    # type may send, so candidates that differ off path share a system.
-    # Its key packs that set of messages (most significant), the sender
-    # profile and the on-path reply supports into one integer.
-    potential = senders.any(axis=1)
-    code = potential @ (1 << np.arange(m2))
-    on_path = (replies & potential[:, :, None]).reshape(len(replies), -1)
-    key = (((code * len(rejected) + sender_profile) << on_path.shape[1])
-           + on_path @ (1 << np.arange(on_path.shape[1])))
-    _, first, system = np.unique(key, return_index=True, return_inverse=True)
-    # Its own agents are the messages in ``potential``: one builder per
-    # set.  The keys come sorted, so each set's systems are contiguous.
-    parts = []
-    for c in np.unique(code[first]):
-        rep = first[code[first] == c]
-        messages = np.flatnonzero(potential[rep[0]])
-        parts.append((_SupportStack(coef1[messages], [range(m1)] * len(messages)),
-                      replies[rep][:, messages], senders[rep]))
-    sender_rows = solve_supports(parts)
-
-    # The receiver side where the sender side is feasible.
-    live = [k for k, u in enumerate(system) if sender_rows[u] is not None]
-    receiver_rows = solve_supports([(_SupportStack(coef, feasible), senders[live], replies[live])])
+    sender_tables = _support_tables(sender_subsets, m2)
+    reply_tables = _support_tables(receiver_subsets, m1)
+    n_replies, shape = rejected.shape[1], [len(t) for t in reply_tables]
+    # The unscreened candidates in search order, as support masks, one
+    # block of sender profiles at a time, so that memory is bounded by a
+    # block and not by the search.
+    step = max(1, _BLOCK_PROFILES // n_replies)
     survivors = []
-    for k, receiver in zip(live, receiver_rows):
-        if receiver is None:
-            continue
-        sender = sender_rows[system[k]]
-        marginals = prior @ sender
-        off_keys = [(m, tuple(np.flatnonzero(receiver[m] > 1e-12).tolist()))
-                    for m in range(m2) if marginals[m] <= 1e-12]
-        survivors.append((sender, receiver, marginals, off_keys))
+    for block in np.split(np.arange(len(rejected)), range(step, len(rejected), step)):
+        local, reply_profile = np.divmod(np.flatnonzero(~rejected[block].ravel()), n_replies)
+        senders = _profile_masks(sender_tables, block[local])
+        replies = _profile_masks(reply_tables, reply_profile)
+
+        # The sender side reads the reply supports only at the messages
+        # some type may send, a set that the sender profile fixes, so
+        # candidates that differ off path share a system: one per sender
+        # profile and reply profile with the off-path supports numbered 0.
+        # Keys stay below the block's count of support profiles.
+        sets, set_of = np.unique(_profile_masks(sender_tables, block).any(axis=1), axis=0,
+                                 return_inverse=True)
+        on_path = np.ravel_multi_index(
+            np.multiply(np.unravel_index(reply_profile, shape), sets[set_of[local]].T), shape)
+        _, first, system = np.unique(local * n_replies + on_path,
+                                     return_index=True, return_inverse=True)
+        # The side's own agents are those messages: one builder per set.
+        group = set_of[local[first]]
+        parts = []
+        for g, messages in enumerate(map(np.flatnonzero, sets)):
+            rep = first[group == g]
+            parts.append((_SupportStack(coef1[messages], [range(m1)] * len(messages)),
+                          replies[rep][:, messages], senders[rep]))
+        sender_rows = dict(zip(np.argsort(group, kind="stable").tolist(), solve_supports(parts)))
+
+        # The receiver side where the sender side is feasible.
+        live = [k for k, u in enumerate(system) if sender_rows[u] is not None]
+        receiver_rows = solve_supports([(_SupportStack(coef, feasible),
+                                         senders[live], replies[live])])
+        for k, receiver in zip(live, receiver_rows):
+            if receiver is None:
+                continue
+            sender = sender_rows[system[k]]
+            marginals = prior @ sender
+            off_keys = [(m, tuple(np.flatnonzero(receiver[m] > 1e-12).tolist()))
+                        for m in range(m2) if marginals[m] <= 1e-12]
+            survivors.append((sender, receiver, marginals, off_keys))
     off_beliefs = _off_path_beliefs(game, dict.fromkeys(
         key for *_, off_keys in survivors for key in off_keys))
 

@@ -311,19 +311,19 @@ class _SupportStack:
         n_pairs = len(self.agent)
         return len(self.sum_rows) + n_pairs, self.own_rows.shape[1] + n_pairs
 
-    def systems(self, own: np.ndarray, opp: np.ndarray, out=None):
-        """:func:`lp.solve_stack`'s arguments for the systems of own
-        support masks ``own[k, agent, action]`` against opponent support
-        masks ``opp[k, agent, action]``.  ``out``, when given, is the
-        ``(body, rhs, ready)`` to write them into, one row per system:
-        zeros (``ready`` -1) with at least :meth:`shape` rows and
-        columns per system, of which the systems take the top left."""
+    def systems(self, own: np.ndarray, opp: np.ndarray, body: np.ndarray,
+                rhs: np.ndarray, ready: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write :func:`lp.solve_stack`'s ``body``, ``rhs`` and ``ready``
+        for the systems of own support masks ``own[k, agent, action]``
+        against opponent support masks ``opp[k, agent, action]``, and
+        return their ``n_rows`` and ``n_cols``.  The arrays come zeroed
+        (``ready`` -1), one row per system, with at least :meth:`shape`
+        rows and columns per system, of which the systems take the top
+        left."""
         n_sys = len(own)
         n_opp, n_y = self.sum_rows.shape
-        n_pairs, n_value = len(self.agent), self.own_rows.shape[1]
-        m, width = self.shape()
-        body, rhs, ready = out or (np.zeros((n_sys, m, width)), np.zeros((n_sys, m)),
-                                   np.full((n_sys, m), -1))
+        n_value = self.own_rows.shape[1]
+        m, _ = self.shape()
         supported = own[:, self.agent, self.action]
         n_eq = n_opp + supported.sum(axis=1)
         in_support = opp.reshape(n_sys, 1, n_y)
@@ -336,8 +336,7 @@ class _SupportStack:
         body[k, r, n_value + slack[k, r]] = 1.0
         ready[:, :m] = np.where(slack >= 0, n_value + slack, -1)
         rhs[:, :n_opp] = 1.0
-        n_cols = opp.sum(axis=(1, 2)) + n_value - n_y + m - n_eq
-        return body, rhs, ready, np.full(n_sys, m), n_cols
+        return np.full(n_sys, m), opp.sum(axis=(1, 2)) + n_value - n_y + m - n_eq
 
 
 def solve_supports(parts) -> list:
@@ -372,7 +371,7 @@ def _solve_one_stack(parts) -> list:
     counts, lo = [], 0
     for stack, own, opp in parts:
         view = slice(lo, lo + len(own))
-        counts.append(stack.systems(own, opp, (body[view], rhs[view], ready[view]))[3:])
+        counts.append(stack.systems(own, opp, body[view], rhs[view], ready[view]))
         lo += len(own)
     n_rows, n_cols = (np.concatenate(c) for c in zip(*counts))
     feasible, x = solve_stack(body, rhs, ready, n_rows, n_cols)

@@ -412,7 +412,11 @@ def test_builders_of_different_sizes_share_padded_stacks(monkeypatch):
 @pytest.mark.parametrize("shape", _SIDE_SHAPES)
 def test_stacked_builder_writes_support_lp_rows(shape):
     coeffs, feasible, own, opp, _, problems = _side_systems(0, shape)
-    body, rhs, ready, n_rows, n_cols = static._SupportStack(coeffs, feasible).systems(own, opp)
+    stack = static._SupportStack(coeffs, feasible)
+    m, width = stack.shape()
+    body, rhs, ready = (np.zeros((len(own), m, width)), np.zeros((len(own), m)),
+                        np.full((len(own), m), -1))
+    n_rows, n_cols = stack.systems(own, opp, body, rhs, ready)
     n_y = opp.shape[1] * opp.shape[2]
     n_value = 2 * len(coeffs)
     for k, p in enumerate(problems):

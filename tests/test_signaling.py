@@ -629,28 +629,56 @@ def test_sender_side_lp_is_solved_once_per_on_path_reply_supports(monkeypatch):
     assert counts == [9, 3, 1]
 
 
+def _assert_pure_matches_map_loop(g):
+    found, expected = solve_pure_pbne(g), _map_loop_pure_pbne(g)
+    assert len(found) == len(expected)
+    # On path the search divides by the marginal prior @ sender, the
+    # loop by the sum of prior * sender.  From 4 types on, the two sums
+    # may round apart by an ulp, and so may the gap that verify_pbne
+    # computes under those beliefs.
+    tol = 1e-15 if g.n_types >= 4 else 0.0
+    for r, e in zip(found, expected):
+        assert np.array_equal(r.receiver, e.receiver)
+        assert np.array_equal(r.sender, e.sender)
+        assert (r.off_path, r.classification) == (e.off_path, e.classification)
+        off = list(r.off_path)
+        on = [m for m in range(g.n_messages) if m not in r.off_path]
+        assert np.array_equal(r.beliefs[off], e.beliefs[off])
+        assert np.abs(r.beliefs[on] - e.beliefs[on]).max(initial=0.0) <= tol
+        assert abs(r.gap - e.gap) <= tol
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 2, False), (3, 2, 3, True), (3, 3, 3, False),
                                    (4, 2, 3, False), (4, 3, 2, True), (5, 2, 2, False)])
 def test_pure_pbne_matches_map_loop(shape):
     *dims, zero_prior = shape
     for seed in range(5):
-        g = _random_signaling(seed, *dims, zero_prior=zero_prior)
-        found, expected = solve_pure_pbne(g), _map_loop_pure_pbne(g)
-        assert len(found) == len(expected)
-        # On path the search divides by the marginal prior @ sender, the
-        # loop by the sum of prior * sender.  From 4 types on, the two
-        # sums may round apart by an ulp, and so may the gap that
-        # verify_pbne computes under those beliefs.
-        tol = 1e-15 if g.n_types >= 4 else 0.0
-        for r, e in zip(found, expected):
-            assert np.array_equal(r.receiver, e.receiver)
-            assert np.array_equal(r.sender, e.sender)
-            assert (r.off_path, r.classification) == (e.off_path, e.classification)
-            off = list(r.off_path)
-            on = [m for m in range(g.n_messages) if m not in r.off_path]
-            assert np.array_equal(r.beliefs[off], e.beliefs[off])
-            assert np.abs(r.beliefs[on] - e.beliefs[on]).max(initial=0.0) <= tol
-            assert abs(r.gap - e.gap) <= tol
+        _assert_pure_matches_map_loop(_random_signaling(seed, *dims, zero_prior=zero_prior))
+
+
+def test_pure_pbne_with_many_replies_matches_map_loop():
+    # 2 messages x 32 actions: more (message, action) pairs than an int64
+    # has bits, in 2**3 * 32**2 = 8,192 support profiles.
+    for seed in range(2):
+        _assert_pure_matches_map_loop(_random_signaling(seed, 3, 2, 32))
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_search_blocks_do_not_change_results(monkeypatch, block):
+    # Blocks of one sender profile, and blocks smaller than one sender
+    # profile's reply profiles, give the results of one block.
+    from secgames import signaling
+    games = [_random_signaling(seed, *shape, zero_prior=z)
+             for seed, (*shape, z) in enumerate([(2, 3, 2, False), (3, 2, 3, True)])]
+    whole = [(solve_pure_pbne(g), solve_mixed_pbne(g)) for g in games]
+    monkeypatch.setattr(signaling, "_BLOCK_PROFILES", block)
+    for g, results in zip(games, whole):
+        for found, expected in zip((solve_pure_pbne(g), solve_mixed_pbne(g)), results):
+            assert len(found) == len(expected) > 0
+            for r, e in zip(found, expected):
+                for field in ("receiver", "sender", "beliefs"):
+                    assert getattr(r, field).tobytes() == getattr(e, field).tobytes()
+                assert (r.off_path, r.classification, r.gap) == (e.off_path, e.classification, e.gap)
 
 
 def test_games_past_the_old_shape_caps_solve():

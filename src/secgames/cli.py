@@ -257,10 +257,12 @@ def cmd_solve_bne(args) -> tuple:
 def cmd_solve_signaling(args) -> tuple:
     g = signaling.as_signaling_game(_load_game(args, one_shot=True))
     # every method is solved before anything prints, so a method that
-    # refuses the game leaves no partial output
-    solved = {method: (signaling.solve_pure_pbne(g) if method == "pure"
-                       else signaling.solve_mixed_pbne(g))
-              for method in (("pure", "mixed") if args.method == "both" else (args.method,))}
+    # refuses the game leaves no partial output; both come from one search
+    if args.method == "both":
+        solved = dict(zip(("pure", "mixed"), signaling.solve_pure_and_mixed_pbne(g)))
+    else:
+        solved = {args.method: (signaling.solve_pure_pbne(g) if args.method == "pure"
+                                else signaling.solve_mixed_pbne(g))}
     payload: dict = {}
     for method, found in solved.items():
         print(f"{method}: {len(found)} equilibrium(s)")

@@ -179,11 +179,6 @@ def _deviations(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2):
     return best1, best2, np.maximum(best1 - ach1, 0.0), np.maximum(best2 - ach2, 0.0)
 
 
-def stage_deviation_gaps(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2):
-    """Exact per-type best-response gaps at a stage profile."""
-    return _deviations(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2)[2:]
-
-
 def _stage_objective(t1, t2, b1, b2, sigma1, sigma2, s, w) -> float:
     total = np.einsum("abst,s,t,sa,tb->", t1 + t2, b1, b2, sigma1, sigma2)
     return float(total + b2 @ w + b1 @ s)
@@ -325,16 +320,6 @@ def _prior_stage_beliefs(game: MultiStageGame, tree) -> tuple[tuple, tuple]:
     return tuple(tuple(np.tile(prior.weights, (len(x), n_own, 1)) for x in tree)
                  for prior, n_own in ((game.prior_about_2, game.n1),
                                       (game.prior_about_1, game.n2)))
-
-
-def prior_beliefs(game: MultiStageGame) -> BeliefSystem:
-    """The uninformative start: priors carried forward at every node."""
-    tree = _stages(game)
-    off = tuple(np.zeros(len(x), dtype=bool) for x in tree)
-    return BeliefSystem(*_prior_stage_beliefs(game, tree), off, off,
-                        *(tuple(np.tile(prior.weights, (st.n_states, 1)) for st in game.stages)
-                          for prior in (game.prior_about_1, game.prior_about_2)),
-                        tuple(np.zeros(st.n_states, dtype=bool) for st in game.stages), 0.0)
 
 
 def _bayes(bel: np.ndarray, opp_rows: np.ndarray):

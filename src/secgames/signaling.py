@@ -15,11 +15,13 @@ optimality and consistency conditions.
 Pure and mixed equilibria come from one agent-form support search
 (:func:`_support_search`) with one feasibility system per side: the
 mixed solver tries every nonempty support of every agent, the pure
-solver only the singletons.  Either is refused when it would enumerate
-more than ``static.BNE_BUDGET`` support profiles
-(:func:`static.check_budget`).  As in :func:`static.solve_bne`, every
-support system, off-path ones included, is a member of a stack
-(:class:`static._SupportStack`, :func:`static.solve_supports`).  The
+solver only the singletons, and :func:`solve_pure_and_mixed_pbne` takes
+both lists from one mixed search, whose singleton slice is the pure
+search.  A search is refused when it would enumerate more than
+``static.BNE_BUDGET`` support profiles (:func:`static.check_budget`).
+As in :func:`static.solve_bne`, every support system, off-path ones
+included, is a member of a stack (:class:`static._SupportStack`,
+:func:`static.solve_supports`).  The
 search walks the candidates in blocks of sender support profiles, at
 most ``_BLOCK_PROFILES`` support profiles each unless one sender profile
 has more, and runs each block in phases, one batch of systems each.  A
@@ -280,16 +282,26 @@ def solve_pure_pbne(game: SignalingGame) -> list[SignalingPBNE]:
     is then re-verified to ``GAP_TOL``.  Results come in (sender map,
     reply map) order.
     """
-    return _support_search(game, largest=1)
+    return _support_search(game, largest=1)[0]
 
 
 def solve_mixed_pbne(game: SignalingGame) -> list[SignalingPBNE]:
     """Mixed equilibria: :func:`_support_search` over every nonempty
     support of every agent, smallest first."""
+    return _support_search(game, largest=None)[1]
+
+
+def solve_pure_and_mixed_pbne(game: SignalingGame
+                              ) -> tuple[list[SignalingPBNE], list[SignalingPBNE]]:
+    """``(solve_pure_pbne(game), solve_mixed_pbne(game))`` from one
+    search: the pure equilibria are those found from the mixed search's
+    singleton support profiles, which are the pure search's candidates
+    in the same order, resolved by the same systems."""
     return _support_search(game, largest=None)
 
 
-def _support_search(game: SignalingGame, largest: int | None) -> list[SignalingPBNE]:
+def _support_search(game: SignalingGame, largest: int | None
+                    ) -> tuple[list[SignalingPBNE], list[SignalingPBNE]]:
     """Equilibria by agent-form support enumeration.
 
     Agents are sender types and receiver information sets (messages).
@@ -299,7 +311,9 @@ def _support_search(game: SignalingGame, largest: int | None) -> list[SignalingP
     sender side (one per sender support profile and on-path reply
     supports) before the receiver side, and every solution is
     re-verified, with off-path responses required to be optimal under
-    some belief.  Results come in support order.
+    some belief.  Returns the equilibria found from candidates whose
+    supports are all singletons, then all equilibria, each list
+    deduplicated on its own and in support order.
     """
     n, m1, m2 = game.n_types, game.n_actions, game.n_messages
     prior = np.asarray(game.prior.weights)
@@ -324,6 +338,7 @@ def _support_search(game: SignalingGame, largest: int | None) -> list[SignalingP
         local, reply_profile = np.divmod(np.flatnonzero(~rejected[block].ravel()), n_replies)
         senders = _profile_masks(sender_tables, block[local])
         replies = _profile_masks(reply_tables, reply_profile)
+        single = (senders.sum(axis=2) == 1).all(axis=1) & (replies.sum(axis=2) == 1).all(axis=1)
 
         # The sender side reads the reply supports only at the messages
         # some type may send, a set that the sender profile fixes, so
@@ -356,13 +371,12 @@ def _support_search(game: SignalingGame, largest: int | None) -> list[SignalingP
             marginals = prior @ sender
             off_keys = [(m, tuple(np.flatnonzero(receiver[m] > 1e-12).tolist()))
                         for m in range(m2) if marginals[m] <= 1e-12]
-            survivors.append((sender, receiver, marginals, off_keys))
+            survivors.append((sender, receiver, marginals, off_keys, single[k]))
     off_beliefs = _off_path_beliefs(game, dict.fromkeys(
-        key for *_, off_keys in survivors for key in off_keys))
+        key for *_, off_keys, _ in survivors for key in off_keys))
 
-    results: list[SignalingPBNE] = []
-    seen: set[bytes] = set()
-    for sender, receiver, marginals, off_keys in survivors:
+    pure, mixed = ([], set()), ([], set())    # (results, seen keys) each
+    for sender, receiver, marginals, off_keys, single in survivors:
         if any(off_beliefs[key] is None for key in off_keys):
             continue
         beliefs = np.zeros((m2, n))
@@ -375,13 +389,14 @@ def _support_search(game: SignalingGame, largest: int | None) -> list[SignalingP
         if gap > GAP_TOL or bayes_err > _BAYES_TOL or notes:
             continue
         key = np.round(np.concatenate([receiver.ravel(), sender.ravel()]), 7).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append(SignalingPBNE(receiver, sender, beliefs, tuple(m for m, _ in off_keys),
-                                     classify(sender), gap))
-    results.sort(key=lambda r: (support_of(r.sender), support_of(r.receiver)))
-    return results
+        result = SignalingPBNE(receiver, sender, beliefs, tuple(m for m, _ in off_keys),
+                               classify(sender), gap)
+        for results, seen in ((pure, mixed) if single else (mixed,)):
+            if key not in seen:
+                seen.add(key)
+                results.append(result)
+    return tuple(sorted(results, key=lambda r: (support_of(r.sender), support_of(r.receiver)))
+                 for results, _ in (pure, mixed))
 
 
 def as_signaling_game(game) -> SignalingGame:

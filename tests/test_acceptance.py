@@ -14,8 +14,8 @@ import numpy as np
 
 from secgames.cli import main
 from secgames.core import FiniteDistribution
-from secgames.multistage import (cumulative_utility, solve_pbne, solve_stage_tensors,
-                                 stage_deviation_gaps)
+from secgames.multistage import (_deviations, cumulative_utility, solve_pbne,
+                                 solve_stage_tensors)
 from secgames.scenarios import (build_apt_game, build_exercise_qb,
                                 default_apt_parameters, exercise_qb_matrices)
 from secgames.signaling import (as_signaling_game, classify, solve_mixed_pbne,
@@ -96,8 +96,8 @@ def test_criterion_4_oracle_equivalence_50_games():
         feas2 = np.ones((2, m2), bool)
         eqs = solve_bne(g, max_results=1)
         assert eqs, f"trial {trial}: agent form found nothing"
-        g1, g2 = stage_deviation_gaps(j1, j2, feas1, feas2, pr1, pr2,
-                                      eqs[0].sigma1, eqs[0].sigma2)
+        g1, g2 = _deviations(j1, j2, feas1, feas2, pr1, pr2,
+                             eqs[0].sigma1, eqs[0].sigma2)[2:]
         worst = max(worst, g1.max(), g2.max())
         sol = solve_stage_tensors(j1, j2, feas1, feas2, pr1, pr2)
         assert sol.converged, f"trial {trial}: bilinear search failed"

@@ -1,0 +1,35 @@
+"""The BENCH file writer (``bench.py``) on runner and pytest output."""
+
+import bench
+
+RUN_OUTPUT = """\
+# workload oneshot-ne-signaling  seed 1  40 s  trace 0  closed loop
+# nproc 2  os.cpu_count 2  python 3.12.0  numpy 2.0.0  commit abc  src lines 4381
+solve_ne_s                   median 0.004 s
+# 10 passes, 20 operations, 20 distinct report digests
+{"correct": true, "attempted": 20, "failed": 0, "metrics": {"pass_s": {"value": 0.008, "unit": "s"}}}
+"""
+
+
+def test_parse_run_takes_the_leading_header_and_the_last_json_line():
+    header, result = bench.parse_run(RUN_OUTPUT)
+    assert header == RUN_OUTPUT.splitlines()[:2]
+    assert result == {"correct": True, "attempted": 20, "failed": 0,
+                      "metrics": {"pass_s": {"value": 0.008, "unit": "s"}}}
+    assert bench.parse_run("# header only\nTraceback ...\n") == (["# header only"], None)
+    assert bench.parse_run("") == ([], None)
+
+
+def test_medians_per_metric():
+    runs = [{"metrics": {"pass_s": {"value": v, "unit": "s"},
+                         "peak_rss_mb": {"value": 40.0 + v, "unit": "MB"}}}
+            for v in (3.0, 1.0, 2.0)]
+    assert bench.medians(runs) == {"pass_s": {"median": 2.0, "unit": "s", "n": 3},
+                                   "peak_rss_mb": {"median": 42.0, "unit": "MB", "n": 3}}
+
+
+def test_parse_tier1_reads_the_summary_line():
+    out = "....\n0.39s call     tests/test_cli.py::test_x\n3 failed, 772 passed, 1 errors in 22.22s\n"
+    assert bench.parse_tier1(out) == {"summary": "3 failed, 772 passed, 1 errors in 22.22s",
+                                      "passed": 772, "failed": 3, "errors": 1}
+    assert bench.parse_tier1("")["passed"] == 0

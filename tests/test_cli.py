@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from secgames import multistage, signaling, simulate, static
+from secgames import multistage, scenarios, signaling, simulate, static
 from secgames.cli import main
 from secgames.core import FiniteDistribution, StrategyProfile
 from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, history_labels,
@@ -667,8 +667,9 @@ def _too_large_game(kind) -> static.StaticBayesianGame:
     # Both exceed the budget of 10**6 support profiles: 10x10 actions
     # give (2**10 - 1)**2 = 1,046,529.  The signaling game (3 user types,
     # 4 user actions as messages, 3 defender replies) gives 15**3 * 7**4 =
-    # 8,103,375 mixed profiles, but its 4**3 * 3**4 = 5,184 pure ones
-    # solve, so --method both must refuse after the pure method solved.
+    # 8,103,375 mixed profiles, though its 4**3 * 3**4 = 5,184 pure ones
+    # are inside the budget: --method both runs one mixed search, so it
+    # refuses before any pure system is solved.
     rng = np.random.default_rng(0)
     m1, m2, n2 = (10, 10, 1) if kind == "ne" else (3, 4, 3)
     return static.StaticBayesianGame(
@@ -680,10 +681,14 @@ def _too_large_game(kind) -> static.StaticBayesianGame:
 @pytest.mark.parametrize("command", [("ne",), ("signaling", "--method", "mixed"),
                                      ("signaling", "--method", "both")],
                          ids=["ne-10x10", "signaling-3-types-4x3", "signaling-both-3-types-4x3"])
-def test_enumeration_budget_exits_2(capsys, tmp_path, command):
+def test_enumeration_budget_exits_2(capsys, tmp_path, monkeypatch, command):
     path = tmp_path / "game.json"
     dump_json(game_to_dict(static.to_multistage(_too_large_game(command[0]))), str(path))
     out_file = tmp_path / "r.json"
+    stack_runs = []
+    solve_stack = static.solve_stack
+    monkeypatch.setattr(static, "solve_stack",
+                        lambda *args: stack_runs.append(1) or solve_stack(*args))
     code, out, err = run(capsys, "solve", *command, "--game", str(path),
                          "--out", str(out_file))
     assert code == 2
@@ -691,6 +696,50 @@ def test_enumeration_budget_exits_2(capsys, tmp_path, command):
     assert "invalid input" in err and "enumeration" in err
     assert "Traceback" not in err
     assert not out_file.exists()
+    # The budget is checked before any support system is built.
+    assert stack_runs == []
+
+
+def _signaling_pool_game(seed: int) -> static.StaticBayesianGame:
+    """A game of the benchmark's signaling shape: 2 defender and 3 user
+    actions, one defender type and two user types, payoffs normal to 6
+    places."""
+    rng = np.random.default_rng(seed)
+    weight = round(float(rng.uniform(0.2, 0.8)), 6)
+    return static.StaticBayesianGame(
+        ("d",), ("u0", "u1"), FiniteDistribution([1.0]),
+        FiniteDistribution([weight, round(1.0 - weight, 6)]),
+        np.round(rng.normal(size=(2, 3, 1, 2)), 6), np.round(rng.normal(size=(2, 3, 1, 2)), 6),
+        *static.StaticBayesianGame.full_masks(2, 3, 1, 2))
+
+
+def test_signaling_both_reports_the_pure_and_mixed_results(capsys, tmp_path):
+    # --method both runs one search; its lists are those of the separate
+    # --method pure and --method mixed runs.
+    sources = [("--scenario", name) for name in scenarios.SCENARIOS]
+    for seed in range(20):
+        path = tmp_path / f"game-{seed}.json"
+        dump_json(game_to_dict(static.to_multistage(_signaling_pool_game(seed))), str(path))
+        sources.append(("--game", str(path)))
+    accepted = []
+    for source in sources:
+        codes, results = [], {}
+        for method in ("pure", "mixed", "both"):
+            out_file = tmp_path / f"{method}.json"
+            out_file.unlink(missing_ok=True)
+            code, _, _ = run(capsys, "solve", "signaling", *source, "--method", method,
+                             "--out", str(out_file))
+            codes.append(code)
+            if code == 0:
+                results[method] = json.loads(out_file.read_text())["results"]
+        assert codes in ([0, 0, 0], [2, 2, 2]), (source, codes)
+        if codes[0] == 0:
+            accepted.append(source)
+            assert results["both"] == {"pure": results["pure"]["pure"],
+                                       "mixed": results["mixed"]["mixed"]}, source
+    # static-baseline and static-bayesian lift; the two-sided ones do not.
+    assert [s[1] for s in accepted[:2]] == ["static-baseline", "static-bayesian"]
+    assert len(accepted) == 22
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,11 +9,10 @@ from secgames.core import MalformedInputError, StrategyProfile, validate_game
 from secgames.gamejson import (beliefs_from_dict, beliefs_to_dict, dump_json,
                                game_from_dict, game_to_dict, history_labels, load_game,
                                profile_from_dict, profile_to_dict)
-from secgames.multistage import (backward_pass, forward_pass, prior_beliefs, solve_pbne,
-                                 verify_epsilon)
+from secgames.multistage import backward_pass, forward_pass, solve_pbne, verify_epsilon
 from secgames.scenarios import build_apt_game, build_static_bayesian
 from secgames.static import to_multistage
-from tests.test_multistage import history_tree
+from tests.test_multistage import history_tree, prior_beliefs
 
 
 @pytest.fixture()

@@ -9,8 +9,7 @@ import pytest
 
 from secgames import lp, static
 from secgames.core import FiniteDistribution
-from secgames.multistage import (_stage_lcp, _uniform_rows, solve_stage_tensors,
-                                 stage_deviation_gaps)
+from secgames.multistage import _deviations, _stage_lcp, _uniform_rows, solve_stage_tensors
 
 
 def _lemke_stage(t1, t2, feas1, feas2, b1, b2):
@@ -29,8 +28,8 @@ def _lemke_stage(t1, t2, feas1, feas2, b1, b2):
 
 
 def _gaps(t1, t2, feas1, feas2, b1, b2, sigma1, sigma2):
-    g1, g2 = stage_deviation_gaps(t1, t2, feas1, feas2, np.asarray(b1),
-                                  np.asarray(b2), sigma1, sigma2)
+    g1, g2 = _deviations(t1, t2, feas1, feas2, np.asarray(b1), np.asarray(b2),
+                         sigma1, sigma2)[2:]
     return max(g1.max(), g2.max())
 
 

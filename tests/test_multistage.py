@@ -8,19 +8,28 @@ import pytest
 
 from secgames import multistage, simulate
 
-from secgames.core import (FiniteDistribution, MalformedInputError, MultiStageGame,
-                           PayoffTensor, StageGame, StrategyProfile, stage_states)
+from secgames.core import (BeliefSystem, FiniteDistribution, MalformedInputError,
+                           MultiStageGame, PayoffTensor, StageGame, StrategyProfile,
+                           stage_states)
 from secgames.gamejson import history_labels, profile_to_dict
-from secgames.multistage import (ROW_ZERO_TOL, backward_pass, belief_update, build_tree,
-                                 cumulative_utility, forward_pass,
-                                 prior_beliefs, root_values, solve_pbne,
-                                 _stage_tensors, solve_stage_tensors,
-                                 stage_deviation_gaps,
-                                 verify_epsilon)
+from secgames.multistage import (ROW_ZERO_TOL, _deviations, _prior_stage_beliefs,
+                                 _stage_tensors, backward_pass, belief_update, build_tree,
+                                 cumulative_utility, forward_pass, root_values, solve_pbne,
+                                 solve_stage_tensors, verify_epsilon)
 from secgames.scenarios import (build_apt_game, build_exercise_qb, build_static_bayesian,
                                 default_apt_parameters, exercise_qb_matrices)
 from secgames.static import (StaticBayesianGame, bayes_gap, equilibrium_values,
                              to_multistage)
+
+
+def prior_beliefs(game) -> BeliefSystem:
+    """The uninformative start: priors carried forward at every node."""
+    tree = stage_states(game, build_tree(game))
+    off = tuple(np.zeros(len(x), dtype=bool) for x in tree)
+    return BeliefSystem(*_prior_stage_beliefs(game, tree), off, off,
+                        *(tuple(np.tile(prior.weights, (st.n_states, 1)) for st in game.stages)
+                          for prior in (game.prior_about_1, game.prior_about_2)),
+                        tuple(np.zeros(st.n_states, dtype=bool) for st in game.stages), 0.0)
 
 
 def history_tree(game) -> dict:
@@ -160,10 +169,8 @@ class TestStageBilinear:
         j2 = rng.normal(size=(2, 2, 2, 2))
         feas = np.ones((2, 2), bool)
         sol = solve_stage_tensors(j1, j2, feas, feas, [1.0, 0.0], [0.5, 0.5])
-        gaps1, gaps2 = stage_deviation_gaps(j1, j2, feas, feas,
-                                            np.array([1.0, 0.0]),
-                                            np.array([0.5, 0.5]),
-                                            sol.sigma1, sol.sigma2)
+        gaps1, gaps2 = _deviations(j1, j2, feas, feas, np.array([1.0, 0.0]),
+                                   np.array([0.5, 0.5]), sol.sigma1, sol.sigma2)[2:]
         assert gaps1.max() <= 1e-6 and gaps2.max() <= 1e-6
 
 

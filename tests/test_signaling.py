@@ -9,7 +9,7 @@ from secgames.core import EnumerationBudgetError, FiniteDistribution, MalformedI
 from secgames.signaling import (_TIE_TOL, SignalingGame, _off_path_beliefs,
                                 as_signaling_game, classify, posterior_from_sender,
                                 receiver_best_response, solve_mixed_pbne,
-                                solve_pure_pbne, verify_pbne)
+                                solve_pure_and_mixed_pbne, solve_pure_pbne, verify_pbne)
 from secgames.scenarios import build_static_bayesian
 from tests.scalar_lp import support_lp
 
@@ -679,6 +679,38 @@ def test_search_blocks_do_not_change_results(monkeypatch, block):
                 for field in ("receiver", "sender", "beliefs"):
                     assert getattr(r, field).tobytes() == getattr(e, field).tobytes()
                 assert (r.off_path, r.classification, r.gap) == (e.off_path, e.classification, e.gap)
+
+
+def _assert_same_results(found, expected):
+    assert len(found) == len(expected)
+    for r, e in zip(found, expected):
+        for field in ("receiver", "sender", "beliefs"):
+            assert np.array_equal(getattr(r, field), getattr(e, field))
+        assert (r.off_path, r.classification, r.gap) == (e.off_path, e.classification, e.gap)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2, False), (3, 2, 3, True), (2, 2, 3, True),
+                                   (4, 2, 2, False), (4, 3, 2, True), (5, 2, 2, False)])
+def test_pure_and_mixed_pbne_match_separate_searches(monkeypatch, shape):
+    # One search gives both lists: its singleton slice is the pure search.
+    # No game of _random_signaling's shapes (440 games searched) reaches
+    # a pure equilibrium first from a larger support profile; in search
+    # order a singleton profile comes before every profile that contains it.
+    *dims, zero_prior = shape
+    for seed in range(3):
+        g = _random_signaling(seed, *dims, zero_prior=zero_prior)
+        pure, mixed = solve_pure_and_mixed_pbne(g)
+        _assert_same_results(pure, solve_pure_pbne(g))
+        _assert_same_results(mixed, solve_mixed_pbne(g))
+    # The pair solves exactly the systems, phase by phase, of the mixed
+    # search alone: no pure system is solved a second time.
+    with monkeypatch.context() as m:
+        stacks = _spy_on_stacks(m)
+        solve_mixed_pbne(g)
+    with monkeypatch.context() as m:
+        pair_stacks = _spy_on_stacks(m)
+        solve_pure_and_mixed_pbne(g)
+    assert pair_stacks == stacks
 
 
 def test_games_past_the_old_shape_caps_solve():

@@ -6,11 +6,16 @@ Run from the root of a source checkout.  For every workload that
 ``BENCHMARK.json`` gates, ``perfbench/run.py`` runs in a child process at
 seeds 1-5 with ``--trace 0`` and once at seed 1 with ``--trace 1``, each
 for the benchmark's ``run_seconds``, one run at a time.  Then the tier-1
-suite runs once.  The file holds the runner's header lines, every run's
-final JSON object, the per-metric medians of each (workload, trace)
-group, the tier-1 pass count and wall time, and the ``src/`` line count
-that the runner's header reports.  The exit code is 1 when a run or the
-tier-1 suite failed; the file is written either way.
+suite runs once.  Last, the horizon sweep: on the random game of
+``perfbench.generators.random_game(default_rng(101), H)`` for H = 1..5,
+``solve pbne --max-iter 2`` and then ``verify`` of its report, each in a
+fresh ``python -m secgames.cli`` child whose exit code, wall time and
+peak RSS are recorded.  The file holds the runner's header lines, every
+run's final JSON object, the per-metric medians of each (workload,
+trace) group, the tier-1 pass count and wall time, the horizon rows and
+the ``src/`` line count that the runner's header reports.  The exit code
+is 1 when a run, the tier-1 suite or a horizon command failed (a solve
+may stop at its two sweeps with exit 3); the file is written either way.
 """
 
 from __future__ import annotations
@@ -21,12 +26,20 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+
+import numpy as np
+
+from perfbench.generators import random_game
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 2, 3, 4, 5)
 TRACE_SEED = 1
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+HORIZONS = (1, 2, 3, 4, 5)
+HORIZON_SEED = 101
+CLI = [sys.executable, "-m", "secgames.cli"]
 
 
 def parse_run(stdout: str) -> tuple[list[str], dict | None]:
@@ -80,6 +93,46 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return run
 
 
+def run_child(argv: list[str], cwd: str, env: dict) -> dict:
+    """Run ``argv`` in a fresh child: its exit code (minus the signal
+    number when a signal ended it), wall time and peak RSS, read from that
+    child's own ``os.wait4`` rusage (``RUSAGE_CHILDREN`` would be the
+    largest peak of all children so far; Linux counts it in KiB).  Linux
+    starts a child's peak at its parent's RSS when it was spawned, since
+    exec keeps the old image's peak: this process (about 28 MB with
+    numpy) stays below a CLI child, which imports more (30 MB or more)."""
+    start = time.perf_counter()
+    with tempfile.TemporaryFile() as err, subprocess.Popen(
+            argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=err) as proc:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        row = {"exit": proc.returncode, "wall_s": round(time.perf_counter() - start, 3),
+               "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+        if row["exit"] not in (0, 3):
+            err.seek(0)
+            row["stderr_tail"] = err.read()[-2000:].decode(errors="replace")
+    return row
+
+
+def run_horizons(env: dict) -> list[dict]:
+    """``solve pbne --max-iter 2`` and ``verify`` through the CLI on the
+    random game of ``default_rng(HORIZON_SEED)`` at each horizon."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for horizon in HORIZONS:
+            game, report = f"h{horizon}.json", f"h{horizon}-report.json"
+            with open(os.path.join(tmp, game), "w", encoding="utf-8") as fh:
+                json.dump(random_game(np.random.default_rng(HORIZON_SEED), horizon), fh)
+            solve = run_child(CLI + ["solve", "pbne", "--game", game, "--max-iter", "2",
+                                     "--out", report], tmp, env)
+            verify = run_child(CLI + ["verify", "--game", game, "--profile", report], tmp, env)
+            rows.append({"horizon": horizon, "solve": solve, "verify": verify})
+            print(f"horizon {horizon}: solve exit {solve['exit']}, {solve['wall_s']:.1f} s; "
+                  f"verify exit {verify['exit']}, {verify['wall_s']:.1f} s",
+                  file=sys.stderr, flush=True)
+    return rows
+
+
 def git_describe() -> str:
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                           capture_output=True, text=True)
@@ -101,11 +154,13 @@ def main(argv: list[str]) -> int:
                   f"{runs[-1]['wall_s']:.1f} s", file=sys.stderr, flush=True)
 
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                      env.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
     tier1 = {**parse_tier1(proc.stdout), "exit": proc.returncode,
              "wall_s": round(time.perf_counter() - start, 3)}
+    horizon = run_horizons(env)
 
     groups: dict[tuple[str, int], list[dict]] = {}
     for run in runs:
@@ -122,13 +177,15 @@ def main(argv: list[str]) -> int:
         "medians": {f"{workload} trace {trace}": medians(results)
                     for (workload, trace), results in groups.items()},
         "runs": runs,
+        "horizon": horizon,
     }
     with open(argv[0], "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
     ok = tier1["exit"] == 0 and all(
         run["exit"] == 0 and run["result"] is not None and run["result"]["correct"]
-        for run in runs)
+        for run in runs) and all(row["solve"]["exit"] in (0, 3) and row["verify"]["exit"] == 0
+                                 for row in horizon)
     return 0 if ok else 1
 
 

@@ -1,4 +1,8 @@
-"""The BENCH file writer (``bench.py``) on runner and pytest output."""
+"""The BENCH file writer (``bench.py``) on runner, pytest and child-process output."""
+
+import os
+import resource
+import sys
 
 import bench
 
@@ -33,3 +37,17 @@ def test_parse_tier1_reads_the_summary_line():
     assert bench.parse_tier1(out) == {"summary": "3 failed, 772 passed, 1 errors in 22.22s",
                                       "passed": 772, "failed": 3, "errors": 1}
     assert bench.parse_tier1("")["passed"] == 0
+
+
+def test_run_child_reads_the_childs_own_exit_code_and_rusage(tmp_path):
+    # a child's peak starts at this process's RSS; the first child grows past it
+    floor_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10
+    big = bench.run_child([sys.executable, "-c",
+                           f"import sys; b = b'x' * ({floor_mb + 64} << 20); sys.exit(3)"],
+                          str(tmp_path), dict(os.environ))
+    assert big["exit"] == 3 and "stderr_tail" not in big
+    small = bench.run_child([sys.executable, "-c", "raise SystemExit('bad input')"],
+                            str(tmp_path), dict(os.environ))
+    assert small["exit"] == 1 and "bad input" in small["stderr_tail"]
+    # a running maximum over all children would repeat the first peak
+    assert 0 < small["peak_rss_mb"] < big["peak_rss_mb"] - 32

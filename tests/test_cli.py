@@ -1,13 +1,21 @@
 """Command-line behavior: exit codes, reports, reproducibility."""
 
+import argparse
 import hashlib
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import secgames
 from secgames import multistage, scenarios, signaling, simulate, static
-from secgames.cli import main
+from secgames.cli import build_parser, main
 from secgames.core import FiniteDistribution, StrategyProfile
 from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, history_labels,
                                load_game, profile_from_dict, profile_to_dict)
@@ -864,7 +872,8 @@ def _set_first_profile_row(row):
     lambda profile, beliefs: (profile, {"command": "solve pbne", "seed": 0, "results": {
         "profile": profile}}),
     _v3_set("defender", 0, 5), _v3_set("user", 0, 0, [[0.5, 0.5, 0.0]]),
-    _v3_set("classes", 1, 0, 1.5), _v3_set("classes", 1, 0, True),
+    _v3_set("defender", 1, 0, 0, "x"), _v3_set("classes", 1, 0, 1.5),
+    _v3_set("classes", 1, 0, True),
     _v3_set("classes", 2, 0, -1), _v3_set("classes", 1, 0, 3),
     _v3_profile(lambda raw: [raw[key].pop() for key in ("classes", "defender", "user")]),
     _v3_set("defender", 0, 0, 0, 0, 10**400), _v3_set("classes", 1, 0, 10**400),
@@ -878,8 +887,8 @@ def _set_first_profile_row(row):
          "profile-ragged-history-row", "profile-not-numeric-history-row",
          "profile-missing-history", "profile-int-beyond-float", "belief-int-beyond-float",
          "discrepancy-int-beyond-float", "verify-report", "solve-report",
-         "v3-0-d-stage", "v3-ragged-blocks", "v3-class-fraction", "v3-class-bool",
-         "v3-class-negative", "v3-class-past-blocks", "v3-stage-missing",
+         "v3-0-d-stage", "v3-ragged-blocks", "v3-row-text", "v3-class-fraction",
+         "v3-class-bool", "v3-class-negative", "v3-class-past-blocks", "v3-stage-missing",
          "v3-row-int-beyond-float", "v3-class-int-beyond-float", "v3-classes-not-list",
          "unknown-version"])
 def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
@@ -1033,3 +1042,83 @@ def test_p1_informed_exercise_qb_solves_as_pbne(capsys, tmp_path):
     results = json.loads(out_file.read_text())["results"]
     assert results["values"] == {"defender": [[[10.0, 14.0]]], "user": [[[14.0]]]}
     assert results["epsilon"]["defender"] == {"theta1": 0.0, "theta2": 0.0}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _expand(line: str) -> list[str]:
+    """``line`` with its first ``[...]`` dropped and kept, else its first
+    ``a|b|c`` as each alternative, expanded again until none is left."""
+    bracket = re.search(r"\[([^][]*)\]", line)
+    if bracket:
+        before, after = line[:bracket.start()], line[bracket.end():]
+        return _expand(before + after) + _expand(before + bracket.group(1) + after)
+    choice = re.search(r"(?<!\S)[\w.-]+(\|[\w.-]+)+(?!\S)", line)
+    if choice:
+        return [expanded for alternative in choice.group().split("|")
+                for expanded in _expand(line[:choice.start()] + alternative
+                                        + line[choice.end():])]
+    return [line]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv, after ``secgames``, of every command of the README's
+    "Command line" block in order, with ``\\`` continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        for expanded in _expand(line):
+            program, *argv = shlex.split(expanded)
+            assert program == "secgames", line
+            commands.append(argv)
+    return commands
+
+
+def _parser_commands(parser, prefix=()):
+    """Every command path of ``parser``, such as ``("solve", "pbne")``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parser_commands(sub, prefix + (name,))
+            return
+    yield prefix
+
+
+def test_readme_command_block_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)             # the block's files are relative paths
+    commands = _readme_commands()
+    undocumented = [path for path in _parser_commands(build_parser())
+                    if not any(argv[:len(path)] == list(path) for argv in commands)]
+    assert not undocumented
+    stdout = []
+    for argv in commands:
+        if "beliefs.json" in argv and not (tmp_path / "beliefs.json").exists():
+            # reports store no beliefs; the file is their forward pass
+            game = build_apt_game()
+            profile = profile_from_dict(
+                game, json.loads((tmp_path / "report.json").read_text())["results"]["profile"])
+            dump_json(beliefs_to_dict(game, multistage.forward_pass(game, profile)),
+                      "beliefs.json")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and "Traceback" not in err, (argv, code, err)
+        if "--out" in argv:
+            assert (tmp_path / argv[argv.index("--out") + 1]).exists(), argv
+        stdout.append(out)
+
+    # the module's __main__ block and the process exit code, in two children
+    src = os.path.dirname(os.path.dirname(os.path.abspath(secgames.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def child(*argv):
+        return subprocess.run([sys.executable, "-m", "secgames.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    first_solve = next(i for i, argv in enumerate(commands) if argv[0] == "solve")
+    valid = child(*commands[first_solve])
+    assert valid.returncode == 0 and valid.stdout == stdout[first_solve], valid.stderr
+    malformed = child("solve", "bne", "--scenario", "static-bayesian", "--info", "complete")
+    assert malformed.returncode == 2, malformed.stderr
+    assert malformed.stderr and "Traceback" not in malformed.stderr

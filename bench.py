@@ -12,10 +12,12 @@ suite runs once.  Last, the horizon sweep: on the random game of
 fresh ``python -m secgames.cli`` child whose exit code, wall time and
 peak RSS are recorded.  The file holds the runner's header lines, every
 run's final JSON object, the per-metric medians of each (workload,
-trace) group, the tier-1 pass count and wall time, the horizon rows and
-the ``src/`` line count that the runner's header reports.  The exit code
-is 1 when a run, the tier-1 suite or a horizon command failed (a solve
-may stop at its two sweeps with exit 3); the file is written either way.
+trace) group, the tier-1 pass count and wall time, the horizon rows,
+the ``src/`` line count that the runner's header reports, and the host:
+``os.cpu_count()`` and ``os.getloadavg()`` before the first run and after
+the last.  The exit code is 1 when a run, the tier-1 suite or a horizon
+command failed (a solve may stop at its two sweeps with exit 3); the
+file is written either way.
 """
 
 from __future__ import annotations
@@ -146,12 +148,15 @@ def main(argv: list[str]) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
+    load_before = os.getloadavg()
     runs = []
     for workload in (w["name"] for w in spec["workloads"]):
         for seed, trace in [(seed, 0) for seed in SEEDS] + [(TRACE_SEED, 1)]:
             runs.append(run_workload(workload, seed, seconds, trace))
             print(f"{workload} seed {seed} trace {trace}: exit {runs[-1]['exit']}, "
                   f"{runs[-1]['wall_s']:.1f} s", file=sys.stderr, flush=True)
+    host = {"cpu_count": os.cpu_count(), "loadavg_before": load_before,
+            "loadavg_after": os.getloadavg()}
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
@@ -173,6 +178,7 @@ def main(argv: list[str]) -> int:
         "git": git_describe(),
         "run_seconds": seconds,
         "src_lines": src_lines,
+        "host": host,
         "tier1": tier1,
         "medians": {f"{workload} trace {trace}": medians(results)
                     for (workload, trace), results in groups.items()},

@@ -2,7 +2,8 @@
 
 :func:`solve_stack` finds a point of each system of a stack in
 standard form, ``body . x == rhs, x >= 0``, or proves that none exists,
-one numpy step per pivot for all members.  Problem sizes in this package
+one numpy step per pivot for all members still pivoting; a member that
+stops leaves the stack in that step.  Problem sizes in this package
 stay below a few dozen variables, so a robust dense tableau beats
 anything clever.  The floating-point run's verdicts are checked against
 the original data instead of trusted from a tableau that pivoting has
@@ -320,13 +321,11 @@ def solve_stack(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
     last = np.empty((n_sys, n_work + m + 1))     # final reduced-cost row
     level = np.empty((n_sys, m))                 # final right-hand side
     basis = np.empty_like(start)                 # final basis
-    # The working set: member ids, tableaus, bases, pivots left before the
-    # cap, and whether still pivoting.  A finished member's final state is
-    # copied out, and its tableau takes no-op pivots until half the set
-    # has finished and the set is compacted.
+    # The working set: member ids, tableaus, bases and pivots left before
+    # the cap.  A member that stops has its final state copied out and
+    # leaves the set in the same step.
     ids, bas = np.arange(n_sys), start.copy()
     left = _PIVOT_CAP * (n_rows + n_cols)
-    active = np.ones(n_sys, dtype=bool)
     while True:
         live = np.arange(ids.size)
         negative = tab[:, m, :n_work] < -_PIVOT_TOL
@@ -345,27 +344,23 @@ def solve_stack(body: np.ndarray, rhs: np.ndarray, ready: np.ndarray,
             replay = np.flatnonzero(close.any(axis=1))
             leaving[replay] = _ratio_scan(ratio[replay], positive[replay])
         moves = negative[live, entering] & (least[:, 0] < np.inf)
-        stop = active & (~moves | (left == 0))
+        stop = ~moves | (left == 0)
         if stop.any():
             done = ids[stop]
             stalled[done] = moves[stop]
             last[done] = tab[stop, m]
             level[done] = tab[stop, :m, -1]
             basis[done] = bas[stop]
-            active &= ~stop
-            if not active.any():
+            if stop.all():
                 break
-            if 2 * np.count_nonzero(active) <= ids.size:
-                ids, tab, bas, left = ids[active], tab[active], bas[active], left[active]
-                entering, leaving = entering[active], leaving[active]
-                active = active[active]
-                live = np.arange(ids.size)
-        pivot = np.where(active, tab[live, leaving, entering], 1.0)
-        pivot_row = tab[live, leaving] / pivot[:, None]
+            go = ~stop
+            ids, tab, bas, left = ids[go], tab[go], bas[go], left[go]
+            entering, leaving = entering[go], leaving[go]
+            live = np.arange(ids.size)
+        pivot_row = tab[live, leaving] / tab[live, leaving, entering][:, None]
         tab[live, leaving] = pivot_row
         factors = tab[live, :, entering]
         factors[live, leaving] = 0.0
-        factors[~active] = 0.0
         tab -= factors[:, :, None] * pivot_row[:, None, :]
         bas[live, leaving] = entering
         left -= 1

@@ -8,18 +8,21 @@ each stage, are that row of
 Its noise is the same row drawn from stream ``(b, 1)``:
 ``standard_normal((4096, 2H))`` times the scale for gaussian noise, or
 ``random`` mapped onto ``[-scale, scale)`` for uniform noise.  So a run
-is bit-reproducible, and trajectory ``i`` does not depend on ``n`` or on
-how trajectories are batched.  Additive zero-mean stage noise can be
-recorded next to the clean payoffs; it never influences actions or
-transitions, mirroring the fact that the solvers work with the
-noise-free expected payoffs.
+is bit-reproducible, and trajectory ``i`` does not depend on ``n``.
+Additive zero-mean stage noise can be recorded next to the clean
+payoffs; it never influences actions or transitions, mirroring the fact
+that the solvers work with the noise-free expected payoffs.
 
 Types and actions are drawn the way ``Generator.choice(m, p=row)`` draws
 them, one uniform per draw searched in the row's cumulative sums, so the
-samples equal those of ``choice`` with the same generator.  Each row is
-checked and turned into its search table once per (game, profile), the
-first time a trajectory reaches it.  Trajectories are walked a block at
-a time, stage by stage, as arrays.
+samples equal those of ``choice`` with the same generator.  Each
+(player, stage)'s rows become one stack of search tables when a run
+starts; a row that fails the checks raises only when a trajectory
+reaches it.  A seed block is walked at a time, stage by stage, as arrays.
+Memory grows with ``n``: for its bit-exact per-type statistics
+:func:`monte_carlo_value` keeps six 8-byte values per trajectory (the
+two types, each player's clean and noisy totals), at least 48 bytes, or
+about 206 GB at the largest ``n``, 2**32.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ from .core import (MalformedInputError, MultiStageGame, StrategyProfile,
 
 # The tolerance Generator.choice allows on the sum of a float64 row.
 _SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
-# Trajectories walked together as arrays; memory stays flat in n.
-_BLOCK = 4096
-# Trajectories that share one pair of streams, whatever the batching.
+# Trajectories that share one pair of streams, walked together as arrays.
 _SEED_BLOCK = 4096
 _MAX_TRAJECTORIES = 2**32
 
@@ -96,23 +97,38 @@ class Trajectory:
 
 def _cdf(p, m: int, what: str) -> np.ndarray:
     """The search table ``Generator.choice(m, p=p)`` builds, after the
-    checks it applies to ``p``.
+    checks it applies to ``p`` (:func:`_stage_tables`)."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (m,):
+        raise MalformedInputError(f"{what} has shape {p.shape}, expected ({m},)")
+    cdf, ok = _stage_tables(p[None, None], m)
+    if not ok[0, 0]:
+        raise MalformedInputError(
+            f"{what} is not a distribution: entries must be finite, "
+            f"non-negative and sum to 1 (sum {p.sum()!r})")
+    return cdf[0, 0]
+
+
+def _stage_tables(rows, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The search tables of a stage's rows ``rows[block][type]``, and a
+    mask of the rows that pass the checks ``Generator.choice(m, p=row)``
+    applies: entries finite and non-negative, their sum within
+    ``_SUM_ATOL`` of 1.  Every row of an array of another shape fails.
 
     The cumulative sums of non-negative entries never decrease, so the
     number of entries ``<= u`` is ``searchsorted(cdf, u, side="right")``,
     the index ``choice`` returns for the uniform ``u``.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (m,):
-        raise MalformedInputError(f"{what} has shape {p.shape}, expected ({m},)")
-    total = p.sum()
-    if not np.isfinite(total) or np.any(p < 0) or abs(total - 1.0) > _SUM_ATOL:
-        raise MalformedInputError(
-            f"{what} is not a distribution: entries must be finite, "
-            f"non-negative and sum to 1 (sum {total!r})")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.ndim != 3 or rows.shape[2] != m:
+        return rows, np.zeros(rows.shape[:2], dtype=bool)
+    with np.errstate(all="ignore"):         # rows that fail the checks
+        total = rows.sum(axis=2)
+        ok = (np.isfinite(total) & ~(rows < 0).any(axis=2)
+              & (np.abs(total - 1.0) <= _SUM_ATOL))
+        cdf = rows.cumsum(axis=2)
+        cdf /= cdf[..., -1:]
+    return cdf, ok
 
 
 def _search(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -142,8 +158,8 @@ class _Walk:
 
 
 class _Sampler:
-    """Play-outs of one profile: per-row search tables, each checked and
-    built the first time a trajectory reaches its row."""
+    """Play-outs of one profile: per (player, stage), the search tables
+    of all its rows."""
 
     def __init__(self, game: MultiStageGame, profile: StrategyProfile,
                  rng_seed: int, noise: NoiseSpec):
@@ -154,53 +170,40 @@ class _Sampler:
         self.prior1 = _cdf(game.prior_about_1.weights, game.n1, "prior about player 1")
         self.prior2 = _cdf(game.prior_about_2.weights, game.n2, "prior about player 2")
         self.x0 = game.stages[0].state_index(game.initial_state)
-        self._rows: dict[tuple[int, int, int, int], np.ndarray] = {}
-
-    def _row(self, player: int, k: int, block: int, t: int) -> np.ndarray:
-        key = (player, k, block, t)
-        cdf = self._rows.get(key)
-        if cdf is None:
-            st = self.game.stages[k]
-            cdf = self._rows[key] = _cdf(
-                self.profile.arrays(player)[k][block][t],
-                st.m1 if player == 1 else st.m2,
-                f"player {player} stage {k} row block {block} type {t}")
-        return cdf
+        self.tables = {(player, k): _stage_tables(profile.arrays(player)[k],
+                                                  st.m1 if player == 1 else st.m2)
+                       for player in (1, 2) for k, st in enumerate(game.stages)}
 
     def _actions(self, player: int, k: int, blocks: np.ndarray, types: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
         """Each trajectory's action drawn with ``u`` from the row of its
-        (row block, own type)."""
-        n_own = self.game.n1 if player == 1 else self.game.n2
-        codes = blocks * n_own + types
-        # the distinct codes ascending, and each code's place among them
-        seen = np.zeros(codes.max() + 1, dtype=bool)
-        seen[codes] = True
-        tables = np.array([self._row(player, k, *divmod(int(key), n_own))
-                           for key in np.flatnonzero(seen)])
-        return _search(tables[(np.cumsum(seen) - 1)[codes]], u)
+        (row block, own type).  A reached row that :func:`_cdf` rejects
+        raises its message, for the lowest such (block, type)."""
+        tables, ok = self.tables[player, k]
+        bad = ~ok[blocks, types]
+        if bad.any():
+            b, t = min(zip(blocks[bad].tolist(), types[bad].tolist()))
+            st = self.game.stages[k]
+            _cdf(self.profile.arrays(player)[k][b][t], st.m1 if player == 1 else st.m2,
+                 f"player {player} stage {k} row block {b} type {t}")
+        return _search(tables[blocks, types], u)
 
     def _draws(self, stream: int, start: int, stop: int, width: int,
               gaussian: bool = False) -> np.ndarray:
-        """Rows ``start`` to ``stop - 1`` of ``stream``: row ``i`` is row
-        ``i % _SEED_BLOCK`` of seed block ``i // _SEED_BLOCK``'s
-        ``random`` (or ``standard_normal``) draw of shape
-        ``(_SEED_BLOCK, width)``, and only the rows needed are drawn."""
-        parts = []
-        for b in range(start // _SEED_BLOCK, (stop - 1) // _SEED_BLOCK + 1):
-            r0 = max(start - b * _SEED_BLOCK, 0)
-            r1 = min(stop - b * _SEED_BLOCK, _SEED_BLOCK)
-            gen = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(self.rng_seed, spawn_key=(b, stream))))
-            if gaussian:     # the ziggurat takes a variable count of outputs
-                parts.append(gen.standard_normal((r1, width))[r0:])
-            else:            # one output per double: skip the rows before r0
-                gen.bit_generator.advance(r0 * width)
-                parts.append(gen.random((r1 - r0, width)))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        """Rows ``start`` to ``stop - 1`` of ``stream``, all in one seed
+        block: row ``i`` is row ``i % _SEED_BLOCK`` of seed block
+        ``i // _SEED_BLOCK``'s ``random`` (or ``standard_normal``) draw of
+        shape ``(_SEED_BLOCK, width)``, and only the rows needed are drawn."""
+        block, r0 = divmod(start, _SEED_BLOCK)
+        gen = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(self.rng_seed, spawn_key=(block, stream))))
+        if gaussian:         # the ziggurat takes a variable count of outputs
+            return gen.standard_normal((stop - block * _SEED_BLOCK, width))[r0:]
+        gen.bit_generator.advance(r0 * width)    # one output per double
+        return gen.random((stop - start, width))
 
     def walk(self, start: int, stop: int) -> _Walk:
-        """Trajectories ``start`` to ``stop - 1`` (``stop`` at most 2**32).
+        """Trajectories ``start`` to ``stop - 1``, all in one seed block.
 
         Each trajectory's stream-0 uniforms are used in the order
         ``choice`` consumed them: the two types, then both actions of
@@ -345,8 +348,8 @@ def monte_carlo_value(game: MultiStageGame, profile: StrategyProfile, n: int,
     noise = _parse_noise(noise)
     sampler = _Sampler(game, profile, rng_seed, noise)
     parts: list[tuple[np.ndarray, ...]] = []
-    for start in range(0, n, _BLOCK):
-        walk = sampler.walk(start, min(start + _BLOCK, n))
+    for start in range(0, n, _SEED_BLOCK):
+        walk = sampler.walk(start, min(start + _SEED_BLOCK, n))
         if not start:
             first = _trajectory(game, walk, 0)
         # payoffs near the float64 limit overflow to inf as sum() does, silently

@@ -1,7 +1,9 @@
 """The BENCH file writer (``bench.py``) on runner, pytest and child-process output."""
 
+import json
 import os
 import resource
+import subprocess
 import sys
 
 import bench
@@ -51,3 +53,30 @@ def test_run_child_reads_the_childs_own_exit_code_and_rusage(tmp_path):
     assert small["exit"] == 1 and "bad input" in small["stderr_tail"]
     # a running maximum over all children would repeat the first peak
     assert 0 < small["peak_rss_mb"] < big["peak_rss_mb"] - 32
+
+
+def test_main_records_the_host_around_the_runs(tmp_path, monkeypatch):
+    events = []
+    loads = iter([(1.5, 1.25, 1.0), (2.5, 2.0, 1.5)])
+
+    def getloadavg():
+        events.append("load")
+        return next(loads)
+
+    def run_workload(workload, seed, seconds, trace):
+        events.append("run")
+        return {"workload": workload, "seed": seed, "trace": trace, "exit": 0,
+                "wall_s": 0.0, "header": [], "result": {"correct": True, "metrics": {}}}
+
+    monkeypatch.setattr(bench.os, "getloadavg", getloadavg)
+    monkeypatch.setattr(bench, "run_workload", run_workload)
+    monkeypatch.setattr(bench, "run_horizons", lambda env: [])
+    monkeypatch.setattr(bench.subprocess, "run", lambda argv, **kwargs: (
+        subprocess.CompletedProcess(argv, 0, "3 passed in 0.10s\n", "")))
+    out = tmp_path / "BENCH.json"
+    assert bench.main([str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written["host"] == {"cpu_count": os.cpu_count(), "loadavg_before": [1.5, 1.25, 1.0],
+                               "loadavg_after": [2.5, 2.0, 1.5]}
+    n_runs = len(written["runs"])
+    assert n_runs > 0 and events == ["load"] + ["run"] * n_runs + ["load"]

@@ -804,11 +804,20 @@ def _versioned_profile(change, to_dict=per_history_profile_dict):
     return mutate
 
 
-def _v3_profile(change):
-    return _versioned_profile(change, profile_to_dict)
+_V3_ARRAYS = "profile 'classes', 'defender' and 'user' must be per-stage arrays of numbers"
+_V3_LISTS = "profile 'classes' must be per-stage lists of block numbers"
 
 
-def _v3_set(field, *path_and_value):
+def _v3_profile(change, wording):
+    """Version 3 edited by ``change``; the CLI must print ``wording``,
+    gamejson's message or a finding of ``StrategyProfile.violations``,
+    not numpy's text."""
+    mutate = _versioned_profile(change, profile_to_dict)
+    mutate.wording = wording
+    return mutate
+
+
+def _v3_set(field, *path_and_value, wording):
     """Version 3 with ``raw[field][path...] = value``."""
     *path, index, value = path_and_value
 
@@ -817,7 +826,7 @@ def _v3_set(field, *path_and_value):
         for key in path:
             target = target[key]
         target[index] = value
-    return _v3_profile(change)
+    return _v3_profile(change, wording)
 
 
 def _versioned_profile_with_history(side, key):
@@ -871,14 +880,19 @@ def _set_first_profile_row(row):
         "epsilon": {}, "beliefs_derived_from_profile": True}}),
     lambda profile, beliefs: (profile, {"command": "solve pbne", "seed": 0, "results": {
         "profile": profile}}),
-    _v3_set("defender", 0, 5), _v3_set("user", 0, 0, [[0.5, 0.5, 0.0]]),
-    _v3_set("defender", 1, 0, 0, "x"), _v3_set("classes", 1, 0, 1.5),
-    _v3_set("classes", 1, 0, True),
-    _v3_set("classes", 2, 0, -1), _v3_set("classes", 1, 0, 3),
-    _v3_profile(lambda raw: [raw[key].pop() for key in ("classes", "defender", "user")]),
-    _v3_set("defender", 0, 0, 0, 0, 10**400), _v3_set("classes", 1, 0, 10**400),
-    _v3_profile(lambda raw: raw.__setitem__("classes", 0)),
-    _v3_profile(lambda raw: raw.__setitem__("version", 4))],
+    _v3_set("defender", 0, 5, wording="player 1 stage 0 shape () is not (blocks, 2, 3)"),
+    _v3_set("user", 0, 0, [[0.5, 0.5, 0.0]], wording=_V3_ARRAYS),
+    _v3_set("defender", 1, 0, 0, "x", wording=_V3_ARRAYS),
+    _v3_set("classes", 1, 0, 1.5, wording="profile class indices are not integers"),
+    _v3_set("classes", 1, 0, True, wording=_V3_LISTS),
+    _v3_set("classes", 2, 0, -1, wording="player 1 stage 2 names a missing row block"),
+    _v3_set("classes", 1, 0, 3, wording="player 1 stage 1 names a missing row block"),
+    _v3_profile(lambda raw: [raw[key].pop() for key in ("classes", "defender", "user")],
+                "profile rows do not cover exactly the game's histories"),
+    _v3_set("defender", 0, 0, 0, 0, 10**400, wording=_V3_ARRAYS),
+    _v3_set("classes", 1, 0, 10**400, wording="profile class indices are not integers"),
+    _v3_profile(lambda raw: raw.__setitem__("classes", 0), _V3_LISTS),
+    _v3_profile(lambda raw: raw.__setitem__("version", 4), "unknown profile version 4")],
     ids=["belief-length", "unknown-history", "missing-user-history", "belief-not-numeric",
          "belief-negative", "belief-sum", "belief-nan", "profile-not-numeric",
          "profile-nan", "profile-stage-array", "profile-array", "beliefs-array",
@@ -905,6 +919,7 @@ def test_malformed_profile_or_beliefs_exit_2(capsys, tmp_path, command, mutate):
                                                          else []), "--out", str(out_file))
     assert code == 2
     assert err and "Traceback" not in err
+    assert getattr(mutate, "wording", "") in err
     assert not out_file.exists()
 
 

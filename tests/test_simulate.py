@@ -268,45 +268,6 @@ class TestSamplerOracle:
         for name, expected in ref.items():
             assert getattr(rep, name).tobytes() == expected.tobytes(), name
 
-    @pytest.mark.parametrize("noise", NOISES)
-    @pytest.mark.parametrize("profile_name", sorted(PROFILES))
-    def test_blocks_do_not_change_results(self, monkeypatch, profile_name, noise):
-        g = build_apt_game()
-        prof = PROFILES[profile_name](g)
-        whole = monte_carlo_value(g, prof, 60, rng_seed=31, noise=noise)
-        monkeypatch.setattr(simulate, "_BLOCK", 7)    # eight full blocks and a part
-        split = monte_carlo_value(g, prof, 60, rng_seed=31, noise=noise)
-        ref = reference_monte_carlo(g, prof, 60, 31, noise)
-        for name, expected in ref.items():
-            assert getattr(whole, name).tobytes() == expected.tobytes(), name
-            assert getattr(split, name).tobytes() == expected.tobytes(), name
-
-    @pytest.mark.parametrize("noise", NOISES)
-    def test_walk_batching_across_seed_blocks(self, monkeypatch, noise):
-        g = build_apt_game()
-        prof = per_history_profile(g)
-        n = simulate._SEED_BLOCK + 5
-        whole = monte_carlo_value(g, prof, n, rng_seed=41, noise=noise)
-        walks = []
-        walk = simulate._Sampler.walk
-
-        def recording_walk(self, start, stop):
-            walks.append((start, walk(self, start, stop)))
-            return walks[-1][1]
-
-        monkeypatch.setattr(simulate._Sampler, "walk", recording_walk)
-        monkeypatch.setattr(simulate, "_BLOCK", 1000)    # the fifth walk straddles 4096
-        split = monte_carlo_value(g, prof, n, rng_seed=41, noise=noise)
-        assert [start for start, _ in walks] == [0, 1000, 2000, 3000, 4000]
-        for name in ("counts1", "counts2", "mean1", "mean2", "stderr1", "stderr2",
-                     "noisy_mean1", "noisy_mean2", "noisy_stderr1", "noisy_stderr2"):
-            assert getattr(split, name).tobytes() == getattr(whole, name).tobytes(), name
-        assert split.first == whole.first == sample_playout(g, prof, 41, noise)
-        for i in (0, 4095, 4096, 4100):
-            start, part = walks[i // 1000]
-            assert sample_playout(g, prof, 41, noise, trajectory_index=i) == \
-                simulate._trajectory(g, part, i - start), i
-
     def test_more_than_one_block_matches_choice_loop(self):
         g = build_apt_game()
         prof = StrategyProfile.uniform(g)
@@ -343,10 +304,6 @@ class TestSeedKernel:
                 start = block * size
                 assert sampler._draws(stream, start, start + size, 8, gaussian).tobytes() == \
                     rows.tobytes(), (block, gaussian)
-            # a walk across a seed-block boundary
-            expected = np.concatenate([block_rows(0, gaussian)[-2:], block_rows(1, gaussian)[:3]])
-            assert sampler._draws(stream, size - 2, size + 3, 8, gaussian).tobytes() == \
-                expected.tobytes(), gaussian
 
     @pytest.mark.parametrize("width", [1, 8])
     @pytest.mark.parametrize("seed", SEEDS)
@@ -362,7 +319,7 @@ class TestSeedKernel:
                 got = sampler._draws(stream, i, i + 1, width)
                 assert got.shape == (1, width)
                 assert got.tobytes() == blocks[i // size][i % size].tobytes(), (i, stream)
-            for start, stop in ((2, 9), (size - 3, size + 2), (0, 2 * size)):
+            for start, stop in ((2, 9), (size - 3, size), (size + 1, size + 6)):
                 expected = np.concatenate([blocks[0], blocks[1]])[start:stop]
                 assert sampler._draws(stream, start, stop, width).tobytes() == \
                     expected.tobytes(), (start, stop, stream)
@@ -435,3 +392,58 @@ class TestMalformedRows:
             monte_carlo_value(g, prof, 10, rng_seed=0)
         with pytest.raises(ValueError):         # as Generator.choice rejects it
             reference_playout(g, prof, 0, "none", 0)
+
+    def test_rows_are_checked_where_trajectories_reach_them(self):
+        g = build_apt_game()
+        uniform = StrategyProfile.uniform(g)
+        bad_rows = ([0.3, 0.3, 0.3], [float("nan"), 1.0, 0.0])
+
+        def with_stage(player, k, stage):
+            arrays = list(uniform.arrays(player))
+            arrays[k] = stage
+            return dataclasses.replace(uniform, **{f"sigma{player}": tuple(arrays)})
+
+        def stage1_rows(i):     # the user's stage-1 (row block, type) of trajectory i
+            traj = reference_playout(g, uniform, 5, "none", i)
+            return (g.stages[1].states.index(traj.steps[1].state),
+                    g.types2.index(traj.type2))
+
+        # stage 0 block 1 (state "internal") is no history's block
+        stage0 = np.array(uniform.sigma1[0])
+        stage0[1] = bad_rows
+        unreached = with_stage(1, 0, stage0)
+        for i in range(20):
+            assert sample_playout(g, unreached, 5, "gaussian:1.0", trajectory_index=i) == \
+                   sample_playout(g, uniform, 5, "gaussian:1.0", trajectory_index=i)
+        got = monte_carlo_value(g, unreached, 300, rng_seed=5)
+        want = monte_carlo_value(g, uniform, 300, rng_seed=5)
+        assert got.mean1.tobytes() == want.mean1.tobytes() and got.first == want.first
+
+        # two reached bad rows: the walk names the lowest (block, type),
+        # a single trajectory its own
+        stage1 = np.array(uniform.sigma2[1])
+        stage1[2, 0] = stage1[1, 1] = [0.7, 0.7]
+        reached = with_stage(2, 1, stage1)
+        with pytest.raises(MalformedInputError,
+                           match=r"^player 2 stage 1 row block 1 type 1 is not a distribution"):
+            monte_carlo_value(g, reached, 300, rng_seed=5)
+        pairs = [stage1_rows(i) for i in range(40)]
+        for pair in ((2, 0), (1, 1)):
+            i = pairs.index(pair)
+            with pytest.raises(MalformedInputError, match="^player 2 stage 1 row block "
+                                                          f"{pair[0]} type {pair[1]} is not"):
+                sample_playout(g, reached, 5, trajectory_index=i)
+        i = next(i for i, pair in enumerate(pairs) if pair not in ((2, 0), (1, 1)))
+        assert sample_playout(g, reached, 5, trajectory_index=i) == \
+               sample_playout(g, uniform, 5, trajectory_index=i)
+
+        # a stage array one action too wide fails _cdf's shape check where reached
+        wide = with_stage(2, 1, np.pad(uniform.sigma2[1], ((0, 0), (0, 0), (0, 1))))
+        b, t = pairs[0]
+        with pytest.raises(MalformedInputError, match=fr"^player 2 stage 1 row block {b} "
+                                                      fr"type {t} has shape \(3,\), expected "
+                                                      fr"\(2,\)$"):
+            sample_playout(g, wide, 5)
+        with pytest.raises(MalformedInputError, match=r"^player 2 stage 1 row block 0 type 0 "
+                                                      r"has shape \(3,\), expected \(2,\)$"):
+            monte_carlo_value(g, wide, 300, rng_seed=5)

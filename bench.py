@@ -14,10 +14,13 @@ peak RSS are recorded.  The file holds the runner's header lines, every
 run's final JSON object, the per-metric medians of each (workload,
 trace) group, the tier-1 pass count and wall time, the horizon rows,
 the ``src/`` line count that the runner's header reports, and the host:
-``os.cpu_count()`` and ``os.getloadavg()`` before the first run and after
-the last.  The exit code is 1 when a run, the tier-1 suite or a horizon
-command failed (a solve may stop at its two sweeps with exit 3); the
-file is written either way.
+``os.cpu_count()``, ``os.getloadavg()`` before the first run and after
+the last, ``sys.version`` and ``sys.flags.dont_write_bytecode``.  When
+that flag comes from ``PYTHONDONTWRITEBYTECODE``, every child inherits
+it and writes no bytecode cache, so each fresh interpreter compiles
+``src/`` again.  The exit code is 1
+when a run, the tier-1 suite or a horizon command failed (a solve may
+stop at its two sweeps with exit 3); the file is written either way.
 """
 
 from __future__ import annotations
@@ -156,7 +159,8 @@ def main(argv: list[str]) -> int:
             print(f"{workload} seed {seed} trace {trace}: exit {runs[-1]['exit']}, "
                   f"{runs[-1]['wall_s']:.1f} s", file=sys.stderr, flush=True)
     host = {"cpu_count": os.cpu_count(), "loadavg_before": load_before,
-            "loadavg_after": os.getloadavg()}
+            "loadavg_after": os.getloadavg(), "python": sys.version,
+            "dont_write_bytecode": sys.flags.dont_write_bytecode}
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),

@@ -30,8 +30,8 @@ import time
 import numpy as np
 
 from . import gamejson, multistage, scenarios, signaling, simulate, static
-from .core import (EnumerationBudgetError, MalformedInputError, MultiStageGame,
-                   check_seed, stage_states, validate_game)
+from .core import (BeliefSystem, EnumerationBudgetError, MalformedInputError,
+                   MultiStageGame, check_seed, stage_states, validate_game)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -371,7 +371,9 @@ def _load_profile_and_beliefs(game: MultiStageGame, profile_path: str,
     forward pass) and whether they were derived.  ``profile_path`` holds
     a bare profile or a full solve report, whose beliefs are that forward
     pass and are not stored; a file that cannot be read raises
-    :class:`CliError`."""
+    :class:`CliError`.  Derived beliefs are the forward pass's node
+    beliefs only: like a file's, they carry no state aggregates, which
+    no check reads."""
     try:
         raw = _json_object(profile_path)
         if isinstance(raw.get("results"), dict):      # a full solve report
@@ -384,7 +386,8 @@ def _load_profile_and_beliefs(game: MultiStageGame, profile_path: str,
             raise CliError("invalid profile:\n  " + "\n  ".join(bad))
         if beliefs_path:
             return profile, gamejson.beliefs_from_dict(game, _json_object(beliefs_path)), False
-        return profile, multistage.forward_pass(game, profile), True
+        bel1, bel2, off1, off2 = map(tuple, multistage._forward(game, *profile.history_rows()))
+        return profile, BeliefSystem(bel1, bel2, off1, off2, (), (), (), 0.0), True
     # ValueError: invalid JSON, or a file that is not UTF-8
     except (OSError, ValueError, MalformedInputError, KeyError) as err:
         raise CliError(f"cannot load profile/beliefs: {err}")

@@ -77,6 +77,7 @@ def test_main_records_the_host_around_the_runs(tmp_path, monkeypatch):
     assert bench.main([str(out)]) == 0
     written = json.loads(out.read_text(encoding="utf-8"))
     assert written["host"] == {"cpu_count": os.cpu_count(), "loadavg_before": [1.5, 1.25, 1.0],
-                               "loadavg_after": [2.5, 2.0, 1.5]}
+                               "loadavg_after": [2.5, 2.0, 1.5], "python": sys.version,
+                               "dont_write_bytecode": sys.flags.dont_write_bytecode}
     n_runs = len(written["runs"])
     assert n_runs > 0 and events == ["load"] + ["run"] * n_runs + ["load"]

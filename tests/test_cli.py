@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from perfbench.generators import random_game
+
 import secgames
 from secgames import multistage, scenarios, signaling, simulate, static
 from secgames.cli import build_parser, main
@@ -572,6 +574,41 @@ def test_version_2_report_verifies_and_simulates_as_version_3(capsys, tmp_path, 
     assert verified["beliefs_derived_from_profile"] is True
     if max_iter == "100":
         assert verified["epsilon"] == v3["results"]["epsilon"]
+
+
+@pytest.mark.parametrize("source", ["apt", "random-h2"])
+def test_derived_beliefs_are_the_forward_pass(capsys, tmp_path, monkeypatch, source):
+    # a --beliefs file holding the profile's forward pass gives the reports
+    # of no --beliefs, apart from the flag that says which beliefs were used
+    monkeypatch.chdir(tmp_path)             # the reports' commands hold the paths
+    if source == "apt":
+        game, args, solve = build_apt_game(), ["--scenario", "apt"], []
+    else:
+        dump_json(random_game(np.random.default_rng(101), 2), "game.json")
+        game, args, solve = load_game("game.json"), ["--game", "game.json"], ["--max-iter", "2"]
+    code, _, _ = run(capsys, "solve", "pbne", *args, *solve, "--out", "report.json")
+    assert code in (0, 3)
+    profile = profile_from_dict(
+        game, json.loads((tmp_path / "report.json").read_text())["results"]["profile"])
+    dump_json(beliefs_to_dict(game, multistage.forward_pass(game, profile)), "beliefs.json")
+    note = ("note: no beliefs supplied; verified against the profile's "
+            "own forward-pass beliefs\n")
+    for argv in (["verify"], ["simulate", "-n", "500", "--noise", "none"],
+                 ["simulate", "-n", "500", "--noise", "gaussian:1.0"]):
+        runs = []
+        for beliefs in ([], ["--beliefs", "beliefs.json"]):
+            code, out, err = run(capsys, *argv, *args, "--profile", "report.json", *beliefs,
+                                 "--out", "r.json")
+            assert code == 0 and not err
+            results = json.loads((tmp_path / "r.json").read_text())["results"]
+            if argv[0] == "verify":
+                assert results.pop("beliefs_derived_from_profile") is not beliefs
+                assert out.startswith(note) is not beliefs
+            runs.append((out.replace(note, ""), json.dumps(results, sort_keys=True)))
+        assert runs[0] == runs[1], argv
+        if "none" in argv:
+            assert results["noisy_mean"] == results["mean"]
+            assert results["noisy_stderr"] == results["stderr"]
 
 
 def test_verify_and_simulate_accept_markov_profiles(capsys, tmp_path):

@@ -5,8 +5,8 @@ from .core import (BeliefSystem, EnumerationBudgetError, FiniteDistribution,
                    SolverError, StageGame, StrategyProfile, validate_game)
 from .lp import LinearProgram, LpSolution, solve_lp
 from .multistage import (BilinearStageSolution, EpsilonReport, PbneSolution,
-                         ValueFunction, backward_pass, belief_update, cumulative_utility,
-                         forward_pass, root_values, solve_pbne, verify_epsilon)
+                         backward_pass, belief_update, cumulative_utility, forward_pass,
+                         root_values, solve_pbne, verify_epsilon)
 from .signaling import (SignalingGame, SignalingPBNE, as_signaling_game,
                         classify, posterior_from_sender,
                         receiver_best_response, solve_mixed_pbne,

@@ -30,8 +30,8 @@ import time
 import numpy as np
 
 from . import gamejson, multistage, scenarios, signaling, simulate, static
-from .core import (BeliefSystem, EnumerationBudgetError, MalformedInputError,
-                   MultiStageGame, check_seed, stage_states, validate_game)
+from .core import (EnumerationBudgetError, MalformedInputError, MultiStageGame,
+                   check_seed, stage_states, validate_game)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -312,7 +312,6 @@ def cmd_solve_pbne(args) -> tuple:
                            for a, b in res.residual_trace],
         "class_counts": list(res.class_counts),
         "profile": gamejson.profile_to_dict(game, res.profile),
-        **gamejson.aggregates_to_dict(res.beliefs),
     }
     if not res.converged:
         last_p, last_b = res.residual_trace[-1]
@@ -323,20 +322,16 @@ def cmd_solve_pbne(args) -> tuple:
             print(f"  sweep {i}: {rp:.3g} {rb:.3g} {n}")
         return EXIT_NO_CONVERGENCE, results, game
 
-    eps, beliefs = res.epsilon, res.beliefs
+    eps = res.epsilon
     print(f"converged in {res.iterations} sweep(s); "
           f"worst per-stage deviation gap {res.stage_gap:.2e}")
     print("stage programs (belief classes) per sweep: "
           + " ".join(str(n) for n in res.class_counts))
-    print(f"belief aggregation discrepancy: {beliefs.aggregation_discrepancy:.4g} "
-          "(diagnostic: how far on-path histories' beliefs are from their "
-          "state's average; stage programs read per-history beliefs)")
     results["epsilon"] = _epsilon_results(
         game, eps, "epsilon certificate (distance from best response, per type):",
         f"{eps.belief_violation:.2e}")
-    x0 = game.stages[0].state_index(game.initial_state)
     print("utility-to-go at the initial state:")
-    _print_per_type(game, res.values.v1[0][x0], res.values.v2[0][x0], _fmt)
+    _print_per_type(game, *res.values, _fmt)
     print("strategies (per history, own type):")
     for k, (st, keys, states, rows1, rows2) in enumerate(zip(
             game.stages, gamejson.history_labels(game),
@@ -348,8 +343,7 @@ def cmd_solve_pbne(args) -> tuple:
             for t, row in zip(game.types2, r2):
                 print(f"  {where} user[{t}]: {_dist_str(st.actions2, row)}")
     results.update(stage_gap=res.stage_gap,
-                   values={"defender": [v.tolist() for v in res.values.v1],
-                           "user": [v.tolist() for v in res.values.v2]})
+                   values={"defender": res.values[0].tolist(), "user": res.values[1].tolist()})
     return EXIT_OK, results, game
 
 
@@ -371,9 +365,7 @@ def _load_profile_and_beliefs(game: MultiStageGame, profile_path: str,
     forward pass) and whether they were derived.  ``profile_path`` holds
     a bare profile or a full solve report, whose beliefs are that forward
     pass and are not stored; a file that cannot be read raises
-    :class:`CliError`.  Derived beliefs are the forward pass's node
-    beliefs only: like a file's, they carry no state aggregates, which
-    no check reads."""
+    :class:`CliError`."""
     try:
         raw = _json_object(profile_path)
         if isinstance(raw.get("results"), dict):      # a full solve report
@@ -386,8 +378,7 @@ def _load_profile_and_beliefs(game: MultiStageGame, profile_path: str,
             raise CliError("invalid profile:\n  " + "\n  ".join(bad))
         if beliefs_path:
             return profile, gamejson.beliefs_from_dict(game, _json_object(beliefs_path)), False
-        bel1, bel2, off1, off2 = map(tuple, multistage._forward(game, *profile.history_rows()))
-        return profile, BeliefSystem(bel1, bel2, off1, off2, (), (), (), 0.0), True
+        return profile, multistage.forward_pass(game, profile), True
     # ValueError: invalid JSON, or a file that is not UTF-8
     except (OSError, ValueError, MalformedInputError, KeyError) as err:
         raise CliError(f"cannot load profile/beliefs: {err}")

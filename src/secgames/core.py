@@ -405,18 +405,10 @@ class BeliefSystem:
     user.  ``off_path_p1[k]`` is a bool array marking the histories behind
     a user action that player 1's beliefs gave zero probability, and
     ``off_path_p2[k]`` likewise.  These node beliefs are what the
-    per-stage equilibrium programs read.  ``agg_about_2[k][x]`` is the
-    reach-weighted per-(stage, state) aggregate, a diagnostic;
-    ``aggregation_discrepancy`` reports the largest disagreement between
-    an on-path node belief and its state aggregate, that is how much a
-    per-state summary of the beliefs would lose.
+    per-stage equilibrium programs and the ε-certificate read.
     """
 
     belief_p1: tuple[np.ndarray, ...]
     belief_p2: tuple[np.ndarray, ...]
     off_path_p1: tuple[np.ndarray, ...]
     off_path_p2: tuple[np.ndarray, ...]
-    agg_about_1: tuple[np.ndarray, ...]
-    agg_about_2: tuple[np.ndarray, ...]
-    agg_off_path: tuple[np.ndarray, ...]
-    aggregation_discrepancy: float

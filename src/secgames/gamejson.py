@@ -310,15 +310,6 @@ def profile_from_dict(game: MultiStageGame, raw: dict) -> StrategyProfile:
     return StrategyProfile(tuple(sig1), tuple(sig2), stage_states(game, build_tree(game)))
 
 
-def aggregates_to_dict(beliefs: BeliefSystem) -> dict:
-    """The per-(stage, state) ``aggregates`` of ``beliefs`` and their
-    ``aggregation_discrepancy``: a diagnostic that no reader uses."""
-    return {"aggregates": {"about_defender": [a.tolist() for a in beliefs.agg_about_1],
-                           "about_user": [a.tolist() for a in beliefs.agg_about_2],
-                           "off_path": [a.tolist() for a in beliefs.agg_off_path]},
-            "aggregation_discrepancy": beliefs.aggregation_discrepancy}
-
-
 def beliefs_to_dict(game: MultiStageGame, beliefs: BeliefSystem) -> dict:
     labels = history_labels(game)
 
@@ -331,7 +322,6 @@ def beliefs_to_dict(game: MultiStageGame, beliefs: BeliefSystem) -> dict:
         "user": _keyed_rows(labels, beliefs.belief_p2, game.types2),
         "off_path": {"defender": flagged(beliefs.off_path_p1),
                      "user": flagged(beliefs.off_path_p2)},
-        **aggregates_to_dict(beliefs),
     }
 
 
@@ -366,23 +356,19 @@ def _side_beliefs(raw: dict, side: str, types, n_opp: int, labels, index: dict
 
 
 def beliefs_from_dict(game: MultiStageGame, raw: dict) -> BeliefSystem:
-    """Node beliefs, off-path flags and the discrepancy (0 when absent) as
-    :func:`beliefs_to_dict` writes them.  The file's ``aggregates`` are
-    not read: no check uses them, so the result's are empty."""
+    """Node beliefs and off-path flags as :func:`beliefs_to_dict` writes
+    them.  Other keys are not read, such as the ``aggregates`` and
+    ``aggregation_discrepancy`` that files of earlier versions hold."""
     labels = history_labels(game)
     index = _history_index(labels)
     try:
         bel1, off1 = _side_beliefs(raw, "defender", game.types1, game.n2, labels, index)
         bel2, off2 = _side_beliefs(raw, "user", game.types2, game.n1, labels, index)
-        discrepancy = float(raw.get("aggregation_discrepancy", 0.0))
     except MalformedInputError:
         raise
-    except OverflowError:       # an integer literal beyond the float range
-        raise MalformedInputError("beliefs 'aggregation_discrepancy' holds a number "
-                                  "beyond the float range") from None
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise MalformedInputError(f"malformed beliefs: {err!r}") from None
-    return BeliefSystem(bel1, bel2, off1, off2, (), (), (), discrepancy)
+    return BeliefSystem(bel1, bel2, off1, off2)
 
 
 def dump_json(payload: dict, path: str) -> None:

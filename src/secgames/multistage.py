@@ -16,18 +16,17 @@ The solver alternates two passes until a joint fixed point:
   2002), and the result is certified by exact deviation gaps.
 * forward: for a fixed strategy profile, walk the action tree from the
   root and update both players' type beliefs by Bayes' rule at every
-  observed action.  The programs read these node beliefs;
-  per-(stage, state) aggregates of them are a diagnostic, computed for
-  the returned beliefs only.
+  observed action.  The programs read these node beliefs.
 
 Between sweeps the node beliefs move halfway towards the new forward
 pass.  A converged result's beliefs are the forward pass of its
-profile, its values are its profile's utility-to-go under those
-beliefs, and its ε-certificate is computed over the full history tree.
+profile, its values are each (player, type)'s utility-to-go at the root
+under those beliefs, and its ε-certificate is computed over the full
+history tree.
 
-Every walk of the history tree (node values, forward pass, reach,
-residuals, the averaging step, class keys) runs one stage at a time
-over ``build_tree`` order, with whole-array operations per stage.
+Every walk of the history tree (node values, forward pass, residuals,
+the averaging step, class keys) runs one stage at a time over
+``build_tree`` order, with whole-array operations per stage.
 Profiles and beliefs are stored in that layout too: per-stage arrays
 with one entry per history (see :func:`build_tree`).
 
@@ -51,7 +50,7 @@ import numpy as np
 
 from .core import (BeliefSystem, FiniteDistribution, MalformedInputError,
                    MultiStageGame, SolverError, StageGame, StrategyProfile,
-                   build_tree, is_integer, stage_states, validate_game, _readonly)
+                   build_tree, is_integer, stage_states, validate_game)
 # ``solve_lp`` is not called here.  Tools that count LP calls wrap this
 # module's ``solve_lp``, so the name stays importable.
 from .lp import lemke, solve_lp  # noqa: F401
@@ -63,29 +62,6 @@ _ZERO_BELIEF = 1e-12
 ROW_ZERO_TOL = 1e-9
 # Node beliefs are rounded to this many decimals to form class keys.
 CLASS_DECIMALS = 9
-
-
-@dataclass(frozen=True)
-class ValueFunction:
-    """Utility-to-go per (player, stage, state, own type); zero past the end.
-
-    Strategies may differ between histories that end in one state, and
-    so may their utility-to-go.  ``v1[k][x, t]`` is then the defender's
-    expected utility-to-go given own type ``t`` and that play reaches
-    state ``x`` at stage ``k``: the histories of that state averaged,
-    each weighted by its chance of being reached given type ``t``.  A
-    state that type never reaches averages its histories with equal
-    weights, and a state no history ends in gets 0.  At the root, where
-    there is one history, it is that history's value: the profile's
-    utility-to-go under the node beliefs that come with the values.
-    """
-
-    v1: tuple[np.ndarray, ...]
-    v2: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "v1", tuple(_readonly(a) for a in self.v1))
-        object.__setattr__(self, "v2", tuple(_readonly(a) for a in self.v2))
 
 
 @dataclass(frozen=True)
@@ -118,8 +94,11 @@ class EpsilonReport:
 class PbneSolution:
     """The last sweep of :func:`solve_pbne`, whichever way the search ended.
 
-    ``beliefs`` are the forward pass of ``profile``.  ``values``,
-    ``epsilon`` and ``stage_gap`` are None unless ``converged``.
+    ``beliefs`` are the forward pass of ``profile``.  ``values`` holds
+    each player's utility-to-go at the root per own type, (defender,
+    user): the :func:`root_values` of ``profile`` and ``beliefs``.
+    ``values``, ``epsilon`` and ``stage_gap`` are None unless
+    ``converged``.
     """
 
     profile: StrategyProfile
@@ -128,7 +107,7 @@ class PbneSolution:
     residual_trace: tuple[tuple[float, float], ...]
     class_counts: tuple[int, ...]           # stage programs solved per sweep
     converged: bool
-    values: ValueFunction | None = None
+    values: tuple[np.ndarray, np.ndarray] | None = None
     epsilon: EpsilonReport | None = None
     stage_gap: float | None = None
 
@@ -306,8 +285,8 @@ def solve_stage_tensors(t1, t2, feas1, feas2, b1, b2, warm=None
 
 
 # ---------------------------------------------------------------------------
-# History tree, forward pass, backward pass.  Rows, beliefs, reach and
-# values below are per-stage arrays in ``build_tree`` order.
+# History tree, forward pass, backward pass.  Rows, beliefs and values
+# below are per-stage arrays in ``build_tree`` order.
 # ---------------------------------------------------------------------------
 
 def _stages(game: MultiStageGame) -> list[np.ndarray]:
@@ -361,62 +340,14 @@ def _forward(game: MultiStageGame, rows1: list, rows2: list):
     return bel1, bel2, off1, off2
 
 
-def _reach(game: MultiStageGame, rows1: list, rows2: list) -> list[np.ndarray]:
-    """Probability of every history per type pair, ``(histories, n1, n2)``
-    per stage."""
-    reach = [np.ones((1, game.n1, game.n2))]
-    for k in range(game.horizon):
-        pair = (rows1[k].transpose(0, 2, 1)[:, :, None, :, None]
-                * rows2[k].transpose(0, 2, 1)[:, None, :, None, :])
-        reach.append((reach[k][:, None, None] * pair).reshape(-1, game.n1, game.n2))
-    return reach
-
-
-def _with_aggregates(game: MultiStageGame, tree, reach, bel1, bel2, off1, off2
-                     ) -> BeliefSystem:
-    """Per-stage node beliefs as a :class:`BeliefSystem`, plus their
-    per-(stage, state) aggregate diagnostics."""
-    p1w = np.asarray(game.prior_about_1.weights)
-    p2w = np.asarray(game.prior_about_2.weights)
-    prior = p1w[:, None] * p2w[None, :]
-    agg1, agg2, agg_off = [], [], []
-    discrepancy = 0.0
-    for k, (st, states) in enumerate(zip(game.stages, tree)):
-        a1k = np.tile(p1w, (st.n_states, 1))
-        a2k = np.tile(p2w, (st.n_states, 1))
-        offk = np.ones(st.n_states, dtype=bool)
-        for x in set(states.tolist()):
-            at = states == x
-            joint = prior * reach[k][at]
-            # a running sum in history order, whatever the type counts
-            mass = np.cumsum(joint, axis=0)[-1]
-            if mass.sum() <= 1e-15:
-                continue
-            a1k[x] = mass.sum(axis=1) / mass.sum()
-            a2k[x] = mass.sum(axis=0) / mass.sum()
-            offk[x] = False
-            live = joint.sum(axis=(1, 2)) > 1e-15
-            if live.any():
-                discrepancy = max(discrepancy,
-                                  float(np.abs(bel1[k][at][live] - a2k[x]).max()),
-                                  float(np.abs(bel2[k][at][live] - a1k[x]).max()))
-        agg1.append(a1k)
-        agg2.append(a2k)
-        agg_off.append(offk)
-    return BeliefSystem(tuple(bel1), tuple(bel2), tuple(off1), tuple(off2),
-                        tuple(agg1), tuple(agg2), tuple(agg_off), discrepancy)
-
-
 def forward_pass(game: MultiStageGame, profile: StrategyProfile) -> BeliefSystem:
-    """Bayes-update beliefs along every history and aggregate per state.
+    """Bayes-update both players' beliefs along every history.
 
-    Each history follows the profile's own rows for it.  Per-(stage,
-    state) aggregates and the largest on-path disagreement between a
-    node belief and its aggregate are diagnostics: the solver's stage
-    programs read node beliefs.
+    Each history follows the profile's own rows for it.  The result holds
+    the node beliefs and off-path flags of :func:`_forward`: what the
+    stage programs and the ε-certificate read.
     """
-    rows = profile.history_rows()
-    return _with_aggregates(game, _stages(game), _reach(game, *rows), *_forward(game, *rows))
+    return BeliefSystem(*map(tuple, _forward(game, *profile.history_rows())))
 
 
 def _clean_rows(rows: np.ndarray) -> np.ndarray:
@@ -498,46 +429,15 @@ def _backward(game: MultiStageGame, tree, bel1: list, bel2: list, warm):
 
 def backward_pass(game: MultiStageGame, beliefs: BeliefSystem,
                   warm_profile: StrategyProfile | None = None
-                  ) -> tuple[StrategyProfile, ValueFunction, dict]:
+                  ) -> tuple[StrategyProfile, dict]:
     """Solve the belief-class stage programs of ``beliefs`` (see
     :func:`_backward`).
 
-    Returns the class profile, its values under ``beliefs`` per (stage,
-    state) (see :class:`ValueFunction`) and the stage solutions keyed
-    by (stage, class).
+    Returns the class profile and the stage solutions keyed by (stage,
+    class).
     """
-    tree = _stages(game)
-    bel = beliefs.belief_p1, beliefs.belief_p2
     warm = None if warm_profile is None else warm_profile.history_rows()
-    profile, stage_solutions = _backward(game, tree, *bel, warm)
-    rows = profile.history_rows()
-    values = [_node_values(game, tree, rows, b, player, False)
-              for player, b in zip((1, 2), bel)]
-    return profile, _state_values(game, tree, _reach(game, *rows), *values), stage_solutions
-
-
-def _state_values(game: MultiStageGame, tree, reach, node_v1, node_v2) -> ValueFunction:
-    """Average per-history values into per-(stage, state) values.
-
-    Each history of a state is weighted, per own type, by the chance
-    that play reaches it given that type; a state no history reaches
-    averages its histories with equal weights, and a state without
-    histories (not reachable from the initial state) gets 0.
-    """
-    p1w = np.asarray(game.prior_about_1.weights)
-    p2w = np.asarray(game.prior_about_2.weights)
-    out1 = [np.zeros((st.n_states, game.n1)) for st in game.stages]
-    out2 = [np.zeros((st.n_states, game.n2)) for st in game.stages]
-    for k, states in enumerate(tree):
-        for x in set(states.tolist()):
-            at = states == x
-            for out, v, w in ((out1, node_v1[k][at], reach[k][at] @ p2w),
-                              (out2, node_v2[k][at], p1w @ reach[k][at])):
-                total = w.sum(axis=0)
-                out[k][x] = np.where(total > 0.0,
-                                     (w * v).sum(axis=0) / np.where(total > 0.0, total, 1.0),
-                                     v.mean(axis=0))
-    return ValueFunction(tuple(out1), tuple(out2))
+    return _backward(game, _stages(game), beliefs.belief_p1, beliefs.belief_p2, warm)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +507,7 @@ def cumulative_utility(game: MultiStageGame, profile: StrategyProfile,
 def _certify(game: MultiStageGame, tree, rows, bel: tuple, forward: tuple):
     """The :class:`EpsilonReport` of stage rows under the node beliefs
     ``bel`` (per player, per stage), given the rows' own forward pass;
-    and each player's achieved node values."""
+    and each player's achieved value at the root, per own type."""
     violation = max(float(np.abs(f - s).max(axis=(1, 2))[~o].max(initial=0.0))
                     for fwd, supplied, off in zip(forward[:2], bel, forward[2:])
                     for f, s, o in zip(fwd, supplied, off))
@@ -618,7 +518,7 @@ def _certify(game: MultiStageGame, tree, rows, bel: tuple, forward: tuple):
         gap = np.maximum(best[0][0] - ach[0][0], 0.0)
         gap[gap < 1e-12] = 0.0
         eps.append(gap)
-        achieved.append(ach)
+        achieved.append(ach[0][0])
     return EpsilonReport(eps[0], eps[1], violation, violation <= 1e-9), achieved
 
 
@@ -661,13 +561,12 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100
     finite number >= 0 (not a bool).
 
     Returns a :class:`PbneSolution` built from the last sweep: its
-    profile, that profile's forward pass as beliefs (state aggregates
-    are computed for these only), the residual trace and the class
-    counts.  If the sweep converged, it also carries the profile's
-    utility-to-go under those beliefs, its ε-certificate and the worst
-    stage gap.  If ``max_iter`` sweeps pass without converging,
-    ``converged`` is False: the residual trace is evidence that no
-    equilibrium of this form was found, not an error.
+    profile, that profile's forward pass as beliefs, the residual trace
+    and the class counts.  If the sweep converged, it also carries each
+    (player, type)'s utility-to-go at the root under those beliefs, its
+    ε-certificate and the worst stage gap.  If ``max_iter`` sweeps pass
+    without converging, ``converged`` is False: the residual trace is
+    evidence that no equilibrium of this form was found, not an error.
     """
     if not is_integer(max_iter) or max_iter < 1:
         raise MalformedInputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
@@ -696,16 +595,14 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100
             break
         bel = tuple([0.5 * (v + new) for v, new in zip(old, fwd)]
                     for old, fwd in zip(bel, forward[:2]))
-    reach = _reach(game, *rows)
-    beliefs = _with_aggregates(game, tree, reach, *forward)
     certificate = {}
     if converged:
         eps, achieved = _certify(game, tree, rows, forward[:2], forward)
         # under the returned beliefs, not the averaged ones the class
         # programs were solved against (they differ by up to tol)
         certificate = dict(
-            values=_state_values(game, tree, reach, *achieved), epsilon=eps,
+            values=tuple(achieved), epsilon=eps,
             stage_gap=max((max(s.gaps1.max(initial=0.0), s.gaps2.max(initial=0.0))
                            for s in stage_solutions.values()), default=0.0))
-    return PbneSolution(profile, beliefs, it, tuple(trace), tuple(counts), converged,
-                        **certificate)
+    return PbneSolution(profile, BeliefSystem(*map(tuple, forward)), it, tuple(trace),
+                        tuple(counts), converged, **certificate)

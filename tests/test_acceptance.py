@@ -162,9 +162,7 @@ def test_criterion_6_apt_end_to_end():
         ok = eps_max <= 1e-4 and res.epsilon.belief_violation <= 1e-9
         _verdict("6 APT end-to-end", ok,
                  f"converged in {res.iterations} sweeps, eps {eps_max:.3g}, "
-                 f"belief violation {res.epsilon.belief_violation:.2e}, "
-                 f"aggregation discrepancy "
-                 f"{res.beliefs.aggregation_discrepancy:.3g}, {elapsed:.1f}s")
+                 f"belief violation {res.epsilon.belief_violation:.2e}, {elapsed:.1f}s")
     else:
         ok = len(res.residual_trace) == res.iterations
         _verdict("6 APT end-to-end", ok,

@@ -22,7 +22,8 @@ from secgames.core import FiniteDistribution, StrategyProfile
 from secgames.gamejson import (beliefs_to_dict, dump_json, game_to_dict, history_labels,
                                load_game, profile_from_dict, profile_to_dict)
 from secgames.scenarios import build_apt_game, build_exercise_qb, build_static_bayesian
-from tests.test_gamejson import markov_profile_dict, per_history_profile_dict
+from tests.test_gamejson import (markov_profile_dict, per_history_profile_dict,
+                                 with_earlier_aggregates)
 
 
 def run(capsys, *argv):
@@ -383,9 +384,23 @@ SIMULATE_DIGESTS = {
 }
 
 
+# exit code and sha256 of the multi-stage reports before those, keyed by argv
+PBNE_DIGESTS = {
+    ("solve", "pbne", "--scenario", "apt", "--out", "report.json"):
+        (0, "5ec9880b7173910444577053ba5014ae68b5f38348d65b7dde80c39ed31b38fb"),
+    ("solve", "pbne", "--scenario", "apt", "--max-iter", "2", "--out", "capped.json"):
+        (3, "4d6ead80c3b2455b7b86ddd80f017ebe052d5799bd28559f5617de4e4eb15397"),
+    ("verify", "--scenario", "apt", "--profile", "report.json", "--out", "verify.json"):
+        (0, "cc8e84a17dfe5fbd6f6254eec649ae3bc01ed063ea3818e388f0a25bed6b7094"),
+}
+
+
 def test_simulate_reports_match_pinned_digests(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)             # the report's command holds the paths
-    assert run(capsys, "solve", "pbne", "--scenario", "apt", "--out", "report.json")[0] == 0
+    for argv, (code, digest) in PBNE_DIGESTS.items():
+        assert run(capsys, *argv)[0] == code, argv
+        out = tmp_path / argv[-1]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
     for (n, noise, seed), digest in SIMULATE_DIGESTS.items():
         code, _, _ = run(capsys, "simulate", "--scenario", "apt", "--profile", "report.json",
                          "-n", n, "--noise", noise, "--seed", seed, "--out", "sim.json")
@@ -536,7 +551,7 @@ def test_verify_reproduces_solve_epsilon_exactly(capsys, tmp_path):
     for side in ("defender", "user"):
         assert sum(map(len, report["profile"][side])) == report["class_counts"][-1]
     assert "beliefs" not in report
-    assert sorted(report["aggregates"]) == ["about_defender", "about_user", "off_path"]
+    assert "aggregates" not in report and "aggregation_discrepancy" not in report
     verify_out = tmp_path / "verify.json"
     code2, _, _ = run(capsys, "verify", "--scenario", "apt",
                       "--profile", str(out_file), "--out", str(verify_out))
@@ -579,7 +594,9 @@ def test_version_2_report_verifies_and_simulates_as_version_3(capsys, tmp_path, 
 @pytest.mark.parametrize("source", ["apt", "random-h2"])
 def test_derived_beliefs_are_the_forward_pass(capsys, tmp_path, monkeypatch, source):
     # a --beliefs file holding the profile's forward pass gives the reports
-    # of no --beliefs, apart from the flag that says which beliefs were used
+    # of no --beliefs, apart from the flag that says which beliefs were
+    # used; so does such a file with the per-state aggregates and the
+    # discrepancy that files of earlier versions hold
     monkeypatch.chdir(tmp_path)             # the reports' commands hold the paths
     if source == "apt":
         game, args, solve = build_apt_game(), ["--scenario", "apt"], []
@@ -590,22 +607,24 @@ def test_derived_beliefs_are_the_forward_pass(capsys, tmp_path, monkeypatch, sou
     assert code in (0, 3)
     profile = profile_from_dict(
         game, json.loads((tmp_path / "report.json").read_text())["results"]["profile"])
-    dump_json(beliefs_to_dict(game, multistage.forward_pass(game, profile)), "beliefs.json")
+    beliefs = beliefs_to_dict(game, multistage.forward_pass(game, profile))
+    dump_json(beliefs, "beliefs.json")
+    dump_json(with_earlier_aggregates(game, beliefs), "earlier.json")
     note = ("note: no beliefs supplied; verified against the profile's "
             "own forward-pass beliefs\n")
     for argv in (["verify"], ["simulate", "-n", "500", "--noise", "none"],
                  ["simulate", "-n", "500", "--noise", "gaussian:1.0"]):
         runs = []
-        for beliefs in ([], ["--beliefs", "beliefs.json"]):
+        for beliefs in ([], ["--beliefs", "beliefs.json"], ["--beliefs", "earlier.json"]):
             code, out, err = run(capsys, *argv, *args, "--profile", "report.json", *beliefs,
                                  "--out", "r.json")
             assert code == 0 and not err
             results = json.loads((tmp_path / "r.json").read_text())["results"]
             if argv[0] == "verify":
-                assert results.pop("beliefs_derived_from_profile") is not beliefs
-                assert out.startswith(note) is not beliefs
+                assert results.pop("beliefs_derived_from_profile") == (not beliefs)
+                assert out.startswith(note) == (not beliefs)
             runs.append((out.replace(note, ""), json.dumps(results, sort_keys=True)))
-        assert runs[0] == runs[1], argv
+        assert runs[0] == runs[1] == runs[2], argv
         if "none" in argv:
             assert results["noisy_mean"] == results["mean"]
             assert results["noisy_stderr"] == results["stderr"]
@@ -881,14 +900,6 @@ def _versioned_profile_row(row):
     return _versioned_profile(change)
 
 
-def _set_beliefs_field(container, key, value):
-    """Set ``container(beliefs)[key]`` to ``value``."""
-    def mutate(profile, beliefs):
-        container(beliefs)[key] = value
-        return profile, beliefs
-    return mutate
-
-
 def _set_first_profile_row(row):
     def mutate(profile, beliefs):
         per_state = next(iter(profile["defender"][0].values()))
@@ -912,7 +923,6 @@ def _set_first_profile_row(row):
     _versioned_profile_row([0.5, 0.25, 0.25]), _versioned_profile_row("x"),
     _versioned_profile(lambda raw: raw["user"].pop("none,employee")),
     _versioned_profile_row([10**400, 0]), _set_first_belief_row([10**400, 0]),
-    _set_beliefs_field(lambda raw: raw, "aggregation_discrepancy", 10**400),
     lambda profile, beliefs: (profile, {"command": "verify", "seed": None, "results": {
         "epsilon": {}, "beliefs_derived_from_profile": True}}),
     lambda profile, beliefs: (profile, {"command": "solve pbne", "seed": 0, "results": {
@@ -937,7 +947,7 @@ def _set_first_profile_row(row):
          "profile-unknown-defender-history", "profile-unknown-user-history",
          "profile-ragged-history-row", "profile-not-numeric-history-row",
          "profile-missing-history", "profile-int-beyond-float", "belief-int-beyond-float",
-         "discrepancy-int-beyond-float", "verify-report", "solve-report",
+         "verify-report", "solve-report",
          "v3-0-d-stage", "v3-ragged-blocks", "v3-row-text", "v3-class-fraction",
          "v3-class-bool", "v3-class-negative", "v3-class-past-blocks", "v3-stage-missing",
          "v3-row-int-beyond-float", "v3-class-int-beyond-float", "v3-classes-not-list",
@@ -1092,7 +1102,7 @@ def test_p1_informed_exercise_qb_solves_as_pbne(capsys, tmp_path):
                      "--params", '{"info": "p1-informed"}', "--out", str(out_file))
     assert code == 0
     results = json.loads(out_file.read_text())["results"]
-    assert results["values"] == {"defender": [[[10.0, 14.0]]], "user": [[[14.0]]]}
+    assert results["values"] == {"defender": [10.0, 14.0], "user": [14.0]}
     assert results["epsilon"]["defender"] == {"theta1": 0.0, "theta2": 0.0}
 
 

@@ -20,6 +20,19 @@ def apt():
     return build_apt_game()
 
 
+def with_earlier_aggregates(game, raw: dict) -> dict:
+    """``raw``, a beliefs file, with the keys that files of earlier
+    versions also hold: per-state ``aggregates``, here the priors, and an
+    ``aggregation_discrepancy``, here a number beyond the float range."""
+    per_state = {side: [[np.asarray(prior.weights).tolist()] * st.n_states
+                        for st in game.stages]
+                 for side, prior in (("about_defender", game.prior_about_1),
+                                     ("about_user", game.prior_about_2))}
+    off_path = [[False] * st.n_states for st in game.stages]
+    return dict(raw, aggregates=dict(per_state, off_path=off_path),
+                aggregation_discrepancy=10**400)
+
+
 def markov_profile_dict(game, profile) -> dict:
     """The documented Markov file form, ``side -> stage -> state -> type
     -> row``, of a profile whose row block ``x`` is state ``x`` (as
@@ -166,7 +179,7 @@ class TestProfileRoundTrip:
             profile_from_dict(apt, raw)
 
     def test_per_history_profile(self, apt, tmp_path):
-        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
+        prof, _ = backward_pass(apt, prior_beliefs(apt))
         raw = per_history_profile_dict(apt, prof)
         path = tmp_path / "profile.json"
         dump_json(raw, str(path))
@@ -183,7 +196,7 @@ class TestProfileRoundTrip:
         np.testing.assert_array_equal(got.eps2, ref.eps2)
 
     def test_per_history_profile_missing_history_raises(self, apt):
-        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
+        prof, _ = backward_pass(apt, prior_beliefs(apt))
         raw = per_history_profile_dict(apt, prof)
         del raw["user"]["none,employee"]
         with pytest.raises(MalformedInputError, match="missing user profile rows at stage 1 "
@@ -191,7 +204,7 @@ class TestProfileRoundTrip:
             profile_from_dict(apt, raw)
 
     def test_per_history_profile_reads_as_one_block_per_history(self, apt):
-        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
+        prof, _ = backward_pass(apt, prior_beliefs(apt))
         back = profile_from_dict(apt, per_history_profile_dict(apt, prof))
         assert [c.tolist() for c in back.classes] == [[0], list(range(9)), list(range(36))]
         rows1, rows2 = prof.history_rows()
@@ -219,7 +232,7 @@ class TestProfileRoundTrip:
             beliefs_from_dict(game, beliefs_to_dict(game, forward_pass(game, prof)))
 
     def test_unknown_profile_version_raises(self, apt):
-        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
+        prof, _ = backward_pass(apt, prior_beliefs(apt))
         for version in (1, 4, "3", True):
             raw = dict(profile_to_dict(apt, prof), version=version)
             with pytest.raises(MalformedInputError, match="unknown profile version"):
@@ -245,18 +258,22 @@ class TestBeliefRoundTrip:
                             + back.off_path_p2, bel.belief_p1 + bel.belief_p2
                             + bel.off_path_p1 + bel.off_path_p2):
             assert got.tobytes() == ref.tobytes()
-        assert back.aggregation_discrepancy == bel.aggregation_discrepancy
 
     def test_aggregates_are_not_read(self, apt):
-        bel = forward_pass(apt, StrategyProfile.uniform(apt))
-        raw = beliefs_to_dict(apt, bel)
-        raw["aggregates"] = "not read"
-        back = beliefs_from_dict(apt, raw)
-        assert back.agg_about_1 == back.agg_about_2 == back.agg_off_path == ()
-        assert back.aggregation_discrepancy == bel.aggregation_discrepancy
+        prof = StrategyProfile.uniform(apt)
+        raw = beliefs_to_dict(apt, forward_pass(apt, prof))
+        ref = beliefs_from_dict(apt, raw)
+        back = beliefs_from_dict(apt, json.loads(json.dumps(with_earlier_aggregates(apt, raw))))
+        for got, want in zip(back.belief_p1 + back.belief_p2 + back.off_path_p1
+                             + back.off_path_p2, ref.belief_p1 + ref.belief_p2
+                             + ref.off_path_p1 + ref.off_path_p2):
+            assert got.tobytes() == want.tobytes()
+        got, want = verify_epsilon(apt, prof, back), verify_epsilon(apt, prof, ref)
+        assert got.eps1.tobytes() == want.eps1.tobytes()
+        assert got.eps2.tobytes() == want.eps2.tobytes()
 
     def test_rows_in_any_key_order_land_at_their_history(self, apt):
-        prof, _, _ = backward_pass(apt, prior_beliefs(apt))
+        prof, _ = backward_pass(apt, prior_beliefs(apt))
         bel = forward_pass(apt, prof)
         raw = beliefs_to_dict(apt, bel)
         for side in ("defender", "user"):
@@ -280,4 +297,4 @@ class TestBeliefRoundTrip:
         dump_json(beliefs_to_dict(apt, bel), str(path))
         with open(path) as fh:
             raw = json.load(fh)
-        assert "aggregates" in raw
+        assert sorted(raw) == ["defender", "off_path", "user"]

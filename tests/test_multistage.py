@@ -26,10 +26,7 @@ def prior_beliefs(game) -> BeliefSystem:
     """The uninformative start: priors carried forward at every node."""
     tree = stage_states(game, build_tree(game))
     off = tuple(np.zeros(len(x), dtype=bool) for x in tree)
-    return BeliefSystem(*_prior_stage_beliefs(game, tree), off, off,
-                        *(tuple(np.tile(prior.weights, (st.n_states, 1)) for st in game.stages)
-                          for prior in (game.prior_about_1, game.prior_about_2)),
-                        tuple(np.zeros(st.n_states, dtype=bool) for st in game.stages), 0.0)
+    return BeliefSystem(*_prior_stage_beliefs(game, tree), off, off)
 
 
 def history_tree(game) -> dict:
@@ -211,8 +208,8 @@ class TestForwardPass:
         # defender rows are type-dependent only through masks (none here)
         bel = forward_pass(g, prof2)
         for k in range(2):
-            np.testing.assert_allclose(bel.agg_about_2[k],
-                                       np.tile([0.5, 0.5], (g.stages[k].n_states, 1)),
+            np.testing.assert_allclose(bel.belief_p1[k],
+                                       np.broadcast_to([0.5, 0.5], bel.belief_p1[k].shape),
                                        atol=1e-12)
 
     def test_separating_stage_zero_degenerate_beliefs(self):
@@ -252,7 +249,7 @@ class TestBackwardPass:
     def test_k0_equals_single_stage_solve(self):
         g = to_multistage(build_static_bayesian(2.0, 1.0, 3.0))
         bel = prior_beliefs(g)
-        profile, values, sols = backward_pass(g, bel)
+        profile, sols = backward_pass(g, bel)
         st = g.stages[0]
         zero1, zero2 = np.zeros((st.m1, st.m2, g.n1)), np.zeros((st.m1, st.m2, g.n2))
         direct = solve_stage_tensors(*_stage_tensors(st, 0, zero1, zero2),
@@ -263,17 +260,20 @@ class TestBackwardPass:
     def test_value_propagates_through_forced_chain(self):
         g = chain_game([(0.0, 0.0), (0.0, 0.0), (5.0, -2.0)])
         bel = prior_beliefs(g)
-        profile, values, _ = backward_pass(g, bel)
-        assert values.v1[0][0, 0] == pytest.approx(5.0, abs=1e-9)
-        assert values.v2[0][0, 0] == pytest.approx(-2.0, abs=1e-9)
-        assert values.v1[2][0, 0] == pytest.approx(5.0, abs=1e-9)
+        profile, _ = backward_pass(g, bel)
+        u1, u2 = root_values(g, profile, bel)
+        assert u1[0] == pytest.approx(5.0, abs=1e-9)
+        assert u2[0] == pytest.approx(-2.0, abs=1e-9)
+        v1 = multistage._node_values(g, multistage._stages(g), profile.history_rows(),
+                                     bel.belief_p1, 1, False)
+        assert v1[2][0, 0] == pytest.approx(5.0, abs=1e-9)
 
     def test_apt_values_finite(self):
         g = build_apt_game()
-        profile, values, _ = backward_pass(g, prior_beliefs(g))
-        x0 = g.stages[0].state_index(g.initial_state)
-        assert np.isfinite(values.v1[0][x0]).all()
-        assert np.isfinite(values.v2[0][x0]).all()
+        bel = prior_beliefs(g)
+        profile, _ = backward_pass(g, bel)
+        u1, u2 = root_values(g, profile, bel)
+        assert np.isfinite(u1).all() and np.isfinite(u2).all()
 
 
 class TestSolvePbne:
@@ -306,9 +306,10 @@ class TestSolvePbne:
                            FiniteDistribution([0.3, 0.7]), "x")
         res = solve_pbne(g)
         assert res.converged
-        for k in range(2):
-            np.testing.assert_allclose(res.beliefs.agg_about_1[k], [[0.4, 0.6]], atol=1e-9)
-            np.testing.assert_allclose(res.beliefs.agg_about_2[k], [[0.3, 0.7]], atol=1e-9)
+        for node_beliefs, prior in ((res.beliefs.belief_p2, [0.4, 0.6]),
+                                    (res.beliefs.belief_p1, [0.3, 0.7])):
+            for arr in node_beliefs:
+                np.testing.assert_allclose(arr, np.broadcast_to(prior, arr.shape), atol=1e-9)
         assert max(res.epsilon.eps1.max(), res.epsilon.eps2.max()) <= 1e-6
 
     def test_apt_outcome_is_wellformed(self):
@@ -329,9 +330,6 @@ class TestSolvePbne:
         again = forward_pass(g, res.profile)
         for field in dataclasses.fields(again):
             got, ref = getattr(res.beliefs, field.name), getattr(again, field.name)
-            if field.name == "aggregation_discrepancy":
-                assert got == ref
-                continue
             assert len(got) == len(ref)
             for arr, ref_arr in zip(got, ref):
                 assert arr.dtype == ref_arr.dtype and arr.shape == ref_arr.shape
@@ -384,13 +382,15 @@ class TestCumulativeUtility:
         g = build_apt_game()
         res = solve_pbne(g)
         assert res.converged
-        x0 = g.stages[0].state_index(g.initial_state)
         for t1 in range(g.n1):
             u1, _ = cumulative_utility(g, res.profile, res.beliefs, t1, 0)
-            assert u1 == pytest.approx(res.values.v1[0][x0, t1], abs=1e-6)
+            assert u1 == pytest.approx(res.values[0][t1], abs=1e-6)
         for t2 in range(g.n2):
             _, u2 = cumulative_utility(g, res.profile, res.beliefs, 0, t2)
-            assert u2 == pytest.approx(res.values.v2[0][x0, t2], abs=1e-6)
+            assert u2 == pytest.approx(res.values[1][t2], abs=1e-6)
+        # the solve's values are the root values of what it returns
+        for got, ref in zip(res.values, root_values(g, res.profile, res.beliefs)):
+            assert got.tobytes() == ref.tobytes()
 
     def test_root_values_give_cumulative_utility(self):
         g = build_apt_game()
@@ -541,7 +541,7 @@ class TestHistoryClasses:
         # play; assembled rows drop it, so the histories behind that
         # action keep the flagged prior instead of a certain posterior
         g = build_apt_game()
-        clean_profile, _, _ = backward_pass(g, prior_beliefs(g))
+        clean_profile, _ = backward_pass(g, prior_beliefs(g))
         clean = forward_pass(g, clean_profile)
         real = multistage.solve_stage_tensors
 
@@ -552,7 +552,7 @@ class TestHistoryClasses:
                 sigma2=np.where((sol.sigma2 == 0.0) & feas2, 1.94e-16, sol.sigma2))
 
         monkeypatch.setattr(multistage, "solve_stage_tensors", with_round_off)
-        profile, _, _ = backward_pass(g, prior_beliefs(g))
+        profile, _ = backward_pass(g, prior_beliefs(g))
         for arr in profile.sigma1 + profile.sigma2:
             assert not np.any((arr > 0.0) & (arr < ROW_ZERO_TOL))
         bel = forward_pass(g, profile)
@@ -567,7 +567,7 @@ class TestHistoryClasses:
         # stage-0 history only (stage 1's first); its state shares
         # nothing with the others
         bel = _with_node_belief(prior_beliefs(g), 1, 0, [1.0, 0.0], g.n1)
-        profile, _, sols = backward_pass(g, bel)
+        profile, sols = backward_pass(g, bel)
         states = multistage._stages(g)[1]
         peers = np.flatnonzero(states == states[0])[1:]
         assert peers.size
@@ -637,7 +637,7 @@ class TestVectorizedPassesMatchLoops:
             prof = StrategyProfile.uniform(g)
         else:
             bel = _with_node_belief(prior_beliefs(g), 1, 0, [0.9, 0.1], g.n1)
-            prof, _, _ = backward_pass(g, bel)
+            prof, _ = backward_pass(g, bel)
         return g, prof
 
     def test_tree_values(self, case):
@@ -696,18 +696,6 @@ def _ref_bayes(bel, opp_rows):
     post = np.where(on[:, None, :], joint / np.where(on, total, 1.0)[:, None, :],
                     bel[:, :, None])
     return post.transpose(2, 0, 1), on.all(axis=0)
-
-
-def _ref_reach(game, nodes, profile):
-    reach = {(): np.ones((game.n1, game.n2))}
-    for path, (k, _) in nodes.items():
-        if k == game.horizon:
-            continue
-        r1, r2 = profile.rows(1, path), profile.rows(2, path)
-        for child in _ref_children(path, game.stages[k]):
-            a1, a2 = child[-1]
-            reach[child] = reach[path] * np.outer(r1[:, a1], r2[:, a2])
-    return reach
 
 
 def _ref_node_beliefs(game, nodes, profile):
@@ -847,7 +835,7 @@ class TestStageWalksMatchHistoryLoops:
                 for path, v in _per_history(g, got).items():
                     assert v.tobytes() == ref[path].tobytes(), (player, br, path)
 
-    def test_node_beliefs_and_reach_bit_for_bit(self, cases):
+    def test_node_beliefs_bit_for_bit(self, cases):
         off_path = set()
         for g, prof, _ in cases:
             nodes = history_tree(g)
@@ -861,9 +849,6 @@ class TestStageWalksMatchHistoryLoops:
                 assert all(got[p].tobytes() == np.asarray(ref[p]).tobytes() for p in nodes)
             off_path |= {player for player, off in ((1, ref_off1), (2, ref_off2))
                          if any(off.values())}
-            reach = _per_history(g, multistage._reach(g, *prof.history_rows()))
-            ref = _ref_reach(g, nodes, prof)
-            assert all(reach[p].tobytes() == ref[p].tobytes() for p in nodes)
         # the random profiles put some histories off path for both players
         assert off_path == {1, 2}
 

@@ -319,12 +319,14 @@ def _bayes(bel: np.ndarray, opp_rows: np.ndarray):
     return post.transpose(0, 3, 1, 2), on.all(axis=1)
 
 
-def _forward(game: MultiStageGame, rows1: list, rows2: list):
-    """Bayes-updated node beliefs and off-path flags along every history.
+def forward_pass(game: MultiStageGame, profile: StrategyProfile) -> BeliefSystem:
+    """Bayes-update both players' beliefs along every history.
 
-    Returns per-stage lists ``(belief_p1, belief_p2, off_path_p1,
-    off_path_p2)``; each history follows its own rows ``rows1``/``rows2``.
+    Each history follows the profile's own rows for it.  The result holds
+    the node beliefs and off-path flags per stage: what the stage
+    programs and the ε-certificate read.
     """
+    rows1, rows2 = profile.history_rows()
     n1, n2 = game.n1, game.n2
     bel1 = [np.tile(game.prior_about_2.weights, (1, n1, 1))]
     bel2 = [np.tile(game.prior_about_1.weights, (1, n2, 1))]
@@ -337,17 +339,7 @@ def _forward(game: MultiStageGame, rows1: list, rows2: list):
         bel2.append(np.broadcast_to(post2[:, :, None], shape + (n2, n1)).reshape(-1, n2, n1))
         off1.append(np.broadcast_to(off1[k][:, None, None] | ~seen2[:, None, :], shape).ravel())
         off2.append(np.broadcast_to(off2[k][:, None, None] | ~seen1[:, :, None], shape).ravel())
-    return bel1, bel2, off1, off2
-
-
-def forward_pass(game: MultiStageGame, profile: StrategyProfile) -> BeliefSystem:
-    """Bayes-update both players' beliefs along every history.
-
-    Each history follows the profile's own rows for it.  The result holds
-    the node beliefs and off-path flags of :func:`_forward`: what the
-    stage programs and the ε-certificate read.
-    """
-    return BeliefSystem(*map(tuple, _forward(game, *profile.history_rows())))
+    return BeliefSystem(tuple(bel1), tuple(bel2), tuple(off1), tuple(off2))
 
 
 def _clean_rows(rows: np.ndarray) -> np.ndarray:
@@ -362,7 +354,9 @@ def _clean_rows(rows: np.ndarray) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def _backward(game: MultiStageGame, tree, bel1: list, bel2: list, warm):
+def backward_pass(game: MultiStageGame, beliefs: BeliefSystem,
+                  warm_profile: StrategyProfile | None = None
+                  ) -> tuple[StrategyProfile, dict]:
     """Solve one stage program per belief class, from the horizon down.
 
     A class holds the stage-k histories that share a state, both
@@ -375,12 +369,14 @@ def _backward(game: MultiStageGame, tree, bel1: list, bel2: list, warm):
     are the same for every own type (priors and updates ignore the
     holder's type), so the first row stands for all.
 
-    ``bel1``/``bel2`` are the players' node beliefs per stage; each
-    program is traced from the rows that ``warm`` (both players' stage
-    rows, or None) gives its first history.  Returns the class profile,
-    whose ``classes`` are the class numbers, and the stage solutions
-    keyed by (stage, class).
+    The programs read the node beliefs of ``beliefs``; each is traced
+    from the rows that ``warm_profile`` (or None) gives its first
+    history.  Returns the class profile, whose ``classes`` are the class
+    numbers, and the stage solutions keyed by (stage, class).
     """
+    tree = _stages(game)
+    bel1, bel2 = beliefs.belief_p1, beliefs.belief_p2
+    warm = None if warm_profile is None else warm_profile.history_rows()
     K = game.horizon
     n1, n2 = game.n1, game.n2
     cls, sig1, sig2, cv1, cv2 = ([None] * (K + 1) for _ in range(5))
@@ -425,19 +421,6 @@ def _backward(game: MultiStageGame, tree, bel1: list, bel2: list, warm):
             cv1[k][c] = np.einsum("abst,sa,tb,t->s", t1, s1, s2, b2[i])
             cv2[k][c] = np.einsum("abst,sa,tb,s->t", t2, s1, s2, b1[i])
     return StrategyProfile(tuple(sig1), tuple(sig2), tuple(cls)), stage_solutions
-
-
-def backward_pass(game: MultiStageGame, beliefs: BeliefSystem,
-                  warm_profile: StrategyProfile | None = None
-                  ) -> tuple[StrategyProfile, dict]:
-    """Solve the belief-class stage programs of ``beliefs`` (see
-    :func:`_backward`).
-
-    Returns the class profile and the stage solutions keyed by (stage,
-    class).
-    """
-    warm = None if warm_profile is None else warm_profile.history_rows()
-    return _backward(game, _stages(game), beliefs.belief_p1, beliefs.belief_p2, warm)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +487,15 @@ def cumulative_utility(game: MultiStageGame, profile: StrategyProfile,
     return float(u1[t1]), float(u2[t2])
 
 
-def _certify(game: MultiStageGame, tree, rows, bel: tuple, forward: tuple):
+def _certify(game: MultiStageGame, tree, rows, beliefs: BeliefSystem,
+             forward: BeliefSystem):
     """The :class:`EpsilonReport` of stage rows under the node beliefs
-    ``bel`` (per player, per stage), given the rows' own forward pass;
-    and each player's achieved value at the root, per own type."""
+    of ``beliefs``, given the rows' own forward pass; and each player's
+    achieved value at the root, per own type."""
+    bel = (beliefs.belief_p1, beliefs.belief_p2)
     violation = max(float(np.abs(f - s).max(axis=(1, 2))[~o].max(initial=0.0))
-                    for fwd, supplied, off in zip(forward[:2], bel, forward[2:])
+                    for fwd, supplied, off in zip((forward.belief_p1, forward.belief_p2), bel,
+                                                  (forward.off_path_p1, forward.off_path_p2))
                     for f, s, o in zip(fwd, supplied, off))
     eps, achieved = [], []
     for player, b in zip((1, 2), bel):
@@ -531,9 +517,8 @@ def verify_epsilon(game: MultiStageGame, profile: StrategyProfile,
     consistency is checked, not assumed: the forward pass is recomputed
     from the profile and compared on path.
     """
-    rows = profile.history_rows()
-    return _certify(game, _stages(game), rows, (beliefs.belief_p1, beliefs.belief_p2),
-                    _forward(game, *rows))[0]
+    return _certify(game, _stages(game), profile.history_rows(), beliefs,
+                    forward_pass(game, profile))[0]
 
 
 def _largest_change(a: tuple, b: tuple) -> float:
@@ -577,32 +562,36 @@ def solve_pbne(game: MultiStageGame, tol: float = 1e-6, max_iter: int = 100
         raise MalformedInputError("; ".join(problems))
 
     tree = _stages(game)
-    bel = _prior_stage_beliefs(game, tree)
-    rows = None
+    off = tuple(np.zeros(len(x), dtype=bool) for x in tree)
+    beliefs = BeliefSystem(*_prior_stage_beliefs(game, tree), off, off)
+    profile = rows = None
     trace: list[tuple[float, float]] = []
     counts: list[int] = []
     for it in range(1, max_iter + 1):
-        profile, stage_solutions = _backward(game, tree, *bel, rows)
+        profile, stage_solutions = backward_pass(game, beliefs, profile)
         new_rows = profile.history_rows()
-        forward = _forward(game, *new_rows)
+        forward = forward_pass(game, profile)
+        bel = (beliefs.belief_p1, beliefs.belief_p2)
+        fwd = (forward.belief_p1, forward.belief_p2)
         res_p = np.inf if rows is None else _largest_change(new_rows, rows)
-        res_b = _largest_change(forward[:2], bel)
+        res_b = _largest_change(fwd, bel)
         trace.append((res_p, res_b))
         counts.append(len(stage_solutions))
         rows = new_rows
         converged = res_b <= tol and (it == 1 or res_p <= tol)
         if converged:
             break
-        bel = tuple([0.5 * (v + new) for v, new in zip(old, fwd)]
-                    for old, fwd in zip(bel, forward[:2]))
+        beliefs = BeliefSystem(*(tuple(0.5 * (v + new) for v, new in zip(old, f))
+                                 for old, f in zip(bel, fwd)),
+                               forward.off_path_p1, forward.off_path_p2)
     certificate = {}
     if converged:
-        eps, achieved = _certify(game, tree, rows, forward[:2], forward)
+        eps, achieved = _certify(game, tree, rows, forward, forward)
         # under the returned beliefs, not the averaged ones the class
         # programs were solved against (they differ by up to tol)
         certificate = dict(
             values=tuple(achieved), epsilon=eps,
             stage_gap=max((max(s.gaps1.max(initial=0.0), s.gaps2.max(initial=0.0))
                            for s in stage_solutions.values()), default=0.0))
-    return PbneSolution(profile, BeliefSystem(*map(tuple, forward)), it, tuple(trace),
+    return PbneSolution(profile, forward, it, tuple(trace),
                         tuple(counts), converged, **certificate)

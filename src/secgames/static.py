@@ -6,9 +6,9 @@ Three solvers live here:
 * :func:`mixed_ne` — all mixed equilibria of a bimatrix game by support
   enumeration.
 * :func:`solve_bne` — Bayesian equilibria of a static game with private
-  types, by agent-form reduction: every (player, type) pair of an
-  informed player becomes an agent, an uninformed player is a single
-  agent playing ex-ante.
+  types, on its type form (:func:`_type_form`): an uninformed player's
+  types are merged into one type facing its prior-averaged payoffs, and
+  then every (player, type) pair is an agent that decides on its own.
 
 Support enumeration resolves each candidate support profile with a pair
 of linear feasibility programs (the two sides decouple once supports
@@ -175,68 +175,51 @@ def pure_ne(game: BimatrixGame) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Agent-form machinery shared by mixed_ne and solve_bne.
+# Type form shared by mixed_ne and solve_bne.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Agent:
-    player: int
-    types: tuple[int, ...]       # type indices this agent decides for
-    own_weights: np.ndarray      # weight per owned type in the agent's objective
-    feasible: tuple[int, ...]    # actions allowed for every owned type
+def _type_form(game: StaticBayesianGame) -> StaticBayesianGame:
+    """The game with each uninformed player's types merged into one type.
 
-
-def _make_agents(game: StaticBayesianGame) -> tuple[list[_Agent], list[_Agent]]:
-    def side(player: int) -> list[_Agent]:
-        informed = game.informed1 if player == 1 else game.informed2
-        mask = game.mask1 if player == 1 else game.mask2
-        prior = game.prior_about_1 if player == 1 else game.prior_about_2
-        n = len(game.types1 if player == 1 else game.types2)
+    An uninformed player picks one ex-ante strategy, which is the choice
+    of a one-type player facing its payoffs averaged under its prior
+    (Harsanyi 1967-68).  Both payoff tensors are so averaged, by a plain
+    accumulation in type order from 0.0, and the merged type's feasible
+    actions are those feasible for every type.  In the result every
+    (player, type) is an agent that decides on its own.
+    """
+    payoffs = [game.payoffs1, game.payoffs2]
+    sides = []
+    for axis, informed, types, prior, mask in (
+            (2, game.informed1, game.types1, game.prior_about_1, game.mask1),
+            (3, game.informed2, game.types2, game.prior_about_2, game.mask2)):
         if informed:
-            agents = []
-            for t in range(n):
-                feas = tuple(int(a) for a in np.flatnonzero(mask[t]))
-                agents.append(_Agent(player, (t,), np.ones(1), feas))
-            return agents
-        feas = tuple(int(a) for a in np.flatnonzero(mask.all(axis=0)))
-        if not feas:
+            sides.append((types, prior, mask))
+            continue
+        mask = mask.all(axis=0, keepdims=True)
+        if not mask.any():
             raise MalformedInputError(
                 "uninformed player has no action feasible for all types")
-        return [_Agent(player, tuple(range(n)), np.asarray(prior.weights), feas)]
-    return side(1), side(2)
+        for i, tensor in enumerate(payoffs):
+            merged = 0.0
+            for t, w in enumerate(prior.weights):
+                merged = merged + w * tensor.take([t], axis=axis)
+            payoffs[i] = merged
+        sides.append((("*",), FiniteDistribution([1.0]), mask))
+    (types1, prior1, mask1), (types2, prior2, mask2) = sides
+    return StaticBayesianGame(types1, types2, prior1, prior2, *payoffs, mask1, mask2,
+                              actions1=game.actions1, actions2=game.actions2)
 
 
-def _agent_payoff_coeffs(game: StaticBayesianGame, agent: _Agent,
-                         opponents: list[_Agent]) -> np.ndarray:
-    """Coefficient tensor: agent's payoff per own action, linear in the
-    stacked opponent-agent strategy variables.
-
-    Returns ``coef[own_action, opp_agent_index, opp_action]``; the own
-    payoff is the opponent-prior-weighted expectation of the payoff
-    tensor, with the agent's own types weighted by ``own_weights``.
-    """
-    if agent.player == 1:
-        tensor = game.payoffs1          # (m1, m2, n1, n2)
-        opp_prior = np.asarray(game.prior_about_2.weights)
-        m_own, m_opp = tensor.shape[0], tensor.shape[1]
-        own_axis, opp_axis = 2, 3
-    else:
-        tensor = game.payoffs2
-        opp_prior = np.asarray(game.prior_about_1.weights)
-        m_own, m_opp = tensor.shape[1], tensor.shape[0]
-        own_axis, opp_axis = 3, 2
-    coef = np.zeros((m_own, len(opponents), m_opp))
-    for gi, opp in enumerate(opponents):
-        for ot, w_own in zip(agent.types, agent.own_weights):
-            for tt in opp.types:
-                sl = [slice(None)] * 4
-                sl[own_axis] = ot
-                sl[opp_axis] = tt
-                block = tensor[tuple(sl)]          # (m1, m2)
-                if agent.player == 2:
-                    block = block.T                # (m_own, m_opp)
-                coef[:, gi, :] += w_own * opp_prior[tt] * block
-    return coef
+def _payoff_coeffs(form: StaticBayesianGame) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' coefficient tensors in a type form: ``coeffs1[s]``
+    is ``coef[own_action, opp_type, opp_action]``, type s's payoff,
+    linear in the opponent's rows with its prior folded in; likewise
+    ``coeffs2[t]``.  Both are C-contiguous."""
+    p1 = np.asarray(form.prior_about_1.weights)
+    p2 = np.asarray(form.prior_about_2.weights)
+    return (np.ascontiguousarray((form.payoffs1 * p2).transpose(2, 0, 3, 1)),
+            np.ascontiguousarray((form.payoffs2 * p1[:, None]).transpose(3, 1, 2, 0)))
 
 
 def sized_subsets(items, largest: int | None = None) -> list[tuple[int, ...]]:
@@ -406,50 +389,38 @@ def _profile_masks(tables, profiles: np.ndarray) -> np.ndarray:
     return np.stack([t[i] for t, i in zip(tables, index)], axis=1)
 
 
-def _profile_from_agents(game: StaticBayesianGame, agents: list[_Agent],
-                         rows: np.ndarray, player: int) -> np.ndarray:
-    n = len(game.types1 if player == 1 else game.types2)
-    m = game.payoffs1.shape[0] if player == 1 else game.payoffs1.shape[1]
-    sigma = np.zeros((n, m))
-    for agent, row in zip(agents, rows):
-        for t in agent.types:
-            sigma[t] = row
-    return sigma
-
-
 def bayes_gap(game: StaticBayesianGame, sigma1: np.ndarray, sigma2: np.ndarray
               ) -> tuple[float, dict]:
-    """Largest gain any agent could get from a unilateral deviation.
+    """Largest gain any (player, type) could get from a unilateral
+    deviation, and the gain of each, keyed by (player, type).
 
-    Exact re-verification of the equilibrium inequalities: informed
-    agents are checked per type, an uninformed agent on its ex-ante
-    (prior-weighted) objective.  Also used to cross-certify profiles
+    Exact re-verification of the equilibrium inequalities on the type
+    form: informed players are checked per type, an uninformed player
+    on its ex-ante (prior-weighted) objective, as its merged type 0,
+    playing its type 0's row.  Also used to cross-certify profiles
     produced by other solvers.
     """
-    agents1, agents2 = _make_agents(game)
-    return _deviation_gaps(agents1, agents2,
-                           [_agent_payoff_coeffs(game, a, agents2) for a in agents1],
-                           [_agent_payoff_coeffs(game, a, agents1) for a in agents2],
-                           sigma1, sigma2)
+    form = _type_form(game)
+    # a merged type plays its player's first row
+    return _deviation_gaps(form, _payoff_coeffs(form),
+                           np.asarray(sigma1)[:len(form.types1)],
+                           np.asarray(sigma2)[:len(form.types2)])
 
 
-def _deviation_gaps(agents1, agents2, coeffs1, coeffs2, sigma1, sigma2
-                    ) -> tuple[float, dict]:
-    """:func:`bayes_gap` from the agents' coefficient tensors."""
+def _deviation_gaps(form, coeffs, rows1, rows2) -> tuple[float, dict]:
+    """:func:`bayes_gap` from a type form's coefficient tensors and
+    both players' rows in it."""
     detail = {}
     worst = 0.0
-    for player, agents, coeffs, own_sigma in ((1, agents1, coeffs1, sigma1),
-                                              (2, agents2, coeffs2, sigma2)):
-        opponents = agents2 if player == 1 else agents1
-        opp_sigma = sigma2 if player == 1 else sigma1
-        y = np.stack([opp_sigma[opp.types[0]] for opp in opponents])
-        for agent, coef in zip(agents, coeffs):
-            per_action = np.einsum("agb,gb->a", coef, y)
-            row = own_sigma[agent.types[0]]
+    for player, own_coeffs, mask, own_rows, opp_rows in (
+            (1, coeffs[0], form.mask1, rows1, rows2),
+            (2, coeffs[1], form.mask2, rows2, rows1)):
+        opp_rows = np.ascontiguousarray(opp_rows)
+        for t, (coef, feasible, row) in enumerate(zip(own_coeffs, mask, own_rows)):
+            per_action = np.einsum("agb,gb->a", coef, opp_rows)
             achieved = float(per_action @ row)
-            best = float(per_action[list(agent.feasible)].max())
-            gap = max(0.0, best - achieved)
-            detail[(player, agent.types)] = gap
+            gap = max(0.0, float(per_action[feasible].max()) - achieved)
+            detail[(player, t)] = gap
             worst = max(worst, gap)
     return worst, detail
 
@@ -471,7 +442,7 @@ def support_of(strategy: np.ndarray) -> tuple:
 
 def solve_bne(game: StaticBayesianGame, max_results: int | None = None
               ) -> list[EquilibriumResult]:
-    """Bayesian equilibria by agent-form support enumeration.
+    """Bayesian equilibria by support enumeration on the type form.
 
     Candidate support profiles are searched smallest-first; results are
     returned in lexicographic support order (unless ``max_results`` cut
@@ -479,15 +450,13 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None
     """
     if max_results is not None and max_results < 1:
         raise MalformedInputError(f"max_results must be at least 1, got {max_results}")
-    agents1, agents2 = _make_agents(game)
-    check_budget([len(a.feasible) for a in agents1 + agents2])
-    sized1 = [sized_subsets(a.feasible) for a in agents1]
-    sized2 = [sized_subsets(a.feasible) for a in agents2]
-
-    coeffs1 = [_agent_payoff_coeffs(game, a, agents2) for a in agents1]
-    coeffs2 = [_agent_payoff_coeffs(game, a, agents1) for a in agents2]
-    feas1 = [a.feasible for a in agents1]
-    feas2 = [a.feasible for a in agents2]
+    form = _type_form(game)
+    coeffs1, coeffs2 = _payoff_coeffs(form)
+    feas1 = [tuple(np.flatnonzero(row).tolist()) for row in form.mask1]
+    feas2 = [tuple(np.flatnonzero(row).tolist()) for row in form.mask2]
+    check_budget([len(f) for f in feas1 + feas2])
+    sized1 = [sized_subsets(f) for f in feas1]
+    sized2 = [sized_subsets(f) for f in feas2]
     m1, m2 = game.payoffs1.shape[0], game.payoffs1.shape[1]
     screens1 = [DominanceScreen(c, f) for c, f in zip(coeffs1, feas1)]
     screens2 = [DominanceScreen(c, f) for c, f in zip(coeffs2, feas2)]
@@ -511,11 +480,12 @@ def solve_bne(game: StaticBayesianGame, max_results: int | None = None
         for k, rows1 in zip(live, found1):
             if rows1 is None:
                 continue
-            sigma1 = _profile_from_agents(game, agents1, rows1, 1)
-            sigma2 = _profile_from_agents(game, agents2, found2[k], 2)
-            gap, _ = _deviation_gaps(agents1, agents2, coeffs1, coeffs2, sigma1, sigma2)
+            gap, _ = _deviation_gaps(form, (coeffs1, coeffs2), rows1, found2[k])
             if gap > GAP_TOL:
                 continue
+            # a merged type's row is played by each of its player's types
+            sigma1 = np.broadcast_to(rows1, game.mask1.shape).copy()
+            sigma2 = np.broadcast_to(found2[k], game.mask2.shape).copy()
             key = np.round(np.concatenate([sigma1.ravel(), sigma2.ravel()]), 7).tobytes()
             if key in seen:
                 continue

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from perfbench.generators import random_game
+from perfbench.tracer import Tracer
 
 import secgames
 from secgames import multistage, scenarios, signaling, simulate, static
@@ -1184,3 +1185,22 @@ def test_readme_command_block_runs(capsys, tmp_path, monkeypatch):
     malformed = child("solve", "bne", "--scenario", "static-bayesian", "--info", "complete")
     assert malformed.returncode == 2, malformed.stderr
     assert malformed.stderr and "Traceback" not in malformed.stderr
+
+
+def test_traced_pbne_has_one_backward_and_forward_span_per_sweep(tmp_path):
+    # perfbench's sweep metrics count these spans under solve_pbne; a solver
+    # that stopped calling the module-level passes would read 0 there
+    tracer = Tracer()
+    tracer.install()
+    report = tmp_path / "pbne.json"
+    try:
+        tracer.run_op(0, {}, main, ["solve", "pbne", "--scenario", "apt", "--max-iter", "2",
+                                    "--out", str(report)])
+    finally:
+        tracer.uninstall()
+    sweeps = json.loads(report.read_text())["results"]["iterations"]
+    solve, = (s for s in tracer.spans if s.name == "multistage.solve_pbne")
+    under = [s.name for s in tracer.spans if s.parent == solve.id]
+    assert sweeps == 2
+    assert under.count("multistage.backward_pass") == sweeps
+    assert under.count("multistage.forward_pass") == sweeps

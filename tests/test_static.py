@@ -177,3 +177,45 @@ class TestMasks:
         assert eqs
         for e in eqs:
             assert e.sigma2[0, 1] == 0.0
+
+    def test_uninformed_player_without_common_action_is_malformed(self):
+        # the defender's two types share no feasible action
+        j = np.zeros((2, 2, 2, 1))
+        mask1 = np.array([[True, False], [False, True]])
+        mask2 = np.ones((1, 2), dtype=bool)
+        g = StaticBayesianGame(("d0", "d1"), ("*",), FiniteDistribution([0.5, 0.5]),
+                               FiniteDistribution([1.0]), j, j, mask1, mask2,
+                               informed1=False)
+        message = "uninformed player has no action feasible for all types"
+        with pytest.raises(MalformedInputError, match=message):
+            solve_bne(g)
+        with pytest.raises(MalformedInputError, match=message):
+            bayes_gap(g, np.full((2, 2), 0.5), np.full((1, 2), 0.5))
+
+    def test_uninformed_types_with_own_masks_merge_into_one_type(self):
+        # an uninformed defender whose types allow {0, 1, 3} and {0, 2, 3}
+        # plays like one type on {0, 3} facing prior-averaged payoffs
+        rng = np.random.default_rng(7)
+        j1 = np.round(rng.normal(size=(4, 3, 2, 2)), 6)
+        j2 = np.round(rng.normal(size=(4, 3, 2, 2)), 6)
+        w = [0.3, 0.7]
+        mask1 = np.array([[True, True, False, True], [True, False, True, True]])
+        mask2 = np.ones((2, 3), dtype=bool)
+        prior2 = FiniteDistribution([0.4, 0.6])
+        g = StaticBayesianGame(("d0", "d1"), ("u0", "u1"), FiniteDistribution(w), prior2,
+                               j1, j2, mask1, mask2, informed1=False)
+        merged = StaticBayesianGame(
+            ("*",), ("u0", "u1"), FiniteDistribution([1.0]), prior2,
+            w[0] * j1[:, :, :1] + w[1] * j1[:, :, 1:],
+            w[0] * j2[:, :, :1] + w[1] * j2[:, :, 1:],
+            np.array([[True, False, False, True]]), mask2)
+        eqs, by_hand = solve_bne(g), solve_bne(merged)
+        assert by_hand
+        assert len(eqs) == len(by_hand)
+        for e, h in zip(eqs, by_hand):
+            np.testing.assert_array_equal(e.sigma1, np.repeat(h.sigma1, 2, axis=0))
+            np.testing.assert_array_equal(e.sigma2, h.sigma2)
+            assert e.gap == h.gap
+            assert e.ex_ante1 == pytest.approx(h.ex_ante1, abs=1e-12)
+            assert e.ex_ante2 == pytest.approx(h.ex_ante2, abs=1e-12)
+            assert not e.sigma1[:, 1:3].any()
